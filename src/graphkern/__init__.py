@@ -22,6 +22,7 @@ from .kernels import (
     KernelSpec,
     build_dictionary,
     combine,
+    grid_specs,
     kernel_cross,
     kernel_eval,
     kernel_vector,
@@ -73,6 +74,7 @@ __all__ = [
     "KernelSpec",
     "build_dictionary",
     "combine",
+    "grid_specs",
     "kernel_cross",
     "kernel_eval",
     "kernel_vector",

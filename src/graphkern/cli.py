@@ -24,9 +24,12 @@ import numpy as np
 
 from . import experiment as exp
 from .graph import NodeCoordinates, build_graph, geodesic_adjacency
-from .kernels import GAUSSIAN, KernelDictionary, KernelSpec, build_dictionary
+from .kernels import GAUSSIAN, KernelDictionary, build_dictionary, grid_specs
 from .mkl import optimize
-from .solver import KrgModel, SingularSystemError, solve_structured
+# solve_structured is not called here; it stays bound in this module like in
+# every other that reaches the solver route, for tools that wrap the route
+# at each binding (perfbench/tracer.py).
+from .solver import KrgModel, SingularSystemError, solve_structured  # noqa: F401
 
 log = logging.getLogger("graphkern.cli")
 
@@ -323,8 +326,20 @@ def save_model(path, model, grid_cfg, names, iterations, final_gamma):
         json.dump(payload, fh)
 
 
+# Keys of a model file that predictions depend on.
+MODEL_KEYS = (
+    "alpha", "beta", "kernel_grid", "rho", "training_inputs", "psi",
+    "target_names", "adjacency",
+)
+
+
 def load_model(path):
-    """Rebuild a fitted model from a model file; returns (model, names)."""
+    """Rebuild a fitted model from a model file; returns (model, names).
+
+    The file is checked against the schema :func:`save_model` writes: every
+    key in ``MODEL_KEYS``, ``psi`` of shape N x M for N training inputs and
+    M target names, one weight per grid kernel and an M-node graph.
+    """
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -332,30 +347,43 @@ def load_model(path):
         raise ConfigError(f"cannot open model file {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}: invalid JSON: {err}") from err
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{path}: model file must hold a JSON object")
     if payload.get("format_version") != MODEL_FORMAT_VERSION:
         raise ConfigError(
             f"{path}: unsupported model format version {payload.get('format_version')!r}"
         )
-    grid = payload["kernel_grid"]
-    x = np.array(payload["training_inputs"])
-    if grid["family"] == GAUSSIAN:
-        specs = [
-            KernelSpec(GAUSSIAN, p)
-            for p in np.linspace(grid["lo"], grid["hi"], int(grid["count"]))
-        ]
-    else:
-        specs = [KernelSpec(grid["family"]) for _ in range(int(grid["count"]))]
-    dictionary = KernelDictionary.from_specs(x, specs)
-    graph = build_graph(np.array(payload["adjacency"]))
-    model = KrgModel(
-        psi=np.array(payload["psi"]),
-        alpha=float(payload["alpha"]),
-        beta=float(payload["beta"]),
-        dictionary=dictionary,
-        rho=np.array(payload["rho"]),
-        graph=graph,
-    )
-    return model, payload["target_names"]
+    missing = [key for key in MODEL_KEYS if key not in payload]
+    if missing:
+        raise ConfigError(f"{path}: model file is missing {missing}")
+    names = payload["target_names"]
+    if not isinstance(names, list):
+        raise ConfigError(f"{path}: target_names must be a list")
+    try:
+        grid = payload["kernel_grid"]
+        specs = grid_specs(grid["family"], (grid["lo"], grid["hi"]), int(grid["count"]))
+        x = np.array(payload["training_inputs"], dtype=float)
+        dictionary = KernelDictionary.from_specs(x, specs)
+        psi = np.array(payload["psi"], dtype=float)
+        rho = np.array(payload["rho"], dtype=float)
+        graph = build_graph(np.array(payload["adjacency"], dtype=float))
+        alpha, beta = float(payload["alpha"]), float(payload["beta"])
+    except (KeyError, TypeError, ValueError) as err:
+        raise ConfigError(f"{path}: invalid model: {err}") from err
+    n, m = dictionary.num_samples, len(names)
+    if psi.shape != (n, m):
+        raise ConfigError(
+            f"{path}: psi has shape {psi.shape}, expected ({n}, {m}) for {n} "
+            f"training inputs and {m} target names"
+        )
+    if rho.shape != (dictionary.num_kernels,):
+        raise ConfigError(
+            f"{path}: rho has shape {rho.shape}, expected ({dictionary.num_kernels},)"
+        )
+    if graph.num_nodes != m:
+        raise ConfigError(f"{path}: adjacency has {graph.num_nodes} nodes, expected {m}")
+    model = KrgModel(psi=psi, alpha=alpha, beta=beta, dictionary=dictionary, rho=rho, graph=graph)
+    return model, names
 
 
 # ---------------------------------------------------------------------------
@@ -371,12 +399,8 @@ def cmd_fit(cfg, out_dir, threads):
         span=config.grid_span,
         count=config.grid_count,
     )
-    weights, trace = optimize(
+    _, trace, model = optimize(
         dictionary, dataset.graph, dataset.targets, config.solver_config(),
-        config.alpha, config.beta,
-    )
-    model = solve_structured(
-        dictionary, weights.rho, dataset.graph, dataset.targets,
         config.alpha, config.beta,
     )
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -404,7 +428,11 @@ def cmd_predict(model_path, inputs_path, output_path):
             f"input columns, got {len(in_names)}"
         )
     predictions = model.predict(matrix)
-    with open(output_path, "w", newline="") as fh:
+    try:
+        fh = open(output_path, "w", newline="")
+    except OSError as err:
+        raise ConfigError(f"cannot open output file {output_path}: {err}") from err
+    with fh:
         writer = csv.writer(fh)
         writer.writerow(names)
         for row in predictions:
@@ -457,15 +485,14 @@ def cmd_experiment(cfg, out_dir, threads):
 
     rho_path = out_dir / "rho_instance.csv"
     rho_report = reports[-1]
-    grid = cfg["kernel_grid"]
-    parameters = np.linspace(grid["lo"], grid["hi"], int(grid["count"]))
+    specs = grid_specs(config.grid_family, config.grid_span, config.grid_count)
     with open(rho_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["kernel_index", "parameter", "rho"])
         rho = rho_report.representative_rho
-        for i, p in enumerate(parameters):
+        for i, spec in enumerate(specs):
             value = 0.0 if rho is None else float(rho[i])
-            writer.writerow([i + 1, repr(float(p)), repr(value)])
+            writer.writerow([i + 1, repr(float(spec.parameter)), repr(value)])
 
     report_path = out_dir / "report.json"
     with open(report_path, "w") as fh:

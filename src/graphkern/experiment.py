@@ -20,7 +20,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .graph import NodeCoordinates, build_graph, geodesic_adjacency
-from .kernels import GAUSSIAN, LINEAR, KernelDictionary, KernelSpec, build_dictionary
+from .kernels import (
+    GAUSSIAN,
+    LINEAR,
+    KernelDictionary,
+    KernelSpec,
+    build_dictionary,
+    grid_specs,
+)
 from .mkl import SolverConfig, optimize
 from .solver import SingularSystemError, TrainingSet, solve_structured
 
@@ -78,6 +85,7 @@ class ExperimentConfig:
             raise ValueError("n_realizations must be at least 1")
         if self.n_train < 1:
             raise ValueError("n_train must be at least 1")
+        grid_specs(self.grid_family, self.grid_span, self.grid_count)  # validates the grid
         self.solver_config()  # validates the optimizer fields
 
     def solver_config(self):
@@ -276,10 +284,9 @@ def _fit_method(method, x_train, t_fit, graph, config, alpha=None, beta=None):
         )
         a = config.alpha if alpha is None else alpha
         b = config.beta if beta is None else beta
-        weights, trace = optimize(
+        _, trace, model = optimize(
             dictionary, graph, t_fit, config.solver_config(), a, b
         )
-        model = solve_structured(dictionary, weights.rho, graph, t_fit, a, b)
         return model, trace.iterations_used
     raise ValueError(f"unknown method {method!r}")
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import _combine_unchecked
+from .kernels import _combine_unchecked, kernel_inner_products
 from .solver import SingularSystemError, solve_structured
 
 FEASIBILITY_TOL = 1e-9
@@ -144,17 +144,23 @@ def _qnorm(rho, q):
     return float(np.linalg.norm(rho))
 
 
-def _psi_for(dictionary, graph, targets, rho, alpha, beta):
-    model = solve_structured(dictionary, rho, graph, targets, alpha, beta)
-    return model.psi
+def _gamma_from_psi(graph, targets, psi, alpha, beta):
+    """``-tr(T^T K Psi)`` from a solution ``Psi``, without forming ``K``.
+
+    The system ``(K + alpha I) Psi + beta K Psi L = T`` gives
+    ``K Psi = (T - alpha Psi) U diag(1 / (1 + beta lam)) U^T``.
+    """
+    u, lam = graph.lap_eigvecs, graph.lap_eigvals
+    t_rot = targets @ u
+    k_psi_rot = (targets - alpha * psi) @ u / (1.0 + beta * lam)
+    return -float(np.sum(t_rot * k_psi_rot))
 
 
 def gamma(dictionary, graph, targets, rho, alpha, beta):
     """Reduced objective value ``-tr(T^T K Psi(rho))`` (nonpositive)."""
-    rho = np.asarray(rho, dtype=float)
-    psi = _psi_for(dictionary, graph, targets, rho, alpha, beta)
-    k = _combine_unchecked(dictionary, rho)
-    return -float(np.sum(np.asarray(targets, dtype=float) * (k @ psi)))
+    targets = np.asarray(targets, dtype=float)
+    model = solve_structured(dictionary, rho, graph, targets, alpha, beta)
+    return _gamma_from_psi(graph, targets, model.psi, alpha, beta)
 
 
 def gamma_gradient(dictionary, graph, targets, rho, alpha, beta):
@@ -164,21 +170,12 @@ def gamma_gradient(dictionary, graph, targets, rho, alpha, beta):
     semidefinite and ``alpha >= 0``.  Matches central finite differences
     of :func:`gamma`.
     """
-    rho = np.asarray(rho, dtype=float)
-    psi = _psi_for(dictionary, graph, targets, rho, alpha, beta)
-    return _gradient_from_psi(dictionary, psi, alpha)
+    model = solve_structured(dictionary, rho, graph, targets, alpha, beta)
+    return _gradient_from_psi(dictionary, model.psi, alpha)
 
 
 def _gradient_from_psi(dictionary, psi, alpha):
-    outer = psi @ psi.T
-    return -alpha * np.tensordot(dictionary.matrices, outer, axes=([1, 2], [0, 1]))
-
-
-def _gamma_and_gradient(dictionary, graph, targets, rho, alpha, beta):
-    psi = _psi_for(dictionary, graph, targets, rho, alpha, beta)
-    k = _combine_unchecked(dictionary, rho)
-    value = -float(np.sum(targets * (k @ psi)))
-    return value, _gradient_from_psi(dictionary, psi, alpha)
+    return -alpha * kernel_inner_products(dictionary, psi @ psi.T)
 
 
 def project(s, radius, q):
@@ -223,7 +220,8 @@ def optimize(dictionary, graph, targets, config, alpha, beta):
     Starts from ``rho(0) = 0`` and iterates until the squared iterate
     change drops to ``config.epsilon`` or ``config.i_max`` iterations are
     reached.  Returns the final weights (projected once more so the result
-    is always feasible) together with the iteration trace.  A singular
+    is always feasible), the iteration trace and the
+    :class:`~graphkern.solver.KrgModel` fitted at those weights.  A singular
     system mid-run raises :class:`~graphkern.solver.SingularSystemError`
     with the partial trace attached as ``err.trace``.
     """
@@ -235,9 +233,9 @@ def optimize(dictionary, graph, targets, config, alpha, beta):
     lam_prev = 1.0
     try:
         for i in range(1, config.i_max + 1):
-            value, grad = _gamma_and_gradient(
-                dictionary, graph, targets, rho_prev, alpha, beta
-            )
+            model = solve_structured(dictionary, rho_prev, graph, targets, alpha, beta)
+            value = _gamma_from_psi(graph, targets, model.psi, alpha, beta)
+            grad = _gradient_from_psi(dictionary, model.psi, alpha)
             mu = config.mu0 / i
             z = project(rho_prev - mu * grad, config.radius, config.q)
             lam = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * lam_prev**2))
@@ -258,9 +256,10 @@ def optimize(dictionary, graph, targets, config, alpha, beta):
         err.trace = trace
         raise
     rho_final = project(rho_prev, config.radius, config.q)
-    trace.final_gamma = gamma(dictionary, graph, targets, rho_final, alpha, beta)
+    model = solve_structured(dictionary, rho_final, graph, targets, alpha, beta)
+    trace.final_gamma = _gamma_from_psi(graph, targets, model.psi, alpha, beta)
     weights = MklWeights(rho_final, config.q, config.radius)
-    return weights, trace
+    return weights, trace, model
 
 
 def reduced_objective_matrix(dictionary, graph, rho, alpha, beta):
@@ -277,37 +276,3 @@ def reduced_objective_matrix(dictionary, graph, rho, alpha, beta):
         graph.laplacian, k
     )
     return -np.kron(np.eye(m), k) @ np.linalg.inv(system)
-
-
-def weight_objective_features(dictionary, graph, psi, beta):
-    """Feature matrix D whose Gram matrix is the weight-space quadratic term.
-
-    Column ``s`` is ``vec(K_s Psi (I + beta L)^{-1/2})``; the quadratic
-    coefficient matrix of the weight-space objective is ``D^T D`` and is
-    therefore positive semidefinite.
-    """
-    u, lam = graph.lap_eigvecs, graph.lap_eigvals
-    half_inv = u @ ((1.0 / np.sqrt(1.0 + beta * lam))[:, None] * u.T)
-    cols = [
-        (mat @ psi @ half_inv).ravel(order="F") for mat in dictionary.matrices
-    ]
-    return np.column_stack(cols)
-
-
-def weight_objective_quadratic(dictionary, graph, psi, beta):
-    """Quadratic coefficient matrix of the weight-space objective.
-
-    Entry (r, s) is ``tr(Psi^T K_r K_s Psi (I + beta L)^{-1})``, assembled
-    directly from traces (independently of
-    :func:`weight_objective_features`).
-    """
-    u, lam = graph.lap_eigvecs, graph.lap_eigvals
-    inv = u @ ((1.0 / (1.0 + beta * lam))[:, None] * u.T)
-    num = dictionary.num_kernels
-    projected = [mat @ psi for mat in dictionary.matrices]
-    smoothed = [p @ inv for p in projected]
-    c = np.empty((num, num))
-    for r in range(num):
-        for s in range(num):
-            c[r, s] = float(np.sum(projected[r] * smoothed[s]))
-    return c

@@ -36,7 +36,11 @@ from graphkern.experiment import (
     n_train_sweep,
     trial_seed,
 )
-from graphkern.mkl import weight_objective_features, weight_objective_quadratic
+
+from graphkern.kernels import _combine_unchecked
+
+from . import oracles
+from .oracles import weight_objective_features, weight_objective_quadratic
 
 
 def report(name, ok, detail=""):
@@ -171,7 +175,7 @@ def test_3_objective_shape_suite(default_scenario):
         config = SolverConfig(
             mu0=0.01, i_max=1000, epsilon=1e-10, radius=5.0, q=1, momentum=momentum
         )
-        weights, _ = optimize(d_big, default_scenario.graph, t_noisy, config, 0.1, 5.5)
+        weights, _, _ = optimize(d_big, default_scenario.graph, t_noisy, config, 0.1, 5.5)
         gap = abs(np.sum(weights.rho) - 5.0)
         boundary_gaps.append(gap)
         boundary_ok &= gap < 1e-3
@@ -190,7 +194,7 @@ def test_3_objective_shape_suite(default_scenario):
 
 
 def test_4_projection_oracle():
-    from test_mkl import project_bruteforce
+    from .test_mkl import project_bruteforce
 
     start = time.perf_counter()
     rng = np.random.default_rng(104)
@@ -243,7 +247,7 @@ def test_6_convergence_on_default_scenario(default_scenario):
     x, t_noisy = default_training_block(default_scenario)
     d = build_dictionary(x, span=(0.01, 10.0), count=100)
     config = SolverConfig(mu0=0.01, i_max=200, epsilon=1e-4, radius=5.0, q=1)
-    weights, trace = optimize(d, default_scenario.graph, t_noisy, config, 0.1, 5.5)
+    weights, trace, _ = optimize(d, default_scenario.graph, t_noisy, config, 0.1, 5.5)
     converged = trace.status == "converged"
     report(
         "6 convergence-within-budget",
@@ -312,4 +316,31 @@ def test_9_weight_objective_gram_matrix_psd():
         "9 weight-gram-matrix-psd",
         worst >= -1e-8 and route_gap < 1e-10,
         f"min eigenvalue {worst:.2e}, route agreement {route_gap:.2e}",
+    )
+
+
+def test_10_matrix_free_matches_stack_oracle(default_scenario):
+    # combine, gradient and gamma against the explicit Gram stack at the
+    # weights the optimizer returns, at weights with negative components
+    # (as fista extrapolation produces) and at dense random weights
+    rng = np.random.default_rng(110)
+    g = default_scenario.graph
+    worst = 0.0
+    for n_train in (4, 30):
+        x, t = default_training_block(default_scenario, n_train)
+        d = build_dictionary(x)
+        weights, _, _ = optimize(d, g, t, SolverConfig(), 0.1, 5.5)
+        for rho in (weights.rho, rng.uniform(-0.05, 1.0, 100), rng.uniform(0.0, 0.1, 100)):
+            k_ref = oracles.combine(d, rho)
+            worst = max(worst, np.max(np.abs(_combine_unchecked(d, rho) - k_ref)) / np.max(np.abs(k_ref)))
+            psi = solve_structured(d, rho, g, t, 0.1, 5.5).psi
+            grad_ref = oracles.gradient(d, psi, 0.1)
+            grad = gamma_gradient(d, g, t, rho, 0.1, 5.5)
+            worst = max(worst, np.max(np.abs(grad - grad_ref) / np.abs(grad_ref)))
+            gamma_ref = oracles.gamma(d, t, psi, rho)
+            worst = max(worst, abs(gamma(d, g, t, rho, 0.1, 5.5) - gamma_ref) / abs(gamma_ref))
+    report(
+        "10 matrix-free-vs-stack",
+        worst <= 1e-12,
+        f"worst relative difference {worst:.2e}",
     )

@@ -2,11 +2,12 @@
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from graphkern import cli
+from graphkern import cli, grid_specs, mkl, solver
 
 
 def write_measurements(path, names, rows):
@@ -130,6 +131,12 @@ class TestValidateConfig:
         path = synthetic_config(tmp_path, optimizer={"mu0": -1.0})
         assert cli.main(["validate-config", "--config", str(path)]) == 2
 
+    def test_unknown_kernel_family(self, tmp_path):
+        path = synthetic_config(
+            tmp_path, kernel_grid={"family": "poly", "lo": 0.1, "hi": 1.0, "count": 3}
+        )
+        assert cli.main(["validate-config", "--config", str(path)]) == 2
+
     def test_data_mode_requires_existing_files(self, tmp_path):
         cfg = {
             "data": {
@@ -201,6 +208,103 @@ class TestFitAndPredict:
         assert rc == 2
 
 
+@pytest.fixture(scope="module")
+def fitted_model(tmp_path_factory):
+    """A fitted model file and a CSV of inputs it can predict from."""
+    base = tmp_path_factory.mktemp("fitted")
+    path = synthetic_config(base)
+    assert cli.main(["fit", "--config", str(path), "--out", str(base / "out")]) == 0
+    model, names = cli.load_model(base / "out" / "model.json")
+    inputs_csv = base / "inputs.csv"
+    write_measurements(inputs_csv, names, model.dictionary.training_inputs[:2].tolist())
+    return base / "out" / "model.json", inputs_csv
+
+
+def predict_with_edited_model(tmp_path, fitted_model, edit):
+    model_path, inputs_csv = fitted_model
+    payload = json.loads(model_path.read_text())
+    edit(payload)
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(payload))
+    return cli.main(
+        ["predict", "--model", str(edited), "--inputs", str(inputs_csv),
+         "--output", str(tmp_path / "pred.csv")]
+    )
+
+
+class TestModelFile:
+    @pytest.mark.parametrize("key", cli.MODEL_KEYS)
+    def test_missing_key_exit_code(self, tmp_path, fitted_model, capsys, key):
+        rc = predict_with_edited_model(tmp_path, fitted_model, lambda p: p.pop(key))
+        assert rc == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda p: p["psi"].pop(),  # psi has N - 1 rows
+            lambda p: [row.pop() for row in p["psi"]],  # psi has M - 1 columns
+            lambda p: p["psi"][0].pop(),  # ragged psi
+            lambda p: p["rho"].pop(),  # one weight fewer than grid kernels
+            lambda p: p["training_inputs"].pop(),  # N - 1 training inputs
+            lambda p: p["target_names"].pop(),  # M - 1 target names
+            lambda p: p.update(target_names="node0"),
+            lambda p: p.update(adjacency=[[0.0]]),  # 1-node graph
+            lambda p: p["kernel_grid"].update(lo=-1.0),
+            lambda p: p["kernel_grid"].pop("count"),
+            lambda p: p.update(alpha="none"),
+        ],
+    )
+    def test_malformed_model_exit_code(self, tmp_path, fitted_model, edit):
+        assert predict_with_edited_model(tmp_path, fitted_model, edit) == 2
+
+    def test_unedited_model_predicts(self, tmp_path, fitted_model):
+        assert predict_with_edited_model(tmp_path, fitted_model, lambda p: None) == 0
+
+    def test_output_directory_missing_exit_code(self, tmp_path, fitted_model, capsys):
+        model_path, inputs_csv = fitted_model
+        rc = cli.main(
+            ["predict", "--model", str(model_path), "--inputs", str(inputs_csv),
+             "--output", str(tmp_path / "nodir" / "pred.csv")]
+        )
+        assert rc == 2
+        assert "nodir" in capsys.readouterr().err
+
+
+class TestFitCost:
+    def test_one_solve_per_iteration_plus_one(self, tmp_path, monkeypatch):
+        solves = []
+
+        def counting(*args):
+            solves.append(args)
+            return solver.solve_structured(*args)
+
+        for module in (mkl, cli):
+            monkeypatch.setattr(module, "solve_structured", counting)
+        path = synthetic_config(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(["fit", "--config", str(path), "--out", str(out)]) == 0
+        iterations = json.loads((out / "model.json").read_text())["iterations"]
+        assert len(solves) == iterations + 1
+
+    def test_fit_never_allocates_the_kernel_stack(self, tmp_path):
+        # 300 training inputs and 100 kernels: the S x N x N stack would be 72 MB
+        path = synthetic_config(
+            tmp_path,
+            synthetic={"num_nodes": 8, "num_pairs": 300, "num_modes": 3},
+            kernel_grid={"family": "gaussian", "lo": 0.01, "hi": 10.0, "count": 100},
+        )
+        stack_bytes = 100 * 300 * 300 * 8
+        tracemalloc.start()
+        try:
+            rc = cli.main(["fit", "--config", str(path), "--out", str(tmp_path / "out")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < stack_bytes / 4, f"peak traced allocation {peak / 1e6:.1f} MB"
+
+
 class TestExperimentCommand:
     def test_smoke_run_produces_schema_valid_outputs(self, tmp_path):
         path = synthetic_config(tmp_path)
@@ -220,6 +324,8 @@ class TestExperimentCommand:
             rho_rows = list(csv.reader(fh))
         assert rho_rows[0] == ["kernel_index", "parameter", "rho"]
         assert len(rho_rows) == 1 + 12  # one row per kernel
+        specs = grid_specs("gaussian", (0.01, 10.0), 12)
+        assert [float(r[1]) for r in rho_rows[1:]] == [s.parameter for s in specs]
 
         report = json.loads((out / "report.json").read_text())
         assert [r["n_train"] for r in report["results"]] == [4, 6]

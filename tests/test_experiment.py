@@ -155,9 +155,30 @@ class TestRunTrial:
         from graphkern import build_dictionary, optimize
 
         d = build_dictionary(x, span=cfg.grid_span, count=20)
-        weights, _ = optimize(d, small_dataset.graph, t, cfg.solver_config(), 1e-6, 0.0)
+        weights, _, _ = optimize(d, small_dataset.graph, t, cfg.solver_config(), 1e-6, 0.0)
         model = solve_structured(d, weights.rho, small_dataset.graph, t, 1e-6, 0.0)
         assert nmse(model.predict(x), t) < 1e-6
+
+    def test_multi_kernel_fit_solves_once_per_iteration_plus_one(
+        self, small_dataset, monkeypatch
+    ):
+        from graphkern import experiment, mkl
+        from graphkern.experiment import _fit_method
+
+        solves = []
+
+        def counting(*args):
+            solves.append(args)
+            return solve_structured(*args)
+
+        for module in (experiment, mkl):
+            monkeypatch.setattr(module, "solve_structured", counting)
+        cfg = ExperimentConfig(n_train=12, n_realizations=1, grid_count=20)
+        x, t = small_dataset.inputs[:12], small_dataset.targets[:12]
+        model, iterations = _fit_method(METHOD_MULTI, x, t, small_dataset.graph, cfg)
+        assert iterations >= 1
+        assert len(solves) == iterations + 1
+        np.testing.assert_array_equal(solves[-1][1], model.rho)
 
     def test_reference_configuration_runs(self, small_dataset):
         # the n_train=30 defaults (alpha 0.1, beta 5.5, R 5, mu0 0.01)

@@ -13,6 +13,11 @@ from graphkern import (
     kernel_eval,
     kernel_vector,
 )
+from graphkern import kernels
+from graphkern.kernels import _combine_unchecked, kernel_inner_products
+
+from . import oracles
+from .oracles import stack
 
 
 class TestKernelEval:
@@ -59,16 +64,17 @@ class TestBuildDictionary:
 
     def test_one_sample_unit_matrices(self):
         d = build_dictionary(np.array([[1.0, 2.0]]), span=(0.5, 2.0), count=3)
-        np.testing.assert_allclose(d.matrices, np.ones((3, 1, 1)))
+        np.testing.assert_allclose(stack(d), np.ones((3, 1, 1)))
 
     def test_matrices_match_pointwise_eval(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(4, 3))
         d = build_dictionary(x, span=(0.3, 3.0), count=5)
+        mats = stack(d)
         for s, spec in enumerate(d.specs):
             for m in range(4):
                 for n in range(4):
-                    assert d.matrices[s, m, n] == pytest.approx(
+                    assert mats[s, m, n] == pytest.approx(
                         kernel_eval(spec, x[m], x[n]), abs=1e-12
                     )
 
@@ -86,8 +92,7 @@ class TestBuildDictionary:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(6, 2))
         d = build_dictionary(x, span=(0.2, 4.0), count=7)
-        for s in range(7):
-            mat = d.matrices[s]
+        for mat in stack(d):
             np.testing.assert_allclose(mat, mat.T, atol=1e-9)
             np.testing.assert_allclose(np.diag(mat), np.ones(6), atol=1e-12)
             assert np.linalg.eigvalsh(mat).min() >= -1e-8
@@ -107,18 +112,15 @@ class TestCombine:
     def test_one_hot_selects_matrix(self, dictionary):
         e2 = np.zeros(4)
         e2[2] = 1.0
-        np.testing.assert_array_equal(combine(dictionary, e2), dictionary.matrices[2])
+        np.testing.assert_array_equal(combine(dictionary, e2), stack(dictionary)[2])
 
     def test_half_half_average(self, dictionary):
-        d2 = KernelDictionary(
-            dictionary.specs[:2],
-            dictionary.training_inputs,
-            dictionary.matrices[:2].copy(),
+        d2 = KernelDictionary.from_specs(
+            dictionary.training_inputs, dictionary.specs[:2]
         )
+        mats = stack(d2)
         avg = combine(d2, np.array([0.5, 0.5]))
-        np.testing.assert_allclose(
-            avg, 0.5 * (d2.matrices[0] + d2.matrices[1]), atol=1e-15
-        )
+        np.testing.assert_allclose(avg, 0.5 * (mats[0] + mats[1]), atol=1e-15)
 
     def test_linearity(self, dictionary):
         rng = np.random.default_rng(3)
@@ -187,3 +189,81 @@ class TestKernelVector:
             ]
         )
         np.testing.assert_allclose(kernel_vector(d, rho, z), expected, atol=1e-12)
+
+
+def assert_matches(got, ref):
+    """Agreement to 1e-12 of the reference's largest entry."""
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+
+
+def random_symmetric(rng, n):
+    a = rng.normal(size=(n, n))
+    return a + a.T
+
+
+class TestMatrixFreeAgainstStack:
+    """The pairwise-distance paths against the explicit Gram stack."""
+
+    def mixed_dictionary(self, rng, n):
+        specs = [
+            KernelSpec(GAUSSIAN, 0.4),
+            KernelSpec(LINEAR),
+            KernelSpec(GAUSSIAN, 1.7),
+            KernelSpec(GAUSSIAN, 5.0),
+            KernelSpec(LINEAR),
+        ]
+        return KernelDictionary.from_specs(rng.normal(size=(n, 3)), specs)
+
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_mixed_families(self, n):
+        rng = np.random.default_rng(8)
+        d = self.mixed_dictionary(rng, n)
+        rho = np.array([0.3, 0.0, 1.2, 0.5, 0.25])
+        assert_matches(combine(d, rho), oracles.combine(d, rho))
+        sym = random_symmetric(rng, n)
+        assert_matches(
+            kernel_inner_products(d, sym),
+            np.tensordot(stack(d), sym, axes=([1, 2], [0, 1])),
+        )
+
+    def test_one_sample_has_no_pairs(self):
+        d = self.mixed_dictionary(np.random.default_rng(9), 1)
+        assert d.sq_distances.shape == (0,)
+        rho = np.array([0.5, 2.0, 0.0, 1.0, 0.0])
+        np.testing.assert_allclose(combine(d, rho), oracles.combine(d, rho), rtol=1e-15)
+
+    def test_negative_weights(self):
+        # fista extrapolation evaluates the internal path at such weights
+        rng = np.random.default_rng(10)
+        d = build_dictionary(rng.normal(size=(12, 2)), span=(0.2, 4.0), count=9)
+        rho = rng.uniform(-0.5, 1.0, size=9)
+        assert np.any(rho < 0)
+        assert_matches(_combine_unchecked(d, rho), oracles.combine(d, rho))
+
+    @pytest.mark.parametrize(
+        "n, block_entries", [(60, kernels.BLOCK_ENTRIES), (13, 700)]
+    )
+    def test_partial_last_block(self, monkeypatch, n, block_entries):
+        monkeypatch.setattr(kernels, "BLOCK_ENTRIES", block_entries)
+        rng = np.random.default_rng(12)
+        d = build_dictionary(rng.normal(size=(n, 3)), span=(0.3, 3.0), count=100)
+        pairs = n * (n - 1) // 2
+        assert pairs > block_entries // 100 and pairs % (block_entries // 100) != 0
+        rho = np.zeros(100)
+        rho[rng.choice(100, 15, replace=False)] = rng.uniform(0.1, 1.0, size=15)
+        assert_matches(combine(d, rho), oracles.combine(d, rho))
+        psi = rng.normal(size=(n, 4))
+        assert_matches(
+            -0.3 * kernel_inner_products(d, psi @ psi.T), oracles.gradient(d, psi, 0.3)
+        )
+
+    def test_read_path_builds_no_pair_arrays(self):
+        rng = np.random.default_rng(13)
+        d = self.mixed_dictionary(rng, 6)
+        kernel_vector(d, np.ones(5), rng.normal(size=3))
+        assert "sq_distances" not in vars(d) and "linear_gram" not in vars(d)
+
+    def test_shape_check(self):
+        d = self.mixed_dictionary(np.random.default_rng(14), 4)
+        with pytest.raises(ValueError, match="shape"):
+            kernel_inner_products(d, np.eye(3))

@@ -18,11 +18,10 @@ from graphkern import (
     optimize,
     project,
 )
-from graphkern.mkl import (
-    reduced_objective_matrix,
-    weight_objective_features,
-    weight_objective_quadratic,
-)
+from graphkern import mkl, solve_structured
+from graphkern.mkl import reduced_objective_matrix
+
+from .oracles import stack, weight_objective_features, weight_objective_quadratic
 
 
 def random_instance(rng, m, n, s, unit_targets=True):
@@ -135,7 +134,7 @@ class TestGammaGradient:
         rng = np.random.default_rng(4)
         d, g, t = random_instance(rng, 3, 4, 3)
         grad = gamma_gradient(d, g, t, np.zeros(3), 1.0, 0.8)
-        expected = [-np.sum(t * (d.matrices[s] @ t)) for s in range(3)]
+        expected = [-np.sum(t * (mat @ t)) for mat in stack(d)]
         np.testing.assert_allclose(grad, expected, rtol=1e-10)
 
     def test_matches_central_finite_differences(self):
@@ -259,7 +258,7 @@ class TestOptimize:
         grad0 = gamma_gradient(d, g, t, np.zeros(1), alpha, beta)
         mu0 = 3.0 * radius / abs(grad0[0])
         config = SolverConfig(mu0=mu0, i_max=300, epsilon=1e-14, radius=radius, q=1)
-        weights, trace = optimize(d, g, t, config, alpha, beta)
+        weights, trace, _ = optimize(d, g, t, config, alpha, beta)
         grid = np.linspace(0, radius, 41)
         values = [gamma(d, g, t, np.array([r]), alpha, beta) for r in grid]
         assert np.argmin(values) == 40  # line-search oracle: minimum at R
@@ -270,7 +269,7 @@ class TestOptimize:
         d, g, t = random_instance(rng, 3, 4, 3)
         alpha, beta = 0.4, 0.6
         config = SolverConfig(mu0=0.5, i_max=1, epsilon=1e-14, radius=1.5, q=1)
-        weights, trace = optimize(d, g, t, config, alpha, beta)
+        weights, trace, _ = optimize(d, g, t, config, alpha, beta)
         grad0 = gamma_gradient(d, g, t, np.zeros(3), alpha, beta)
         expected = project(-0.5 * grad0, 1.5, 1)
         np.testing.assert_allclose(weights.rho, expected, atol=1e-12)
@@ -281,8 +280,8 @@ class TestOptimize:
         rng = np.random.default_rng(13)
         d, g, t = random_instance(rng, 3, 5, 4)
         config = SolverConfig(mu0=1.0, i_max=50, epsilon=1e-10, radius=2.0, q=1)
-        w1, _ = optimize(d, g, t, config, 0.5, 0.5)
-        w2, _ = optimize(d, g, t, config, 0.5, 0.5)
+        w1, _, _ = optimize(d, g, t, config, 0.5, 0.5)
+        w2, _, _ = optimize(d, g, t, config, 0.5, 0.5)
         np.testing.assert_array_equal(w1.rho, w2.rho)
 
     @pytest.mark.parametrize("momentum", ["damped", "fista"])
@@ -295,7 +294,7 @@ class TestOptimize:
         config = SolverConfig(
             mu0=mu0, i_max=200, epsilon=1e-12, radius=1.0, q=1, momentum=momentum
         )
-        weights, trace = optimize(d, g, t, config, alpha, beta)
+        weights, trace, _ = optimize(d, g, t, config, alpha, beta)
         rho_first = project(-mu0 * grad0, 1.0, 1)
         gamma_first = gamma(d, g, t, rho_first, alpha, beta)
         assert trace.final_gamma <= gamma_first + 1e-12
@@ -311,7 +310,7 @@ class TestOptimize:
         config = SolverConfig(
             mu0=mu0, i_max=2000, epsilon=1e-14, radius=1.0, q=q, momentum=momentum
         )
-        weights, _ = optimize(d, g, t, config, alpha, beta)
+        weights, _, _ = optimize(d, g, t, config, alpha, beta)
         norm = np.sum(weights.rho) if q == 1 else np.linalg.norm(weights.rho)
         assert abs(norm - 1.0) < 1e-3
 
@@ -319,7 +318,7 @@ class TestOptimize:
         rng = np.random.default_rng(16)
         d, g, t = random_instance(rng, 3, 4, 3)
         config = SolverConfig(mu0=5.0, i_max=40, epsilon=1e-12, radius=1.2, q=1)
-        weights, trace = optimize(d, g, t, config, 0.5, 0.5)
+        weights, trace, _ = optimize(d, g, t, config, 0.5, 0.5)
         assert np.all(weights.rho >= 0)
         assert weights.rho.sum() <= 1.2 + 1e-9
         assert len(trace) <= 40
@@ -335,13 +334,36 @@ class TestOptimize:
         assert hasattr(excinfo.value, "trace")
         assert excinfo.value.trace.iterations_used == 0
 
+    @pytest.mark.parametrize("momentum", ["damped", "fista"])
+    def test_returns_model_solved_once_at_final_weights(self, monkeypatch, momentum):
+        rng = np.random.default_rng(21)
+        d, g, t = random_instance(rng, 3, 5, 4)
+        config = SolverConfig(mu0=2.0, i_max=30, epsilon=1e-10, radius=1.5, momentum=momentum)
+        solved = []
+
+        def counting(*args):
+            solved.append(np.array(args[1]))
+            return solve_structured(*args)
+
+        monkeypatch.setattr(mkl, "solve_structured", counting)
+        weights, trace, model = optimize(d, g, t, config, 0.5, 0.5)
+        # one solve per iteration, then one at the returned weights
+        assert len(solved) == trace.iterations_used + 1
+        np.testing.assert_array_equal(solved[-1], weights.rho)
+        np.testing.assert_array_equal(model.rho, weights.rho)
+        np.testing.assert_array_equal(
+            model.psi, solve_structured(d, weights.rho, g, t, 0.5, 0.5).psi
+        )
+        expected = -float(np.sum(t * (combine(d, weights.rho) @ model.psi)))
+        assert trace.final_gamma == pytest.approx(expected, rel=1e-12)
+
     def test_trace_csv_roundtrip(self, tmp_path):
         import csv
 
         rng = np.random.default_rng(18)
         d, g, t = random_instance(rng, 3, 4, 2)
         config = SolverConfig(mu0=1.0, i_max=5, epsilon=1e-14, radius=1.0, q=1)
-        _, trace = optimize(d, g, t, config, 0.5, 0.5)
+        _, trace, _ = optimize(d, g, t, config, 0.5, 0.5)
         path = tmp_path / "trace.csv"
         trace.write_csv(path)
         with open(path, newline="") as fh:
