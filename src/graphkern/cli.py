@@ -5,9 +5,10 @@ header names the graph nodes plus a node/latitude/longitude table) or from
 the built-in synthetic generator.  Consecutive measurement rows form the
 (input, target) pairs: row n predicts row n+1.
 
-All run parameters live in a JSON config file; ``--seed``, ``--out`` and
-``--threads`` override it from the command line.  Results are written as
-CSV (for external plotting) and JSON.  Exit codes: 0 success, 1 numeric
+All run parameters live in a JSON config file; ``--seed`` and ``--out``
+override it from the command line, and ``experiment`` takes ``--threads``
+(how many lockstep batches of realizations run at once).  Results are
+written as CSV (for external plotting) and JSON.  Exit codes: 0 success, 1 numeric
 failure, 2 input or config error.  Set the ``GRAPHKERN_LOG`` environment
 variable (DEBUG/INFO/WARNING/...) to control verbosity.
 """
@@ -51,8 +52,8 @@ def ingest_dataset(measurements_path, coords_path):
     numeric cells per time step.  The coordinates CSV has rows of
     ``node,lat,lon`` (an optional header row is skipped) and must cover
     exactly the nodes named in the measurements header.  Returns the
-    (days, M) measurement matrix and the aligned
-    :class:`~graphkern.graph.NodeCoordinates`.
+    (days, M) measurement matrix, the aligned
+    :class:`~graphkern.graph.NodeCoordinates` and the node names.
     """
     names, matrix = _read_measurements(measurements_path)
     coord_map = _read_coordinates(coords_path)
@@ -64,7 +65,7 @@ def ingest_dataset(measurements_path, coords_path):
             f"missing {missing[:5]}, extra {extra[:5]}"
         )
     positions = np.array([coord_map[n] for n in names])
-    return matrix, NodeCoordinates(positions, mode="geodesic")
+    return matrix, NodeCoordinates(positions, mode="geodesic"), names
 
 
 def _read_measurements(path, min_rows=2):
@@ -227,27 +228,8 @@ def _validate_config(cfg, path):
                 raise ValueError(f"params_by_n_train[{key}] must be nonnegative")
     except (KeyError, TypeError, ValueError, IndexError) as err:
         raise ConfigError(f"{path}: invalid experiment block: {err}") from err
-    grid = cfg["kernel_grid"]
     try:
-        exp.ExperimentConfig(
-            snr_db=float(cfg["experiment"]["snr_db"]),
-            n_train=2,
-            n_realizations=int(cfg["experiment"]["n_realizations"]),
-            grid_family=grid["family"],
-            grid_span=(float(grid["lo"]), float(grid["hi"])),
-            grid_count=int(grid["count"]),
-            linear_alpha=float(cfg["experiment"]["linear_alpha"]),
-            single_sigma_sq=float(cfg["experiment"]["single_sigma_sq"]),
-            alpha=float(cfg["alpha"]),
-            beta=float(cfg["beta"]),
-            radius=float(cfg["optimizer"]["radius"]),
-            mu0=float(cfg["optimizer"]["mu0"]),
-            q=int(cfg["optimizer"]["q"]),
-            epsilon=float(cfg["optimizer"]["epsilon"]),
-            max_iterations=int(cfg["optimizer"]["max_iterations"]),
-            momentum=cfg["optimizer"]["momentum"],
-            master_seed=int(cfg["seed"]),
-        )
+        _experiment_config(cfg, 2)
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"{path}: invalid configuration: {err}") from err
 
@@ -279,12 +261,10 @@ def _experiment_config(cfg, n_train):
 def _dataset_from_config(cfg):
     """Build the ExperimentDataset plus node names from a validated config."""
     if "data" in cfg:
-        matrix, coords = ingest_dataset(
+        matrix, coords, names = ingest_dataset(
             cfg["data"]["measurements"], cfg["data"]["coordinates"]
         )
         graph = build_graph(geodesic_adjacency(coords))
-        with open(cfg["data"]["measurements"], newline="") as fh:
-            names = [c.strip() for c in next(csv.reader(fh))]
         dataset = exp.ExperimentDataset(
             inputs=matrix[:-1], targets=matrix[1:], graph=graph, coords=coords
         )
@@ -323,7 +303,7 @@ def save_model(path, model, grid_cfg, names, iterations, final_gamma):
         "adjacency": model.graph.adjacency.tolist(),
     }
     with open(path, "w") as fh:
-        json.dump(payload, fh)
+        fh.write(json.dumps(payload))  # the C encoder; json.dump streams through Python
 
 
 # Keys of a model file that predictions depend on.
@@ -390,7 +370,7 @@ def load_model(path):
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_fit(cfg, out_dir, threads):
+def cmd_fit(cfg, out_dir):
     dataset, names = _dataset_from_config(cfg)
     config = _experiment_config(cfg, n_train=max(1, dataset.num_pairs - 1))
     dictionary = build_dictionary(
@@ -523,18 +503,22 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="JSON run config")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="JSON run config")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override master seed")
-        p.add_argument("--threads", type=int, default=1, help="worker threads")
+        return p
 
     add_common(sub.add_parser("fit", help="fit a multi-kernel model"))
     p_pred = sub.add_parser("predict", help="predict with a saved model")
     p_pred.add_argument("--model", required=True, help="model.json from fit")
     p_pred.add_argument("--inputs", required=True, help="CSV of input rows")
     p_pred.add_argument("--output", required=True, help="where to write predictions")
-    add_common(sub.add_parser("experiment", help="run the Monte-Carlo protocol"))
+    p_exp = add_common(sub.add_parser("experiment", help="run the Monte-Carlo protocol"))
+    p_exp.add_argument(
+        "--threads", type=int, default=1,
+        help="lockstep batches of realizations run at once (results do not depend on it)",
+    )
     p_val = sub.add_parser("validate-config", help="check a config file")
     p_val.add_argument("--config", required=True)
     return parser
@@ -555,7 +539,7 @@ def main(argv=None):
             cfg["seed"] = args.seed
         out_dir = Path(args.out) if args.out else Path(cfg["output_dir"])
         if args.command == "fit":
-            return cmd_fit(cfg, out_dir, args.threads)
+            return cmd_fit(cfg, out_dir)
         return cmd_experiment(cfg, out_dir, args.threads)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -8,28 +8,45 @@ multi-kernel regression with learned weights -- and scores each by NMSE
 against the clean test targets.  :func:`monte_carlo` repeats this over
 independently seeded realizations and aggregates.
 
+The realizations of one training-set size run in lockstep batches: the B
+training sets of a batch are stacked into one dictionary, each method is
+fitted for all B at once (one batched solve per optimizer iteration), and
+each trial's test block is predicted from its own index rows into the
+dataset, without stacking the test sets.  A batch is as large as keeps its
+(B, N, L + M) arrays within one block of ``BLOCK_ENTRIES`` (see
+:func:`batch_size`); the exponential tables are streamed one training set
+at a time, as for a single fit.  Each trial is computed exactly as it
+would be alone, so results do not depend on the batching, and a trial
+whose system is singular records that method's error without stopping
+the rest of its batch.  Worker threads run whole batches; the batched
+LAPACK and BLAS calls release the GIL.
+
 Everything is deterministic given the master seed: the seed of trial ``i``
 is ``numpy.random.SeedSequence(master_seed, spawn_key=(i,))``, so
-individual trials can be reproduced in isolation.
+individual trials can be reproduced in isolation (:func:`run_trial`).
 """
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .graph import NodeCoordinates, build_graph, geodesic_adjacency
 from .kernels import (
+    BLOCK_ENTRIES,
     GAUSSIAN,
     LINEAR,
     KernelDictionary,
     KernelSpec,
     build_dictionary,
+    combine_cross,
     grid_specs,
 )
 from .mkl import SolverConfig, optimize
-from .solver import SingularSystemError, TrainingSet, solve_structured
+from .solver import TrainingSet, solve_structured
 
 log = logging.getLogger("graphkern.experiment")
 
@@ -122,6 +139,17 @@ class ExperimentDataset:
     def num_pairs(self):
         return self.inputs.shape[0]
 
+    @cached_property
+    def sq_distances(self):
+        """Squared distances between all pairs of inputs, as ``cdist`` gives them.
+
+        Trials gather their training and test distances from it by row
+        index; the entries equal what ``pdist``/``cdist`` give on the rows.
+        """
+        sq = cdist(self.inputs, self.inputs, "sqeuclidean")
+        sq.setflags(write=False)
+        return sq
+
 
 @dataclass
 class TrialResult:
@@ -130,6 +158,7 @@ class TrialResult:
     nmse: dict
     rho: np.ndarray = None
     iterations: int = 0
+    fw_gap: float = np.nan
     errors: dict = field(default_factory=dict)
 
     @property
@@ -150,6 +179,7 @@ class MonteCarloReport:
     n_trials: int
     n_failed: int
     trials: list
+    mean_fw_gap: float = np.nan
 
     def to_dict(self):
         return {
@@ -161,6 +191,7 @@ class MonteCarloReport:
             "nmse_std": dict(self.nmse_std),
             "n_ok": dict(self.n_ok),
             "mean_iterations": self.mean_iterations,
+            "mean_fw_gap": self.mean_fw_gap,
             "n_failed": self.n_failed,
             "representative_rho": (
                 None
@@ -260,21 +291,34 @@ def nmse(pred, truth):
     return float(np.sum((p - t) ** 2)) / denom
 
 
-def _fit_method(method, x_train, t_fit, graph, config, alpha=None, beta=None):
-    """Fit one method; returns (model, iterations)."""
+def _fit_method(
+    method, x_train, t_fit, graph, config, alpha=None, beta=None, sq_distances=None
+):
+    """Fit one method; returns (model, optimizer trace).
+
+    ``x_train`` and ``t_fit`` are one training set or a stack of them; for
+    a stack the model is batched and the trace is a tuple with one
+    :class:`~graphkern.mkl.OptimizerTrace` per set.  The closed-form
+    methods have no trace (``None``).  ``sq_distances``, when given, are
+    the training sets' condensed squared distances.
+    """
     if method == METHOD_LINEAR:
         dictionary = KernelDictionary.from_specs(x_train, [KernelSpec(LINEAR)])
         a = config.linear_alpha if alpha is None else alpha
-        model = solve_structured(dictionary, np.ones(1), graph, t_fit, a, 0.0)
-        return model, 0
+        rho = np.ones(dictionary.batch_shape + (1,))
+        model = solve_structured(dictionary, rho, graph, t_fit, a, 0.0)
+        return model, None
     if method == METHOD_SINGLE:
         dictionary = KernelDictionary.from_specs(
             x_train, [KernelSpec(GAUSSIAN, config.single_sigma_sq)]
         )
+        if sq_distances is not None:
+            dictionary.sq_distances = sq_distances
         a = config.alpha if alpha is None else alpha
         b = config.beta if beta is None else beta
-        model = solve_structured(dictionary, np.ones(1), graph, t_fit, a, b)
-        return model, 0
+        rho = np.ones(dictionary.batch_shape + (1,))
+        model = solve_structured(dictionary, rho, graph, t_fit, a, b)
+        return model, None
     if method == METHOD_MULTI:
         dictionary = build_dictionary(
             x_train,
@@ -282,13 +326,93 @@ def _fit_method(method, x_train, t_fit, graph, config, alpha=None, beta=None):
             span=config.grid_span,
             count=config.grid_count,
         )
+        if sq_distances is not None:
+            dictionary.sq_distances = sq_distances
         a = config.alpha if alpha is None else alpha
         b = config.beta if beta is None else beta
         _, trace, model = optimize(
             dictionary, graph, t_fit, config.solver_config(), a, b
         )
-        return model, trace.iterations_used
+        return model, trace
     raise ValueError(f"unknown method {method!r}")
+
+
+def batch_size(dataset, config):
+    """Trials per lockstep batch at ``config.n_train``.
+
+    A batch's stacked inputs, targets and solver temporaries, about eight
+    arrays of B N (L + M) doubles, fit in one block of ``BLOCK_ENTRIES``.
+    The realizations are split into the fewest such batches, of near-equal
+    size.
+    """
+    width = dataset.inputs.shape[1] + dataset.targets.shape[1]
+    most = max(1, BLOCK_ENTRIES // (8 * config.n_train * width))
+    batches = -(-config.n_realizations // most)
+    return -(-config.n_realizations // batches)
+
+
+def _run_batch(dataset, config, seeds):
+    """Trials with the given seeds, fitted in lockstep; one TrialResult each.
+
+    Each trial partitions the pairs at random (first ``n_train`` of a
+    permutation for training, the rest for testing) and corrupts its
+    training targets at the configured SNR, exactly as :func:`run_trial`
+    describes.  Distances come from the dataset's distance matrix by row
+    index, and each trial's test block is predicted from its own rows.
+    """
+    n = config.n_train
+    if dataset.num_pairs < n + 1:
+        raise ValueError(
+            f"dataset has {dataset.num_pairs} pairs; need at least {n + 1}"
+        )
+    perms = np.empty((len(seeds), dataset.num_pairs), dtype=np.intp)
+    t_noisy = np.empty((len(seeds), n, dataset.targets.shape[1]))
+    for b, seed in enumerate(seeds):
+        if not isinstance(seed, np.random.SeedSequence):
+            seed = np.random.SeedSequence(seed)
+        partition_seed, noise_seed = seed.spawn(2)
+        perms[b] = np.random.default_rng(partition_seed).permutation(dataset.num_pairs)
+        t_noisy[b] = add_noise_snr(
+            dataset.targets[perms[b, :n]], config.snr_db, noise_seed
+        )
+    train, test = perms[:, :n], perms[:, n:]
+    x_train = dataset.inputs[train]
+    upper = np.triu_indices(n, 1)
+    sq_train = dataset.sq_distances[train[:, upper[0]], train[:, upper[1]]]
+    sq_test = dataset.sq_distances[test[:, :, None], train[:, None, :]]
+
+    results = [TrialResult(nmse={}) for _ in seeds]
+    for method in METHODS:
+        _score_method(method, results, dataset, config, x_train, t_noisy, test, sq_train, sq_test)
+    return results
+
+
+def _score_method(method, results, dataset, config, x_train, t_noisy, test, sq_train, sq_test):
+    """Fit one method on a batch and record each trial's test NMSE or error."""
+    try:
+        model, traces = _fit_method(
+            method, x_train, t_noisy, dataset.graph, config, sq_distances=sq_train
+        )
+    except np.linalg.LinAlgError as err:  # the batched eigh failed as a whole
+        for result in results:
+            result.errors[method] = str(err)
+        log.warning("trial method %s failed for a batch: %s", method, err)
+        return
+    if method == METHOD_LINEAR:
+        dot = np.stack([dataset.inputs[t] @ x.T for t, x in zip(test, x_train)])
+        cross = combine_cross(model.dictionary, model.rho, dot=dot)
+    else:
+        cross = combine_cross(model.dictionary, model.rho, sq=sq_test)
+    for b, result in enumerate(results):
+        if model.errors[b] is not None:
+            result.errors[method] = model.errors[b]
+            log.warning("trial method %s failed: %s", method, model.errors[b])
+            continue
+        result.nmse[method] = nmse(cross[b] @ model.psi[b], dataset.targets[test[b]])
+        if method == METHOD_MULTI:
+            result.rho = model.rho[b].copy()
+            result.iterations = traces[b].iterations_used
+            result.fw_gap = traces[b].fw_gaps[-1]
 
 
 def run_trial(dataset, config, realization_seed):
@@ -298,57 +422,31 @@ def run_trial(dataset, config, realization_seed):
     training, the rest for testing), corrupts the training targets at the
     configured SNR, fits all three methods, and scores predictions of the
     clean test targets.  Solver failures are recorded per method without
-    aborting the trial.
+    aborting the trial.  This is a lockstep batch of one trial.
     """
-    if dataset.num_pairs < config.n_train + 1:
-        raise ValueError(
-            f"dataset has {dataset.num_pairs} pairs; need at least "
-            f"{config.n_train + 1}"
-        )
-    seed = (
-        realization_seed
-        if isinstance(realization_seed, np.random.SeedSequence)
-        else np.random.SeedSequence(realization_seed)
-    )
-    partition_seed, noise_seed = seed.spawn(2)
-    rng = np.random.default_rng(partition_seed)
-    perm = rng.permutation(dataset.num_pairs)
-    train_idx = perm[: config.n_train]
-    test_idx = perm[config.n_train :]
-    x_train = dataset.inputs[train_idx]
-    t_noisy = add_noise_snr(dataset.targets[train_idx], config.snr_db, noise_seed)
-    x_test = dataset.inputs[test_idx]
-    t_test = dataset.targets[test_idx]
-
-    result = TrialResult(nmse={})
-    for method in METHODS:
-        try:
-            model, iters = _fit_method(method, x_train, t_noisy, dataset.graph, config)
-            result.nmse[method] = nmse(model.predict(x_test), t_test)
-            if method == METHOD_MULTI:
-                result.rho = model.rho
-                result.iterations = iters
-        except (SingularSystemError, np.linalg.LinAlgError) as err:
-            result.errors[method] = str(err)
-            log.warning("trial method %s failed: %s", method, err)
-    return result
+    return _run_batch(dataset, config, [realization_seed])[0]
 
 
 def monte_carlo(dataset, config, max_workers=1):
     """Run ``config.n_realizations`` independent trials and aggregate.
 
-    Trials are independent given their derived seeds and may execute
-    concurrently; aggregation is ordered by trial index, so the report is
-    a pure function of (dataset, config).  Raises
+    Trials run in lockstep batches of :func:`batch_size`; with
+    ``max_workers > 1`` up to that many batches run at once.  Each trial
+    is computed as it would be alone and aggregation is ordered by trial
+    index, so the report is a pure function of (dataset, config).  Raises
     :class:`ExperimentError` (with ``partial_report`` attached) when more
     than half the trials record a failure.
     """
     seeds = [trial_seed(config.master_seed, i) for i in range(config.n_realizations)]
-    if max_workers > 1:
+    size = batch_size(dataset, config)
+    batches = [seeds[i : i + size] for i in range(0, len(seeds), size)]
+    if max_workers > 1 and len(batches) > 1:
+        _ = dataset.sq_distances  # built once, before threads share the dataset
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            trials = list(pool.map(lambda s: run_trial(dataset, config, s), seeds))
+            parts = list(pool.map(lambda b: _run_batch(dataset, config, b), batches))
     else:
-        trials = [run_trial(dataset, config, s) for s in seeds]
+        parts = [_run_batch(dataset, config, b) for b in batches]
+    trials = [trial for part in parts for trial in part]
 
     nmse_mean, nmse_std, n_ok = {}, {}, {}
     for method in METHODS:
@@ -356,7 +454,7 @@ def monte_carlo(dataset, config, max_workers=1):
         n_ok[method] = len(values)
         nmse_mean[method] = float(np.mean(values)) if values else np.nan
         nmse_std[method] = float(np.std(values)) if values else np.nan
-    multi_iters = [t.iterations for t in trials if METHOD_MULTI in t.nmse]
+    multi = [t for t in trials if METHOD_MULTI in t.nmse]
     rho = next((t.rho for t in trials if t.rho is not None), None)
     n_failed = sum(1 for t in trials if t.failed)
     report = MonteCarloReport(
@@ -364,11 +462,12 @@ def monte_carlo(dataset, config, max_workers=1):
         nmse_mean=nmse_mean,
         nmse_std=nmse_std,
         n_ok=n_ok,
-        mean_iterations=float(np.mean(multi_iters)) if multi_iters else np.nan,
+        mean_iterations=float(np.mean([t.iterations for t in multi])) if multi else np.nan,
         representative_rho=rho,
         n_trials=len(trials),
         n_failed=n_failed,
         trials=trials,
+        mean_fw_gap=float(np.mean([t.fw_gap for t in multi])) if multi else np.nan,
     )
     if n_failed > config.n_realizations / 2:
         raise ExperimentError(

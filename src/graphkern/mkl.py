@@ -22,10 +22,18 @@ Two momentum combinations are available: the default ``"damped"`` variant
 projected point and the previous iterate, which keeps iterates feasible)
 and the classical ``"fista"`` extrapolation
 ``rho(i) = z(i) + nu (z(i) - z(i-1))``.
+
+Every function here also takes a stacked dictionary (B training sets, see
+:mod:`graphkern.kernels`) with targets and weights carrying its batch axis.
+:func:`optimize` then runs the B problems in lockstep: a problem that
+meets the stopping rule, or whose system turns singular, freezes at its
+own iteration while the others go on, so each result is the one a run on
+that problem alone returns.
 """
 
 import csv
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,11 +46,15 @@ MOMENTUM_VARIANTS = ("damped", "fista")
 
 CONVERGED = "converged"
 MAX_ITERATIONS = "max_iterations"
+SINGULAR = "singular"  # a problem of a batch whose system turned singular
 
 
 @dataclass(frozen=True)
 class MklWeights:
-    """Nonnegative kernel weights constrained to an l_q ball of radius R."""
+    """Nonnegative kernel weights constrained to an l_q ball of radius R.
+
+    ``rho`` may be a (B, S) stack of weight vectors, one per row.
+    """
 
     rho: np.ndarray
     q: int
@@ -56,10 +68,10 @@ class MklWeights:
             raise ValueError("radius must be positive")
         if np.any(rho < 0):
             raise ValueError("weights must be nonnegative")
-        if _qnorm(rho, self.q) > self.radius + FEASIBILITY_TOL:
+        norm = float(np.max(_qnorm(rho, self.q), initial=0.0))
+        if norm > self.radius + FEASIBILITY_TOL:
             raise ValueError(
-                f"||rho||_{self.q} = {_qnorm(rho, self.q):.6g} exceeds radius "
-                f"{self.radius}"
+                f"||rho||_{self.q} = {norm:.6g} exceeds radius {self.radius}"
             )
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
@@ -95,10 +107,13 @@ class SolverConfig:
 class OptimizerTrace:
     """Per-iteration history of an :func:`optimize` run.
 
-    Row ``i`` records the objective at the point where the gradient was
-    evaluated (the previous iterate), the step size ``mu(i)``, the squared
-    iterate change and the q-norm of the new iterate.  ``final_gamma`` is
-    the objective at the returned (projected) weights.
+    Row ``i`` records the objective and the Frank-Wolfe gap at the point
+    where the gradient was evaluated (the previous iterate), the step size
+    ``mu(i)``, the squared iterate change and the q-norm of the new
+    iterate.  The gap bounds how far that point's objective is above the
+    optimum (see :func:`frank_wolfe_gap`).  ``final_gamma`` is the
+    objective at the returned (projected) weights.  ``error`` is the
+    message of the singular system that stopped a problem of a batch.
     """
 
     iterations: list = field(default_factory=list)
@@ -106,8 +121,10 @@ class OptimizerTrace:
     step_sizes: list = field(default_factory=list)
     delta_sq: list = field(default_factory=list)
     rho_norms: list = field(default_factory=list)
+    fw_gaps: list = field(default_factory=list)
     status: str = MAX_ITERATIONS
     final_gamma: float = np.nan
+    error: str = None
 
     def __len__(self):
         return len(self.iterations)
@@ -116,12 +133,13 @@ class OptimizerTrace:
     def iterations_used(self):
         return len(self.iterations)
 
-    def _append(self, i, gamma_value, step, dsq, norm):
+    def _append(self, i, gamma_value, step, dsq, norm, gap):
         self.iterations.append(i)
         self.gamma_values.append(gamma_value)
         self.step_sizes.append(step)
         self.delta_sq.append(dsq)
         self.rho_norms.append(norm)
+        self.fw_gaps.append(gap)
 
     def write_csv(self, path):
         """Write the trace as a CSV file with a header row."""
@@ -139,28 +157,34 @@ class OptimizerTrace:
 
 
 def _qnorm(rho, q):
+    """q-norm of a weight vector, or of each row of a stack of them."""
     if q == 1:
-        return float(np.sum(np.abs(rho)))
-    return float(np.linalg.norm(rho))
+        return np.sum(np.abs(rho), axis=-1)
+    return np.linalg.norm(rho, axis=-1)
 
 
 def _gamma_from_psi(graph, targets, psi, alpha, beta):
     """``-tr(T^T K Psi)`` from a solution ``Psi``, without forming ``K``.
 
     The system ``(K + alpha I) Psi + beta K Psi L = T`` gives
-    ``K Psi = (T - alpha Psi) U diag(1 / (1 + beta lam)) U^T``.
+    ``K Psi = (T - alpha Psi) U diag(1 / (1 + beta lam)) U^T``.  Returns
+    one value per system of a stack.
     """
     u, lam = graph.lap_eigvecs, graph.lap_eigvals
     t_rot = targets @ u
     k_psi_rot = (targets - alpha * psi) @ u / (1.0 + beta * lam)
-    return -float(np.sum(t_rot * k_psi_rot))
+    return -np.sum(t_rot * k_psi_rot, axis=(-2, -1))
 
 
 def gamma(dictionary, graph, targets, rho, alpha, beta):
-    """Reduced objective value ``-tr(T^T K Psi(rho))`` (nonpositive)."""
+    """Reduced objective value ``-tr(T^T K Psi(rho))`` (nonpositive).
+
+    A stacked dictionary gives one value per training set.
+    """
     targets = np.asarray(targets, dtype=float)
     model = solve_structured(dictionary, rho, graph, targets, alpha, beta)
-    return _gamma_from_psi(graph, targets, model.psi, alpha, beta)
+    value = _gamma_from_psi(graph, targets, model.psi, alpha, beta)
+    return value if dictionary.batch_shape else float(value)
 
 
 def gamma_gradient(dictionary, graph, targets, rho, alpha, beta):
@@ -175,7 +199,21 @@ def gamma_gradient(dictionary, graph, targets, rho, alpha, beta):
 
 
 def _gradient_from_psi(dictionary, psi, alpha):
-    return -alpha * kernel_inner_products(dictionary, psi @ psi.T)
+    return -alpha * kernel_inner_products(dictionary, psi @ np.swapaxes(psi, -1, -2))
+
+
+def frank_wolfe_gap(grad, rho, radius, q):
+    """Frank-Wolfe duality gap ``max_{z in ball} g . (rho - z)`` at ``rho``.
+
+    For the convex objective it bounds ``gamma(rho) - gamma*`` over
+    ``{z >= 0, ||z||_q <= R}`` (Jaggi 2013): ``g . rho - R min(min g, 0)``
+    for q=1 and ``g . rho + R ||min(g, 0)||_2`` for q=2.  Row-wise for a
+    stack of gradients and weights.
+    """
+    inner = np.sum(grad * rho, axis=-1)
+    if q == 1:
+        return inner - radius * np.minimum(grad.min(axis=-1), 0.0)
+    return inner + radius * np.linalg.norm(np.minimum(grad, 0.0), axis=-1)
 
 
 def project(s, radius, q):
@@ -185,32 +223,30 @@ def project(s, radius, q):
     fits in the ball it is returned, otherwise the unique shift ``tau > 0``
     with ``sum max(s_i - tau, 0) = radius`` is found by the sort-and-scan
     rule (O(S log S)).  For q=2: clip negatives, then rescale onto the
-    sphere if outside.  Total function (no failure modes).
+    sphere if outside.  A stack of vectors is projected row by row.  Total
+    function (no failure modes).
     """
     s = np.asarray(s, dtype=float)
     if not radius > 0:
         raise ValueError("radius must be positive")
     clipped = np.maximum(s, 0.0)
     if q == 1:
-        total = float(clipped.sum())
-        if total <= radius:
+        outside = clipped.sum(axis=-1, keepdims=True) > radius
+        if not outside.any():
             return clipped
-        u = np.sort(clipped)[::-1]
-        css = np.cumsum(u)
-        counts = np.arange(1, u.size + 1)
-        active = np.nonzero(u > (css - radius) / counts)[0]
-        k = active[-1]
-        tau = (css[k] - radius) / (k + 1.0)
+        u = -np.sort(-clipped, axis=-1)
+        css = np.cumsum(u, axis=-1)
+        counts = np.arange(1, u.shape[-1] + 1)
+        active = u > (css - radius) / counts
+        k = u.shape[-1] - 1 - np.argmax(active[..., ::-1], axis=-1)[..., None]
+        tau = (np.take_along_axis(css, k, axis=-1) - radius) / (k + 1.0)
         z = np.maximum(clipped - tau, 0.0)
-        excess = float(z.sum())
-        if excess > radius:  # shave accumulated round-off
-            z *= radius / excess
-        return z
+        excess = z.sum(axis=-1, keepdims=True)
+        z = np.where(excess > radius, z * (radius / excess), z)  # shave round-off
+        return np.where(outside, z, clipped)
     if q == 2:
-        norm = float(np.linalg.norm(clipped))
-        if norm <= radius:
-            return clipped
-        return clipped * (radius / norm)
+        norm = np.linalg.norm(clipped, axis=-1, keepdims=True)
+        return clipped * (radius / np.maximum(norm, radius))
     raise ValueError("q must be 1 or 2")
 
 
@@ -224,18 +260,33 @@ def optimize(dictionary, graph, targets, config, alpha, beta):
     :class:`~graphkern.solver.KrgModel` fitted at those weights.  A singular
     system mid-run raises :class:`~graphkern.solver.SingularSystemError`
     with the partial trace attached as ``err.trace``.
+
+    A stacked dictionary runs its problems in lockstep, one solve per
+    iteration for the whole stack.  The weights then hold one row per
+    problem and the trace is a tuple of per-problem traces.  A problem
+    whose system turns singular does not raise: it stops with the message
+    in its trace's ``error`` and in the model's ``errors``.
     """
     targets = np.asarray(targets, dtype=float)
-    num = dictionary.num_kernels
-    trace = OptimizerTrace()
-    rho_prev = np.zeros(num)
-    z_prev = np.zeros(num)
+    batch = dictionary.batch_shape
+    traces = tuple(OptimizerTrace() for _ in range(math.prod(batch)))
+    live = np.ones(batch, dtype=bool)
+    rho_prev = np.zeros(batch + (dictionary.num_kernels,))
+    z_prev = rho_prev
     lam_prev = 1.0
     try:
         for i in range(1, config.i_max + 1):
             model = solve_structured(dictionary, rho_prev, graph, targets, alpha, beta)
+            if batch:
+                for b in np.flatnonzero(live):
+                    if model.errors[b] is not None:
+                        traces[b].error = model.errors[b]
+                        traces[b].status = SINGULAR
+                        live[b] = False
             value = _gamma_from_psi(graph, targets, model.psi, alpha, beta)
             grad = _gradient_from_psi(dictionary, model.psi, alpha)
+            del model  # freed before the next solve
+            gap = frank_wolfe_gap(grad, rho_prev, config.radius, config.q)
             mu = config.mu0 / i
             z = project(rho_prev - mu * grad, config.radius, config.q)
             lam = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * lam_prev**2))
@@ -244,22 +295,34 @@ def optimize(dictionary, graph, targets, config, alpha, beta):
                 rho = (1.0 - nu) * z + nu * rho_prev
             else:
                 rho = z + nu * (z - z_prev)
-            dsq = float(np.sum((rho - rho_prev) ** 2))
-            trace._append(i, value, mu, dsq, _qnorm(rho, config.q))
-            rho_prev, z_prev, lam_prev = rho, z, lam
-            if dsq <= config.epsilon:
-                trace.status = CONVERGED
+            dsq = np.sum((rho - rho_prev) ** 2, axis=-1)
+            norms = _qnorm(rho, config.q)
+            rows = np.flatnonzero(live)
+            for b, v, d, r, g in zip(rows, np.ravel(value)[rows], np.ravel(dsq)[rows],
+                                     np.ravel(norms)[rows], np.ravel(gap)[rows]):
+                traces[b]._append(i, float(v), mu, float(d), float(r), float(g))
+            rho_prev = np.where(live[..., None], rho, rho_prev)
+            z_prev = np.where(live[..., None], z, z_prev)
+            lam_prev = lam
+            converged = live & (dsq <= config.epsilon)
+            for b in np.flatnonzero(converged):
+                traces[b].status = CONVERGED
+            live = live & ~converged
+            if not live.any():
                 break
-        else:
-            trace.status = MAX_ITERATIONS
-    except SingularSystemError as err:
-        err.trace = trace
+    except SingularSystemError as err:  # one problem alone raises
+        err.trace = traces[0]
         raise
     rho_final = project(rho_prev, config.radius, config.q)
     model = solve_structured(dictionary, rho_final, graph, targets, alpha, beta)
-    trace.final_gamma = _gamma_from_psi(graph, targets, model.psi, alpha, beta)
+    final_gamma = np.ravel(_gamma_from_psi(graph, targets, model.psi, alpha, beta))
+    for trace, value in zip(traces, final_gamma):
+        trace.final_gamma = float(value)
     weights = MklWeights(rho_final, config.q, config.radius)
-    return weights, trace, model
+    if not batch:
+        return weights, traces[0], model
+    errors = tuple(t.error or e for t, e in zip(traces, model.errors))
+    return weights, traces, replace(model, errors=errors)
 
 
 def reduced_objective_matrix(dictionary, graph, rho, alpha, beta):

@@ -14,6 +14,11 @@ and factors it directly, and :func:`solve_structured` diagonalizes ``L``
 same ``Psi`` up to round-off; the dense route doubles as a test oracle.
 Setting ``beta = 0`` recovers standard kernel ridge regression
 ``Psi = (K + alpha I)^{-1} T``.
+
+:func:`solve_structured` also fits a stack of B systems that share the
+graph, one per training set of a stacked dictionary, with one batched
+eigendecomposition; each system is solved and condition-checked exactly as
+it would be alone.
 """
 
 import warnings
@@ -70,6 +75,11 @@ class KrgModel:
     ``psi`` is the N x M coefficient matrix; ``dictionary`` and ``rho``
     define the combined kernel; ``graph`` supplies the Laplacian that was
     used during fitting.  Instances are immutable and shareable.
+
+    A model fitted on a stack of B training sets holds (B, N, M) ``psi``
+    and (B, S) ``rho``, and ``errors`` holds per set ``None`` or the
+    message of the :class:`SingularSystemError` its system raised (its
+    ``psi`` is then zero).  :meth:`predict` takes a model of one set.
     """
 
     psi: np.ndarray
@@ -78,6 +88,7 @@ class KrgModel:
     dictionary: object
     rho: np.ndarray
     graph: object
+    errors: tuple = None
 
     def predict(self, x):
         """Predict targets for one input vector or a batch of input rows.
@@ -95,15 +106,17 @@ class KrgModel:
 
 
 def _check_fit_args(dictionary, rho, graph, targets, alpha, beta):
+    batch = dictionary.batch_shape
     rho = np.asarray(rho, dtype=float)
-    if rho.shape != (dictionary.num_kernels,):
+    if rho.shape != batch + (dictionary.num_kernels,):
         raise ValueError(
-            f"weight vector has shape {rho.shape}, expected ({dictionary.num_kernels},)"
+            f"weight vector has shape {rho.shape}, expected "
+            f"{batch + (dictionary.num_kernels,)}"
         )
     t = np.asarray(targets, dtype=float)
-    n, m = dictionary.num_samples, graph.num_nodes
-    if t.shape != (n, m):
-        raise ValueError(f"targets must have shape ({n}, {m}), got {t.shape}")
+    shape = batch + (dictionary.num_samples, graph.num_nodes)
+    if t.shape != shape:
+        raise ValueError(f"targets must have shape {shape}, got {t.shape}")
     if alpha < 0 or beta < 0:
         raise ValueError("alpha and beta must be nonnegative")
     return rho, t
@@ -146,25 +159,41 @@ def solve_structured(dictionary, rho, graph, targets, alpha, beta):
     diagonalizing ``K`` once turns all M solves into elementwise
     divisions, after which ``Psi = Psi~ U^T``.  Equivalent to
     :func:`solve_dense` up to round-off, at O(N^3 + M N^2) cost.
+
+    For a stacked dictionary, ``rho`` and ``targets`` carry its batch axis
+    and every system is checked on its own: one that fails the condition
+    check gets its message in the model's ``errors`` instead of raising.
     """
     rho, t = _check_fit_args(dictionary, rho, graph, targets, alpha, beta)
     k = _combine_unchecked(dictionary, rho)
     u, lam = graph.lap_eigvecs, graph.lap_eigvals
     kvals, kvecs = np.linalg.eigh(k)
-    # denoms[j, m] is the eigenvalue of column system m along kernel mode j
-    denoms = kvals[:, None] * (1.0 + beta * lam)[None, :] + alpha
-    dmax = float(np.max(np.abs(denoms)))
-    dmin = float(np.min(np.abs(denoms)))
-    if dmin == 0.0 or dmax / dmin > CONDITION_LIMIT:
-        cond = np.inf if dmin == 0.0 else dmax / dmin
-        raise SingularSystemError(
-            f"column systems have condition estimate {cond:.2e} exceeding "
-            f"{CONDITION_LIMIT:.0e}; consider increasing alpha"
-        )
-    t_rot = t @ u
-    psi_rot = kvecs @ ((kvecs.T @ t_rot) / denoms)
-    psi = psi_rot @ u.T
-    return KrgModel(psi, float(alpha), float(beta), dictionary, rho, graph)
+    # denoms[..., j, m] is the eigenvalue of column system m along kernel mode j
+    denoms = kvals[..., :, None] * (1.0 + beta * lam) + alpha
+    magnitudes = np.abs(denoms)
+    dmax = magnitudes.max(axis=(-2, -1))
+    dmin = magnitudes.min(axis=(-2, -1))
+    del magnitudes  # the N x M temporaries are freed as soon as they are used
+    cond = np.divide(dmax, dmin, out=np.full_like(dmax, np.inf), where=dmin > 0.0)
+    failed = cond > CONDITION_LIMIT
+    messages = [
+        f"column systems have condition estimate {c:.2e} exceeding "
+        f"{CONDITION_LIMIT:.0e}; consider increasing alpha" if bad else None
+        for c, bad in zip(cond.ravel(), failed.ravel())
+    ]
+    if failed.any():
+        if not dictionary.batch_shape:
+            raise SingularSystemError(messages[0])
+        denoms[failed] = 1.0  # their psi is set to zero below
+    coeffs = np.swapaxes(kvecs, -1, -2) @ (t @ u)
+    np.divide(coeffs, denoms, out=coeffs)
+    del denoms
+    psi = (kvecs @ coeffs) @ u.T
+    errors = None
+    if dictionary.batch_shape:
+        psi[failed] = 0.0
+        errors = tuple(messages)
+    return KrgModel(psi, float(alpha), float(beta), dictionary, rho, graph, errors)
 
 
 def fit_krg(dictionary, rho, graph, targets, alpha, beta):

@@ -1,15 +1,33 @@
-"""Reference implementations over the explicit S x N x N kernel stack.
+"""Reference implementations for the tests.
 
-Production code never forms the stack: it keeps only the pairwise
-distances and evaluates kernels on demand.  These references build every
-basis Gram matrix the direct way, one spec at a time, so the matrix-free
-paths can be checked against them.
+Production code never forms the S x N x N kernel stack: it keeps only the
+pairwise distances and evaluates kernels on demand.  The stack references
+build every basis Gram matrix the direct way, one spec at a time, so the
+matrix-free paths can be checked against them.
+
+:func:`run_trial_sequential` is the per-trial Monte-Carlo body as it was
+before realizations ran in lockstep batches: one training set at a time,
+through the single-set fitting calls, so the batched path can be checked
+against it trial by trial.
 """
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from graphkern import LINEAR
+from graphkern import (
+    GAUSSIAN,
+    LINEAR,
+    KernelDictionary,
+    KernelSpec,
+    SingularSystemError,
+    TrialResult,
+    add_noise_snr,
+    build_dictionary,
+    nmse,
+    optimize,
+    solve_structured,
+)
+from graphkern.experiment import METHOD_LINEAR, METHOD_MULTI, METHOD_SINGLE, METHODS
 
 
 def stack(dictionary):
@@ -74,3 +92,48 @@ def weight_objective_quadratic(dictionary, graph, psi, beta):
         for s in range(num):
             c[r, s] = float(np.sum(projected[r] * smoothed[s]))
     return c
+
+
+def fit_method_sequential(method, x_train, t_fit, graph, config):
+    """Fit one method on one training set; returns (model, iterations)."""
+    if method == METHOD_LINEAR:
+        dictionary = KernelDictionary.from_specs(x_train, [KernelSpec(LINEAR)])
+        model = solve_structured(dictionary, np.ones(1), graph, t_fit, config.linear_alpha, 0.0)
+        return model, 0
+    if method == METHOD_SINGLE:
+        dictionary = KernelDictionary.from_specs(
+            x_train, [KernelSpec(GAUSSIAN, config.single_sigma_sq)]
+        )
+        model = solve_structured(dictionary, np.ones(1), graph, t_fit, config.alpha, config.beta)
+        return model, 0
+    dictionary = build_dictionary(
+        x_train, family=config.grid_family, span=config.grid_span, count=config.grid_count
+    )
+    _, trace, model = optimize(
+        dictionary, graph, t_fit, config.solver_config(), config.alpha, config.beta
+    )
+    return model, trace.iterations_used
+
+
+def run_trial_sequential(dataset, config, realization_seed):
+    """One realization fitted on its own; the Monte-Carlo trial oracle."""
+    partition_seed, noise_seed = realization_seed.spawn(2)
+    perm = np.random.default_rng(partition_seed).permutation(dataset.num_pairs)
+    train_idx = perm[: config.n_train]
+    test_idx = perm[config.n_train :]
+    x_train = dataset.inputs[train_idx]
+    t_noisy = add_noise_snr(dataset.targets[train_idx], config.snr_db, noise_seed)
+    x_test = dataset.inputs[test_idx]
+    t_test = dataset.targets[test_idx]
+
+    result = TrialResult(nmse={})
+    for method in METHODS:
+        try:
+            model, iters = fit_method_sequential(method, x_train, t_noisy, dataset.graph, config)
+            result.nmse[method] = nmse(model.predict(x_test), t_test)
+            if method == METHOD_MULTI:
+                result.rho = model.rho
+                result.iterations = iters
+        except (SingularSystemError, np.linalg.LinAlgError) as err:
+            result.errors[method] = str(err)
+    return result

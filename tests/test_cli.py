@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from graphkern import cli, grid_specs, mkl, solver
+from graphkern import SolverConfig, build_dictionary, cli, grid_specs, mkl, optimize, solver
 
 
 def write_measurements(path, names, rows):
@@ -43,7 +43,7 @@ def csv_dataset(tmp_path):
 class TestIngest:
     def test_rows_to_pairs(self, csv_dataset):
         measurements, coords = csv_dataset
-        matrix, node_coords = cli.ingest_dataset(measurements, coords)
+        matrix, node_coords, _ = cli.ingest_dataset(measurements, coords)
         assert matrix.shape == (13, 3)  # 13 rows give 12 (input, target) pairs
         assert node_coords.num_nodes == 3
         assert node_coords.mode == "geodesic"
@@ -53,7 +53,7 @@ class TestIngest:
         c = tmp_path / "c.csv"
         write_measurements(m, ["a", "b"], [[1.0, 2.0], [3.0, 4.0]])
         write_coords(c, [["a", 10.0, 10.0], ["b", 11.0, 11.0]])
-        matrix, _ = cli.ingest_dataset(m, c)
+        matrix, _, _ = cli.ingest_dataset(m, c)
         assert matrix.shape == (2, 2)
 
     def test_non_numeric_cell_names_location(self, tmp_path):
@@ -85,7 +85,7 @@ class TestIngest:
         c = tmp_path / "c.csv"
         write_measurements(m, ["a", "b"], [[1.0, 2.0], [3.0, 4.0]])
         write_coords(c, [["a", 10.0, 10.0], ["b", 11.0, 11.0]], header=False)
-        matrix, node_coords = cli.ingest_dataset(m, c)
+        matrix, node_coords, _ = cli.ingest_dataset(m, c)
         assert node_coords.num_nodes == 2
 
 
@@ -195,6 +195,28 @@ class TestFitAndPredict:
         assert rows[0] == names
         got = np.array([[float(c) for c in row] for row in rows[1:]])
         np.testing.assert_array_equal(got, expected)  # lossless float round trip
+
+    def test_fit_refuses_threads(self, tmp_path):
+        path = synthetic_config(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["fit", "--config", str(path), "--out", str(tmp_path / "out"),
+                      "--threads", "2"])
+        assert excinfo.value.code == 2
+
+    def test_model_file_round_trips_arrays_bit_exactly(self, tmp_path):
+        cfg = cli.load_config(synthetic_config(tmp_path))
+        dataset, names = cli._dataset_from_config(cfg)
+        d = build_dictionary(dataset.inputs, count=12)
+        _, trace, fitted = optimize(d, dataset.graph, dataset.targets, SolverConfig(), 0.1, 2.0)
+        path = tmp_path / "model.json"
+        cli.save_model(path, fitted, cfg["kernel_grid"], names, trace.iterations_used,
+                       trace.final_gamma)
+        model, _ = cli.load_model(path)
+        np.testing.assert_array_equal(model.psi, fitted.psi)
+        np.testing.assert_array_equal(model.rho, fitted.rho)
+        np.testing.assert_array_equal(
+            model.dictionary.training_inputs, fitted.dictionary.training_inputs
+        )
 
     def test_predict_missing_model_exit_code(self, tmp_path):
         rc = cli.main(
@@ -330,6 +352,7 @@ class TestExperimentCommand:
         report = json.loads((out / "report.json").read_text())
         assert [r["n_train"] for r in report["results"]] == [4, 6]
         assert all("nmse_mean" in r for r in report["results"])
+        assert all(r["mean_fw_gap"] >= 0.0 for r in report["results"])
 
     def test_seed_override_changes_results(self, tmp_path):
         path = synthetic_config(tmp_path)

@@ -175,7 +175,8 @@ class TestRunTrial:
             monkeypatch.setattr(module, "solve_structured", counting)
         cfg = ExperimentConfig(n_train=12, n_realizations=1, grid_count=20)
         x, t = small_dataset.inputs[:12], small_dataset.targets[:12]
-        model, iterations = _fit_method(METHOD_MULTI, x, t, small_dataset.graph, cfg)
+        model, trace = _fit_method(METHOD_MULTI, x, t, small_dataset.graph, cfg)
+        iterations = trace.iterations_used
         assert iterations >= 1
         assert len(solves) == iterations + 1
         np.testing.assert_array_equal(solves[-1][1], model.rho)

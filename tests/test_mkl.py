@@ -357,6 +357,21 @@ class TestOptimize:
         expected = -float(np.sum(t * (combine(d, weights.rho) @ model.psi)))
         assert trace.final_gamma == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_trace_records_frank_wolfe_gap_per_iteration(self, q):
+        rng = np.random.default_rng(22)
+        d, g, t = random_instance(rng, 3, 5, 4)
+        config = SolverConfig(mu0=2.0, i_max=3, epsilon=1e-14, radius=1.5, q=q)
+        _, trace, _ = optimize(d, g, t, config, 0.5, 0.5)
+        assert len(trace.fw_gaps) == trace.iterations_used == 3
+        # the first gradient is taken at rho = 0, where the gap is R times
+        # the largest descent available from the ball's vertices
+        psi = solve_structured(d, np.zeros(4), g, t, 0.5, 0.5).psi
+        grad = -0.5 * np.tensordot(stack(d), psi @ psi.T, axes=([1, 2], [0, 1]))
+        expected = -1.5 * grad.min() if q == 1 else 1.5 * np.linalg.norm(grad)
+        assert trace.fw_gaps[0] == pytest.approx(expected, rel=1e-12)
+        assert all(gap >= 0.0 for gap in trace.fw_gaps)
+
     def test_trace_csv_roundtrip(self, tmp_path):
         import csv
 
