@@ -18,8 +18,10 @@ dataset, without stacking the test sets.  A batch is as large as keeps its
 at a time, as for a single fit.  Each trial is computed exactly as it
 would be alone, so results do not depend on the batching, and a trial
 whose system is singular records that method's error without stopping
-the rest of its batch.  Worker threads run whole batches; the batched
-LAPACK and BLAS calls release the GIL.
+the rest of its batch.  Should the batch's one eigendecomposition fail to
+converge, that method is refitted one trial at a time, so again only the
+trials whose own matrix fails record the error.  Worker threads run whole
+batches; the batched LAPACK and BLAS calls release the GIL.
 
 Everything is deterministic given the master seed: the seed of trial ``i``
 is ``numpy.random.SeedSequence(master_seed, spawn_key=(i,))``, so
@@ -29,7 +31,6 @@ individual trials can be reproduced in isolation (:func:`run_trial`).
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -138,17 +139,6 @@ class ExperimentDataset:
     @property
     def num_pairs(self):
         return self.inputs.shape[0]
-
-    @cached_property
-    def sq_distances(self):
-        """Squared distances between all pairs of inputs, as ``cdist`` gives them.
-
-        Trials gather their training and test distances from it by row
-        index; the entries equal what ``pdist``/``cdist`` give on the rows.
-        """
-        sq = cdist(self.inputs, self.inputs, "sqeuclidean")
-        sq.setflags(write=False)
-        return sq
 
 
 @dataclass
@@ -291,16 +281,13 @@ def nmse(pred, truth):
     return float(np.sum((p - t) ** 2)) / denom
 
 
-def _fit_method(
-    method, x_train, t_fit, graph, config, alpha=None, beta=None, sq_distances=None
-):
+def _fit_method(method, x_train, t_fit, graph, config, alpha=None, beta=None):
     """Fit one method; returns (model, optimizer trace).
 
     ``x_train`` and ``t_fit`` are one training set or a stack of them; for
     a stack the model is batched and the trace is a tuple with one
     :class:`~graphkern.mkl.OptimizerTrace` per set.  The closed-form
-    methods have no trace (``None``).  ``sq_distances``, when given, are
-    the training sets' condensed squared distances.
+    methods have no trace (``None``).
     """
     if method == METHOD_LINEAR:
         dictionary = KernelDictionary.from_specs(x_train, [KernelSpec(LINEAR)])
@@ -312,8 +299,6 @@ def _fit_method(
         dictionary = KernelDictionary.from_specs(
             x_train, [KernelSpec(GAUSSIAN, config.single_sigma_sq)]
         )
-        if sq_distances is not None:
-            dictionary.sq_distances = sq_distances
         a = config.alpha if alpha is None else alpha
         b = config.beta if beta is None else beta
         rho = np.ones(dictionary.batch_shape + (1,))
@@ -326,8 +311,6 @@ def _fit_method(
             span=config.grid_span,
             count=config.grid_count,
         )
-        if sq_distances is not None:
-            dictionary.sq_distances = sq_distances
         a = config.alpha if alpha is None else alpha
         b = config.beta if beta is None else beta
         _, trace, model = optimize(
@@ -357,8 +340,8 @@ def _run_batch(dataset, config, seeds):
     Each trial partitions the pairs at random (first ``n_train`` of a
     permutation for training, the rest for testing) and corrupts its
     training targets at the configured SNR, exactly as :func:`run_trial`
-    describes.  Distances come from the dataset's distance matrix by row
-    index, and each trial's test block is predicted from its own rows.
+    describes.  Each trial's test block is predicted from its own index
+    rows into the dataset; the test sets are not stacked.
     """
     n = config.n_train
     if dataset.num_pairs < n + 1:
@@ -377,26 +360,31 @@ def _run_batch(dataset, config, seeds):
         )
     train, test = perms[:, :n], perms[:, n:]
     x_train = dataset.inputs[train]
-    upper = np.triu_indices(n, 1)
-    sq_train = dataset.sq_distances[train[:, upper[0]], train[:, upper[1]]]
-    sq_test = dataset.sq_distances[test[:, :, None], train[:, None, :]]
+    sq_test = np.stack(
+        [cdist(dataset.inputs[t], x, "sqeuclidean") for t, x in zip(test, x_train)]
+    )
 
     results = [TrialResult(nmse={}) for _ in seeds]
     for method in METHODS:
-        _score_method(method, results, dataset, config, x_train, t_noisy, test, sq_train, sq_test)
+        _score_method(method, results, dataset, config, x_train, t_noisy, test, sq_test)
     return results
 
 
-def _score_method(method, results, dataset, config, x_train, t_noisy, test, sq_train, sq_test):
+def _score_method(method, results, dataset, config, x_train, t_noisy, test, sq_test):
     """Fit one method on a batch and record each trial's test NMSE or error."""
     try:
-        model, traces = _fit_method(
-            method, x_train, t_noisy, dataset.graph, config, sq_distances=sq_train
-        )
-    except np.linalg.LinAlgError as err:  # the batched eigh failed as a whole
-        for result in results:
-            result.errors[method] = str(err)
-        log.warning("trial method %s failed for a batch: %s", method, err)
+        model, traces = _fit_method(method, x_train, t_noisy, dataset.graph, config)
+    except np.linalg.LinAlgError as err:
+        if len(results) == 1:
+            results[0].errors[method] = str(err)
+            log.warning("trial method %s failed: %s", method, err)
+            return
+        # one eigh serves the whole batch; refit each trial alone, so only
+        # the trials whose own matrix fails record the error
+        for b in range(len(results)):
+            one = slice(b, b + 1)
+            _score_method(method, results[one], dataset, config, x_train[one],
+                          t_noisy[one], test[one], sq_test[one])
         return
     if method == METHOD_LINEAR:
         dot = np.stack([dataset.inputs[t] @ x.T for t, x in zip(test, x_train)])
@@ -441,7 +429,6 @@ def monte_carlo(dataset, config, max_workers=1):
     size = batch_size(dataset, config)
     batches = [seeds[i : i + size] for i in range(0, len(seeds), size)]
     if max_workers > 1 and len(batches) > 1:
-        _ = dataset.sq_distances  # built once, before threads share the dataset
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             parts = list(pool.map(lambda b: _run_batch(dataset, config, b), batches))
     else:

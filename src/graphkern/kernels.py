@@ -78,10 +78,7 @@ class KernelDictionary:
         Row ``n`` (of each set) is the n-th training input.
 
     :attr:`sq_distances` and :attr:`linear_gram` are built on first
-    access and read-only afterwards.  A caller that already holds the
-    distances (gathered from the distance matrix of a larger set of
-    inputs, say) may assign ``sq_distances`` before first use; they must be
-    those :func:`scipy.spatial.distance.pdist` gives.
+    access and read-only afterwards.
     """
 
     def __init__(self, specs, training_inputs):
@@ -123,12 +120,10 @@ class KernelDictionary:
         N (N - 1) / 2 entries (per training set of a stack).
         """
         x = self.training_inputs
-        if x.ndim == 2:
-            sq = pdist(x, "sqeuclidean")
-        else:
-            sq = np.empty(self.batch_shape + (self.num_samples * (self.num_samples - 1) // 2,))
-            for b, rows in enumerate(x):
-                sq[b] = pdist(rows, "sqeuclidean")
+        sets, n = math.prod(self.batch_shape), self.num_samples
+        sq = np.empty(self.batch_shape + (n * (n - 1) // 2,))
+        for rows, out in zip(x.reshape(sets, n, x.shape[-1]), sq.reshape(sets, -1)):
+            pdist(rows, "sqeuclidean", out=out)
         sq.setflags(write=False)
         return sq
 
@@ -239,7 +234,12 @@ def _upper(n):
 
 
 def _condensed(sym):
-    """Upper triangles (``i < j``, row-major) of a matrix or of a stack of them."""
+    """Upper triangles (``i < j``, row-major) of a matrix or of a stack of them.
+
+    One matrix goes through ``squareform``: the index arrays that a stack
+    gathers with would take 8 MB at N = 1000, and ``squareform`` is also
+    faster there.  A stack of small matrices is gathered in one call.
+    """
     if sym.ndim == 2:
         return squareform(sym, checks=False)
     rows, cols = _upper(sym.shape[-1])
@@ -247,7 +247,10 @@ def _condensed(sym):
 
 
 def _square(packed, diagonal, n):
-    """N x N symmetric matrices from condensed upper triangles and one diagonal value each."""
+    """N x N symmetric matrices from condensed upper triangles and one diagonal value each.
+
+    One matrix goes through ``squareform``, as in :func:`_condensed`.
+    """
     if packed.ndim == 1:
         out = squareform(packed, checks=False)
         np.fill_diagonal(out, diagonal)

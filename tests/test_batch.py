@@ -116,6 +116,42 @@ def test_majority_of_singular_trials_still_raises():
     assert excinfo.value.partial_report.n_failed == 8
 
 
+def test_a_failing_eigh_fails_only_its_own_trials(default_scenario, monkeypatch):
+    # The linear kernel's diagonal holds the squared input norms.  Row 0 is
+    # the only input of squared norm 64, and eigh fails on any matrix whose
+    # diagonal holds 64: the linear system of every training set with row 0.
+    inputs = default_scenario.inputs.copy()
+    inputs[0] = 0.0
+    inputs[0, 0] = 8.0
+    assert not np.any(np.sum(inputs[1:] ** 2, axis=1) == 64.0)
+    dataset = ExperimentDataset(inputs, default_scenario.targets, default_scenario.graph)
+    eigh = np.linalg.eigh
+
+    def failing_eigh(a):
+        if np.any(np.diagonal(a, axis1=-2, axis2=-1) == 64.0):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    config = level_config(8, n_realizations=20)
+    assert batch_size(dataset, config) == 20  # one batch
+    report = monte_carlo(dataset, config)
+    failing = []
+    for i, trial in enumerate(report.trials):
+        expected = run_trial_sequential(dataset, config, trial_seed(3, i))
+        perm = np.random.default_rng(trial_seed(3, i).spawn(2)[0]).permutation(60)
+        holds_row = 0 in perm[:8]
+        assert set(trial.errors) == ({METHOD_LINEAR} if holds_row else set())
+        assert trial.errors == expected.errors  # same message
+        for method in METHODS:
+            assert (method in trial.nmse) == (method in expected.nmse)
+            if method in trial.nmse:
+                assert relative(trial.nmse[method], expected.nmse[method]) <= 1e-10
+        failing.append(holds_row)
+    assert 0 < sum(failing) < len(failing)
+    assert report.n_failed == sum(failing)
+
+
 def test_lockstep_optimize_matches_each_problem_alone():
     rng = np.random.default_rng(31)
     a = np.abs(rng.normal(size=(4, 4)))
@@ -204,7 +240,6 @@ def test_experiment_threads_do_not_change_outputs(tmp_path):
 
 def test_batched_level_memory_within_one_megabyte_of_sequential(default_scenario):
     config = level_config(30)
-    _ = default_scenario.sq_distances  # dataset state both paths may keep
     tracemalloc.start()
     try:
         for i in range(config.n_realizations):
