@@ -24,16 +24,11 @@ from .kernels import (
     combine,
     grid_specs,
     kernel_cross,
-    kernel_eval,
-    kernel_vector,
 )
 from .solver import (
     KrgModel,
     SingularSystemError,
     TrainingSet,
-    fit_krg,
-    krg_objective,
-    solve_dense,
     solve_structured,
 )
 from .mkl import (
@@ -76,14 +71,9 @@ __all__ = [
     "combine",
     "grid_specs",
     "kernel_cross",
-    "kernel_eval",
-    "kernel_vector",
     "KrgModel",
     "SingularSystemError",
     "TrainingSet",
-    "fit_krg",
-    "krg_objective",
-    "solve_dense",
     "solve_structured",
     "MklWeights",
     "OptimizerTrace",

@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -26,7 +27,7 @@ import numpy as np
 from . import experiment as exp
 from .graph import NodeCoordinates, build_graph, geodesic_adjacency
 from .kernels import GAUSSIAN, KernelDictionary, build_dictionary, grid_specs
-from .mkl import optimize
+from .mkl import SolverConfig, optimize
 # solve_structured is not called here; it stays bound in this module like in
 # every other that reaches the solver route, for tools that wrap the route
 # at each binding (perfbench/tracer.py).
@@ -98,12 +99,15 @@ def _read_measurements(path, min_rows=2):
                     f"{col + 1} ({names[col]})"
                 )
             try:
-                values.append(float(cell))
-            except ValueError as err:
+                value = float(cell)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
                 raise ConfigError(
-                    f"{path}: line {line_no}: non-numeric cell {cell!r} in "
-                    f"column {col + 1} ({names[col]})"
-                ) from err
+                    f"{path}: line {line_no}: non-numeric or non-finite cell {cell!r} "
+                    f"in column {col + 1} ({names[col]})"
+                )
+            values.append(value)
         data.append(values)
     if len(data) < min_rows:
         raise ConfigError(f"{path}: need at least {min_rows} measurement rows")
@@ -226,6 +230,14 @@ def _validate_config(cfg, path):
             a, b = float(value[0]), float(value[1])
             if a < 0 or b < 0:
                 raise ValueError(f"params_by_n_train[{key}] must be nonnegative")
+        if "grid_search" in exp_cfg:
+            search = exp_cfg["grid_search"]
+            for key in ("alphas", "betas"):
+                grid = search.get(key) if isinstance(search, dict) else None
+                if not isinstance(grid, list) or not grid:
+                    raise ValueError(f"grid_search.{key} must be a nonempty list")
+                if not all(float(v) >= 0 for v in grid):
+                    raise ValueError(f"grid_search.{key} must be nonnegative numbers")
     except (KeyError, TypeError, ValueError, IndexError) as err:
         raise ConfigError(f"{path}: invalid experiment block: {err}") from err
     try:
@@ -235,8 +247,14 @@ def _validate_config(cfg, path):
 
 
 def _experiment_config(cfg, n_train):
+    """The ExperimentConfig of a run config at one training-set size.
+
+    The only place where the ``optimizer`` block becomes a SolverConfig,
+    with ``max_iterations`` as ``i_max``.
+    """
     grid = cfg["kernel_grid"]
     e = cfg["experiment"]
+    opt = cfg["optimizer"]
     return exp.ExperimentConfig(
         snr_db=float(e["snr_db"]),
         n_train=int(n_train),
@@ -248,38 +266,47 @@ def _experiment_config(cfg, n_train):
         single_sigma_sq=float(e["single_sigma_sq"]),
         alpha=float(cfg["alpha"]),
         beta=float(cfg["beta"]),
-        radius=float(cfg["optimizer"]["radius"]),
-        mu0=float(cfg["optimizer"]["mu0"]),
-        q=int(cfg["optimizer"]["q"]),
-        epsilon=float(cfg["optimizer"]["epsilon"]),
-        max_iterations=int(cfg["optimizer"]["max_iterations"]),
-        momentum=cfg["optimizer"]["momentum"],
+        solver=SolverConfig(
+            mu0=float(opt["mu0"]),
+            i_max=int(opt["max_iterations"]),
+            epsilon=float(opt["epsilon"]),
+            radius=float(opt["radius"]),
+            q=int(opt["q"]),
+            momentum=opt["momentum"],
+        ),
         master_seed=int(cfg["seed"]),
     )
 
 
 def _dataset_from_config(cfg):
-    """Build the ExperimentDataset plus node names from a validated config."""
-    if "data" in cfg:
-        matrix, coords, names = ingest_dataset(
-            cfg["data"]["measurements"], cfg["data"]["coordinates"]
+    """Build the ExperimentDataset plus node names from a validated config.
+
+    Values from which no dataset or graph can be built (say, a single
+    node) raise :class:`ConfigError`.
+    """
+    try:
+        if "data" in cfg:
+            matrix, coords, names = ingest_dataset(
+                cfg["data"]["measurements"], cfg["data"]["coordinates"]
+            )
+            graph = build_graph(geodesic_adjacency(coords))
+            dataset = exp.ExperimentDataset(
+                inputs=matrix[:-1], targets=matrix[1:], graph=graph, coords=coords
+            )
+            return dataset, names
+        synth = cfg["synthetic"]
+        dataset = exp.make_synthetic_dataset(
+            num_nodes=int(synth.get("num_nodes", 45)),
+            num_pairs=int(synth.get("num_pairs", 60)),
+            num_modes=int(synth.get("num_modes", 8)),
+            seed=int(synth.get("seed", cfg["seed"])),
+            mean_sq_distance=float(synth.get("mean_sq_distance", 6.0)),
+            mode_decay=float(synth.get("mode_decay", 0.7)),
+            mean_level=float(synth.get("mean_level", 1.0)),
+            mode=synth.get("mode", "euclidean"),
         )
-        graph = build_graph(geodesic_adjacency(coords))
-        dataset = exp.ExperimentDataset(
-            inputs=matrix[:-1], targets=matrix[1:], graph=graph, coords=coords
-        )
-        return dataset, names
-    synth = cfg["synthetic"]
-    dataset = exp.make_synthetic_dataset(
-        num_nodes=int(synth.get("num_nodes", 45)),
-        num_pairs=int(synth.get("num_pairs", 60)),
-        num_modes=int(synth.get("num_modes", 8)),
-        seed=int(synth.get("seed", cfg["seed"])),
-        mean_sq_distance=float(synth.get("mean_sq_distance", 6.0)),
-        mode_decay=float(synth.get("mode_decay", 0.7)),
-        mean_level=float(synth.get("mean_level", 1.0)),
-        mode=synth.get("mode", "euclidean"),
-    )
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"cannot build the dataset: {err}") from err
     names = [f"node{i}" for i in range(dataset.graph.num_nodes)]
     return dataset, names
 
@@ -380,8 +407,7 @@ def cmd_fit(cfg, out_dir):
         count=config.grid_count,
     )
     _, trace, model = optimize(
-        dictionary, dataset.graph, dataset.targets, config.solver_config(),
-        config.alpha, config.beta,
+        dictionary, dataset.graph, dataset.targets, config.solver, config.alpha, config.beta
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     grid_cfg = dict(cfg["kernel_grid"])
@@ -425,6 +451,12 @@ def cmd_experiment(cfg, out_dir, threads):
     dataset, _ = _dataset_from_config(cfg)
     e = cfg["experiment"]
     n_values = [int(n) for n in e["n_train_values"]]
+    too_large = [n for n in n_values if n >= dataset.num_pairs]
+    if too_large:
+        raise ConfigError(
+            f"n_train_values {too_large} leave no test pairs: the dataset has "
+            f"{dataset.num_pairs} pairs"
+        )
     params = {int(k): tuple(v) for k, v in e.get("params_by_n_train", {}).items()}
 
     if "grid_search" in e:

@@ -78,7 +78,11 @@ class ExperimentError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Protocol parameters for one Monte-Carlo scenario."""
+    """Protocol parameters for one Monte-Carlo scenario.
+
+    ``solver`` holds the multi-kernel weight optimizer's settings, a
+    :class:`~graphkern.mkl.SolverConfig`, which validates itself.
+    """
 
     snr_db: float = 0.0
     n_train: int = 30
@@ -90,12 +94,7 @@ class ExperimentConfig:
     single_sigma_sq: float = 1.0
     alpha: float = 0.1
     beta: float = 5.5
-    radius: float = 5.0
-    mu0: float = 0.01
-    q: int = 1
-    epsilon: float = 1e-4
-    max_iterations: int = 500
-    momentum: str = "damped"
+    solver: SolverConfig = field(default_factory=SolverConfig)
     master_seed: int = 0
 
     def __post_init__(self):
@@ -104,17 +103,6 @@ class ExperimentConfig:
         if self.n_train < 1:
             raise ValueError("n_train must be at least 1")
         grid_specs(self.grid_family, self.grid_span, self.grid_count)  # validates the grid
-        self.solver_config()  # validates the optimizer fields
-
-    def solver_config(self):
-        return SolverConfig(
-            mu0=self.mu0,
-            i_max=self.max_iterations,
-            epsilon=self.epsilon,
-            radius=self.radius,
-            q=self.q,
-            momentum=self.momentum,
-        )
 
 
 @dataclass(frozen=True)
@@ -313,9 +301,7 @@ def _fit_method(method, x_train, t_fit, graph, config, alpha=None, beta=None):
         )
         a = config.alpha if alpha is None else alpha
         b = config.beta if beta is None else beta
-        _, trace, model = optimize(
-            dictionary, graph, t_fit, config.solver_config(), a, b
-        )
+        _, trace, model = optimize(dictionary, graph, t_fit, config.solver, a, b)
         return model, trace
     raise ValueError(f"unknown method {method!r}")
 

@@ -55,18 +55,6 @@ class KernelSpec:
             raise ValueError("Gaussian kernel variance must be positive")
 
 
-def kernel_eval(spec, x, x2):
-    """Evaluate one basis kernel on a pair of input vectors."""
-    x = np.asarray(x, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    if x.shape != x2.shape or x.ndim != 1:
-        raise ValueError(f"input vectors must share one shape, got {x.shape} and {x2.shape}")
-    if spec.family == LINEAR:
-        return float(x @ x2)
-    sq = float(np.sum((x - x2) ** 2))
-    return float(np.exp(-sq / (2.0 * spec.parameter)))
-
-
 class KernelDictionary:
     """S basis kernels over N training inputs, evaluated on demand.
 
@@ -374,11 +362,3 @@ def combine_cross(dictionary, rho, sq=None, dot=None):
             out += weight * np.exp(-sq / (2.0 * spec.parameter))
     return out
 
-
-def kernel_vector(dictionary, rho, x):
-    """Combined kernel vector ``[k(x_1, x), ..., k(x_N, x)]`` for one input."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("x must be a 1-D input vector")
-    rho = _checked_weights(dictionary, rho)
-    return kernel_cross(dictionary, rho, x[None, :])[0]

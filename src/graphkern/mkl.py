@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .kernels import _combine_unchecked, kernel_inner_products
+from .kernels import kernel_inner_products
 from .solver import SingularSystemError, solve_structured
 
 FEASIBILITY_TOL = 1e-9
@@ -324,18 +324,3 @@ def optimize(dictionary, graph, targets, config, alpha, beta):
     errors = tuple(t.error or e for t, e in zip(traces, model.errors))
     return weights, traces, replace(model, errors=errors)
 
-
-def reduced_objective_matrix(dictionary, graph, rho, alpha, beta):
-    """Dense MN x MN matrix of the reduced objective's quadratic form.
-
-    ``gamma(rho) = vec(T)^T B vec(T)`` with
-    ``B = -(I_M kron K) [(I_M kron (K + alpha I)) + beta (L kron K)]^{-1}``.
-    Slow reference used by tests; the production path never forms it.
-    """
-    rho = np.asarray(rho, dtype=float)
-    k = _combine_unchecked(dictionary, rho)
-    n, m = dictionary.num_samples, graph.num_nodes
-    system = np.kron(np.eye(m), k + alpha * np.eye(n)) + beta * np.kron(
-        graph.laplacian, k
-    )
-    return -np.kron(np.eye(m), k) @ np.linalg.inv(system)

@@ -8,12 +8,10 @@ where ``K`` is the combined kernel matrix over N training inputs, ``L`` the
 M x M graph Laplacian, and ``vec`` stacks columns.  Predictions for a new
 input are ``y = Psi^T k(x)``.
 
-Two routes are provided: :func:`solve_dense` assembles the MN x MN system
-and factors it directly, and :func:`solve_structured` diagonalizes ``L``
-(and ``K``) to decouple the system into M small solves.  Both produce the
-same ``Psi`` up to round-off; the dense route doubles as a test oracle.
-Setting ``beta = 0`` recovers standard kernel ridge regression
-``Psi = (K + alpha I)^{-1} T``.
+:func:`solve_structured` diagonalizes ``L`` (and ``K``) to decouple the
+system into M small solves, giving the ``Psi`` of the MN x MN system up to
+round-off without forming it.  Setting ``beta = 0`` recovers standard
+kernel ridge regression ``Psi = (K + alpha I)^{-1} T``.
 
 :func:`solve_structured` also fits a stack of B systems that share the
 graph, one per training set of a stacked dictionary, with one batched
@@ -21,21 +19,15 @@ eigendecomposition; each system is solved and condition-checked exactly as
 it would be alone.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-from scipy.linalg.lapack import dgecon
 
 from .kernels import _combine_unchecked, kernel_cross
 
 # Systems whose estimated condition number exceeds this are refused instead
 # of being silently regularized.
 CONDITION_LIMIT = 1e12
-
-# Above this system size the structured route is the default.
-DENSE_SIZE_LIMIT = 2000
 
 
 class SingularSystemError(RuntimeError):
@@ -122,43 +114,14 @@ def _check_fit_args(dictionary, rho, graph, targets, alpha, beta):
     return rho, t
 
 
-def solve_dense(dictionary, rho, graph, targets, alpha, beta):
-    """Fit by direct pivoted factorization of the full MN x MN system.
-
-    Raises :class:`SingularSystemError` when the estimated condition
-    number exceeds ``CONDITION_LIMIT``.  Intended for small systems and as
-    the reference path for the structured solver.
-    """
-    rho, t = _check_fit_args(dictionary, rho, graph, targets, alpha, beta)
-    k = _combine_unchecked(dictionary, rho)
-    n, m = dictionary.num_samples, graph.num_nodes
-    system = np.kron(np.eye(m), k + alpha * np.eye(n)) + beta * np.kron(
-        graph.laplacian, k
-    )
-    anorm = np.linalg.norm(system, 1)
-    with warnings.catch_warnings():
-        # exact singularity is reported through the condition guard below
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(system)
-    rcond, info = dgecon(lu, anorm, norm="1")
-    if info != 0 or not np.isfinite(rcond) or rcond < 1.0 / CONDITION_LIMIT:
-        raise SingularSystemError(
-            f"system condition estimate {1.0 / max(rcond, 1e-300):.2e} exceeds "
-            f"{CONDITION_LIMIT:.0e}; consider increasing alpha"
-        )
-    vec = lu_solve((lu, piv), t.ravel(order="F"))
-    psi = vec.reshape((n, m), order="F")
-    return KrgModel(psi, float(alpha), float(beta), dictionary, rho, graph)
-
-
 def solve_structured(dictionary, rho, graph, targets, alpha, beta):
     """Fit by diagonalizing the Laplacian and the combined kernel.
 
     With ``L = U diag(lam) U^T`` the system decouples over the columns of
     ``T~ = T U`` into ``((1 + beta lam_m) K + alpha I) psi~_m = t~_m``;
     diagonalizing ``K`` once turns all M solves into elementwise
-    divisions, after which ``Psi = Psi~ U^T``.  Equivalent to
-    :func:`solve_dense` up to round-off, at O(N^3 + M N^2) cost.
+    divisions, after which ``Psi = Psi~ U^T``.  Equivalent to factoring
+    the MN x MN system up to round-off, at O(N^3 + M N^2) cost.
 
     For a stacked dictionary, ``rho`` and ``targets`` carry its batch axis
     and every system is checked on its own: one that fails the condition
@@ -195,42 +158,3 @@ def solve_structured(dictionary, rho, graph, targets, alpha, beta):
         errors = tuple(messages)
     return KrgModel(psi, float(alpha), float(beta), dictionary, rho, graph, errors)
 
-
-def fit_krg(dictionary, rho, graph, targets, alpha, beta):
-    """Fit choosing the route by system size.
-
-    Uses the dense direct solve up to ``DENSE_SIZE_LIMIT`` unknowns and the
-    structured route beyond that.
-    """
-    if dictionary.num_samples * graph.num_nodes <= DENSE_SIZE_LIMIT:
-        return solve_dense(dictionary, rho, graph, targets, alpha, beta)
-    return solve_structured(dictionary, rho, graph, targets, alpha, beta)
-
-
-def krg_objective(model, targets, reduced=False):
-    """Regression objective value at the model's coefficients.
-
-    The full form is
-
-        tr(T^T T) - 2 tr(T^T K Psi) + tr(Psi^T K K Psi)
-        + alpha tr(Psi^T K Psi) + beta tr(Psi^T K K Psi L)
-
-    which equals the primal ``sum_n ||t_n - y_n||^2 + alpha tr(W^T W)
-    + beta sum_n y_n^T L y_n`` under the feature-space identification
-    ``W = Phi^T Psi``.  With ``reduced=True`` the constant ``tr(T^T T)``
-    is dropped.
-    """
-    t = np.asarray(targets, dtype=float)
-    if t.shape != model.psi.shape:
-        raise ValueError(f"targets must have shape {model.psi.shape}, got {t.shape}")
-    k = _combine_unchecked(model.dictionary, model.rho)
-    kp = k @ model.psi
-    value = (
-        -2.0 * float(np.sum(t * kp))
-        + float(np.sum(kp * kp))
-        + model.alpha * float(np.sum(model.psi * kp))
-        + model.beta * float(np.sum(kp * (kp @ model.graph.laplacian)))
-    )
-    if not reduced:
-        value += float(np.sum(t * t))
-    return value

@@ -5,13 +5,29 @@ pairwise distances and evaluates kernels on demand.  The stack references
 build every basis Gram matrix the direct way, one spec at a time, so the
 matrix-free paths can be checked against them.
 
+Production code also never forms the MN x MN regression system.  The
+dense references do:
+
+- :func:`solve_dense` factors the full Kronecker system, the reference
+  for :func:`graphkern.solve_structured`;
+- :func:`krg_objective` evaluates the regression objective at a model's
+  coefficients;
+- :func:`reduced_objective_matrix` is the dense quadratic form of the
+  reduced objective ``gamma``;
+- :func:`kernel_eval` evaluates one basis kernel on one pair of inputs,
+  and :func:`kernel_vector` the combined kernel vector of one input.
+
 :func:`run_trial_sequential` is the per-trial Monte-Carlo body as it was
 before realizations ran in lockstep batches: one training set at a time,
 through the single-set fitting calls, so the batched path can be checked
 against it trial by trial.
 """
 
+import warnings
+
 import numpy as np
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg.lapack import dgecon
 from scipy.spatial.distance import cdist
 
 from graphkern import (
@@ -28,6 +44,102 @@ from graphkern import (
     solve_structured,
 )
 from graphkern.experiment import METHOD_LINEAR, METHOD_MULTI, METHOD_SINGLE, METHODS
+from graphkern.kernels import _checked_weights, _combine_unchecked, kernel_cross
+from graphkern.solver import CONDITION_LIMIT, KrgModel, _check_fit_args
+
+
+def kernel_eval(spec, x, x2):
+    """Evaluate one basis kernel on a pair of input vectors."""
+    x = np.asarray(x, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    if x.shape != x2.shape or x.ndim != 1:
+        raise ValueError(f"input vectors must share one shape, got {x.shape} and {x2.shape}")
+    if spec.family == LINEAR:
+        return float(x @ x2)
+    sq = float(np.sum((x - x2) ** 2))
+    return float(np.exp(-sq / (2.0 * spec.parameter)))
+
+
+def kernel_vector(dictionary, rho, x):
+    """Combined kernel vector ``[k(x_1, x), ..., k(x_N, x)]`` for one input."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError("x must be a 1-D input vector")
+    rho = _checked_weights(dictionary, rho)
+    return kernel_cross(dictionary, rho, x[None, :])[0]
+
+
+def solve_dense(dictionary, rho, graph, targets, alpha, beta):
+    """Fit by direct pivoted factorization of the full MN x MN system.
+
+    Raises :class:`SingularSystemError` when the estimated condition
+    number exceeds ``CONDITION_LIMIT``.  The reference path for the
+    structured solver.
+    """
+    rho, t = _check_fit_args(dictionary, rho, graph, targets, alpha, beta)
+    k = _combine_unchecked(dictionary, rho)
+    n, m = dictionary.num_samples, graph.num_nodes
+    system = np.kron(np.eye(m), k + alpha * np.eye(n)) + beta * np.kron(
+        graph.laplacian, k
+    )
+    anorm = np.linalg.norm(system, 1)
+    with warnings.catch_warnings():
+        # exact singularity is reported through the condition guard below
+        warnings.simplefilter("ignore", LinAlgWarning)
+        lu, piv = lu_factor(system)
+    rcond, info = dgecon(lu, anorm, norm="1")
+    if info != 0 or not np.isfinite(rcond) or rcond < 1.0 / CONDITION_LIMIT:
+        raise SingularSystemError(
+            f"system condition estimate {1.0 / max(rcond, 1e-300):.2e} exceeds "
+            f"{CONDITION_LIMIT:.0e}; consider increasing alpha"
+        )
+    vec = lu_solve((lu, piv), t.ravel(order="F"))
+    psi = vec.reshape((n, m), order="F")
+    return KrgModel(psi, float(alpha), float(beta), dictionary, rho, graph)
+
+
+def krg_objective(model, targets, reduced=False):
+    """Regression objective value at the model's coefficients.
+
+    The full form is
+
+        tr(T^T T) - 2 tr(T^T K Psi) + tr(Psi^T K K Psi)
+        + alpha tr(Psi^T K Psi) + beta tr(Psi^T K K Psi L)
+
+    which equals the primal ``sum_n ||t_n - y_n||^2 + alpha tr(W^T W)
+    + beta sum_n y_n^T L y_n`` under the feature-space identification
+    ``W = Phi^T Psi``.  With ``reduced=True`` the constant ``tr(T^T T)``
+    is dropped.
+    """
+    t = np.asarray(targets, dtype=float)
+    if t.shape != model.psi.shape:
+        raise ValueError(f"targets must have shape {model.psi.shape}, got {t.shape}")
+    k = _combine_unchecked(model.dictionary, model.rho)
+    kp = k @ model.psi
+    value = (
+        -2.0 * float(np.sum(t * kp))
+        + float(np.sum(kp * kp))
+        + model.alpha * float(np.sum(model.psi * kp))
+        + model.beta * float(np.sum(kp * (kp @ model.graph.laplacian)))
+    )
+    if not reduced:
+        value += float(np.sum(t * t))
+    return value
+
+
+def reduced_objective_matrix(dictionary, graph, rho, alpha, beta):
+    """Dense MN x MN matrix of the reduced objective's quadratic form.
+
+    ``gamma(rho) = vec(T)^T B vec(T)`` with
+    ``B = -(I_M kron K) [(I_M kron (K + alpha I)) + beta (L kron K)]^{-1}``.
+    """
+    rho = np.asarray(rho, dtype=float)
+    k = _combine_unchecked(dictionary, rho)
+    n, m = dictionary.num_samples, graph.num_nodes
+    system = np.kron(np.eye(m), k + alpha * np.eye(n)) + beta * np.kron(
+        graph.laplacian, k
+    )
+    return -np.kron(np.eye(m), k) @ np.linalg.inv(system)
 
 
 def stack(dictionary):
@@ -109,9 +221,7 @@ def fit_method_sequential(method, x_train, t_fit, graph, config):
     dictionary = build_dictionary(
         x_train, family=config.grid_family, span=config.grid_span, count=config.grid_count
     )
-    _, trace, model = optimize(
-        dictionary, graph, t_fit, config.solver_config(), config.alpha, config.beta
-    )
+    _, trace, model = optimize(dictionary, graph, t_fit, config.solver, config.alpha, config.beta)
     return model, trace.iterations_used
 
 

@@ -26,7 +26,6 @@ from graphkern import (
     monte_carlo,
     optimize,
     project,
-    solve_dense,
     solve_structured,
 )
 from graphkern.experiment import (
@@ -40,7 +39,7 @@ from graphkern.experiment import (
 from graphkern.kernels import _combine_unchecked
 
 from . import oracles
-from .oracles import weight_objective_features, weight_objective_quadratic
+from .oracles import solve_dense, weight_objective_features, weight_objective_quadratic
 
 
 def report(name, ok, detail=""):

@@ -109,6 +109,14 @@ def synthetic_config(tmp_path, **overrides):
     return path
 
 
+def assert_input_error(capsys, rc):
+    """Exit 2 with a one-line ``error:`` message and no traceback."""
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
 class TestValidateConfig:
     def test_good_config(self, tmp_path, capsys):
         path = synthetic_config(tmp_path)
@@ -137,6 +145,23 @@ class TestValidateConfig:
         )
         assert cli.main(["validate-config", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "grid_search",
+        [
+            {"betas": [0.0, 5.5]},  # no alphas
+            {"alphas": [], "betas": [0.0, 5.5]},
+            {"alphas": [0.1], "betas": [-1.0]},
+        ],
+    )
+    def test_bad_grid_search_block(self, tmp_path, capsys, grid_search):
+        path = synthetic_config(tmp_path)
+        cfg = json.loads(path.read_text())
+        cfg["experiment"]["grid_search"] = grid_search
+        path.write_text(json.dumps(cfg))
+        assert_input_error(capsys, cli.main(["validate-config", "--config", str(path)]))
+        rc = cli.main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert_input_error(capsys, rc)
+
     def test_data_mode_requires_existing_files(self, tmp_path):
         cfg = {
             "data": {
@@ -163,6 +188,33 @@ class TestFitAndPredict:
             rows = list(csv.reader(fh))
         assert rows[0][0] == "iteration"
         assert len(rows) > 1
+
+    def test_max_iterations_caps_the_trace(self, tmp_path):
+        path = synthetic_config(tmp_path, optimizer={"max_iterations": 1})
+        out = tmp_path / "out"
+        assert cli.main(["fit", "--config", str(path), "--out", str(out)]) == 0
+        with open(out / "trace.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 2  # the header and one iteration
+
+    @pytest.mark.parametrize("command", ["fit", "experiment"])
+    def test_single_node_graph_exit_code(self, tmp_path, capsys, command):
+        path = synthetic_config(tmp_path, synthetic={"num_nodes": 1, "num_pairs": 14})
+        rc = cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert "at least two nodes" in assert_input_error(capsys, rc)
+
+    @pytest.mark.parametrize("command", ["fit", "experiment"])
+    def test_non_finite_measurement_exit_code(self, tmp_path, capsys, csv_dataset, command):
+        measurements, coords = csv_dataset
+        lines = measurements.read_text().splitlines()
+        lines[4] = "nan," + lines[4].split(",", 1)[1]
+        measurements.write_text("\n".join(lines) + "\n")
+        cfg = {"data": {"measurements": str(measurements), "coordinates": str(coords)}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        rc = cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        err = assert_input_error(capsys, rc)
+        assert "line 5" in err and "'nan' in column 1" in err
 
     def test_roundtrip_prediction_matches_in_process(self, tmp_path):
         path = synthetic_config(tmp_path)
@@ -367,6 +419,16 @@ class TestExperimentCommand:
         r3 = (out3 / "nmse_vs_ntrain.csv").read_text()
         assert r1 == r2
         assert r1 != r3
+
+    def test_training_size_without_test_pairs_exit_code(self, tmp_path, capsys):
+        path = synthetic_config(tmp_path, synthetic={"num_nodes": 8, "num_pairs": 20})
+        cfg = json.loads(path.read_text())
+        cfg["experiment"]["n_train_values"] = [4, 30]
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        rc = cli.main(["experiment", "--config", str(path), "--out", str(out)])
+        assert "[30]" in assert_input_error(capsys, rc)
+        assert not out.exists()  # refused before fitting
 
     def test_grid_search_block(self, tmp_path):
         path = synthetic_config(tmp_path)

@@ -9,6 +9,7 @@ from graphkern import (
     GAUSSIAN,
     KernelDictionary,
     KernelSpec,
+    SolverConfig,
     add_noise_snr,
     build_graph,
     grid_search_hyperparams,
@@ -155,7 +156,7 @@ class TestRunTrial:
         from graphkern import build_dictionary, optimize
 
         d = build_dictionary(x, span=cfg.grid_span, count=20)
-        weights, _, _ = optimize(d, small_dataset.graph, t, cfg.solver_config(), 1e-6, 0.0)
+        weights, _, _ = optimize(d, small_dataset.graph, t, cfg.solver, 1e-6, 0.0)
         model = solve_structured(d, weights.rho, small_dataset.graph, t, 1e-6, 0.0)
         assert nmse(model.predict(x), t) < 1e-6
 
@@ -187,7 +188,7 @@ class TestRunTrial:
         result = run_trial(small_dataset, cfg, trial_seed(2, 0))
         assert not result.errors
         assert set(result.nmse) == {"linear", "single_kernel", "multi_kernel"}
-        assert abs(np.sum(result.rho) - cfg.radius) < 1e-3  # on the boundary
+        assert abs(np.sum(result.rho) - cfg.solver.radius) < 1e-3  # on the boundary
         assert result.iterations >= 1
 
     def test_rho_always_feasible(self, small_dataset):
@@ -195,7 +196,7 @@ class TestRunTrial:
         for i in range(5):
             result = run_trial(small_dataset, cfg, trial_seed(3, i))
             assert np.all(result.rho >= 0)
-            assert np.sum(result.rho) <= cfg.radius + 1e-9
+            assert np.sum(result.rho) <= cfg.solver.radius + 1e-9
 
     def test_too_small_dataset_rejected(self, small_dataset):
         cfg = ExperimentConfig(n_train=24, n_realizations=1)
@@ -318,7 +319,7 @@ class TestSeedDerivation:
         with pytest.raises(ValueError, match="n_train"):
             ExperimentConfig(n_train=0)
         with pytest.raises(ValueError, match="q"):
-            ExperimentConfig(q=3)
+            ExperimentConfig(solver=SolverConfig(q=3))
 
 
 class TestDatasetValidation:

@@ -10,14 +10,12 @@ from graphkern import (
     KernelSpec,
     build_dictionary,
     combine,
-    kernel_eval,
-    kernel_vector,
 )
 from graphkern import kernels
 from graphkern.kernels import _combine_unchecked, kernel_inner_products
 
 from . import oracles
-from .oracles import stack
+from .oracles import kernel_eval, kernel_vector, stack
 
 
 class TestKernelEval:

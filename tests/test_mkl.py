@@ -19,9 +19,13 @@ from graphkern import (
     project,
 )
 from graphkern import mkl, solve_structured
-from graphkern.mkl import reduced_objective_matrix
 
-from .oracles import stack, weight_objective_features, weight_objective_quadratic
+from .oracles import (
+    reduced_objective_matrix,
+    stack,
+    weight_objective_features,
+    weight_objective_quadratic,
+)
 
 
 def random_instance(rng, m, n, s, unit_targets=True):

@@ -13,12 +13,11 @@ from graphkern import (
     build_dictionary,
     build_graph,
     combine,
-    fit_krg,
-    krg_objective,
     smoothness,
-    solve_dense,
     solve_structured,
 )
+
+from .oracles import krg_objective, solve_dense
 
 
 def random_instance(rng, m, n, s, input_dim=3):
@@ -141,23 +140,6 @@ class TestSolveStructured:
         g = build_graph(np.zeros((2, 2)))
         with pytest.raises(SingularSystemError, match="alpha"):
             solve_structured(d, np.ones(1), g, np.ones((2, 2)), alpha=0.0, beta=0.0)
-
-    def test_dispatcher_uses_both_paths(self):
-        rng = np.random.default_rng(7)
-        d, g, t = random_instance(rng, 3, 4, 2)
-        rho = rng.uniform(0.1, 1.0, size=2)
-        small = fit_krg(d, rho, g, t, 0.5, 0.5)
-        reference = solve_dense(d, rho, g, t, 0.5, 0.5)
-        np.testing.assert_allclose(small.psi, reference.psi, atol=1e-12)
-
-    def test_dispatcher_structured_above_size_limit(self):
-        # 70 x 30 = 2100 unknowns crosses the dense-size threshold
-        rng = np.random.default_rng(8)
-        d, g, t = random_instance(rng, 70, 30, 2)
-        rho = rng.uniform(0.1, 1.0, size=2)
-        big = fit_krg(d, rho, g, t, 0.5, 0.5)
-        reference = solve_structured(d, rho, g, t, 0.5, 0.5)
-        np.testing.assert_array_equal(big.psi, reference.psi)
 
 
 class TestObjective:
