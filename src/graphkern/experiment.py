@@ -29,6 +29,7 @@ individual trials can be reproduced in isolation (:func:`run_trial`).
 """
 
 import logging
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -102,6 +103,12 @@ class ExperimentConfig:
             raise ValueError("n_realizations must be at least 1")
         if self.n_train < 1:
             raise ValueError("n_train must be at least 1")
+        for name in ("alpha", "beta", "linear_alpha"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative")
+        if not (math.isfinite(self.single_sigma_sq) and self.single_sigma_sq > 0):
+            raise ValueError("single_sigma_sq must be finite and positive")
         grid_specs(self.grid_family, self.grid_span, self.grid_count)  # validates the grid
 
 

@@ -17,6 +17,9 @@ kernel ridge regression ``Psi = (K + alpha I)^{-1} T``.
 graph, one per training set of a stacked dictionary, with one batched
 eigendecomposition; each system is solved and condition-checked exactly as
 it would be alone.
+
+At ``rho = 0``, where the optimizer starts, ``K = 0`` and no ``eigh``
+runs: its eigendecomposition (0, I) is known.
 """
 
 from dataclasses import dataclass
@@ -126,11 +129,21 @@ def solve_structured(dictionary, rho, graph, targets, alpha, beta):
     For a stacked dictionary, ``rho`` and ``targets`` carry its batch axis
     and every system is checked on its own: one that fails the condition
     check gets its message in the model's ``errors`` instead of raising.
+
+    At ``rho = 0`` (the optimizer's starting point) ``K = 0`` and its
+    eigendecomposition is known, zero eigenvalues and the identity as
+    eigenvectors, so no ``eigh`` runs; the result is bit-identical to the
+    ``eigh`` route, and ``alpha = 0`` there still fails as singular.
     """
     rho, t = _check_fit_args(dictionary, rho, graph, targets, alpha, beta)
-    k = _combine_unchecked(dictionary, rho)
     u, lam = graph.lap_eigvecs, graph.lap_eigvals
-    kvals, kvecs = np.linalg.eigh(k)
+    if rho.any():
+        kvals, kvecs = np.linalg.eigh(_combine_unchecked(dictionary, rho))
+    else:
+        # K = 0, for which LAPACK's eigh returns exactly (0, I)
+        shape = dictionary.batch_shape + (dictionary.num_samples,)
+        kvals = np.zeros(shape)
+        kvecs = np.broadcast_to(np.eye(shape[-1]), shape + shape[-1:])
     # denoms[..., j, m] is the eigenvalue of column system m along kernel mode j
     denoms = kvals[..., :, None] * (1.0 + beta * lam) + alpha
     magnitudes = np.abs(denoms)

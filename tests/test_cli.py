@@ -2,12 +2,15 @@
 
 import csv
 import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from graphkern import SolverConfig, build_dictionary, cli, grid_specs, mkl, optimize, solver
+from graphkern import (
+    SolverConfig, build_dictionary, cli, experiment, grid_specs, mkl, optimize, solver,
+)
 
 
 def write_measurements(path, names, rows):
@@ -47,6 +50,21 @@ class TestIngest:
         assert matrix.shape == (13, 3)  # 13 rows give 12 (input, target) pairs
         assert node_coords.num_nodes == 3
         assert node_coords.mode == "geodesic"
+
+    def test_measurements_read_without_a_python_float_per_cell(self, tmp_path):
+        rng = np.random.default_rng(1)
+        values = rng.normal(size=(400, 100))
+        m = tmp_path / "m.csv"
+        write_measurements(m, [f"n{i}" for i in range(100)], values.tolist())
+        tracemalloc.start()
+        try:
+            _, matrix = cli._read_measurements(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(matrix, values)
+        # a list of Python floats per row held about 15 times the matrix
+        assert peak < 4 * values.nbytes, f"peak traced allocation {peak / 1e6:.2f} MB"
 
     def test_two_rows_one_pair(self, tmp_path):
         m = tmp_path / "m.csv"
@@ -109,6 +127,14 @@ def synthetic_config(tmp_path, **overrides):
     return path
 
 
+def run_on_config(command, path, out):
+    """Run a subcommand on a config; ``validate-config`` takes no ``--out``."""
+    argv = [command, "--config", str(path)]
+    if command != "validate-config":
+        argv += ["--out", str(out)]
+    return cli.main(argv)
+
+
 def assert_input_error(capsys, rc):
     """Exit 2 with a one-line ``error:`` message and no traceback."""
     err = capsys.readouterr().err
@@ -139,6 +165,14 @@ class TestValidateConfig:
         path = synthetic_config(tmp_path, optimizer={"mu0": -1.0})
         assert cli.main(["validate-config", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"optimizer": {"mu0": 10**400}}, {"synthetic": {"num_nodes": 8, "num_pairs": 10**400}}],
+    )
+    def test_number_beyond_float_range(self, tmp_path, capsys, overrides):
+        path = synthetic_config(tmp_path, **overrides)
+        assert_input_error(capsys, cli.main(["validate-config", "--config", str(path)]))
+
     def test_unknown_kernel_family(self, tmp_path):
         path = synthetic_config(
             tmp_path, kernel_grid={"family": "poly", "lo": 0.1, "hi": 1.0, "count": 3}
@@ -151,6 +185,7 @@ class TestValidateConfig:
             {"betas": [0.0, 5.5]},  # no alphas
             {"alphas": [], "betas": [0.0, 5.5]},
             {"alphas": [0.1], "betas": [-1.0]},
+            {"alphas": [0.1, math.inf], "betas": [0.0]},
         ],
     )
     def test_bad_grid_search_block(self, tmp_path, capsys, grid_search):
@@ -161,6 +196,24 @@ class TestValidateConfig:
         assert_input_error(capsys, cli.main(["validate-config", "--config", str(path)]))
         rc = cli.main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")])
         assert_input_error(capsys, rc)
+
+    @pytest.mark.parametrize("params", [[math.nan, 5.5], [0.02, math.inf], [0.02]])
+    def test_bad_params_by_n_train(self, tmp_path, capsys, params):
+        path = synthetic_config(tmp_path)
+        cfg = json.loads(path.read_text())
+        cfg["experiment"]["params_by_n_train"]["4"] = params
+        path.write_text(json.dumps(cfg))
+        assert_input_error(capsys, cli.main(["validate-config", "--config", str(path)]))
+        rc = cli.main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert_input_error(capsys, rc)
+
+    def test_training_size_without_test_pairs_exit_code(self, tmp_path, capsys):
+        path = synthetic_config(tmp_path, synthetic={"num_nodes": 8, "num_pairs": 20})
+        cfg = json.loads(path.read_text())
+        cfg["experiment"]["n_train_values"] = [4, 20]
+        path.write_text(json.dumps(cfg))
+        rc = cli.main(["validate-config", "--config", str(path)])
+        assert "[20]" in assert_input_error(capsys, rc)
 
     def test_data_mode_requires_existing_files(self, tmp_path):
         cfg = {
@@ -197,13 +250,13 @@ class TestFitAndPredict:
             rows = list(csv.reader(fh))
         assert len(rows) == 2  # the header and one iteration
 
-    @pytest.mark.parametrize("command", ["fit", "experiment"])
+    @pytest.mark.parametrize("command", ["fit", "experiment", "validate-config"])
     def test_single_node_graph_exit_code(self, tmp_path, capsys, command):
         path = synthetic_config(tmp_path, synthetic={"num_nodes": 1, "num_pairs": 14})
-        rc = cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        rc = run_on_config(command, path, tmp_path / "out")
         assert "at least two nodes" in assert_input_error(capsys, rc)
 
-    @pytest.mark.parametrize("command", ["fit", "experiment"])
+    @pytest.mark.parametrize("command", ["fit", "experiment", "validate-config"])
     def test_non_finite_measurement_exit_code(self, tmp_path, capsys, csv_dataset, command):
         measurements, coords = csv_dataset
         lines = measurements.read_text().splitlines()
@@ -212,9 +265,36 @@ class TestFitAndPredict:
         cfg = {"data": {"measurements": str(measurements), "coordinates": str(coords)}}
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
-        rc = cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        rc = run_on_config(command, path, tmp_path / "out")
         err = assert_input_error(capsys, rc)
         assert "line 5" in err and "'nan' in column 1" in err
+
+    @pytest.mark.parametrize("command", ["validate-config", "fit"])
+    @pytest.mark.parametrize(
+        "keys, value",
+        [
+            (("alpha",), math.nan),
+            (("alpha",), -0.1),
+            (("beta",), math.inf),
+            (("beta",), -1.0),
+            (("experiment", "linear_alpha"), math.nan),
+            (("experiment", "linear_alpha"), -4.3),
+            (("experiment", "single_sigma_sq"), 0.0),
+            (("experiment", "single_sigma_sq"), math.inf),
+        ],
+        ids=lambda v: ".".join(v) if isinstance(v, tuple) else repr(v),
+    )
+    def test_bad_regularization_exit_code(self, tmp_path, capsys, command, keys, value):
+        path = synthetic_config(tmp_path)
+        cfg = json.loads(path.read_text())
+        block = cfg
+        for key in keys[:-1]:
+            block = block[key]
+        block[keys[-1]] = value
+        path.write_text(json.dumps(cfg))  # NaN and Infinity as JSON literals
+        err = assert_input_error(capsys, run_on_config(command, path, tmp_path / "out"))
+        assert f"{keys[-1]} must be finite" in err
+        assert not (tmp_path / "out").exists()
 
     def test_roundtrip_prediction_matches_in_process(self, tmp_path):
         path = synthetic_config(tmp_path)
@@ -269,6 +349,37 @@ class TestFitAndPredict:
         np.testing.assert_array_equal(
             model.dictionary.training_inputs, fitted.dictionary.training_inputs
         )
+        # the standard library parses the file to the same bits, sign of zero included
+        payload = json.loads(path.read_text())
+        assert list(payload) == [
+            "format_version", "alpha", "beta", "kernel_grid", "rho", "training_inputs",
+            "psi", "target_names", "iterations", "gamma", "adjacency",
+        ]
+        for key, expected in (
+            ("rho", fitted.rho),
+            ("training_inputs", fitted.dictionary.training_inputs),
+            ("psi", fitted.psi),
+            ("adjacency", fitted.graph.adjacency),
+        ):
+            np.testing.assert_array_equal(
+                np.array(payload[key]).view(np.uint64), expected.view(np.uint64)
+            )
+        assert payload["gamma"] == trace.final_gamma
+        assert payload["kernel_grid"] == cfg["kernel_grid"]
+
+    def test_extra_grid_key_is_not_written(self, tmp_path):
+        # an integer beyond 64 bits, which the model encoder cannot write
+        grid = {"family": "gaussian", "lo": 0.01, "hi": 10.0, "count": 12}
+        path = synthetic_config(tmp_path, kernel_grid={**grid, "note": 10**30})
+        out = tmp_path / "out"
+        assert cli.main(["fit", "--config", str(path), "--out", str(out)]) == 0
+        assert json.loads((out / "model.json").read_text())["kernel_grid"] == grid
+        model, names = cli.load_model(out / "model.json")
+        inputs_csv = tmp_path / "inputs.csv"
+        write_measurements(inputs_csv, names, model.dictionary.training_inputs[:2].tolist())
+        rc = cli.main(["predict", "--model", str(out / "model.json"), "--inputs",
+                       str(inputs_csv), "--output", str(tmp_path / "pred.csv")])
+        assert rc == 0
 
     def test_predict_missing_model_exit_code(self, tmp_path):
         rc = cli.main(
@@ -327,6 +438,7 @@ class TestModelFile:
             lambda p: p["kernel_grid"].update(lo=-1.0),
             lambda p: p["kernel_grid"].pop("count"),
             lambda p: p.update(alpha="none"),
+            lambda p: p.update(alpha=10**400),  # beyond float range
         ],
     )
     def test_malformed_model_exit_code(self, tmp_path, fitted_model, edit):
@@ -440,3 +552,16 @@ class TestExperimentCommand:
         assert cli.main(["experiment", "--config", str(path), "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert len(report["results"]) == 1
+
+
+class TestDefaults:
+    def test_defaults_are_those_of_the_config_classes(self):
+        cfg = cli._merge_defaults(cli.DEFAULT_CONFIG, {})
+        assert cli._experiment_config(cfg, 30) == experiment.ExperimentConfig()
+        assert cfg["experiment"]["n_train_values"] == list(experiment.DEFAULT_N_TRAIN_SWEEP)
+        # report.json repeats the block in this order, with integer counts
+        assert list(cfg["optimizer"]) == [
+            "radius", "mu0", "q", "epsilon", "max_iterations", "momentum",
+        ]
+        assert all(type(cfg["optimizer"][k]) is int for k in ("q", "max_iterations"))
+        assert type(cfg["kernel_grid"]["count"]) is int

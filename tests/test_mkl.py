@@ -18,7 +18,7 @@ from graphkern import (
     optimize,
     project,
 )
-from graphkern import mkl, solve_structured
+from graphkern import mkl, solve_structured, solver
 
 from .oracles import (
     reduced_objective_matrix,
@@ -360,6 +360,25 @@ class TestOptimize:
         )
         expected = -float(np.sum(t * (combine(d, weights.rho) @ model.psi)))
         assert trace.final_gamma == pytest.approx(expected, rel=1e-12)
+
+    def test_one_eigh_per_iteration(self, monkeypatch):
+        # the final solve takes the place of the one at rho = 0, where K = 0
+        # needs no eigendecomposition
+        rng = np.random.default_rng(22)
+        d, g, t = random_instance(rng, 3, 5, 4)
+        g.lap_eigvecs  # the graph's own eigh, cached before counting
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(solver.np.linalg, "eigh", counting)
+        config = SolverConfig(mu0=2.0, i_max=30, epsilon=1e-10, radius=1.5)
+        _, trace, _ = optimize(d, g, t, config, 0.5, 0.5)
+        assert trace.iterations_used > 1
+        assert calls == [(5, 5)] * trace.iterations_used
 
     @pytest.mark.parametrize("q", [1, 2])
     def test_trace_records_frank_wolfe_gap_per_iteration(self, q):

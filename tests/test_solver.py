@@ -142,6 +142,46 @@ class TestSolveStructured:
             solve_structured(d, np.ones(1), g, np.ones((2, 2)), alpha=0.0, beta=0.0)
 
 
+def eigh_route_psi_at_zero(d, g, t, alpha, beta):
+    """The structured solve at rho = 0 with LAPACK's ``eigh`` of K = 0."""
+    kvals, kvecs = np.linalg.eigh(np.zeros(d.batch_shape + (d.num_samples,) * 2))
+    u, lam = g.lap_eigvecs, g.lap_eigvals
+    coeffs = np.swapaxes(kvecs, -1, -2) @ (t @ u)
+    np.divide(coeffs, kvals[..., :, None] * (1.0 + beta * lam) + alpha, out=coeffs)
+    return (kvecs @ coeffs) @ u.T
+
+
+class TestZeroWeights:
+    def test_single_system_matches_eigh_route_bitwise(self):
+        rng = np.random.default_rng(40)
+        d, g, t = random_instance(rng, 6, 9, 4)
+        model = solve_structured(d, np.zeros(4), g, t, alpha=0.3, beta=2.5)
+        expected = eigh_route_psi_at_zero(d, g, t, 0.3, 2.5)
+        np.testing.assert_array_equal(model.psi.view(np.uint64), expected.view(np.uint64))
+
+    def test_stack_matches_eigh_route_bitwise(self):
+        rng = np.random.default_rng(41)
+        d = build_dictionary(rng.normal(size=(5, 7, 3)), span=(0.3, 3.0), count=4)
+        _, g, _ = random_instance(rng, 4, 7, 4)
+        t = rng.normal(size=(5, 7, 4))
+        model = solve_structured(d, np.zeros((5, 4)), g, t, alpha=0.1, beta=5.5)
+        expected = eigh_route_psi_at_zero(d, g, t, 0.1, 5.5)
+        np.testing.assert_array_equal(model.psi.view(np.uint64), expected.view(np.uint64))
+        assert model.errors == (None,) * 5
+
+    def test_zero_alpha_is_singular(self):
+        rng = np.random.default_rng(42)
+        d, g, t = random_instance(rng, 3, 4, 2)
+        with pytest.raises(SingularSystemError, match="alpha"):
+            solve_structured(d, np.zeros(2), g, t, alpha=0.0, beta=1.0)
+        stacked = build_dictionary(rng.normal(size=(3, 4, 3)), span=(0.3, 3.0), count=2)
+        model = solve_structured(
+            stacked, np.zeros((3, 2)), g, rng.normal(size=(3, 4, 3)), alpha=0.0, beta=1.0
+        )
+        assert all(e is not None and "alpha" in e for e in model.errors)
+        assert not model.psi.any()
+
+
 class TestObjective:
     def test_zero_coefficients_leave_constant(self):
         rng = np.random.default_rng(8)
