@@ -6,10 +6,9 @@ the built-in synthetic generator.  Consecutive measurement rows form the
 (input, target) pairs: row n predicts row n+1.
 
 All run parameters live in a JSON config file; ``--seed`` and ``--out``
-override it from the command line, and ``experiment`` takes ``--threads``
-(how many lockstep batches of realizations run at once).  Results are
-written as CSV (for external plotting) and JSON.  Exit codes: 0 success, 1 numeric
-failure, 2 input or config error.  Set the ``GRAPHKERN_LOG`` environment
+override it from the command line.  Results are written as CSV (for
+external plotting) and JSON.  Exit codes: 0 success, 1 numeric failure,
+2 input or config error.  Set the ``GRAPHKERN_LOG`` environment
 variable (DEBUG/INFO/WARNING/...) to control verbosity.
 """
 
@@ -27,8 +26,8 @@ import numpy as np
 
 from . import experiment as exp
 from .graph import NodeCoordinates, build_graph, geodesic_adjacency
-from .kernels import KernelDictionary, build_dictionary, grid_specs
-from .mkl import SolverConfig, optimize
+from .kernels import KernelDictionary, grid_specs
+from .mkl import SolverConfig
 # solve_structured is not called here; it stays bound in this module like in
 # every other that reaches the solver route, for tools that wrap the route
 # at each binding (perfbench/tracer.py).
@@ -385,8 +384,9 @@ def load_model(path):
     """Rebuild a fitted model from a model file; returns (model, names).
 
     The file is checked against the schema :func:`save_model` writes: every
-    key in ``MODEL_KEYS``, ``psi`` of shape N x M for N training inputs and
-    M target names, one weight per grid kernel and an M-node graph.
+    key in ``MODEL_KEYS``, finite ``psi`` of shape N x M for N training
+    inputs and M target names, one finite nonnegative weight per grid
+    kernel and an M-node graph.
     The file is parsed with the standard library's ``json``, not with the
     orjson that :func:`save_model` writes it with: orjson parses faster but
     holds more memory at its peak, and ``predict`` is bounded by memory.
@@ -436,6 +436,10 @@ def load_model(path):
         )
     if graph.num_nodes != m:
         raise ConfigError(f"{path}: adjacency has {graph.num_nodes} nodes, expected {m}")
+    if not np.isfinite(psi).all():
+        raise ConfigError(f"{path}: psi holds a non-finite entry")
+    if not (np.isfinite(rho) & (rho >= 0)).all():
+        raise ConfigError(f"{path}: rho must be finite and nonnegative")
     model = KrgModel(psi=psi, alpha=alpha, beta=beta, dictionary=dictionary, rho=rho, graph=graph)
     return model, names
 
@@ -447,14 +451,8 @@ def load_model(path):
 def cmd_fit(cfg, out_dir):
     dataset, names = _dataset_from_config(cfg)
     config = _experiment_config(cfg, n_train=max(1, dataset.num_pairs - 1))
-    dictionary = build_dictionary(
-        dataset.inputs,
-        family=config.grid_family,
-        span=config.grid_span,
-        count=config.grid_count,
-    )
-    _, trace, model = optimize(
-        dictionary, dataset.graph, dataset.targets, config.solver, config.alpha, config.beta
+    model, trace = exp._fit_method(
+        exp.METHOD_MULTI, dataset.inputs, dataset.targets, dataset.graph, config
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     save_model(
@@ -505,7 +503,7 @@ def _training_sizes(cfg, dataset):
     return n_values
 
 
-def cmd_experiment(cfg, out_dir, threads):
+def cmd_experiment(cfg, out_dir):
     dataset, _ = _dataset_from_config(cfg)
     e = cfg["experiment"]
     n_values = _training_sizes(cfg, dataset)
@@ -522,10 +520,7 @@ def cmd_experiment(cfg, out_dir, threads):
             log.info("grid search at n_train=%d selected alpha=%g beta=%g", n, a, b)
 
     config = _experiment_config(cfg, n_values[0])
-    reports = exp.n_train_sweep(
-        dataset, config, n_train_values=n_values, params_by_n=params,
-        max_workers=threads,
-    )
+    reports = exp.n_train_sweep(dataset, config, n_train_values=n_values, params_by_n=params)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     nmse_path = out_dir / "nmse_vs_ntrain.csv"
@@ -603,8 +598,8 @@ def _build_parser():
     p_pred.add_argument("--output", required=True, help="where to write predictions")
     p_exp = add_common(sub.add_parser("experiment", help="run the Monte-Carlo protocol"))
     p_exp.add_argument(
-        "--threads", type=int, default=1,
-        help="lockstep batches of realizations run at once (results do not depend on it)",
+        "--threads", type=int, choices=[1], default=1,
+        help="batches run one at a time; only 1 is accepted, for existing command lines",
     )
     p_val = sub.add_parser("validate-config", help="check a config file")
     p_val.add_argument("--config", required=True)
@@ -627,7 +622,7 @@ def main(argv=None):
         out_dir = Path(args.out) if args.out else Path(cfg["output_dir"])
         if args.command == "fit":
             return cmd_fit(cfg, out_dir)
-        return cmd_experiment(cfg, out_dir, args.threads)
+        return cmd_experiment(cfg, out_dir)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

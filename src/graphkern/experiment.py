@@ -20,8 +20,7 @@ would be alone, so results do not depend on the batching, and a trial
 whose system is singular records that method's error without stopping
 the rest of its batch.  Should the batch's one eigendecomposition fail to
 converge, that method is refitted one trial at a time, so again only the
-trials whose own matrix fails record the error.  Worker threads run whole
-batches; the batched LAPACK and BLAS calls release the GIL.
+trials whose own matrix fails record the error.
 
 Everything is deterministic given the master seed: the seed of trial ``i``
 is ``numpy.random.SeedSequence(master_seed, spawn_key=(i,))``, so
@@ -30,7 +29,6 @@ individual trials can be reproduced in isolation (:func:`run_trial`).
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -276,29 +274,14 @@ def nmse(pred, truth):
     return float(np.sum((p - t) ** 2)) / denom
 
 
-def _fit_method(method, x_train, t_fit, graph, config, alpha=None, beta=None):
+def _fit_method(method, x_train, t_fit, graph, config):
     """Fit one method; returns (model, optimizer trace).
 
     ``x_train`` and ``t_fit`` are one training set or a stack of them; for
     a stack the model is batched and the trace is a tuple with one
-    :class:`~graphkern.mkl.OptimizerTrace` per set.  The closed-form
-    methods have no trace (``None``).
+    :class:`~graphkern.mkl.OptimizerTrace` per set.  The two baselines
+    solve one kernel at weight 1 and have no trace (``None``).
     """
-    if method == METHOD_LINEAR:
-        dictionary = KernelDictionary.from_specs(x_train, [KernelSpec(LINEAR)])
-        a = config.linear_alpha if alpha is None else alpha
-        rho = np.ones(dictionary.batch_shape + (1,))
-        model = solve_structured(dictionary, rho, graph, t_fit, a, 0.0)
-        return model, None
-    if method == METHOD_SINGLE:
-        dictionary = KernelDictionary.from_specs(
-            x_train, [KernelSpec(GAUSSIAN, config.single_sigma_sq)]
-        )
-        a = config.alpha if alpha is None else alpha
-        b = config.beta if beta is None else beta
-        rho = np.ones(dictionary.batch_shape + (1,))
-        model = solve_structured(dictionary, rho, graph, t_fit, a, b)
-        return model, None
     if method == METHOD_MULTI:
         dictionary = build_dictionary(
             x_train,
@@ -306,11 +289,20 @@ def _fit_method(method, x_train, t_fit, graph, config, alpha=None, beta=None):
             span=config.grid_span,
             count=config.grid_count,
         )
-        a = config.alpha if alpha is None else alpha
-        b = config.beta if beta is None else beta
-        _, trace, model = optimize(dictionary, graph, t_fit, config.solver, a, b)
+        _, trace, model = optimize(
+            dictionary, graph, t_fit, config.solver, config.alpha, config.beta
+        )
         return model, trace
-    raise ValueError(f"unknown method {method!r}")
+    if method == METHOD_LINEAR:
+        spec, alpha, beta = KernelSpec(LINEAR), config.linear_alpha, 0.0
+    elif method == METHOD_SINGLE:
+        spec = KernelSpec(GAUSSIAN, config.single_sigma_sq)
+        alpha, beta = config.alpha, config.beta
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    dictionary = KernelDictionary.from_specs(x_train, [spec])
+    rho = np.ones(dictionary.batch_shape + (1,))
+    return solve_structured(dictionary, rho, graph, t_fit, alpha, beta), None
 
 
 def batch_size(dataset, config):
@@ -408,25 +400,23 @@ def run_trial(dataset, config, realization_seed):
     return _run_batch(dataset, config, [realization_seed])[0]
 
 
-def monte_carlo(dataset, config, max_workers=1):
+def monte_carlo(dataset, config):
     """Run ``config.n_realizations`` independent trials and aggregate.
 
-    Trials run in lockstep batches of :func:`batch_size`; with
-    ``max_workers > 1`` up to that many batches run at once.  Each trial
-    is computed as it would be alone and aggregation is ordered by trial
-    index, so the report is a pure function of (dataset, config).  Raises
-    :class:`ExperimentError` (with ``partial_report`` attached) when more
-    than half the trials record a failure.
+    Trials run in lockstep batches of :func:`batch_size`, one batch after
+    another.  Each trial is computed as it would be alone and aggregation
+    is ordered by trial index, so the report is a pure function of
+    (dataset, config).  Raises :class:`ExperimentError` (with
+    ``partial_report`` attached) when more than half the trials record a
+    failure.
     """
     seeds = [trial_seed(config.master_seed, i) for i in range(config.n_realizations)]
     size = batch_size(dataset, config)
-    batches = [seeds[i : i + size] for i in range(0, len(seeds), size)]
-    if max_workers > 1 and len(batches) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            parts = list(pool.map(lambda b: _run_batch(dataset, config, b), batches))
-    else:
-        parts = [_run_batch(dataset, config, b) for b in batches]
-    trials = [trial for part in parts for trial in part]
+    trials = [
+        trial
+        for i in range(0, len(seeds), size)
+        for trial in _run_batch(dataset, config, seeds[i : i + size])
+    ]
 
     nmse_mean, nmse_std, n_ok = {}, {}, {}
     for method in METHODS:
@@ -464,7 +454,9 @@ def grid_search_hyperparams(dataset, method, alphas, betas, config):
     seed derived from the master seed) and scores in-sample predictions
     against the clean training targets, which is what makes regularization
     pay off under noisy training.  Ties break toward the smallest alpha,
-    then the smallest beta.  The linear method ignores the beta grid.
+    then the smallest beta.  The linear method searches ``linear_alpha``
+    and ignores the beta grid.  Each grid point is a config of its own, so
+    :class:`ExperimentConfig` validates it.
     """
     alphas = sorted(float(a) for a in alphas)
     betas = [0.0] if method == METHOD_LINEAR else sorted(float(b) for b in betas)
@@ -482,22 +474,18 @@ def grid_search_hyperparams(dataset, method, alphas, betas, config):
     best = None
     for a in alphas:
         for b in betas:
-            model, _ = _fit_method(
-                method, x_train, t_noisy, dataset.graph, config, alpha=a, beta=b
-            )
+            if method == METHOD_LINEAR:
+                cfg = replace(config, linear_alpha=a)
+            else:
+                cfg = replace(config, alpha=a, beta=b)
+            model, _ = _fit_method(method, x_train, t_noisy, dataset.graph, cfg)
             score = nmse(model.predict(x_train), t_clean)
             if best is None or score < best[0]:
                 best = (score, a, b)
     return best[1], best[2]
 
 
-def n_train_sweep(
-    dataset,
-    config,
-    n_train_values=DEFAULT_N_TRAIN_SWEEP,
-    params_by_n=None,
-    max_workers=1,
-):
+def n_train_sweep(dataset, config, n_train_values=DEFAULT_N_TRAIN_SWEEP, params_by_n=None):
     """Monte-Carlo reports across training-set sizes.
 
     ``params_by_n`` maps a size to the (alpha, beta) pair used for the
@@ -513,5 +501,5 @@ def n_train_sweep(
             a, b = params_by_n[int(n)]
             cfg = replace(cfg, alpha=float(a), beta=float(b))
         log.info("running %d realizations at n_train=%d", cfg.n_realizations, n)
-        reports.append(monte_carlo(dataset, cfg, max_workers=max_workers))
+        reports.append(monte_carlo(dataset, cfg))
     return reports

@@ -152,8 +152,8 @@ def grid_specs(family=GAUSSIAN, span=(0.01, 10.0), count=100):
         raise ValueError("kernel count must be at least 1")
     if family == LINEAR:
         return [KernelSpec(LINEAR) for _ in range(count)]
-    if family == GAUSSIAN and (lo <= 0 or hi <= lo):
-        raise ValueError(f"invalid parameter span [{lo}, {hi}]: need 0 < lo < hi")
+    if family == GAUSSIAN and not 0 < lo < hi < math.inf:
+        raise ValueError(f"invalid parameter span [{lo}, {hi}]: need 0 < lo < hi < inf")
     return [KernelSpec(family, p) for p in np.linspace(lo, hi, count)]
 
 
@@ -176,12 +176,12 @@ def _validated_inputs(training_inputs):
     return x
 
 
-def _checked_weights(dictionary, rho, allow_negative=False):
+def _checked_weights(dictionary, rho):
     rho = np.asarray(rho, dtype=float)
     expected = dictionary.batch_shape + (dictionary.num_kernels,)
     if rho.shape != expected:
         raise ValueError(f"weight vector has shape {rho.shape}, expected {expected}")
-    if not allow_negative and np.any(rho < 0):
+    if np.any(rho < 0):
         raise ValueError("kernel weights must be nonnegative")
     return rho
 
@@ -326,7 +326,7 @@ def kernel_cross(dictionary, rho, inputs):
     """
     if dictionary.batch_shape:
         raise ValueError("kernel_cross takes the dictionary of one training set")
-    rho = _checked_weights(dictionary, rho, allow_negative=True)
+    rho = _checked_weights(dictionary, rho)
     x2 = np.asarray(inputs, dtype=float)
     if x2.ndim != 2 or x2.shape[1] != dictionary.training_inputs.shape[1]:
         raise ValueError(

@@ -1,9 +1,6 @@
 """Lockstep batches of realizations against the sequential per-trial oracle."""
 
-import json
-import sys
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +12,6 @@ from graphkern import (
     SolverConfig,
     build_dictionary,
     build_graph,
-    cli,
     make_synthetic_dataset,
     monte_carlo,
     optimize,
@@ -32,7 +28,6 @@ from graphkern.experiment import (
 from graphkern.mkl import SINGULAR
 
 from .oracles import run_trial_sequential
-from .test_cli import synthetic_config
 
 
 @pytest.fixture(scope="module")
@@ -201,41 +196,6 @@ def test_lockstep_optimize_freezes_a_singular_problem():
                            graph, t[1], config, 1e-13, 0.0)
     assert trace.iterations == traces[1].iterations and trace.status == traces[1].status
     assert relative(weights.rho[1], w.rho) <= 1e-12
-
-
-def test_threads_running_batches_at_once_match_serial(default_scenario):
-    config = level_config(30)
-    assert 25 // batch_size(default_scenario, config) >= 4
-    serial = monte_carlo(default_scenario, config)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = monte_carlo(make_synthetic_dataset(), config, max_workers=4)
-    finally:
-        sys.setswitchinterval(interval)
-    for a, b in zip(serial.trials, threaded.trials):
-        assert a.nmse == b.nmse and a.iterations == b.iterations
-        np.testing.assert_array_equal(a.rho, b.rho)
-
-
-def test_experiment_threads_do_not_change_outputs(tmp_path):
-    # 45 nodes and 60 pairs split 12 realizations at n_train = 30 into two
-    # batches, so two threads run two batches at once
-    path = synthetic_config(tmp_path, synthetic={"num_nodes": 45, "num_pairs": 60})
-    cfg = json.loads(path.read_text())
-    cfg["kernel_grid"]["count"] = 100
-    cfg["experiment"].update(n_train_values=[30, 8], n_realizations=12)
-    path.write_text(json.dumps(cfg))
-    dataset = make_synthetic_dataset(num_nodes=45, num_pairs=60, seed=cfg["seed"])
-    assert batch_size(dataset, replace(level_config(30), n_realizations=12)) == 6
-    outs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"t{threads}"
-        assert cli.main(["experiment", "--config", str(path), "--out", str(out),
-                         "--threads", threads]) == 0
-        outs.append(out)
-    for name in ("nmse_vs_ntrain.csv", "report.json"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_batched_level_memory_within_one_megabyte_of_sequential(default_scenario):

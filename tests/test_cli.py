@@ -173,6 +173,13 @@ class TestValidateConfig:
         path = synthetic_config(tmp_path, **overrides)
         assert_input_error(capsys, cli.main(["validate-config", "--config", str(path)]))
 
+    @pytest.mark.parametrize("bound", [{"hi": math.inf}, {"lo": math.nan}])
+    def test_non_finite_grid_span(self, tmp_path, capsys, bound):
+        grid = {"family": "gaussian", "lo": 0.01, "hi": 10.0, "count": 12}
+        path = synthetic_config(tmp_path, kernel_grid={**grid, **bound})
+        err = assert_input_error(capsys, cli.main(["validate-config", "--config", str(path)]))
+        assert "invalid parameter span" in err
+
     def test_unknown_kernel_family(self, tmp_path):
         path = synthetic_config(
             tmp_path, kernel_grid={"family": "poly", "lo": 0.1, "hi": 1.0, "count": 3}
@@ -439,6 +446,9 @@ class TestModelFile:
             lambda p: p["kernel_grid"].pop("count"),
             lambda p: p.update(alpha="none"),
             lambda p: p.update(alpha=10**400),  # beyond float range
+            lambda p: p["rho"].__setitem__(0, math.nan),
+            lambda p: p["psi"][0].__setitem__(0, math.inf),
+            lambda p: p["rho"].__setitem__(0, -5.0),  # a negative weight
         ],
     )
     def test_malformed_model_exit_code(self, tmp_path, fitted_model, edit):
@@ -552,6 +562,23 @@ class TestExperimentCommand:
         assert cli.main(["experiment", "--config", str(path), "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert len(report["results"]) == 1
+
+    def test_threads_other_than_one_exit_code(self, tmp_path):
+        path = synthetic_config(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["experiment", "--config", str(path), "--out", str(tmp_path / "out"),
+                      "--threads", "2"])
+        assert excinfo.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_threads_one_writes_the_outputs_of_no_flag(self, tmp_path):
+        path = synthetic_config(tmp_path)
+        plain, one = tmp_path / "plain", tmp_path / "one"
+        assert cli.main(["experiment", "--config", str(path), "--out", str(plain)]) == 0
+        assert cli.main(["experiment", "--config", str(path), "--out", str(one),
+                         "--threads", "1"]) == 0
+        for name in ("nmse_vs_ntrain.csv", "report.json"):
+            assert (plain / name).read_bytes() == (one / name).read_bytes()
 
 
 class TestDefaults:

@@ -241,12 +241,6 @@ class TestMonteCarlo:
         assert r1.nmse_std == r2.nmse_std
         np.testing.assert_array_equal(r1.representative_rho, r2.representative_rho)
 
-    def test_threaded_matches_serial(self, small_dataset):
-        cfg = ExperimentConfig(n_train=8, n_realizations=4, master_seed=7)
-        serial = monte_carlo(small_dataset, cfg, max_workers=1)
-        threaded = monte_carlo(small_dataset, cfg, max_workers=3)
-        assert serial.nmse_mean == threaded.nmse_mean
-
     def test_failure_majority_aborts_with_partial_report(self, small_dataset):
         # alpha = 0 makes the multi-kernel solve singular in every trial
         cfg = ExperimentConfig(
@@ -301,6 +295,13 @@ class TestGridSearch:
         cfg = ExperimentConfig(n_train=10, n_realizations=1)
         with pytest.raises(ValueError, match="nonempty"):
             grid_search_hyperparams(small_dataset, METHOD_SINGLE, [], [1.0], cfg)
+
+    @pytest.mark.parametrize("method", [METHOD_SINGLE, "linear"])
+    def test_non_finite_alpha_refused_by_config(self, small_dataset, method):
+        # each grid point is an ExperimentConfig, which validates it
+        cfg = ExperimentConfig(n_train=10, n_realizations=1)
+        with pytest.raises(ValueError, match="alpha"):
+            grid_search_hyperparams(small_dataset, method, [0.1, np.nan], [1.0], cfg)
 
 
 class TestSeedDerivation:

@@ -81,6 +81,10 @@ class TestBuildDictionary:
             build_dictionary(np.zeros((2, 1)), span=(0.0, 1.0), count=2)
         with pytest.raises(ValueError, match="span"):
             build_dictionary(np.zeros((2, 1)), span=(2.0, 1.0), count=2)
+        with pytest.raises(ValueError, match="span"):
+            build_dictionary(np.zeros((2, 1)), span=(0.01, np.inf), count=2)
+        with pytest.raises(ValueError, match="span"):
+            build_dictionary(np.zeros((2, 1)), span=(np.nan, 1.0), count=2)
 
     def test_empty_training_set(self):
         with pytest.raises(ValueError, match="empty"):
