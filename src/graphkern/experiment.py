@@ -15,12 +15,14 @@ each trial's test block is predicted from its own index rows into the
 dataset, without stacking the test sets.  A batch is as large as keeps its
 (B, N, L + M) arrays within one block of ``BLOCK_ENTRIES`` (see
 :func:`batch_size`); the exponential tables are streamed one training set
-at a time, as for a single fit.  Each trial is computed exactly as it
-would be alone, so results do not depend on the batching, and a trial
-whose system is singular records that method's error without stopping
-the rest of its batch.  Should the batch's one eigendecomposition fail to
-converge, that method is refitted one trial at a time, so again only the
-trials whose own matrix fails record the error.
+at a time, as for a single fit.  Each trial is computed as it would be
+alone, except that the gradient's Gaussian skeleton (see
+:mod:`graphkern.kernels`) is built for the batch's largest distance, so
+results depend on the batching only within the skeleton's certified
+error.  A trial whose system is singular records that method's error
+without stopping the rest of its batch.  Should the batch's one
+eigendecomposition fail to converge, that method is refitted one trial at
+a time, so again only the trials whose own matrix fails record the error.
 
 Everything is deterministic given the master seed: the seed of trial ``i``
 is ``numpy.random.SeedSequence(master_seed, spawn_key=(i,))``, so
@@ -404,11 +406,11 @@ def monte_carlo(dataset, config):
     """Run ``config.n_realizations`` independent trials and aggregate.
 
     Trials run in lockstep batches of :func:`batch_size`, one batch after
-    another.  Each trial is computed as it would be alone and aggregation
-    is ordered by trial index, so the report is a pure function of
-    (dataset, config).  Raises :class:`ExperimentError` (with
-    ``partial_report`` attached) when more than half the trials record a
-    failure.
+    another.  Each trial is computed as it would be alone (up to the
+    batch's shared gradient skeleton) and aggregation is ordered by trial
+    index, so the report is a pure function of (dataset, config).
+    Raises :class:`ExperimentError` (with ``partial_report`` attached)
+    when more than half the trials record a failure.
     """
     seeds = [trial_seed(config.master_seed, i) for i in range(config.n_realizations)]
     size = batch_size(dataset, config)

@@ -14,10 +14,28 @@ are built on first use, so a dictionary that only evaluates new inputs
 (:func:`kernel_cross`) never builds them.  Work over the pairs runs in
 blocks of at most ``BLOCK_ENTRIES`` exponentials, which stay in cache.
 
+The Gaussian rows ``E[s, c] = exp(-d_c / (2 s2_s))`` over the pairs have
+low numerical rank in ``s``: each is a smooth function of ``d`` on
+``[0, max d]``.  :func:`kernel_inner_products` therefore evaluates only a
+skeleton set J of them and recovers the rest through an interpolative
+decomposition ``E = C E[J]`` (Cheng, Gimbutas, Martinsson & Rokhlin 2005),
+which takes |J| <= 32 rows in place of S = 100 on the default grid.  The
+skeleton is chosen by pivoted QR on a table of the kernels over
+multi-scale Chebyshev nodes of ``[0, top]``, ``top`` the power of two at
+or above the largest distance, so one skeleton serves every dictionary
+of the same grid whose distances lie below ``top``.  Its entry error is
+certified on the midpoints between the nodes.  A skeleton that fails the
+certificate, or that keeps every kernel (small grids), is replaced by the
+identity skeleton: all Gaussian kernels with ``C = I``.  The exact
+computation is thus one case of the skeleton route, not a second route.
+:func:`combine`, :func:`kernel_cross` and :func:`combine_cross`, which
+form the model's matrices, evaluate every kernel exactly.
+
 A dictionary may also hold a stack of B training sets of one size, all
 under the same specs (``training_inputs`` of shape (B, N, L)).  Weights,
 combined kernels and inner products then carry the same leading batch
-axis, and every training set is computed exactly as it would be alone.
+axis, and every training set is computed as it would be alone, except
+that the whole stack shares one skeleton, built for its largest distance.
 """
 
 import functools
@@ -36,6 +54,15 @@ _FAMILIES = (GAUSSIAN, LINEAR)
 # doubles, which stays in cache.
 BLOCK_ENTRIES = 1 << 17
 
+# Skeleton of the Gaussian kernels (see _build_skeleton): Chebyshev-Lobatto
+# nodes per interval; the decay, in e-folds, of the fastest kernel across
+# the finest interval; the rank cut relative to the first pivot of the
+# QR; and the largest entry error the certificate accepts.
+_SKELETON_NODES = 32
+_SKELETON_DECAY = 40.0
+_SKELETON_RANK_CUT = 1e-14
+_SKELETON_TOLERANCE = 1e-13
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -51,8 +78,10 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
-        if self.family == GAUSSIAN and not self.parameter > 0:
-            raise ValueError("Gaussian kernel variance must be positive")
+        if self.family == GAUSSIAN and not 0 < self.parameter < math.inf:
+            raise ValueError(
+                f"Gaussian kernel variance must be positive and finite, got {self.parameter}"
+            )
 
 
 class KernelDictionary:
@@ -65,8 +94,8 @@ class KernelDictionary:
     training_inputs : (N, L) array, or (B, N, L) for a stack of B training sets
         Row ``n`` (of each set) is the n-th training input.
 
-    :attr:`sq_distances` and :attr:`linear_gram` are built on first
-    access and read-only afterwards.
+    :attr:`sq_distances`, :attr:`linear_gram` and the Gaussian skeleton
+    are built on first access and read-only afterwards.
     """
 
     def __init__(self, specs, training_inputs):
@@ -130,6 +159,23 @@ class KernelDictionary:
         divisors = np.array([-2.0 * s.parameter for s in self.specs])
         return np.flatnonzero(gaussian), np.flatnonzero(~gaussian), divisors
 
+    @cached_property
+    def _skeleton(self):
+        """``(rows, interp)`` of :func:`_build_skeleton` for these distances.
+
+        One skeleton serves every set of a stack: it is built for the
+        largest distance of them all.  Without pairs (N = 1), with all
+        inputs equal, or with distances beyond float range, it is the
+        identity and no skeleton is built.
+        """
+        gaussian, _, divisors = self._families
+        largest = float(self.sq_distances.max(initial=0.0))
+        if not 0.0 < largest < math.inf:
+            return _identity_skeleton(gaussian.size)
+        mantissa, exponent = math.frexp(largest)
+        top = math.ldexp(1.0, exponent - (mantissa == 0.5))
+        return _build_skeleton(tuple(divisors[gaussian].tolist()), top)
+
     def __repr__(self):
         batch = f", batch_shape={self.batch_shape}" if self.batch_shape else ""
         return (
@@ -181,6 +227,8 @@ def _checked_weights(dictionary, rho):
     expected = dictionary.batch_shape + (dictionary.num_kernels,)
     if rho.shape != expected:
         raise ValueError(f"weight vector has shape {rho.shape}, expected {expected}")
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("kernel weights must be finite")
     if np.any(rho < 0):
         raise ValueError("kernel weights must be nonnegative")
     return rho
@@ -192,10 +240,11 @@ def _gaussian_tables(dictionary, sets, select=None):
     ``b`` runs over the training sets in ``sets`` (0 for a dictionary of
     one set), ``c`` over the pairs in the slice ``pairs`` of that set's
     :attr:`KernelDictionary.sq_distances` and ``r`` over the Gaussian
-    kernels, or over those that the boolean mask ``select`` picks among
-    them.  The entries are those of the Gram matrices themselves.  One
-    buffer of at most ``BLOCK_ENTRIES`` doubles is reused from block to
-    block, so a table is valid only until the next one is drawn.
+    kernels, or over those that ``select`` (a boolean mask or an index
+    array) picks among them, in its order.  The entries are those of the
+    Gram matrices themselves.  One buffer of at most ``BLOCK_ENTRIES``
+    doubles is reused from block to block, so a table is valid only until
+    the next one is drawn.
     """
     gaussian, _, divisors = dictionary._families
     divisors = divisors[gaussian if select is None else gaussian[select]]
@@ -210,6 +259,92 @@ def _gaussian_tables(dictionary, sets, select=None):
             np.divide(sq[b, None, pairs], divisors[:, None], out=table)
             np.exp(table, out=table)
             yield b, pairs, table
+
+
+@functools.lru_cache(maxsize=8)
+def _build_skeleton(divisors, top):
+    """Skeleton ``(rows, interp)`` of Gaussian rows over distances in ``[0, top]``.
+
+    ``divisors`` holds ``-2 s2`` per Gaussian kernel, so that row ``r`` is
+    ``exp(d / divisors[r])``.  ``rows`` indexes the skeleton kernels J and
+    ``interp`` is the (G, |J|) matrix C with
+    ``exp(d / divisors) = C exp(d / divisors[rows])`` for every ``d`` in
+    ``[0, top]``, to ``_SKELETON_TOLERANCE`` per entry.
+
+    The rows are tabulated on ``_SKELETON_NODES`` Chebyshev-Lobatto nodes
+    of each interval ``[0, top 4^-k]``, k = 0, 1, ..., down to the first
+    interval across which the fastest kernel decays by at most
+    ``_SKELETON_DECAY`` e-folds: one interval alone would miss how the
+    narrow kernels bend near 0.  J and C come from one pivoted QR of the
+    (nodes x kernels) table (:func:`_column_skeleton`).  The entry error
+    is checked on the midpoints between the nodes.  A skeleton that fails
+    the check, or that keeps every kernel, is replaced by the identity.
+    """
+    divisors = np.array(divisors)
+    unit = 0.5 - 0.5 * np.cos(np.linspace(0.0, np.pi, _SKELETON_NODES))
+    fastest = -1.0 / divisors.max()
+    scales = [top]
+    while fastest * scales[-1] > _SKELETON_DECAY:
+        scales.append(scales[-1] / 4.0)
+    nodes = np.sort(np.append(np.multiply.outer(scales, unit[1:]), 0.0), axis=None)
+    rows, interp = _column_skeleton(np.exp(nodes[:, None] / divisors))
+    mids = 0.5 * (nodes[1:] + nodes[:-1])
+    table = np.exp(mids[:, None] / divisors)
+    error = np.max(np.abs(table - table[:, rows] @ interp.T))
+    if len(rows) == divisors.size or not error <= _SKELETON_TOLERANCE:
+        return _identity_skeleton(divisors.size)
+    rows.setflags(write=False)
+    interp.setflags(write=False)
+    return rows, interp
+
+
+def _column_skeleton(table):
+    """Interpolative decomposition ``table = table[:, columns] interp^T``.
+
+    Householder QR with column pivoting (Businger & Golub 1965) stops at
+    the first pivot below ``_SKELETON_RANK_CUT`` times the first one; its
+    pivots so far are ``columns`` and the rest follow from
+    ``R11^-1 R12``.  LAPACK's ``geqp3`` picks the same pivots, but scipy
+    calls it through a BLAS library of its own, which the rest of a sweep
+    never loads; its first use cost 1.3 MB of resident memory (scipy 1.17
+    wheels).
+    """
+    r = np.array(table)
+    count = r.shape[1]
+    perm = np.arange(count)
+    rank = min(r.shape)
+    for k in range(rank):
+        rest = r[k:, k:]
+        norms = np.sum(rest * rest, axis=0)
+        pivot = k + int(np.argmax(norms))
+        size = math.sqrt(norms[pivot - k])
+        if k == 0:
+            first = size
+        elif not size > _SKELETON_RANK_CUT * first:
+            rank = k
+            break
+        r[:, [k, pivot]] = r[:, [pivot, k]]
+        perm[[k, pivot]] = perm[[pivot, k]]
+        v = r[k:, k].copy()
+        v[0] += math.copysign(size, v[0])
+        rest -= np.outer(v, (2.0 / (v @ v)) * (v @ rest))
+    coeffs = r[:rank, rank:]  # R11^-1 R12 by back substitution, in place
+    for i in reversed(range(rank)):
+        coeffs[i] -= r[i, i + 1 : rank] @ coeffs[i + 1 :]
+        coeffs[i] /= r[i, i]
+    interp = np.empty((count, rank))
+    interp[perm[:rank]] = np.eye(rank)
+    interp[perm[rank:]] = coeffs.T
+    return perm[:rank], interp
+
+
+def _identity_skeleton(count):
+    """The skeleton of every kernel: all of them, in order, and ``C = I``."""
+    rows = np.arange(count)
+    interp = np.eye(count)
+    rows.setflags(write=False)
+    interp.setflags(write=False)
+    return rows, interp
 
 
 @functools.lru_cache(maxsize=8)
@@ -296,7 +431,12 @@ def kernel_inner_products(dictionary, sym):
     ``sym`` carries the dictionary's batch axis, if any, and so does the
     result.  A Gaussian term is ``2 E_s . p + tr(sym)``, with ``p`` the
     condensed upper triangle of ``sym`` and ``E_s`` the kernel's entries
-    over the pairs, taken one block of pairs at a time.
+    over the pairs.  The products ``E_j . p`` are taken only for the
+    skeleton kernels J, one block of pairs at a time, and the Gaussian
+    terms follow as ``2 C (E[J] p) + tr(sym)``.  The skeleton's certified
+    entry error (``_SKELETON_TOLERANCE``) bounds a term's error by
+    ``2e-13 ||p||_1``; where no skeleton passes the certificate, J holds
+    every Gaussian kernel, C is the identity and the terms are exact.
     """
     sym = np.asarray(sym, dtype=float)
     n = dictionary.num_samples
@@ -306,12 +446,14 @@ def kernel_inner_products(dictionary, sym):
     gaussian, linear, _ = dictionary._families
     out = np.empty(dictionary.batch_shape + (dictionary.num_kernels,))
     if gaussian.size:
+        rows, interp = dictionary._skeleton
         packed = _condensed(sym).reshape(math.prod(dictionary.batch_shape), -1)
-        acc = np.zeros((len(packed), gaussian.size))
-        for b, pairs, table in _gaussian_tables(dictionary, range(len(packed))):
+        acc = np.zeros((len(packed), len(rows)))
+        for b, pairs, table in _gaussian_tables(dictionary, range(len(packed)), rows):
             acc[b] += table @ packed[b, pairs]
+        acc = (acc @ interp.T).reshape(out[..., gaussian].shape)
         trace = np.trace(sym, axis1=-2, axis2=-1)
-        out[..., gaussian] = 2.0 * acc.reshape(out[..., gaussian].shape) + trace[..., None]
+        out[..., gaussian] = 2.0 * acc + trace[..., None]
     for s in linear:
         out[..., s] = np.sum(dictionary.linear_gram * sym, axis=(-2, -1))
     return out

@@ -1,5 +1,7 @@
 """Kernel dictionary construction and combination."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,12 @@ from graphkern import (
     LINEAR,
     KernelDictionary,
     KernelSpec,
+    KrgModel,
     build_dictionary,
     combine,
+    grid_specs,
+    kernel_cross,
+    make_synthetic_dataset,
 )
 from graphkern import kernels
 from graphkern.kernels import _combine_unchecked, kernel_inner_products
@@ -44,6 +50,11 @@ class TestKernelEval:
             KernelSpec("polynomial")
         with pytest.raises(ValueError, match="positive"):
             KernelSpec(GAUSSIAN, 0.0)
+
+    @pytest.mark.parametrize("variance", [np.inf, np.nan])
+    def test_non_finite_variance(self, variance):
+        with pytest.raises(ValueError, match="finite"):
+            KernelSpec(GAUSSIAN, variance)
 
 
 class TestBuildDictionary:
@@ -146,6 +157,11 @@ class TestCombine:
         with pytest.raises(ValueError, match="nonnegative"):
             combine(dictionary, np.array([1.0, -0.1, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_weights(self, dictionary, bad):
+        with pytest.raises(ValueError, match="finite"):
+            combine(dictionary, np.array([bad, 1.0, 0.0, 0.0]))
+
 
 class TestKernelVector:
     def test_training_point_recovers_unit_entry(self):
@@ -156,6 +172,18 @@ class TestKernelVector:
         e1[1] = 1.0
         v = kernel_vector(d, e1, x[2])
         assert v[2] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_weights(self, bad):
+        rng = np.random.default_rng(15)
+        x = rng.normal(size=(3, 2))
+        d = build_dictionary(x, span=(0.5, 2.0), count=2)
+        rho = np.array([bad, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            kernel_cross(d, rho, rng.normal(size=(2, 2)))
+        model = KrgModel(np.ones((3, 4)), 1.0, 0.0, d, rho, None)
+        with pytest.raises(ValueError, match="finite"):
+            model.predict(rng.normal(size=2))
 
     def test_zero_weights_zero_vector(self):
         d = build_dictionary(np.ones((3, 2)) * np.arange(3)[:, None], count=4)
@@ -269,3 +297,104 @@ class TestMatrixFreeAgainstStack:
         d = self.mixed_dictionary(np.random.default_rng(14), 4)
         with pytest.raises(ValueError, match="shape"):
             kernel_inner_products(d, np.eye(3))
+
+
+def gradient_matches(d, psi, alpha=0.7):
+    """Assert the dictionary's gradient against the stack oracle."""
+    assert_matches(
+        -alpha * kernel_inner_products(d, psi @ psi.T), oracles.gradient(d, psi, alpha)
+    )
+
+
+def scaled_to(x, largest):
+    """``x`` scaled so that its largest squared distance is ``largest``."""
+    d = build_dictionary(x, count=1)
+    return x * np.sqrt(largest / d.sq_distances.max())
+
+
+class TestSkeleton:
+    """The skeleton route of :func:`kernel_inner_products` against the stack."""
+
+    @pytest.mark.parametrize("decays", [1e-6, 1e6])
+    def test_extreme_scales(self, decays):
+        # decays = max d / (2 s2_min) on the default grid
+        rng = np.random.default_rng(16)
+        x = scaled_to(rng.normal(size=(40, 3)), decays * 2 * 0.01)
+        d = build_dictionary(x)
+        gradient_matches(d, rng.normal(size=(40, 5)))
+        rows, _ = d._skeleton
+        assert len(rows) < d.num_kernels
+
+    def test_stack_of_distant_scales(self):
+        # one skeleton serves all sets, built for the largest distance
+        rng = np.random.default_rng(17)
+        sets = np.stack(
+            [scaled_to(rng.normal(size=(20, 3)), top) for top in (0.1, 3.0, 100.0)]
+        )
+        psi = rng.normal(size=(3, 20, 4))
+        specs = grid_specs()
+        stacked = kernel_inner_products(
+            KernelDictionary.from_specs(sets, specs), psi @ np.swapaxes(psi, -1, -2)
+        )
+        for x, p, got in zip(sets, psi, stacked):
+            alone = KernelDictionary.from_specs(x, specs)
+            assert_matches(-0.7 * got, oracles.gradient(alone, p, 0.7))
+            assert_matches(got, kernel_inner_products(alone, p @ p.T))
+
+    @pytest.mark.parametrize("n", [1, 40])
+    def test_mixed_families(self, n):
+        rng = np.random.default_rng(18)
+        specs = grid_specs()
+        specs[:0] = [KernelSpec(LINEAR)]
+        specs[50:50] = [KernelSpec(LINEAR)]
+        d = KernelDictionary.from_specs(rng.normal(size=(n, 3)), specs)
+        sym = random_symmetric(rng, n)
+        assert_matches(
+            kernel_inner_products(d, sym),
+            np.tensordot(stack(d), sym, axes=([1, 2], [0, 1])),
+        )
+
+    def test_small_grid_is_the_identity(self):
+        rng = np.random.default_rng(19)
+        d = build_dictionary(rng.normal(size=(12, 3)), span=(0.3, 3.0), count=4)
+        gradient_matches(d, rng.normal(size=(12, 3)))
+        rows, interp = d._skeleton
+        np.testing.assert_array_equal(rows, np.arange(4))
+        np.testing.assert_array_equal(interp, np.eye(4))
+
+    def test_one_build_per_grid_and_octave(self):
+        rng = np.random.default_rng(20)
+        kernels._build_skeleton.cache_clear()
+        for largest in (5.0, 7.5, 9.0):
+            d = build_dictionary(scaled_to(rng.normal(size=(10, 2)), largest))
+            kernel_inner_products(d, np.eye(10))
+        # 5.0 and 7.5 share the octave (4, 8]; 9.0 needs its own
+        assert kernels._build_skeleton.cache_info().misses == 2
+        assert kernels._build_skeleton.cache_info().hits == 1
+
+    def test_default_grid_skeleton_size(self):
+        inputs = make_synthetic_dataset().inputs
+        for n in (4, 30, len(inputs)):
+            d = build_dictionary(inputs[:n])
+            rows, interp = d._skeleton
+            assert len(rows) <= 32
+            assert np.abs(interp).max() <= 2.0
+
+    def test_gradient_memory(self):
+        # distances, the condensed matrix and one exp block, plus 128 KiB
+        # for the skeleton's tables; the exact route of 100 rows peaked at
+        # 1.98 MB here (numpy 2.4), copying its partial last block
+        rng = np.random.default_rng(21)
+        n = 300
+        d = build_dictionary(rng.normal(size=(n, 5)))
+        psi = rng.normal(size=(n, 4))
+        sym = psi @ psi.T
+        kernels._build_skeleton.cache_clear()
+        tracemalloc.start()
+        try:
+            kernel_inner_products(d, sym)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        pairs = n * (n - 1) // 2
+        assert peak <= 8 * (2 * pairs + kernels.BLOCK_ENTRIES) + (128 << 10)
