@@ -19,7 +19,9 @@ import json
 import logging
 import math
 import os
+import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -74,12 +76,6 @@ def _read_measurements(path, min_rows=2):
         fh = open(path, newline="")
     except OSError as err:
         raise ConfigError(f"cannot open measurements file {path}: {err}") from err
-    # Cells go into one buffer of doubles as the rows stream by.  Holding
-    # every row as a list of Python floats left the allocator fragmented:
-    # resident memory grew by about 1 MB with each 1000 x 200 file read in
-    # one process.
-    data = array.array("d")
-    num_rows = 0
     with fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -88,34 +84,63 @@ def _read_measurements(path, min_rows=2):
         names = [c.strip() for c in header]
         if len(set(names)) != len(names):
             raise ConfigError(f"{path}: duplicate node names in header")
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(names):
+        # The body in one C-level parse.  A body it refuses or reads with a
+        # non-finite cell is read again cell by cell, which accepts what
+        # float() accepts and names the offending cell.
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no rows after the header
+                matrix = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+        except ValueError:
+            matrix = None
+        if (
+            matrix is None
+            or matrix.shape[0] < min_rows
+            or matrix.shape[1] != len(names)
+            or not np.isfinite(matrix).all()
+        ):
+            fh.seek(0)
+            next(reader)
+            matrix = _read_cells(reader, path, names, min_rows)
+    return names, matrix
+
+
+def _read_cells(reader, path, names, min_rows):
+    """The rows after the header of a measurements file, parsed cell by cell."""
+    # Cells go into one buffer of doubles as the rows stream by.  Holding
+    # every row as a list of Python floats left the allocator fragmented:
+    # resident memory grew by about 1 MB with each 1000 x 200 file read in
+    # one process.
+    data = array.array("d")
+    num_rows = 0
+    for line_no, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(names):
+            raise ConfigError(
+                f"{path}: line {line_no}: expected {len(names)} cells, got {len(row)}"
+            )
+        for col, cell in enumerate(row):
+            cell = cell.strip()
+            if not cell:
                 raise ConfigError(
-                    f"{path}: line {line_no}: expected {len(names)} cells, got {len(row)}"
+                    f"{path}: line {line_no}: missing value in column "
+                    f"{col + 1} ({names[col]})"
                 )
-            for col, cell in enumerate(row):
-                cell = cell.strip()
-                if not cell:
-                    raise ConfigError(
-                        f"{path}: line {line_no}: missing value in column "
-                        f"{col + 1} ({names[col]})"
-                    )
-                try:
-                    value = float(cell)
-                except ValueError:
-                    value = math.nan
-                if not math.isfinite(value):
-                    raise ConfigError(
-                        f"{path}: line {line_no}: non-numeric or non-finite cell {cell!r} "
-                        f"in column {col + 1} ({names[col]})"
-                    )
-                data.append(value)
-            num_rows += 1
+            try:
+                value = float(cell)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ConfigError(
+                    f"{path}: line {line_no}: non-numeric or non-finite cell {cell!r} "
+                    f"in column {col + 1} ({names[col]})"
+                )
+            data.append(value)
+        num_rows += 1
     if num_rows < min_rows:
         raise ConfigError(f"{path}: need at least {min_rows} measurement rows")
-    return names, np.frombuffer(data).reshape(num_rows, len(names))
+    return np.frombuffer(data).reshape(num_rows, len(names))
 
 
 def _read_coordinates(path):
@@ -379,6 +404,108 @@ MODEL_KEYS = (
     "target_names", "adjacency",
 )
 
+# Top-level keys of a model file whose values are arrays of numbers, the
+# rows of a 2-D one that orjson parses at a time, and the characters the
+# text of such an array may hold.
+_ARRAY_KEYS = ("rho", "training_inputs", "psi", "adjacency")
+_ROWS_PER_BLOCK = 64
+_NUMBER_CHARS = b"0123456789+-.eE[], \t\n\r"
+_WHITESPACE = re.compile(r"[ \t\n\r]*")
+
+
+def _skip(text, i):
+    return _WHITESPACE.match(text, i).end()
+
+
+def _parse_model(text):
+    """The top-level object of a model file, each ``_ARRAY_KEYS`` value a float64 array.
+
+    Keys and the other values go through the standard library's decoder.
+    An array value is parsed by orjson a block of rows at a time, so the
+    file's numbers (about 440k at N = 999, M = 200) are never all Python
+    floats at once, as they are in a tree of the whole file.  Arrays of
+    numbers hold no strings, so such a value runs from its ``[`` to the
+    last ``]`` before the next ``"``.  A duplicate key keeps its last
+    value, as in :mod:`json`.  Raises :class:`json.JSONDecodeError` for
+    text that is not one JSON object, or whose array keys hold anything
+    but a 1-D or 2-D array of numbers.
+    """
+    decoder = json.JSONDecoder()
+    i = _skip(text, 0)
+    if not text.startswith("{", i):
+        raise json.JSONDecodeError("Expecting '{': a model file holds one object", text, i)
+    payload = {}
+    i = _skip(text, i + 1)
+    if not text.startswith("}", i):
+        while True:
+            if not text.startswith('"', i):
+                raise json.JSONDecodeError(
+                    "Expecting property name enclosed in double quotes", text, i
+                )
+            key, i = json.decoder.scanstring(text, i + 1)
+            i = _skip(text, i)
+            if not text.startswith(":", i):
+                raise json.JSONDecodeError("Expecting ':' delimiter", text, i)
+            i = _skip(text, i + 1)
+            if key in _ARRAY_KEYS:
+                payload[key], i = _parse_number_array(text, i, key)
+            else:
+                payload[key], i = decoder.raw_decode(text, i)
+            i = _skip(text, i)
+            if not text.startswith(",", i):
+                break
+            i = _skip(text, i + 1)
+        if not text.startswith("}", i):
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, i)
+    i = _skip(text, i + 1)
+    if i != len(text):
+        raise json.JSONDecodeError("Extra data", text, i)
+    return payload
+
+
+def _parse_number_array(text, start, key):
+    """The array of numbers, or of rows of numbers, at ``text[start]``; returns (array, end)."""
+    quote = text.find('"', start)
+    end = text.rfind("]", start, len(text) if quote < 0 else quote) + 1
+    try:
+        if not (text.startswith("[", start) and end):
+            raise ValueError
+        first = _skip(text, start + 1)
+        if not text.startswith("[", first):
+            return _parse_number_block(text, start + 1, end - 1, ndim=1), end
+        blocks = []
+        while True:
+            stop = first
+            for _ in range(_ROWS_PER_BLOCK):
+                row_end = text.find("]", stop, end - 1)
+                if row_end < 0:
+                    break
+                stop = row_end + 1
+            blocks.append(_parse_number_block(text, first, stop, ndim=2))
+            first = _skip(text, stop)
+            if first == end - 1:
+                return np.concatenate(blocks), end
+            if not text.startswith(",", first):
+                raise ValueError
+            first = _skip(text, first + 1)
+    except ValueError:
+        raise json.JSONDecodeError(
+            f"{key} must be a 1-D or 2-D array of numbers", text, start
+        ) from None
+
+
+def _parse_number_block(text, start, stop, ndim):
+    """``text[start:stop]``, the items of an array, as an ndim-D float64 array."""
+    import orjson
+
+    items = text[start:stop].encode()
+    if items.translate(None, _NUMBER_CHARS):
+        raise ValueError
+    block = np.array(orjson.loads(b"[" + items + b"]"), dtype=np.float64)
+    if block.ndim != ndim:
+        raise ValueError
+    return block
+
 
 def load_model(path):
     """Rebuild a fitted model from a model file; returns (model, names).
@@ -386,23 +513,22 @@ def load_model(path):
     The file is checked against the schema :func:`save_model` writes: every
     key in ``MODEL_KEYS``, finite ``psi`` of shape N x M for N training
     inputs and M target names, one finite nonnegative weight per grid
-    kernel and an M-node graph.
-    The file is parsed with the standard library's ``json``, not with the
-    orjson that :func:`save_model` writes it with: orjson parses faster but
-    holds more memory at its peak, and ``predict`` is bounded by memory.
+    kernel and an M-node graph.  It is parsed by :func:`_parse_model`,
+    which fills the four arrays without a Python object per number: a
+    tree of the whole file, from stdlib ``json`` or from orjson, holds
+    more memory at its peak, and ``predict`` is bounded by memory.
     """
     try:
-        with open(path) as fh:
-            # At N = 999, M = 200 orjson.loads cut predict's time by 42% but
-            # raised its peak RSS by 6.5 MB (parse alone: 42.5 MB against
-            # json's 26.3 MB, from orjson's document tree).
-            payload = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as err:
         raise ConfigError(f"cannot open model file {path}: {err}") from err
-    except json.JSONDecodeError as err:
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: model file is not UTF-8 text: {err}") from err
+    try:
+        payload = _parse_model(text)
+    except ValueError as err:  # json.JSONDecodeError, or an integer too long to convert
         raise ConfigError(f"{path}: invalid JSON: {err}") from err
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{path}: model file must hold a JSON object")
     if payload.get("format_version") != MODEL_FORMAT_VERSION:
         raise ConfigError(
             f"{path}: unsupported model format version {payload.get('format_version')!r}"
@@ -416,11 +542,9 @@ def load_model(path):
     try:
         grid = payload["kernel_grid"]
         specs = grid_specs(grid["family"], (grid["lo"], grid["hi"]), int(grid["count"]))
-        x = np.array(payload["training_inputs"], dtype=float)
-        dictionary = KernelDictionary.from_specs(x, specs)
-        psi = np.array(payload["psi"], dtype=float)
-        rho = np.array(payload["rho"], dtype=float)
-        graph = build_graph(np.array(payload["adjacency"], dtype=float))
+        dictionary = KernelDictionary.from_specs(payload["training_inputs"], specs)
+        psi, rho = payload["psi"], payload["rho"]
+        graph = build_graph(payload["adjacency"])
         alpha, beta = float(payload["alpha"]), float(payload["beta"])
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"{path}: invalid model: {err}") from err
@@ -452,7 +576,8 @@ def cmd_fit(cfg, out_dir):
     dataset, names = _dataset_from_config(cfg)
     config = _experiment_config(cfg, n_train=max(1, dataset.num_pairs - 1))
     model, trace = exp._fit_method(
-        exp.METHOD_MULTI, dataset.inputs, dataset.targets, dataset.graph, config
+        exp.METHOD_MULTI, exp._grid_dictionary(dataset.inputs, config), dataset.targets,
+        dataset.graph, config,
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     save_model(
@@ -485,8 +610,7 @@ def cmd_predict(model_path, inputs_path, output_path):
     with fh:
         writer = csv.writer(fh)
         writer.writerow(names)
-        for row in predictions:
-            writer.writerow([repr(float(v)) for v in row])
+        writer.writerows(predictions.tolist())
     print(f"predictions written to {output_path}")
     return 0
 

@@ -9,7 +9,8 @@ against the clean test targets.  :func:`monte_carlo` repeats this over
 independently seeded realizations and aggregates.
 
 The realizations of one training-set size run in lockstep batches: the B
-training sets of a batch are stacked into one dictionary, each method is
+training sets of a batch are stacked into one dictionary (the
+single-kernel baseline shares its squared distances), each method is
 fitted for all B at once (one batched solve per optimizer iteration), and
 each trial's test block is predicted from its own index rows into the
 dataset, without stacking the test sets.  A batch is as large as keeps its
@@ -41,7 +42,6 @@ from .kernels import (
     BLOCK_ENTRIES,
     GAUSSIAN,
     LINEAR,
-    KernelDictionary,
     KernelSpec,
     build_dictionary,
     combine_cross,
@@ -276,23 +276,28 @@ def nmse(pred, truth):
     return float(np.sum((p - t) ** 2)) / denom
 
 
-def _fit_method(method, x_train, t_fit, graph, config):
+def _grid_dictionary(x_train, config):
+    """The dictionary of the config's kernel grid over one training set or a stack."""
+    return build_dictionary(
+        x_train, family=config.grid_family, span=config.grid_span, count=config.grid_count
+    )
+
+
+def _fit_method(method, grid, t_fit, graph, config):
     """Fit one method; returns (model, optimizer trace).
 
-    ``x_train`` and ``t_fit`` are one training set or a stack of them; for
+    ``grid`` is :func:`_grid_dictionary` over the training inputs and
+    ``t_fit`` the targets, for one training set or a stack of them; for
     a stack the model is batched and the trace is a tuple with one
-    :class:`~graphkern.mkl.OptimizerTrace` per set.  The two baselines
-    solve one kernel at weight 1 and have no trace (``None``).
+    :class:`~graphkern.mkl.OptimizerTrace` per set.  The multi-kernel
+    method learns weights over ``grid``.  The two baselines solve one
+    kernel at weight 1 over the same inputs, sharing ``grid``'s squared
+    distances (:meth:`~graphkern.kernels.KernelDictionary.with_specs`),
+    and have no trace (``None``).
     """
     if method == METHOD_MULTI:
-        dictionary = build_dictionary(
-            x_train,
-            family=config.grid_family,
-            span=config.grid_span,
-            count=config.grid_count,
-        )
         _, trace, model = optimize(
-            dictionary, graph, t_fit, config.solver, config.alpha, config.beta
+            grid, graph, t_fit, config.solver, config.alpha, config.beta
         )
         return model, trace
     if method == METHOD_LINEAR:
@@ -302,7 +307,7 @@ def _fit_method(method, x_train, t_fit, graph, config):
         alpha, beta = config.alpha, config.beta
     else:
         raise ValueError(f"unknown method {method!r}")
-    dictionary = KernelDictionary.from_specs(x_train, [spec])
+    dictionary = grid.with_specs([spec])
     rho = np.ones(dictionary.batch_shape + (1,))
     return solve_structured(dictionary, rho, graph, t_fit, alpha, beta), None
 
@@ -352,15 +357,16 @@ def _run_batch(dataset, config, seeds):
     )
 
     results = [TrialResult(nmse={}) for _ in seeds]
+    grid = _grid_dictionary(x_train, config)
     for method in METHODS:
-        _score_method(method, results, dataset, config, x_train, t_noisy, test, sq_test)
+        _score_method(method, results, dataset, config, grid, t_noisy, test, sq_test)
     return results
 
 
-def _score_method(method, results, dataset, config, x_train, t_noisy, test, sq_test):
+def _score_method(method, results, dataset, config, grid, t_noisy, test, sq_test):
     """Fit one method on a batch and record each trial's test NMSE or error."""
     try:
-        model, traces = _fit_method(method, x_train, t_noisy, dataset.graph, config)
+        model, traces = _fit_method(method, grid, t_noisy, dataset.graph, config)
     except np.linalg.LinAlgError as err:
         if len(results) == 1:
             results[0].errors[method] = str(err)
@@ -370,11 +376,14 @@ def _score_method(method, results, dataset, config, x_train, t_noisy, test, sq_t
         # the trials whose own matrix fails record the error
         for b in range(len(results)):
             one = slice(b, b + 1)
-            _score_method(method, results[one], dataset, config, x_train[one],
+            alone = _grid_dictionary(grid.training_inputs[one], config)
+            _score_method(method, results[one], dataset, config, alone,
                           t_noisy[one], test[one], sq_test[one])
         return
     if method == METHOD_LINEAR:
-        dot = np.stack([dataset.inputs[t] @ x.T for t, x in zip(test, x_train)])
+        dot = np.stack(
+            [dataset.inputs[t] @ x.T for t, x in zip(test, grid.training_inputs)]
+        )
         cross = combine_cross(model.dictionary, model.rho, dot=dot)
     else:
         cross = combine_cross(model.dictionary, model.rho, sq=sq_test)
@@ -472,6 +481,7 @@ def grid_search_hyperparams(dataset, method, alphas, betas, config):
     x_train = dataset.inputs[train_idx]
     t_clean = dataset.targets[train_idx]
     t_noisy = add_noise_snr(t_clean, config.snr_db, noise_seed)
+    grid = _grid_dictionary(x_train, config)
 
     best = None
     for a in alphas:
@@ -480,7 +490,7 @@ def grid_search_hyperparams(dataset, method, alphas, betas, config):
                 cfg = replace(config, linear_alpha=a)
             else:
                 cfg = replace(config, alpha=a, beta=b)
-            model, _ = _fit_method(method, x_train, t_noisy, dataset.graph, cfg)
+            model, _ = _fit_method(method, grid, t_noisy, dataset.graph, cfg)
             score = nmse(model.predict(x_train), t_clean)
             if best is None or score < best[0]:
                 best = (score, a, b)

@@ -116,6 +116,18 @@ class KernelDictionary:
             raise ValueError("need at least one kernel spec")
         return cls(specs, x)
 
+    def with_specs(self, specs):
+        """The dictionary of ``specs`` over the same training inputs.
+
+        When ``specs`` hold a Gaussian kernel, the new dictionary takes
+        this one's squared distances, built here if need be, so that the
+        two build them once.
+        """
+        other = self.from_specs(self.training_inputs, specs)
+        if other._families[0].size:
+            other.__dict__["sq_distances"] = self.sq_distances
+        return other
+
     @property
     def num_kernels(self):
         return len(self.specs)

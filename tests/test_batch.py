@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from graphkern import (
     ExperimentConfig,
@@ -25,6 +26,7 @@ from graphkern.experiment import (
     batch_size,
     trial_seed,
 )
+from graphkern import kernels
 from graphkern.mkl import SINGULAR
 
 from .oracles import run_trial_sequential
@@ -61,6 +63,20 @@ def test_batched_levels_match_sequential_oracle(default_scenario, n_train):
             assert relative(trial.nmse[method], expected.nmse[method]) <= 1e-10
         assert relative(trial.rho, expected.rho) <= 1e-10
         assert trial.iterations == expected.iterations
+
+
+def test_a_batch_computes_its_distances_once(default_scenario, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return pdist(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "pdist", counting)
+    config = level_config(8, n_realizations=5)
+    assert batch_size(default_scenario, config) == 5
+    monte_carlo(default_scenario, config)
+    assert calls == [(8, default_scenario.inputs.shape[1])] * 5  # one per training set
 
 
 def duplicated_rows_dataset():

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from graphkern import (
-    SolverConfig, build_dictionary, cli, experiment, grid_specs, mkl, optimize, solver,
+    SolverConfig, build_dictionary, build_graph, cli, experiment, grid_specs, mkl, optimize,
+    solver,
 )
 
 
@@ -65,6 +66,49 @@ class TestIngest:
         np.testing.assert_array_equal(matrix, values)
         # a list of Python floats per row held about 15 times the matrix
         assert peak < 4 * values.nbytes, f"peak traced allocation {peak / 1e6:.2f} MB"
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "\n".join(",".join(repr(v) for v in row) for row in
+                      np.random.default_rng(2).normal(scale=1e3, size=(20, 3))) + "\n",
+            "1.5,2,3\r\n4,5,6\r\n",
+            "1.5,2,3\r4,5,6\r",
+            ' 1.5 ,"2", +.5\n\n  \n1e-400,-0,1.\n,,\n',
+            "1_0,2,3\n4,5,٣\n",  # underscores and non-ASCII digits, as float() reads them
+            "1,2,3\n4,5\n",
+            "1,2,3\n4,5,6,7\n",
+            "1,2\n4,5\n",
+            "1,2,3\n4,,6\n",
+            "1,2,3\nnan,5,6\n",
+            "1,2,3\n4,5,1e400\n",
+            '1,2,3\n4,"5,5",6\n',
+            "1,2,3\n",
+            "",
+        ],
+        ids=["repr", "crlf", "cr", "spacing", "float-syntax", "short-row", "long-row",
+             "narrow", "missing", "nan", "overflow", "quoted-comma", "one-row", "no-rows"],
+    )
+    def test_measurements_read_as_cell_by_cell(self, tmp_path, body):
+        m = tmp_path / "m.csv"
+        m.write_text("a,b,c\n" + body, newline="")
+
+        def by_cell():
+            with open(m, newline="") as fh:
+                reader = csv.reader(fh)
+                names = [c.strip() for c in next(reader)]
+                return names, cli._read_cells(reader, m, names, 2)
+
+        try:
+            expected = by_cell()
+        except cli.ConfigError as err:
+            with pytest.raises(cli.ConfigError) as got:
+                cli._read_measurements(m)
+            assert str(got.value) == str(err)
+            return
+        names, matrix = cli._read_measurements(m)
+        assert names == expected[0]
+        np.testing.assert_array_equal(matrix.view(np.uint64), expected[1].view(np.uint64))
 
     def test_two_rows_one_pair(self, tmp_path):
         m = tmp_path / "m.csv"
@@ -412,16 +456,53 @@ def fitted_model(tmp_path_factory):
     return base / "out" / "model.json", inputs_csv
 
 
-def predict_with_edited_model(tmp_path, fitted_model, edit):
-    model_path, inputs_csv = fitted_model
-    payload = json.loads(model_path.read_text())
-    edit(payload)
+def predict_with_model_text(tmp_path, fitted_model, text):
+    """Exit code of ``predict`` from a model file holding ``text`` (str or bytes)."""
+    _, inputs_csv = fitted_model
     edited = tmp_path / "edited.json"
-    edited.write_text(json.dumps(payload))
+    edited.write_bytes(text if isinstance(text, bytes) else text.encode())
     return cli.main(
         ["predict", "--model", str(edited), "--inputs", str(inputs_csv),
          "--output", str(tmp_path / "pred.csv")]
     )
+
+
+def predict_with_edited_model(tmp_path, fitted_model, edit):
+    payload = json.loads(fitted_model[0].read_text())
+    edit(payload)
+    return predict_with_model_text(tmp_path, fitted_model, json.dumps(payload))
+
+
+# Target names holding what the model reader looks for around arrays.
+AWKWARD_NAMES = ['"psi":[', "]", 'a\\"b', "\\", '"rho": [1, 2]}', "\u00fc", "[[", 'x"']
+
+
+def reserialize(payload, rng):
+    """``payload`` as JSON text in a form that ``rng`` picks among those a writer may use.
+
+    Keys come in a shuffled order, ``psi`` and ``rho`` spelled with
+    escapes, after a first ``psi`` and ``rho`` that the last ones replace.
+    The target names and a nested object hold brackets, quotes and keys
+    of the model.  Whitespace surrounds the object.
+    """
+    payload = {**payload, "target_names": AWKWARD_NAMES[: len(payload["target_names"])]}
+    payload["extra"] = {"psi": [[1.0, "]"]], "rho": {"a": [1, {"b": ']"'}]}, "n": None}
+    keys = list(payload)
+    rng.shuffle(keys)
+    text = json.dumps(
+        {key: payload[key] for key in keys},
+        indent=[None, 0, 2, "\t"][rng.integers(4)],
+        separators=[(",", ":"), (", ", ": ")][rng.integers(2)],
+        ensure_ascii=bool(rng.integers(2)),
+    )
+    text = text.replace('"psi"', '"\\u0070si"').replace('"rho"', '"\\u0072ho"')
+    return ' \n\t{"psi": [[0.5]], "rho": [],' + text[1:] + "\n \r\n"
+
+
+def assert_same_bits(got, expected):
+    expected = np.array(expected, dtype=float)
+    assert got.dtype == np.float64 and got.shape == expected.shape
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 class TestModelFile:
@@ -465,6 +546,129 @@ class TestModelFile:
         )
         assert rc == 2
         assert "nodir" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_reserialized_model_reads_as_json_does(self, tmp_path, fitted_model, seed):
+        text = reserialize(json.loads(fitted_model[0].read_text()), np.random.default_rng(seed))
+        expected = json.loads(text)
+        got = cli._parse_model(text)
+        assert list(got) == list(expected)
+        for key, value in expected.items():
+            if key in cli._ARRAY_KEYS:
+                assert_same_bits(got[key], value)
+            else:
+                assert got[key] == value
+        path = tmp_path / "model.json"
+        path.write_text(text, encoding="utf-8")
+        model, names = cli.load_model(path)
+        assert names == expected["target_names"]
+        assert_same_bits(model.psi, expected["psi"])
+        assert_same_bits(model.rho, expected["rho"])
+        assert_same_bits(model.dictionary.training_inputs, expected["training_inputs"])
+
+    @pytest.mark.parametrize("rows", [0, 1, 63, 64, 65, 128, 129, 300])
+    def test_rows_parse_in_blocks_as_json_does(self, rows):
+        rng = np.random.default_rng(rows)
+        a = rng.normal(size=(rows, 3)) * 10.0 ** rng.integers(-300, 300, size=(rows, 3))
+        a[rng.random(size=a.shape) < 0.1] = -0.0
+        for indent in (None, 1):
+            text = json.dumps({"psi": a.tolist(), "rho": a[:, 0].tolist()}, indent=indent)
+            got = cli._parse_model(text)
+            assert_same_bits(got["psi"], a if rows else [])
+            assert_same_bits(got["rho"], a[:, 0])
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"psi": [' + ",".join(["[1.0, 2.0]"] * 65) + ', [1.0]]}',  # ragged across blocks
+            '{"psi": [' + ",".join(["[1.0, 2.0]"] * 64) + ', [1.0, 2.0], 3.0]}',
+            '{"psi": [' + ",".join(["[1.0, 2.0]"] * 64) + ',]}',
+            '{"psi": [' + ",".join(["[1.0, 2.0]"] * 64) + ' [1.0, 2.0]]}',  # no comma
+            '{"psi": [' + ",".join(["[1.0, 2.0]"] * 64) + '1[1.0, 2.0]]}',
+            '{"training_inputs": [[[1.0]], [[2.0]]]}',
+            '{"psi": [[1.0, 2.0] [3.0, 4.0]]}',
+            '{"psi": [[1.0, 2.0]] ]}',
+            '{"rho": [1.0, 2.0}',
+            '{"rho": 1.0}',
+            '{"rho": "1.0"}',
+            '{"rho": [true]}',
+            '{"rho": [null]}',
+            '{"rho": [1.0, 1e400]}',
+            '{"rho": [1.0, Infinity]}',
+        ],
+    )
+    def test_malformed_array_is_refused(self, text):
+        with pytest.raises(json.JSONDecodeError):
+            cli._parse_model(text)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda t: t[: len(t) // 2],  # truncated inside an array
+            lambda t: t[: t.index("]", t.index('"psi"')) + 1],  # truncated after a row
+            lambda t: t.rstrip()[:-1],  # no closing brace
+            lambda t: t + " x",  # trailing data
+            lambda t: t + "{}",
+            lambda t: t + "]",
+            lambda t: t.replace('"rho":[', '"rho":["1.0",', 1),  # a string in an array
+            lambda t: t.replace('"rho":[', '"rho":[{},', 1),  # an object in an array
+            lambda t: t.replace('"rho":[', '"rho":[{"a":1},', 1),
+            lambda t: t.replace('"rho":[', '"rho":[null,', 1),
+            lambda t: t.replace('"rho":[', '"rho":[true,', 1),
+            lambda t: t.replace('"psi":[', '"psi":[[', 1)  # 3-D
+            .replace('],"target_names"', ']],"target_names"', 1),
+            lambda t: t.replace('"psi":[[', '"psi":[[1.0,', 1),  # ragged rows
+            lambda t: t.replace('"training_inputs":[[', '"training_inputs":[[NaN,', 1),
+            lambda t: t.replace('"adjacency":[[', '"adjacency":[[-Infinity,', 1),
+            lambda t: t.replace('"psi":[[', '"psi":[[1e400,', 1),
+            lambda t: t.replace('"psi":[[', '"psi":[[' + "1" + "0" * 400 + ",", 1),
+            lambda t: t.replace('"alpha":', '"alpha":' + "1" * 5000 + ',"a":', 1),
+            lambda t: "[" + t + "]",  # a top level that is not an object
+            lambda t: '"model"',
+            lambda t: "",
+            lambda t: b"\xff" + t.encode(),  # not UTF-8
+        ],
+    )
+    def test_malformed_model_text_exit_code(self, tmp_path, fitted_model, capsys, edit):
+        rc = predict_with_model_text(tmp_path, fitted_model, edit(fitted_model[0].read_text()))
+        assert_input_error(capsys, rc)
+
+    @pytest.mark.parametrize("key", ["rho", "psi", "training_inputs", "adjacency"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_array_entry_is_invalid_json(self, tmp_path, fitted_model, capsys,
+                                                    key, value):
+        def edit(p):
+            row = p[key] if key == "rho" else p[key][0]
+            row[0] = value
+
+        rc = predict_with_edited_model(tmp_path, fitted_model, edit)
+        assert "invalid JSON" in assert_input_error(capsys, rc)
+
+    def test_load_model_holds_no_float_per_number(self, tmp_path):
+        # N = 300 training inputs, M = 100 nodes: 70k numbers, a 1.4 MB file
+        rng = np.random.default_rng(3)
+        n, m = 300, 100
+        grid = {"family": "gaussian", "lo": 0.01, "hi": 10.0, "count": 12}
+        weights = np.triu(rng.uniform(size=(m, m)), 1)
+        model = solver.KrgModel(
+            psi=rng.normal(size=(n, m)), alpha=0.1, beta=2.0,
+            dictionary=build_dictionary(rng.normal(size=(n, m)), count=12),
+            rho=rng.uniform(size=12), graph=build_graph(weights + weights.T),
+        )
+        path = tmp_path / "model.json"
+        cli.save_model(path, model, grid, [f"n{i}" for i in range(m)], 3, 1.0)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            loaded, _ = cli.load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert_same_bits(loaded.psi, model.psi)
+        # Reading the text holds it twice for a moment (bytes, then str); the
+        # parse stays below that.  json.load peaked at 3.7 MB here (2.7 times
+        # the file), from its tree of Python floats on top of the text.
+        assert peak < 2 * size + 256 * 1024, f"peak traced allocation {peak / 1e6:.2f} MB"
 
 
 class TestFitCost:

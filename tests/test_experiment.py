@@ -164,7 +164,7 @@ class TestRunTrial:
         self, small_dataset, monkeypatch
     ):
         from graphkern import experiment, mkl
-        from graphkern.experiment import _fit_method
+        from graphkern.experiment import _fit_method, _grid_dictionary
 
         solves = []
 
@@ -176,7 +176,9 @@ class TestRunTrial:
             monkeypatch.setattr(module, "solve_structured", counting)
         cfg = ExperimentConfig(n_train=12, n_realizations=1, grid_count=20)
         x, t = small_dataset.inputs[:12], small_dataset.targets[:12]
-        model, trace = _fit_method(METHOD_MULTI, x, t, small_dataset.graph, cfg)
+        model, trace = _fit_method(
+            METHOD_MULTI, _grid_dictionary(x, cfg), t, small_dataset.graph, cfg
+        )
         iterations = trace.iterations_used
         assert iterations >= 1
         assert len(solves) == iterations + 1

@@ -101,6 +101,19 @@ class TestBuildDictionary:
         with pytest.raises(ValueError, match="empty"):
             build_dictionary(np.zeros((0, 2)), count=2)
 
+    def test_with_specs_shares_the_distances(self):
+        x = np.random.default_rng(2).normal(size=(2, 6, 3))  # a stack of two sets
+        d = build_dictionary(x, span=(0.2, 4.0), count=7)
+        linear = d.with_specs([KernelSpec(LINEAR)])
+        assert "sq_distances" not in vars(d)  # a linear kernel needs none
+        single = d.with_specs([KernelSpec(GAUSSIAN, 0.5)])
+        assert single.sq_distances is d.sq_distances
+        assert single.training_inputs is d.training_inputs
+        assert linear.specs == (KernelSpec(LINEAR),)
+        alone = KernelDictionary.from_specs(x, [KernelSpec(GAUSSIAN, 0.5)])
+        np.testing.assert_array_equal(combine(single, np.ones((2, 1))),
+                                      combine(alone, np.ones((2, 1))))
+
     def test_matrices_symmetric_psd_with_unit_diagonal(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(6, 2))
