@@ -22,6 +22,7 @@ import os
 import re
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -228,7 +229,15 @@ def load_config(path):
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     cfg = _merge_defaults(DEFAULT_CONFIG, raw)
-    _validate_config(cfg, path)
+    if ("data" in cfg) == ("synthetic" in cfg):
+        raise ConfigError(
+            f"{path}: exactly one of 'data' (file mode) or 'synthetic' "
+            f"(generator mode) must be present"
+        )
+    try:
+        _read_run(cfg)
+    except (AttributeError, TypeError, ValueError, OverflowError) as err:
+        raise ConfigError(f"{path}: invalid configuration: {err}") from err
     return cfg
 
 
@@ -247,110 +256,104 @@ def _merge_defaults(defaults, overrides):
     return merged
 
 
-def _validate_config(cfg, path):
-    has_files = "data" in cfg
-    has_synth = "synthetic" in cfg
-    if has_files == has_synth:
-        raise ConfigError(
-            f"{path}: exactly one of 'data' (file mode) or 'synthetic' "
-            f"(generator mode) must be present"
-        )
-    if has_files:
-        data = cfg["data"]
-        for key in ("measurements", "coordinates"):
-            if key not in data:
-                raise ConfigError(f"{path}: data block is missing {key!r}")
-            if not Path(data[key]).exists():
-                raise ConfigError(f"{path}: referenced file does not exist: {data[key]}")
-    exp_cfg = cfg["experiment"]
+def _integer(value, name):
+    """An integer config value; a bool or a number with a fraction is refused, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name}: expected an integer, got {value!r}")
+    return int(value)
+
+
+def _held(config, name, **values):
+    """``config`` with ``values``, on one kernel of its checked grid; errors name ``name``."""
     try:
-        sizes = [int(n) for n in exp_cfg["n_train_values"]]
-        if not sizes or any(n < 1 for n in sizes):
-            raise ValueError("n_train_values must be positive integers")
-        for key, value in exp_cfg.get("params_by_n_train", {}).items():
-            int(key)
-            if not (_nonnegative(value[0]) and _nonnegative(value[1])):
-                raise ValueError(f"params_by_n_train[{key}] must be finite and nonnegative")
-        if "grid_search" in exp_cfg:
-            search = exp_cfg["grid_search"]
-            for key in ("alphas", "betas"):
-                grid = search.get(key) if isinstance(search, dict) else None
-                if not isinstance(grid, list) or not grid:
-                    raise ValueError(f"grid_search.{key} must be a nonempty list")
-                if not all(_nonnegative(v) for v in grid):
-                    raise ValueError(f"grid_search.{key} must be finite nonnegative numbers")
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as err:
-        raise ConfigError(f"{path}: invalid experiment block: {err}") from err
-    try:
-        _experiment_config(cfg, 2)
-    except (KeyError, TypeError, ValueError, OverflowError) as err:
-        raise ConfigError(f"{path}: invalid configuration: {err}") from err
+        return replace(config, grid_count=1, **values)
+    except ValueError as err:
+        raise ValueError(f"{name}: {err}") from None
 
 
-def _nonnegative(value):
-    value = float(value)
-    return math.isfinite(value) and value >= 0
+def _read_run(cfg):
+    """What a run takes from a merged config: ``(config, sizes, params, search)``.
 
-
-def _experiment_config(cfg, n_train):
-    """The ExperimentConfig of a run config at one training-set size.
-
-    The only place where the ``optimizer`` block becomes a SolverConfig,
-    with ``max_iterations`` as ``i_max``.
+    The one reader of the ``experiment``, ``optimizer`` and ``kernel_grid``
+    blocks: the base ExperimentConfig (at the class's ``n_train``), the
+    training sizes, the (alpha, beta) pair of each size, and None or the
+    grid search's (alphas, betas).  The range rules are the config
+    classes': each size, pair and grid value is checked by the
+    ExperimentConfig that holds it.
     """
-    grid = cfg["kernel_grid"]
-    e = cfg["experiment"]
-    opt = cfg["optimizer"]
-    return exp.ExperimentConfig(
+    grid, e, opt = cfg["kernel_grid"], cfg["experiment"], cfg["optimizer"]
+    config = exp.ExperimentConfig(
         snr_db=float(e["snr_db"]),
-        n_train=int(n_train),
-        n_realizations=int(e["n_realizations"]),
+        n_realizations=_integer(e["n_realizations"], "experiment.n_realizations"),
         grid_family=grid["family"],
         grid_span=(float(grid["lo"]), float(grid["hi"])),
-        grid_count=int(grid["count"]),
+        grid_count=_integer(grid["count"], "kernel_grid.count"),
         linear_alpha=float(e["linear_alpha"]),
         single_sigma_sq=float(e["single_sigma_sq"]),
         alpha=float(cfg["alpha"]),
         beta=float(cfg["beta"]),
         solver=SolverConfig(
             mu0=float(opt["mu0"]),
-            i_max=int(opt["max_iterations"]),
+            i_max=_integer(opt["max_iterations"], "optimizer.max_iterations"),
             epsilon=float(opt["epsilon"]),
             radius=float(opt["radius"]),
-            q=int(opt["q"]),
+            q=_integer(opt["q"], "optimizer.q"),
             momentum=opt["momentum"],
         ),
-        master_seed=int(cfg["seed"]),
+        master_seed=_integer(cfg["seed"], "seed"),
     )
+    name = "experiment.n_train_values"
+    if not isinstance(e["n_train_values"], list) or not e["n_train_values"]:
+        raise ValueError(f"{name} must be a nonempty list")
+    sizes = [_held(config, name, n_train=_integer(n, name)).n_train for n in e["n_train_values"]]
+    params = {}
+    for key, pair in e["params_by_n_train"].items():
+        name = f"experiment.params_by_n_train[{key}]"
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValueError(f"{name} must be an [alpha, beta] pair")
+        held = _held(config, name, n_train=_integer(key, name), alpha=float(pair[0]),
+                     beta=float(pair[1]))
+        params[held.n_train] = (held.alpha, held.beta)
+    search = None
+    if "grid_search" in e:
+        search = []
+        for key, field in (("alphas", "alpha"), ("betas", "beta")):
+            name = f"experiment.grid_search.{key}"
+            values = e["grid_search"].get(key) if isinstance(e["grid_search"], dict) else None
+            if not isinstance(values, list) or not values:
+                raise ValueError(f"{name} must be a nonempty list")
+            search.append([float(v) for v in values])
+            for value in search[-1]:
+                _held(config, name, **{field: value})
+    return config, sizes, params, search
 
 
 def _dataset_from_config(cfg):
     """Build the ExperimentDataset plus node names from a validated config.
 
-    Values from which no dataset or graph can be built (say, a single
-    node) raise :class:`ConfigError`.
+    The ``synthetic`` block holds keyword arguments of
+    :func:`~graphkern.experiment.make_synthetic_dataset`, ``seed`` defaulting
+    to the config's.  Values from which no dataset can be built (say, a
+    single node, an unknown key or a missing file) raise :class:`ConfigError`.
     """
     try:
         if "data" in cfg:
-            matrix, coords, names = ingest_dataset(
-                cfg["data"]["measurements"], cfg["data"]["coordinates"]
-            )
+            paths = (Path(cfg["data"][key]) for key in ("measurements", "coordinates"))
+            matrix, coords, names = ingest_dataset(*paths)
             graph = build_graph(geodesic_adjacency(coords))
             dataset = exp.ExperimentDataset(
                 inputs=matrix[:-1], targets=matrix[1:], graph=graph, coords=coords
             )
             return dataset, names
-        synth = cfg["synthetic"]
-        dataset = exp.make_synthetic_dataset(
-            num_nodes=int(synth.get("num_nodes", 45)),
-            num_pairs=int(synth.get("num_pairs", 60)),
-            num_modes=int(synth.get("num_modes", 8)),
-            seed=int(synth.get("seed", cfg["seed"])),
-            mean_sq_distance=float(synth.get("mean_sq_distance", 6.0)),
-            mode_decay=float(synth.get("mode_decay", 0.7)),
-            mean_level=float(synth.get("mean_level", 1.0)),
-            mode=synth.get("mode", "euclidean"),
-        )
+        synth = {"seed": cfg["seed"], **cfg["synthetic"]}
+        for key, value in synth.items():
+            if key in ("num_nodes", "num_pairs", "num_modes", "seed"):
+                synth[key] = _integer(value, f"synthetic.{key}")
+            elif key in ("mean_sq_distance", "mode_decay", "mean_level"):
+                synth[key] = float(value)
+        dataset = exp.make_synthetic_dataset(**synth)
+    except KeyError as err:
+        raise ConfigError(f"data block is missing {err}") from err
     except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"cannot build the dataset: {err}") from err
     names = [f"node{i}" for i in range(dataset.graph.num_nodes)]
@@ -541,7 +544,8 @@ def load_model(path):
         raise ConfigError(f"{path}: target_names must be a list")
     try:
         grid = payload["kernel_grid"]
-        specs = grid_specs(grid["family"], (grid["lo"], grid["hi"]), int(grid["count"]))
+        count = _integer(grid["count"], "kernel_grid.count")
+        specs = grid_specs(grid["family"], (grid["lo"], grid["hi"]), count)
         dictionary = KernelDictionary.from_specs(payload["training_inputs"], specs)
         psi, rho = payload["psi"], payload["rho"]
         graph = build_graph(payload["adjacency"])
@@ -574,15 +578,16 @@ def load_model(path):
 
 def cmd_fit(cfg, out_dir):
     dataset, names = _dataset_from_config(cfg)
-    config = _experiment_config(cfg, n_train=max(1, dataset.num_pairs - 1))
+    config = _read_run(cfg)[0]
     model, trace = exp._fit_method(
         exp.METHOD_MULTI, exp._grid_dictionary(dataset.inputs, config), dataset.targets,
         dataset.graph, config,
     )
     out_dir.mkdir(parents=True, exist_ok=True)
+    (lo, hi), count = config.grid_span, config.grid_count
+    grid = {"family": config.grid_family, "lo": lo, "hi": hi, "count": count}
     save_model(
-        out_dir / "model.json", model, cfg["kernel_grid"], names,
-        trace.iterations_used, trace.final_gamma,
+        out_dir / "model.json", model, grid, names, trace.iterations_used, trace.final_gamma
     )
     trace.write_csv(out_dir / "trace.csv")
     log.info(
@@ -615,36 +620,30 @@ def cmd_predict(model_path, inputs_path, output_path):
     return 0
 
 
-def _training_sizes(cfg, dataset):
-    """The config's ``n_train_values``; each must leave the dataset a test pair."""
-    n_values = [int(n) for n in cfg["experiment"]["n_train_values"]]
-    too_large = [n for n in n_values if n >= dataset.num_pairs]
+def _check_training_sizes(sizes, dataset):
+    """Each training size must leave the dataset a test pair."""
+    too_large = [n for n in sizes if n >= dataset.num_pairs]
     if too_large:
         raise ConfigError(
             f"n_train_values {too_large} leave no test pairs: the dataset has "
             f"{dataset.num_pairs} pairs"
         )
-    return n_values
 
 
 def cmd_experiment(cfg, out_dir):
     dataset, _ = _dataset_from_config(cfg)
-    e = cfg["experiment"]
-    n_values = _training_sizes(cfg, dataset)
-    params = {int(k): tuple(v) for k, v in e.get("params_by_n_train", {}).items()}
+    config, sizes, params, search = _read_run(cfg)
+    _check_training_sizes(sizes, dataset)
 
-    if "grid_search" in e:
-        gs = e["grid_search"]
-        for n in n_values:
-            cfg_n = _experiment_config(cfg, n)
+    if search:
+        for n in sizes:
             a, b = exp.grid_search_hyperparams(
-                dataset, exp.METHOD_SINGLE, gs["alphas"], gs["betas"], cfg_n
+                dataset, exp.METHOD_SINGLE, *search, replace(config, n_train=n)
             )
             params[n] = (a, b)
             log.info("grid search at n_train=%d selected alpha=%g beta=%g", n, a, b)
 
-    config = _experiment_config(cfg, n_values[0])
-    reports = exp.n_train_sweep(dataset, config, n_train_values=n_values, params_by_n=params)
+    reports = exp.n_train_sweep(dataset, config, n_train_values=sizes, params_by_n=params)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     nmse_path = out_dir / "nmse_vs_ntrain.csv"
@@ -693,7 +692,7 @@ def cmd_validate_config(config_path):
     """Refuse what ``fit`` and ``experiment`` would refuse, short of fitting."""
     cfg = load_config(config_path)
     dataset, _ = _dataset_from_config(cfg)
-    _training_sizes(cfg, dataset)
+    _check_training_sizes(_read_run(cfg)[1], dataset)
     print(f"{config_path}: OK")
     return 0
 

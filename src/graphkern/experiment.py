@@ -99,6 +99,8 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        if not abs(self.snr_db) <= 3000:  # 10 ** (snr_db / 10) a nonzero finite double
+            raise ValueError("snr_db must be finite and between -3000 and 3000 dB")
         if self.n_realizations < 1:
             raise ValueError("n_realizations must be at least 1")
         if self.n_train < 1:

@@ -89,14 +89,12 @@ class SolverConfig:
     momentum: str = "damped"
 
     def __post_init__(self):
-        if not self.mu0 > 0:
-            raise ValueError("mu0 must be positive")
+        for name in ("mu0", "epsilon", "radius"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive")
         if not (isinstance(self.i_max, int) and self.i_max >= 1):
             raise ValueError("i_max must be a positive integer")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
         if self.q not in (1, 2):
             raise ValueError("q must be 1 or 2")
         if self.momentum not in MOMENTUM_VARIANTS:

@@ -171,6 +171,16 @@ def synthetic_config(tmp_path, **overrides):
     return path
 
 
+def edit_config(path, keys, value):
+    """Set the entry at the key path ``keys`` of the config file at ``path``."""
+    cfg = json.loads(path.read_text())
+    block = cfg
+    for key in keys[:-1]:
+        block = block[key]
+    block[keys[-1]] = value
+    path.write_text(json.dumps(cfg))  # NaN and Infinity as JSON literals
+
+
 def run_on_config(command, path, out):
     """Run a subcommand on a config; ``validate-config`` takes no ``--out``."""
     argv = [command, "--config", str(path)]
@@ -248,7 +258,9 @@ class TestValidateConfig:
         rc = cli.main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")])
         assert_input_error(capsys, rc)
 
-    @pytest.mark.parametrize("params", [[math.nan, 5.5], [0.02, math.inf], [0.02]])
+    @pytest.mark.parametrize(
+        "params", [[math.nan, 5.5], [0.02, math.inf], [0.02], [0.02, 5.5, 9.0]]
+    )
     def test_bad_params_by_n_train(self, tmp_path, capsys, params):
         path = synthetic_config(tmp_path)
         cfg = json.loads(path.read_text())
@@ -265,6 +277,58 @@ class TestValidateConfig:
         path.write_text(json.dumps(cfg))
         rc = cli.main(["validate-config", "--config", str(path)])
         assert "[20]" in assert_input_error(capsys, rc)
+
+    @pytest.mark.parametrize("command", ["validate-config", "fit", "experiment"])
+    @pytest.mark.parametrize(
+        "keys, value",
+        [
+            (("optimizer", "q"), 1.5),
+            (("optimizer", "max_iterations"), 2.9),
+            (("kernel_grid", "count"), 8.5),
+            (("experiment", "n_realizations"), 2.5),
+            (("experiment", "n_train_values"), [4.5]),
+            (("experiment", "n_train_values"), [True]),
+            (("seed",), 1.5),
+            (("seed",), True),
+            (("synthetic", "num_pairs"), 12.5),
+        ],
+        ids=lambda v: ".".join(v) if isinstance(v, tuple) else repr(v),
+    )
+    def test_fractional_or_boolean_integer_exit_code(self, tmp_path, capsys, command, keys,
+                                                      value):
+        path = synthetic_config(tmp_path)
+        edit_config(path, keys, value)
+        err = assert_input_error(capsys, run_on_config(command, path, tmp_path / "out"))
+        assert f"{'.'.join(keys)}: expected an integer" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate-config", "fit", "experiment"])
+    @pytest.mark.parametrize(
+        "block, value, message",
+        [
+            ("synthetic", {"num_nodes": 8, "num_node": 8, "num_pairs": 14}, "'num_node'"),
+            ("synthetic", None, "cannot build the dataset"),
+            ("experiment", {"params_by_n_train": None}, "invalid configuration"),
+            ("experiment", {"params_by_n_train": []}, "invalid configuration"),
+            ("data", 5, "cannot build the dataset"),
+            ("data", {"measurements": 5, "coordinates": "c.csv"}, "cannot build the dataset"),
+            ("data", {"measurements": "m.csv"}, "data block is missing 'coordinates'"),
+            ("data", {"measurements": "none.csv", "coordinates": "none.csv"},
+             "cannot open measurements file none.csv"),
+        ],
+    )
+    def test_malformed_block_exit_code(self, tmp_path, capsys, monkeypatch, command, block,
+                                       value, message):
+        monkeypatch.chdir(tmp_path)
+        cfg = json.loads(synthetic_config(tmp_path).read_text())
+        if block == "data":
+            del cfg["synthetic"]
+        cfg[block] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        err = assert_input_error(capsys, run_on_config(command, path, tmp_path / "out"))
+        assert message in err
+        assert not (tmp_path / "out").exists()
 
     def test_data_mode_requires_existing_files(self, tmp_path):
         cfg = {
@@ -320,7 +384,7 @@ class TestFitAndPredict:
         err = assert_input_error(capsys, rc)
         assert "line 5" in err and "'nan' in column 1" in err
 
-    @pytest.mark.parametrize("command", ["validate-config", "fit"])
+    @pytest.mark.parametrize("command", ["validate-config", "fit", "experiment"])
     @pytest.mark.parametrize(
         "keys, value",
         [
@@ -332,17 +396,19 @@ class TestFitAndPredict:
             (("experiment", "linear_alpha"), -4.3),
             (("experiment", "single_sigma_sq"), 0.0),
             (("experiment", "single_sigma_sq"), math.inf),
+            (("experiment", "snr_db"), -math.inf),
+            (("experiment", "snr_db"), math.nan),
+            (("experiment", "snr_db"), 5000.0),
+            (("experiment", "snr_db"), -5000.0),
+            (("optimizer", "mu0"), math.inf),
+            (("optimizer", "epsilon"), math.inf),
+            (("optimizer", "radius"), math.inf),
         ],
         ids=lambda v: ".".join(v) if isinstance(v, tuple) else repr(v),
     )
     def test_bad_regularization_exit_code(self, tmp_path, capsys, command, keys, value):
         path = synthetic_config(tmp_path)
-        cfg = json.loads(path.read_text())
-        block = cfg
-        for key in keys[:-1]:
-            block = block[key]
-        block[keys[-1]] = value
-        path.write_text(json.dumps(cfg))  # NaN and Infinity as JSON literals
+        edit_config(path, keys, value)
         err = assert_input_error(capsys, run_on_config(command, path, tmp_path / "out"))
         assert f"{keys[-1]} must be finite" in err
         assert not (tmp_path / "out").exists()
@@ -530,6 +596,7 @@ class TestModelFile:
             lambda p: p["rho"].__setitem__(0, math.nan),
             lambda p: p["psi"][0].__setitem__(0, math.inf),
             lambda p: p["rho"].__setitem__(0, -5.0),  # a negative weight
+            lambda p: p["kernel_grid"].update(count=12.5),  # not truncated to the 12 of rho
         ],
     )
     def test_malformed_model_exit_code(self, tmp_path, fitted_model, edit):
@@ -788,7 +855,7 @@ class TestExperimentCommand:
 class TestDefaults:
     def test_defaults_are_those_of_the_config_classes(self):
         cfg = cli._merge_defaults(cli.DEFAULT_CONFIG, {})
-        assert cli._experiment_config(cfg, 30) == experiment.ExperimentConfig()
+        assert cli._read_run(cfg)[0] == experiment.ExperimentConfig()
         assert cfg["experiment"]["n_train_values"] == list(experiment.DEFAULT_N_TRAIN_SWEEP)
         # report.json repeats the block in this order, with integer counts
         assert list(cfg["optimizer"]) == [

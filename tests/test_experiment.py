@@ -324,6 +324,16 @@ class TestSeedDerivation:
         with pytest.raises(ValueError, match="q"):
             ExperimentConfig(solver=SolverConfig(q=3))
 
+    @pytest.mark.parametrize("snr_db", [np.inf, -np.inf, np.nan, 3001.0, -3001.0])
+    def test_snr_db_must_be_finite(self, snr_db):
+        with pytest.raises(ValueError, match="snr_db must be finite"):
+            ExperimentConfig(snr_db=snr_db)
+
+    @pytest.mark.parametrize("snr_db", [3000.0, -3000.0])
+    def test_noise_at_the_snr_bounds_is_finite(self, snr_db):
+        ExperimentConfig(snr_db=snr_db)
+        assert np.isfinite(add_noise_snr(np.ones((3, 2)), snr_db, 0)).all()
+
 
 class TestDatasetValidation:
     def test_target_width_must_match_graph(self):

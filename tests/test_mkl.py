@@ -250,6 +250,12 @@ class TestWeightTypes:
         with pytest.raises(ValueError, match="momentum"):
             SolverConfig(momentum="heavy-ball")
 
+    @pytest.mark.parametrize("name", ["mu0", "epsilon", "radius"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_config_refuses_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SolverConfig(**{name: value})
+
 
 class TestOptimize:
     def test_single_kernel_reaches_boundary(self):
