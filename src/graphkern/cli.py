@@ -15,13 +15,13 @@ variable (DEBUG/INFO/WARNING/...) to control verbosity.
 import argparse
 import array
 import csv
+import itertools
 import json
 import logging
 import math
 import os
 import re
 import sys
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -43,6 +43,56 @@ MODEL_FORMAT_VERSION = 1
 
 class ConfigError(Exception):
     """Bad input file or configuration; maps to exit code 2."""
+
+
+# ---------------------------------------------------------------------------
+# Number text: the one codec of the CSV and model files
+# ---------------------------------------------------------------------------
+
+# Rows of numbers that orjson formats or parses at a time, and the
+# characters the text of an array of numbers may hold.  orjson is imported
+# where it is used, so that importing this module does not load it.
+_ROWS_PER_BLOCK = 64
+_NUMBER_CHARS = b"0123456789+-.eE[], \t\n\r"
+
+
+def _parse_number_block(items, ndim):
+    """``items``, the text of an array's items, as an ndim-D float64 array."""
+    import orjson
+
+    items = items.encode()
+    if items.translate(None, _NUMBER_CHARS):
+        raise ValueError
+    block = np.array(orjson.loads(b"[" + items + b"]"), dtype=np.float64)
+    if block.ndim != ndim:
+        raise ValueError
+    return block
+
+
+def _write_number_rows(fh, matrix):
+    """Write the rows of a float64 matrix as CSV lines, each value as ``repr`` writes it.
+
+    The bytes are those of ``csv.writer(fh).writerows(matrix.tolist())``.
+    orjson formats a block of rows at a time; it writes each double in the
+    same shortest round-trip digits as ``repr``, but for a finite nonzero
+    value with ``|x| < 1e-4`` or ``|x| >= 1e16`` in another style (it writes
+    ``0.00001`` and ``1e16`` where ``repr`` writes ``1e-05`` and ``1e+16``)
+    and for a non-finite one as ``null``.  A row holding such a value is
+    written with ``repr`` instead.
+    """
+    import orjson
+
+    magnitudes = np.abs(matrix)
+    by_repr = (
+        ~np.isfinite(matrix) | ((magnitudes < 1e-4) & (matrix != 0.0)) | (magnitudes >= 1e16)
+    ).any(axis=1)
+    for start in range(0, matrix.shape[0], _ROWS_PER_BLOCK):
+        block = np.ascontiguousarray(matrix[start:start + _ROWS_PER_BLOCK], dtype=np.float64)
+        lines = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].decode().split("],[")
+        for i in np.flatnonzero(by_repr[start:start + _ROWS_PER_BLOCK]):
+            lines[i] = ",".join(map(repr, block[i].tolist()))
+        lines.append("")
+        fh.write("\r\n".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -85,29 +135,61 @@ def _read_measurements(path, min_rows=2):
         names = [c.strip() for c in header]
         if len(set(names)) != len(names):
             raise ConfigError(f"{path}: duplicate node names in header")
-        # The body in one C-level parse.  A body it refuses or reads with a
-        # non-finite cell is read again cell by cell, which accepts what
-        # float() accepts and names the offending cell.
+        # The body as rows of JSON numbers, parsed by orjson a block at a
+        # time.  A body that is anything else (quotes, "+1", "1.", "nan",
+        # ragged rows, an overflowing value, too few rows) is read again
+        # cell by cell, which accepts what float() accepts and names the
+        # offending cell.
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # no rows after the header
-                matrix = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+            matrix = _parse_rows(fh, len(names), min_rows)
         except ValueError:
-            matrix = None
-        if (
-            matrix is None
-            or matrix.shape[0] < min_rows
-            or matrix.shape[1] != len(names)
-            or not np.isfinite(matrix).all()
-        ):
             fh.seek(0)
             next(reader)
             matrix = _read_cells(reader, path, names, min_rows)
     return names, matrix
 
 
+# The end of a bare -0, which orjson reads as the integer 0 and so without
+# its sign.  It also matches an exponent of -0 ("1e-0,"), which is then sent
+# to the cell reader as well.
+_NEGATIVE_ZERO = re.compile(r"-0[,\] \t\r\n]")
+
+
+def _parse_rows(lines, width, min_rows):
+    """The non-blank ``lines`` as a (rows, width) float64 array; ValueError if they are not that.
+
+    Each line must hold ``width`` comma-separated JSON numbers.  The lines
+    go to :func:`_parse_number_block` ``_ROWS_PER_BLOCK`` at a time, each
+    wrapped as ``[...]``, and every block is appended to one buffer of
+    doubles, so no Python float per cell outlives its block.  A JSON
+    number is read as ``float()`` reads its text, and one that overflows
+    is refused by orjson.
+    """
+    data = array.array("d")
+    rows = (line for line in lines if line.strip())
+    while block := list(itertools.islice(rows, _ROWS_PER_BLOCK)):
+        items = "[" + "],[".join(block) + "]"
+        # The brackets must be the wrapping ones: a line holding "],[" would
+        # read as two rows.
+        if items.count("[") + items.count("]") != 2 * len(block) or _NEGATIVE_ZERO.search(items):
+            raise ValueError
+        values = _parse_number_block(items, ndim=2)
+        if values.shape[1] != width:
+            raise ValueError
+        data.frombytes(values.tobytes())
+    if len(data) < min_rows * width:
+        raise ValueError
+    return np.frombuffer(data).reshape(-1, width)
+
+
 def _read_cells(reader, path, names, min_rows):
-    """The rows after the header of a measurements file, parsed cell by cell."""
+    """The rows after the header of a measurements file, parsed cell by cell.
+
+    The reader of last resort for a body :func:`_parse_rows` refuses: it
+    accepts each cell ``float()`` reads (quoted, padded, ``+.5``,
+    ``1_0``) and raises :class:`ConfigError` naming the first cell that is
+    missing, non-numeric or non-finite, or the first ragged row.
+    """
     # Cells go into one buffer of doubles as the rows stream by.  Holding
     # every row as a list of Python floats left the allocator fragmented:
     # resident memory grew by about 1 MB with each 1000 x 200 file read in
@@ -234,6 +316,8 @@ def load_config(path):
             f"{path}: exactly one of 'data' (file mode) or 'synthetic' "
             f"(generator mode) must be present"
         )
+    if not isinstance(cfg["output_dir"], str):
+        raise ConfigError(f"{path}: output_dir must be a path string, got {cfg['output_dir']!r}")
     try:
         _read_run(cfg)
     except (AttributeError, TypeError, ValueError, OverflowError) as err:
@@ -369,10 +453,9 @@ def save_model(path, model, grid_cfg, names, iterations, final_gamma):
 
     The arrays go to orjson as float64 buffers, which it formats without
     making a Python float of each entry; every double is written in its
-    shortest round-trip form, so :func:`load_model` (which reads with the
-    standard library, see there) gets back the same bits.  Of the grid
-    block only the four fields that :func:`load_model` reads are kept.
-    orjson is imported here because only ``fit`` writes models.
+    shortest round-trip form, so :func:`load_model` gets back the same
+    bits.  Of the grid block only the four fields that :func:`load_model`
+    reads are kept.
     """
     import orjson
 
@@ -407,12 +490,8 @@ MODEL_KEYS = (
     "target_names", "adjacency",
 )
 
-# Top-level keys of a model file whose values are arrays of numbers, the
-# rows of a 2-D one that orjson parses at a time, and the characters the
-# text of such an array may hold.
+# Top-level keys of a model file whose values are arrays of numbers.
 _ARRAY_KEYS = ("rho", "training_inputs", "psi", "adjacency")
-_ROWS_PER_BLOCK = 64
-_NUMBER_CHARS = b"0123456789+-.eE[], \t\n\r"
 _WHITESPACE = re.compile(r"[ \t\n\r]*")
 
 
@@ -475,7 +554,7 @@ def _parse_number_array(text, start, key):
             raise ValueError
         first = _skip(text, start + 1)
         if not text.startswith("[", first):
-            return _parse_number_block(text, start + 1, end - 1, ndim=1), end
+            return _parse_number_block(text[start + 1:end - 1], ndim=1), end
         blocks = []
         while True:
             stop = first
@@ -484,7 +563,7 @@ def _parse_number_array(text, start, key):
                 if row_end < 0:
                     break
                 stop = row_end + 1
-            blocks.append(_parse_number_block(text, first, stop, ndim=2))
+            blocks.append(_parse_number_block(text[first:stop], ndim=2))
             first = _skip(text, stop)
             if first == end - 1:
                 return np.concatenate(blocks), end
@@ -495,19 +574,6 @@ def _parse_number_array(text, start, key):
         raise json.JSONDecodeError(
             f"{key} must be a 1-D or 2-D array of numbers", text, start
         ) from None
-
-
-def _parse_number_block(text, start, stop, ndim):
-    """``text[start:stop]``, the items of an array, as an ndim-D float64 array."""
-    import orjson
-
-    items = text[start:stop].encode()
-    if items.translate(None, _NUMBER_CHARS):
-        raise ValueError
-    block = np.array(orjson.loads(b"[" + items + b"]"), dtype=np.float64)
-    if block.ndim != ndim:
-        raise ValueError
-    return block
 
 
 def load_model(path):
@@ -613,9 +679,8 @@ def cmd_predict(model_path, inputs_path, output_path):
     except OSError as err:
         raise ConfigError(f"cannot open output file {output_path}: {err}") from err
     with fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        writer.writerows(predictions.tolist())
+        csv.writer(fh).writerow(names)
+        _write_number_rows(fh, predictions)
     print(f"predictions written to {output_path}")
     return 0
 

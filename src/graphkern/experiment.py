@@ -43,9 +43,9 @@ from .kernels import (
     GAUSSIAN,
     LINEAR,
     KernelSpec,
+    _checked_grid,
     build_dictionary,
     combine_cross,
-    grid_specs,
 )
 from .mkl import SolverConfig, optimize
 from .solver import TrainingSet, solve_structured
@@ -111,7 +111,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be finite and nonnegative")
         if not (math.isfinite(self.single_sigma_sq) and self.single_sigma_sq > 0):
             raise ValueError("single_sigma_sq must be finite and positive")
-        grid_specs(self.grid_family, self.grid_span, self.grid_count)  # validates the grid
+        _checked_grid(self.grid_family, self.grid_span, self.grid_count)
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,7 @@ that the whole stack shares one skeleton, built for its largest distance.
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -205,14 +206,26 @@ def grid_specs(family=GAUSSIAN, span=(0.01, 10.0), count=100):
     parameter, so the grid degenerates to ``count`` copies and is normally
     used with ``count=1``.
     """
+    lo, hi = _checked_grid(family, span, count)
+    if family == LINEAR:
+        return [KernelSpec(LINEAR) for _ in range(count)]
+    return [KernelSpec(family, p) for p in np.linspace(lo, hi, count)]
+
+
+def _checked_grid(family, span, count):
+    """The ``(lo, hi)`` of a grid :func:`grid_specs` can build; raises what it would raise.
+
+    Checks the family, span and count without building a spec per kernel.
+    """
     lo, hi = float(span[0]), float(span[1])
     if count < 1:
         raise ValueError("kernel count must be at least 1")
-    if family == LINEAR:
-        return [KernelSpec(LINEAR) for _ in range(count)]
     if family == GAUSSIAN and not 0 < lo < hi < math.inf:
         raise ValueError(f"invalid parameter span [{lo}, {hi}]: need 0 < lo < hi < inf")
-    return [KernelSpec(family, p) for p in np.linspace(lo, hi, count)]
+    operator.index(count)  # as range() and np.linspace() take it
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown kernel family {family!r}")
+    return lo, hi
 
 
 def build_dictionary(training_inputs, family=GAUSSIAN, span=(0.01, 10.0), count=100):

@@ -137,13 +137,13 @@ def solve_structured(dictionary, rho, graph, targets, alpha, beta):
     """
     rho, t = _check_fit_args(dictionary, rho, graph, targets, alpha, beta)
     u, lam = graph.lap_eigvecs, graph.lap_eigvals
+    # kvecs None stands for K = 0, for which LAPACK's eigh returns exactly
+    # (0, I); a product with I is exact, so it is skipped
+    kvecs = None
     if rho.any():
         kvals, kvecs = np.linalg.eigh(_combine_unchecked(dictionary, rho))
     else:
-        # K = 0, for which LAPACK's eigh returns exactly (0, I)
-        shape = dictionary.batch_shape + (dictionary.num_samples,)
-        kvals = np.zeros(shape)
-        kvecs = np.broadcast_to(np.eye(shape[-1]), shape + shape[-1:])
+        kvals = np.zeros(dictionary.batch_shape + (dictionary.num_samples,))
     # denoms[..., j, m] is the eigenvalue of column system m along kernel mode j
     denoms = kvals[..., :, None] * (1.0 + beta * lam) + alpha
     magnitudes = np.abs(denoms)
@@ -161,10 +161,14 @@ def solve_structured(dictionary, rho, graph, targets, alpha, beta):
         if not dictionary.batch_shape:
             raise SingularSystemError(messages[0])
         denoms[failed] = 1.0  # their psi is set to zero below
-    coeffs = np.swapaxes(kvecs, -1, -2) @ (t @ u)
+    coeffs = t @ u
+    if kvecs is not None:
+        coeffs = np.swapaxes(kvecs, -1, -2) @ coeffs
     np.divide(coeffs, denoms, out=coeffs)
     del denoms
-    psi = (kvecs @ coeffs) @ u.T
+    if kvecs is not None:
+        coeffs = kvecs @ coeffs
+    psi = coeffs @ u.T
     errors = None
     if dictionary.batch_shape:
         psi[failed] = 0.0

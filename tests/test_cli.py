@@ -85,9 +85,19 @@ class TestIngest:
             '1,2,3\n4,"5,5",6\n',
             "1,2,3\n",
             "",
+            "-0,1,2\n3,-0 ,-0",  # a bare -0 ends a cell, a padded cell and the file
+            "1e-400,-1e-400,1\n2,3,4\n",
+            "123456789012345678901234567890,2,3\n4,5,6\n",
+            "1E5,2e+3,1e-0\n4,5,6\n",
+            "00,1,2\n3,4,5\n",
+            "1,2,3],[4,5,6\n7,8,9\n",  # brackets must not make two rows of one line
+            "1,2\n3,4\n5,6\n",  # six cells, as in two rows of three
+            "".join(f"{i},{i}.5,-{i}e-3\n" for i in range(129)) + "1,x,3\n",
         ],
         ids=["repr", "crlf", "cr", "spacing", "float-syntax", "short-row", "long-row",
-             "narrow", "missing", "nan", "overflow", "quoted-comma", "one-row", "no-rows"],
+             "narrow", "missing", "nan", "overflow", "quoted-comma", "one-row", "no-rows",
+             "negative-zero", "underflow", "long-integer", "exponent-syntax", "leading-zero",
+             "brackets", "narrow-rows-fill-the-width", "bad-cell-third-block"],
     )
     def test_measurements_read_as_cell_by_cell(self, tmp_path, body):
         m = tmp_path / "m.csv"
@@ -109,6 +119,22 @@ class TestIngest:
         names, matrix = cli._read_measurements(m)
         assert names == expected[0]
         np.testing.assert_array_equal(matrix.view(np.uint64), expected[1].view(np.uint64))
+
+    def test_number_rows_written_as_csv_writer_writes_them(self, tmp_path):
+        rng = np.random.default_rng(3)
+        matrix = rng.normal(scale=1e3, size=(150, 9))
+        special = [0.0, -0.0, 1e-4, 9.99e-5, 5e-324, 1e16, -1.5e300, 1e-5, 9999999999999998.0,
+                   math.inf, -math.inf, math.nan]
+        for i, v in enumerate(special):
+            matrix[10 * i + 3, i % 9] = v  # rows in each of the three blocks
+        matrix[70] = 0.0
+        matrix[140] = -0.0
+        got, expected = tmp_path / "got.csv", tmp_path / "expected.csv"
+        with open(got, "w", newline="") as fh:
+            cli._write_number_rows(fh, matrix)
+        with open(expected, "w", newline="") as fh:
+            csv.writer(fh).writerows([[repr(v) for v in row] for row in matrix.tolist()])
+        assert got.read_bytes() == expected.read_bytes()
 
     def test_two_rows_one_pair(self, tmp_path):
         m = tmp_path / "m.csv"
@@ -330,6 +356,17 @@ class TestValidateConfig:
         assert message in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["validate-config", "fit", "experiment"])
+    @pytest.mark.parametrize("value", [5, None])
+    def test_output_dir_not_a_path_exit_code(self, tmp_path, capsys, monkeypatch, command,
+                                             value):
+        monkeypatch.chdir(tmp_path)
+        path = synthetic_config(tmp_path, output_dir=value)
+        # no --out, so fit and experiment would write to output_dir
+        err = assert_input_error(capsys, cli.main([command, "--config", str(path)]))
+        assert f"output_dir must be a path string, got {value!r}" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     def test_data_mode_requires_existing_files(self, tmp_path):
         cfg = {
             "data": {
@@ -444,6 +481,9 @@ class TestFitAndPredict:
         assert rows[0] == names
         got = np.array([[float(c) for c in row] for row in rows[1:]])
         np.testing.assert_array_equal(got, expected)  # lossless float round trip
+        oracle = tmp_path / "oracle.csv"
+        write_measurements(oracle, names, expected.tolist())  # csv.writer, repr per value
+        assert pred_csv.read_bytes() == oracle.read_bytes()
 
     def test_fit_refuses_threads(self, tmp_path):
         path = synthetic_config(tmp_path)

@@ -13,6 +13,7 @@ from graphkern import (
     add_noise_snr,
     build_graph,
     grid_search_hyperparams,
+    grid_specs,
     make_synthetic_dataset,
     monte_carlo,
     nmse,
@@ -340,3 +341,51 @@ class TestDatasetValidation:
         g = build_graph(np.zeros((4, 4)))
         with pytest.raises(ValueError, match="nodes"):
             ExperimentDataset(np.zeros((5, 3)), np.zeros((5, 3)), g)
+
+
+class TestConfigGrid:
+    @pytest.mark.parametrize(
+        "family, span, count, error, message",
+        [
+            ("gaussian", (0.01, 10.0), 0, ValueError, "kernel count must be at least 1"),
+            ("linear", (0.0, 0.0), -1, ValueError, "kernel count must be at least 1"),
+            ("cubic", (0.01, 10.0), 0, ValueError, "kernel count must be at least 1"),
+            ("gaussian", (5.0, 1.0), 10, ValueError,
+             "invalid parameter span [5.0, 1.0]: need 0 < lo < hi < inf"),
+            ("gaussian", (0.0, 1.0), 10, ValueError,
+             "invalid parameter span [0.0, 1.0]: need 0 < lo < hi < inf"),
+            ("gaussian", (0.1, np.inf), 10, ValueError,
+             "invalid parameter span [0.1, inf]: need 0 < lo < hi < inf"),
+            ("gaussian", (np.nan, 1.0), 10, ValueError,
+             "invalid parameter span [nan, 1.0]: need 0 < lo < hi < inf"),
+            ("gaussian", (5.0, 1.0), 2.5, ValueError,
+             "invalid parameter span [5.0, 1.0]: need 0 < lo < hi < inf"),
+            ("cubic", (0.01, 10.0), 10, ValueError, "unknown kernel family 'cubic'"),
+            ("gaussian", (0.01, 10.0), 2.5, TypeError,
+             "'float' object cannot be interpreted as an integer"),
+            ("linear", (0.0, 0.0), 2.5, TypeError,
+             "'float' object cannot be interpreted as an integer"),
+            ("cubic", (0.01, 10.0), 2.5, TypeError,
+             "'float' object cannot be interpreted as an integer"),
+            ("gaussian", ("a", 1.0), 10, ValueError, "could not convert string to float: 'a'"),
+        ],
+    )
+    def test_refusals_are_those_of_grid_specs(self, family, span, count, error, message):
+        # the config checks the grid without building it, and must refuse
+        # exactly what grid_specs refuses, with the same message
+        for build in (
+            lambda: grid_specs(family, span, count),
+            lambda: ExperimentConfig(grid_family=family, grid_span=span, grid_count=count),
+        ):
+            with pytest.raises(error) as got:
+                build()
+            assert str(got.value) == message
+
+    @pytest.mark.parametrize(
+        "family, span, count",
+        [("gaussian", (0.01, 10.0), 100), ("gaussian", (2.0, 3.0), 1), ("linear", (0.0, 0.0), 1),
+         ("linear", (7.0, -1.0), 3)],
+    )
+    def test_accepted_grids_build(self, family, span, count):
+        config = ExperimentConfig(grid_family=family, grid_span=span, grid_count=count)
+        assert len(grid_specs(config.grid_family, config.grid_span, config.grid_count)) == count
