@@ -279,7 +279,6 @@ def _default_config():
             "q": opt.q,
             "epsilon": opt.epsilon,
             "max_iterations": opt.i_max,
-            "momentum": opt.momentum,
         },
         "experiment": {
             "snr_db": e.snr_db,
@@ -326,17 +325,15 @@ def load_config(path):
 
 
 def _merge_defaults(defaults, overrides):
-    merged = {}
+    """The config over the defaults, merged one level deep.
+
+    A block such as ``experiment`` is merged key by key; a value inside
+    it, such as ``params_by_n_train``, replaces the default whole.
+    """
+    merged = {**defaults, **overrides}
     for key, value in defaults.items():
-        if key in overrides and isinstance(value, dict) and isinstance(overrides[key], dict):
-            merged[key] = _merge_defaults(value, overrides[key])
-        elif key in overrides:
-            merged[key] = overrides[key]
-        else:
-            merged[key] = value
-    for key, value in overrides.items():
-        if key not in merged:
-            merged[key] = value
+        if isinstance(value, dict) and isinstance(overrides.get(key), dict):
+            merged[key] = {**value, **overrides[key]}
     return merged
 
 
@@ -366,6 +363,11 @@ def _read_run(cfg):
     ExperimentConfig that holds it.
     """
     grid, e, opt = cfg["kernel_grid"], cfg["experiment"], cfg["optimizer"]
+    # configs written when a second schedule existed may name the one left
+    if opt.get("momentum", "damped") != "damped":
+        raise ValueError(
+            f"optimizer.momentum: only the damped schedule remains, got {opt['momentum']!r}"
+        )
     config = exp.ExperimentConfig(
         snr_db=float(e["snr_db"]),
         n_realizations=_integer(e["n_realizations"], "experiment.n_realizations"),
@@ -382,7 +384,6 @@ def _read_run(cfg):
             epsilon=float(opt["epsilon"]),
             radius=float(opt["radius"]),
             q=_integer(opt["q"], "optimizer.q"),
-            momentum=opt["momentum"],
         ),
         master_seed=_integer(cfg["seed"], "seed"),
     )

@@ -3,6 +3,9 @@
 A dictionary describes S basis kernels over the same N training inputs.
 The effective kernel used for regression is the weighted sum
 ``K = sum_s rho_s K_s`` with nonnegative weights, formed by :func:`combine`.
+:func:`combine` and :func:`kernel_cross` refuse negative or non-finite
+weights with a ``ValueError``, so a combined kernel is always positive
+semidefinite.
 
 Two kernel families are supported: Gaussian ``exp(-||x - x'||^2 / (2 s2))``
 parameterized by the variance ``s2``, and the linear kernel ``x^T x'``.
@@ -413,16 +416,13 @@ def _square(packed, diagonal, n):
 
 
 def combine(dictionary, rho):
-    """Weighted kernel matrix ``sum_s rho_s K_s`` (symmetric PSD), per training set."""
+    """Weighted kernel matrix ``sum_s rho_s K_s`` (symmetric PSD), per training set.
+
+    Negative or non-finite weights raise ``ValueError``.  Each training
+    set evaluates only the kernels with nonzero weight in its own row of
+    ``rho``, so its matrix does not depend on the other sets of a stack.
+    """
     rho = _checked_weights(dictionary, rho)
-    return _combine_unchecked(dictionary, rho)
-
-
-def _combine_unchecked(dictionary, rho):
-    # internal path: solvers and momentum extrapolation may pass weights
-    # with (slightly) negative components.  Each training set evaluates
-    # only the kernels with nonzero weight in its own row of rho, so its
-    # matrix does not depend on the other sets of a stack.
     gaussian, linear, _ = dictionary._families
     batch, n = dictionary.batch_shape, dictionary.num_samples
     rows = rho.reshape(-1, dictionary.num_kernels)[:, gaussian]

@@ -15,13 +15,13 @@ every coordinate, the constrained optimum lies on the boundary
 ``||rho||_q = R``.
 
 :func:`optimize` runs projected gradient descent with the accelerated
-momentum schedule ``lambda(i) = (1 + sqrt(1 + 4 lambda(i-1)^2)) / 2``,
+schedule ``lambda(i) = (1 + sqrt(1 + 4 lambda(i-1)^2)) / 2``,
 ``nu(i) = (lambda(i-1) - 1) / lambda(i)`` and step size ``mu(i) = mu0 / i``.
-Two momentum combinations are available: the default ``"damped"`` variant
-``rho(i) = (1 - nu) z(i) + nu rho(i-1)`` (a convex combination of the
-projected point and the previous iterate, which keeps iterates feasible)
-and the classical ``"fista"`` extrapolation
-``rho(i) = z(i) + nu (z(i) - z(i-1))``.
+Its step ``rho(i) = (1 - nu) z(i) + nu rho(i-1)`` is a convex combination
+of the projected point ``z(i)`` and the previous iterate, so every iterate
+stays in the feasible set, where ``gamma`` is convex and its gradient
+formula holds.  Negative or non-finite weights raise ``ValueError`` in
+:func:`gamma`, :func:`gamma_gradient` and the solves of :func:`optimize`.
 
 Every function here also takes a stacked dictionary (B training sets, see
 :mod:`graphkern.kernels`) with targets and weights carrying its batch axis.
@@ -41,8 +41,6 @@ from .kernels import kernel_inner_products
 from .solver import SingularSystemError, solve_structured
 
 FEASIBILITY_TOL = 1e-9
-
-MOMENTUM_VARIANTS = ("damped", "fista")
 
 CONVERGED = "converged"
 MAX_ITERATIONS = "max_iterations"
@@ -86,7 +84,6 @@ class SolverConfig:
     epsilon: float = 1e-4
     radius: float = 5.0
     q: int = 1
-    momentum: str = "damped"
 
     def __post_init__(self):
         for name in ("mu0", "epsilon", "radius"):
@@ -97,8 +94,6 @@ class SolverConfig:
             raise ValueError("i_max must be a positive integer")
         if self.q not in (1, 2):
             raise ValueError("q must be 1 or 2")
-        if self.momentum not in MOMENTUM_VARIANTS:
-            raise ValueError(f"momentum must be one of {MOMENTUM_VARIANTS}")
 
 
 @dataclass
@@ -221,8 +216,8 @@ def project(s, radius, q):
     fits in the ball it is returned, otherwise the unique shift ``tau > 0``
     with ``sum max(s_i - tau, 0) = radius`` is found by the sort-and-scan
     rule (O(S log S)).  For q=2: clip negatives, then rescale onto the
-    sphere if outside.  A stack of vectors is projected row by row.  Total
-    function (no failure modes).
+    sphere if outside.  A stack of vectors is projected row by row.
+    Raises ``ValueError`` for ``radius <= 0`` or q not in {1, 2}.
     """
     s = np.asarray(s, dtype=float)
     if not radius > 0:
@@ -257,7 +252,8 @@ def optimize(dictionary, graph, targets, config, alpha, beta):
     is always feasible), the iteration trace and the
     :class:`~graphkern.solver.KrgModel` fitted at those weights.  A singular
     system mid-run raises :class:`~graphkern.solver.SingularSystemError`
-    with the partial trace attached as ``err.trace``.
+    with the partial trace attached as ``err.trace``; an iterate with a
+    negative or non-finite weight raises ``ValueError``.
 
     A stacked dictionary runs its problems in lockstep, one solve per
     iteration for the whole stack.  The weights then hold one row per
@@ -270,7 +266,6 @@ def optimize(dictionary, graph, targets, config, alpha, beta):
     traces = tuple(OptimizerTrace() for _ in range(math.prod(batch)))
     live = np.ones(batch, dtype=bool)
     rho_prev = np.zeros(batch + (dictionary.num_kernels,))
-    z_prev = rho_prev
     lam_prev = 1.0
     try:
         for i in range(1, config.i_max + 1):
@@ -289,10 +284,7 @@ def optimize(dictionary, graph, targets, config, alpha, beta):
             z = project(rho_prev - mu * grad, config.radius, config.q)
             lam = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * lam_prev**2))
             nu = (lam_prev - 1.0) / lam
-            if config.momentum == "damped":
-                rho = (1.0 - nu) * z + nu * rho_prev
-            else:
-                rho = z + nu * (z - z_prev)
+            rho = (1.0 - nu) * z + nu * rho_prev
             dsq = np.sum((rho - rho_prev) ** 2, axis=-1)
             norms = _qnorm(rho, config.q)
             rows = np.flatnonzero(live)
@@ -300,7 +292,6 @@ def optimize(dictionary, graph, targets, config, alpha, beta):
                                      np.ravel(norms)[rows], np.ravel(gap)[rows]):
                 traces[b]._append(i, float(v), mu, float(d), float(r), float(g))
             rho_prev = np.where(live[..., None], rho, rho_prev)
-            z_prev = np.where(live[..., None], z, z_prev)
             lam_prev = lam
             converged = live & (dsq <= config.epsilon)
             for b in np.flatnonzero(converged):

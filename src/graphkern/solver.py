@@ -20,13 +20,18 @@ it would be alone.
 
 At ``rho = 0``, where the optimizer starts, ``K = 0`` and no ``eigh``
 runs: its eigendecomposition (0, I) is known.
+
+The weights must be nonnegative and finite, so that ``K`` is positive
+semidefinite; others raise ``ValueError``, as they do in
+:func:`~graphkern.kernels.combine`.  A column system with a denominator
+at or below zero counts as singular.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _combine_unchecked, kernel_cross
+from .kernels import _checked_weights, combine, kernel_cross
 
 # Systems whose estimated condition number exceeds this are refused instead
 # of being silently regularized.
@@ -101,15 +106,9 @@ class KrgModel:
 
 
 def _check_fit_args(dictionary, rho, graph, targets, alpha, beta):
-    batch = dictionary.batch_shape
-    rho = np.asarray(rho, dtype=float)
-    if rho.shape != batch + (dictionary.num_kernels,):
-        raise ValueError(
-            f"weight vector has shape {rho.shape}, expected "
-            f"{batch + (dictionary.num_kernels,)}"
-        )
+    rho = _checked_weights(dictionary, rho)
     t = np.asarray(targets, dtype=float)
-    shape = batch + (dictionary.num_samples, graph.num_nodes)
+    shape = dictionary.batch_shape + (dictionary.num_samples, graph.num_nodes)
     if t.shape != shape:
         raise ValueError(f"targets must have shape {shape}, got {t.shape}")
     if alpha < 0 or beta < 0:
@@ -134,6 +133,7 @@ def solve_structured(dictionary, rho, graph, targets, alpha, beta):
     eigendecomposition is known, zero eigenvalues and the identity as
     eigenvectors, so no ``eigh`` runs; the result is bit-identical to the
     ``eigh`` route, and ``alpha = 0`` there still fails as singular.
+    Both routes refuse negative or non-finite weights (``ValueError``).
     """
     rho, t = _check_fit_args(dictionary, rho, graph, targets, alpha, beta)
     u, lam = graph.lap_eigvecs, graph.lap_eigvals
@@ -141,15 +141,14 @@ def solve_structured(dictionary, rho, graph, targets, alpha, beta):
     # (0, I); a product with I is exact, so it is skipped
     kvecs = None
     if rho.any():
-        kvals, kvecs = np.linalg.eigh(_combine_unchecked(dictionary, rho))
+        kvals, kvecs = np.linalg.eigh(combine(dictionary, rho))
     else:
         kvals = np.zeros(dictionary.batch_shape + (dictionary.num_samples,))
     # denoms[..., j, m] is the eigenvalue of column system m along kernel mode j
     denoms = kvals[..., :, None] * (1.0 + beta * lam) + alpha
-    magnitudes = np.abs(denoms)
-    dmax = magnitudes.max(axis=(-2, -1))
-    dmin = magnitudes.min(axis=(-2, -1))
-    del magnitudes  # the N x M temporaries are freed as soon as they are used
+    # a denominator at or below zero marks a system as singular
+    dmax = denoms.max(axis=(-2, -1))
+    dmin = denoms.min(axis=(-2, -1))
     cond = np.divide(dmax, dmin, out=np.full_like(dmax, np.inf), where=dmin > 0.0)
     failed = cond > CONDITION_LIMIT
     messages = [

@@ -43,8 +43,9 @@ from graphkern import (
     optimize,
     solve_structured,
 )
+from graphkern import kernels
 from graphkern.experiment import METHOD_LINEAR, METHOD_MULTI, METHOD_SINGLE, METHODS
-from graphkern.kernels import _checked_weights, _combine_unchecked, kernel_cross
+from graphkern.kernels import _checked_weights, kernel_cross
 from graphkern.solver import CONDITION_LIMIT, KrgModel, _check_fit_args
 
 
@@ -77,7 +78,7 @@ def solve_dense(dictionary, rho, graph, targets, alpha, beta):
     structured solver.
     """
     rho, t = _check_fit_args(dictionary, rho, graph, targets, alpha, beta)
-    k = _combine_unchecked(dictionary, rho)
+    k = kernels.combine(dictionary, rho)
     n, m = dictionary.num_samples, graph.num_nodes
     system = np.kron(np.eye(m), k + alpha * np.eye(n)) + beta * np.kron(
         graph.laplacian, k
@@ -114,7 +115,7 @@ def krg_objective(model, targets, reduced=False):
     t = np.asarray(targets, dtype=float)
     if t.shape != model.psi.shape:
         raise ValueError(f"targets must have shape {model.psi.shape}, got {t.shape}")
-    k = _combine_unchecked(model.dictionary, model.rho)
+    k = kernels.combine(model.dictionary, model.rho)
     kp = k @ model.psi
     value = (
         -2.0 * float(np.sum(t * kp))
@@ -133,8 +134,7 @@ def reduced_objective_matrix(dictionary, graph, rho, alpha, beta):
     ``gamma(rho) = vec(T)^T B vec(T)`` with
     ``B = -(I_M kron K) [(I_M kron (K + alpha I)) + beta (L kron K)]^{-1}``.
     """
-    rho = np.asarray(rho, dtype=float)
-    k = _combine_unchecked(dictionary, rho)
+    k = kernels.combine(dictionary, rho)
     n, m = dictionary.num_samples, graph.num_nodes
     system = np.kron(np.eye(m), k + alpha * np.eye(n)) + beta * np.kron(
         graph.laplacian, k

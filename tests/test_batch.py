@@ -171,8 +171,8 @@ def test_lockstep_optimize_matches_each_problem_alone():
     graph = build_graph(a)
     x = rng.normal(size=(5, 6, 3)) * rng.uniform(0.3, 3.0, size=(5, 1, 1))
     t = rng.normal(size=(5, 6, 4))
-    for q, momentum in [(1, "damped"), (1, "fista"), (2, "damped"), (2, "fista")]:
-        config = SolverConfig(mu0=0.5, i_max=300, epsilon=1e-4, radius=2.0, q=q, momentum=momentum)
+    for q in (1, 2):
+        config = SolverConfig(mu0=0.5, i_max=300, epsilon=1e-4, radius=2.0, q=q)
         weights, traces, model = optimize(build_dictionary(x, span=(0.3, 3.0), count=7),
                                           graph, t, config, 0.3, 0.8)
         counts = []

@@ -341,6 +341,7 @@ class TestValidateConfig:
             ("data", {"measurements": "m.csv"}, "data block is missing 'coordinates'"),
             ("data", {"measurements": "none.csv", "coordinates": "none.csv"},
              "cannot open measurements file none.csv"),
+            ("optimizer", {"momentum": "fista"}, "only the damped schedule remains"),
         ],
     )
     def test_malformed_block_exit_code(self, tmp_path, capsys, monkeypatch, command, block,
@@ -355,6 +356,29 @@ class TestValidateConfig:
         err = assert_input_error(capsys, run_on_config(command, path, tmp_path / "out"))
         assert message in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate-config", "fit"])
+    def test_damped_momentum_still_accepted(self, tmp_path, command):
+        plain = synthetic_config(tmp_path)
+        assert run_on_config(command, plain, tmp_path / "plain") == 0
+        path = tmp_path / "damped.json"
+        cfg = json.loads(plain.read_text())
+        cfg["optimizer"]["momentum"] = "damped"
+        path.write_text(json.dumps(cfg))
+        assert run_on_config(command, path, tmp_path / "damped") == 0
+        if command == "fit":
+            for name in ("model.json", "trace.csv"):
+                assert (tmp_path / "damped" / name).read_bytes() == (
+                    tmp_path / "plain" / name).read_bytes()
+
+    def test_params_by_n_train_replaces_the_defaults(self, tmp_path):
+        # sizes the config's map leaves out run at its own alpha and beta
+        path = synthetic_config(tmp_path, alpha=0.5, beta=1.0)
+        edit_config(path, ("experiment", "params_by_n_train"), {"6": [0.7, 2.0]})
+        config, sizes, params, _ = cli._read_run(cli.load_config(path))
+        assert sizes == [4, 6]
+        assert params == {6: (0.7, 2.0)}
+        assert (config.alpha, config.beta) == (0.5, 1.0)
 
     @pytest.mark.parametrize("command", ["validate-config", "fit", "experiment"])
     @pytest.mark.parametrize("value", [5, None])
@@ -898,8 +922,6 @@ class TestDefaults:
         assert cli._read_run(cfg)[0] == experiment.ExperimentConfig()
         assert cfg["experiment"]["n_train_values"] == list(experiment.DEFAULT_N_TRAIN_SWEEP)
         # report.json repeats the block in this order, with integer counts
-        assert list(cfg["optimizer"]) == [
-            "radius", "mu0", "q", "epsilon", "max_iterations", "momentum",
-        ]
+        assert list(cfg["optimizer"]) == ["radius", "mu0", "q", "epsilon", "max_iterations"]
         assert all(type(cfg["optimizer"][k]) is int for k in ("q", "max_iterations"))
         assert type(cfg["kernel_grid"]["count"]) is int

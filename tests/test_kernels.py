@@ -18,7 +18,7 @@ from graphkern import (
     make_synthetic_dataset,
 )
 from graphkern import kernels
-from graphkern.kernels import _combine_unchecked, kernel_inner_products
+from graphkern.kernels import kernel_inner_products
 
 from . import oracles
 from .oracles import kernel_eval, kernel_vector, stack
@@ -276,12 +276,13 @@ class TestMatrixFreeAgainstStack:
         np.testing.assert_allclose(combine(d, rho), oracles.combine(d, rho), rtol=1e-15)
 
     def test_negative_weights(self):
-        # fista extrapolation evaluates the internal path at such weights
+        # such weights can make K indefinite; no route combines them
         rng = np.random.default_rng(10)
         d = build_dictionary(rng.normal(size=(12, 2)), span=(0.2, 4.0), count=9)
         rho = rng.uniform(-0.5, 1.0, size=9)
         assert np.any(rho < 0)
-        assert_matches(_combine_unchecked(d, rho), oracles.combine(d, rho))
+        with pytest.raises(ValueError, match="nonnegative"):
+            combine(d, rho)
 
     @pytest.mark.parametrize(
         "n, block_entries", [(60, kernels.BLOCK_ENTRIES), (13, 700)]

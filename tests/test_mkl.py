@@ -247,14 +247,62 @@ class TestWeightTypes:
             SolverConfig(mu0=0.0)
         with pytest.raises(ValueError, match="i_max"):
             SolverConfig(i_max=0)
-        with pytest.raises(ValueError, match="momentum"):
-            SolverConfig(momentum="heavy-ball")
+        # one momentum schedule is left, so there is no knob to set
+        with pytest.raises(TypeError, match="momentum"):
+            SolverConfig(momentum="damped")
 
     @pytest.mark.parametrize("name", ["mu0", "epsilon", "radius"])
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_config_refuses_non_finite(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             SolverConfig(**{name: value})
+
+
+def domain_instance(rng, stacked):
+    """One system, or a stack of three, with two kernels over four inputs."""
+    _, g, t = random_instance(rng, 3, 4, 2)
+    batch = (3,) if stacked else ()
+    d = build_dictionary(rng.normal(size=batch + (4, 3)), span=(0.3, 3.0), count=2)
+    return d, g, np.broadcast_to(t, batch + t.shape), np.full(batch + (2,), 0.5)
+
+
+OUT_OF_DOMAIN = pytest.mark.parametrize(
+    "bad, message",
+    [(-0.1, "kernel weights must be nonnegative"), (np.nan, "kernel weights must be finite")],
+    ids=["negative", "nan"],
+)
+
+
+class TestWeightDomain:
+    # outside {rho >= 0, finite} the combined kernel may be indefinite or
+    # undefined, so every route refuses such weights
+    ROUTES = {
+        "solve_structured": lambda d, g, t, rho: solve_structured(d, rho, g, t, 0.5, 0.5),
+        "gamma": lambda d, g, t, rho: gamma(d, g, t, rho, 0.5, 0.5),
+        "gamma_gradient": lambda d, g, t, rho: gamma_gradient(d, g, t, rho, 0.5, 0.5),
+    }
+
+    @pytest.mark.parametrize("route", list(ROUTES))
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+    @OUT_OF_DOMAIN
+    def test_routes_refuse_out_of_domain_weights(self, route, stacked, bad, message):
+        d, g, t, rho = domain_instance(np.random.default_rng(23), stacked)
+        self.ROUTES[route](d, g, t, rho)  # in the domain: solves
+        rho.reshape(-1, 2)[-1, 0] = bad  # the first weight of the last set
+        with pytest.raises(ValueError, match=message):
+            self.ROUTES[route](d, g, t, rho)
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+    @OUT_OF_DOMAIN
+    def test_optimize_refuses_an_out_of_domain_iterate(self, monkeypatch, stacked, bad,
+                                                       message):
+        # the damped step cannot leave the domain, so a projection that does
+        # stands in for a broken iterate
+        d, g, t, _ = domain_instance(np.random.default_rng(24), stacked)
+        monkeypatch.setattr(mkl, "project", lambda s, radius, q: np.full_like(s, bad))
+        config = SolverConfig(mu0=1.0, i_max=5, epsilon=1e-12, radius=1.0)
+        with pytest.raises(ValueError, match=message):
+            optimize(d, g, t, config, 0.5, 0.5)
 
 
 class TestOptimize:
@@ -294,32 +342,26 @@ class TestOptimize:
         w2, _, _ = optimize(d, g, t, config, 0.5, 0.5)
         np.testing.assert_array_equal(w1.rho, w2.rho)
 
-    @pytest.mark.parametrize("momentum", ["damped", "fista"])
-    def test_final_gamma_no_worse_than_first_step(self, momentum):
+    def test_final_gamma_no_worse_than_first_step(self):
         rng = np.random.default_rng(14)
         d, g, t = random_instance(rng, 4, 5, 3)
         alpha, beta = 0.3, 1.0
         grad0 = gamma_gradient(d, g, t, np.zeros(3), alpha, beta)
         mu0 = 2.0 / np.abs(grad0).max()
-        config = SolverConfig(
-            mu0=mu0, i_max=200, epsilon=1e-12, radius=1.0, q=1, momentum=momentum
-        )
+        config = SolverConfig(mu0=mu0, i_max=200, epsilon=1e-12, radius=1.0, q=1)
         weights, trace, _ = optimize(d, g, t, config, alpha, beta)
         rho_first = project(-mu0 * grad0, 1.0, 1)
         gamma_first = gamma(d, g, t, rho_first, alpha, beta)
         assert trace.final_gamma <= gamma_first + 1e-12
 
-    @pytest.mark.parametrize("momentum", ["damped", "fista"])
     @pytest.mark.parametrize("q", [1, 2])
-    def test_terminal_boundary(self, momentum, q):
+    def test_terminal_boundary(self, q):
         rng = np.random.default_rng(15)
         d, g, t = random_instance(rng, 3, 5, 3)
         alpha, beta = 0.4, 0.5
         grad0 = gamma_gradient(d, g, t, np.zeros(3), alpha, beta)
         mu0 = 3.0 / np.abs(grad0).max()
-        config = SolverConfig(
-            mu0=mu0, i_max=2000, epsilon=1e-14, radius=1.0, q=q, momentum=momentum
-        )
+        config = SolverConfig(mu0=mu0, i_max=2000, epsilon=1e-14, radius=1.0, q=q)
         weights, _, _ = optimize(d, g, t, config, alpha, beta)
         norm = np.sum(weights.rho) if q == 1 else np.linalg.norm(weights.rho)
         assert abs(norm - 1.0) < 1e-3
@@ -344,11 +386,10 @@ class TestOptimize:
         assert hasattr(excinfo.value, "trace")
         assert excinfo.value.trace.iterations_used == 0
 
-    @pytest.mark.parametrize("momentum", ["damped", "fista"])
-    def test_returns_model_solved_once_at_final_weights(self, monkeypatch, momentum):
+    def test_returns_model_solved_once_at_final_weights(self, monkeypatch):
         rng = np.random.default_rng(21)
         d, g, t = random_instance(rng, 3, 5, 4)
-        config = SolverConfig(mu0=2.0, i_max=30, epsilon=1e-10, radius=1.5, momentum=momentum)
+        config = SolverConfig(mu0=2.0, i_max=30, epsilon=1e-10, radius=1.5)
         solved = []
 
         def counting(*args):
@@ -357,8 +398,10 @@ class TestOptimize:
 
         monkeypatch.setattr(mkl, "solve_structured", counting)
         weights, trace, model = optimize(d, g, t, config, 0.5, 0.5)
-        # one solve per iteration, then one at the returned weights
+        # one solve per iteration, then one at the returned weights; every
+        # iterate stays in the domain
         assert len(solved) == trace.iterations_used + 1
+        assert all(np.all(rho >= 0) for rho in solved)
         np.testing.assert_array_equal(solved[-1], weights.rho)
         np.testing.assert_array_equal(model.rho, weights.rho)
         np.testing.assert_array_equal(

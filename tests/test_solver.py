@@ -15,6 +15,7 @@ from graphkern import (
     combine,
     smoothness,
     solve_structured,
+    solver,
 )
 
 from .oracles import krg_objective, solve_dense
@@ -140,6 +141,42 @@ class TestSolveStructured:
         g = build_graph(np.zeros((2, 2)))
         with pytest.raises(SingularSystemError, match="alpha"):
             solve_structured(d, np.ones(1), g, np.ones((2, 2)), alpha=0.0, beta=0.0)
+
+
+class TestNonpositiveDenominator:
+    # a column system with a denominator at or below zero is singular,
+    # however small the ratio of the largest to the smallest magnitude
+    @staticmethod
+    def patch_eigh(monkeypatch, index):
+        eigh = np.linalg.eigh
+
+        def shifted(a):
+            kvals, kvecs = eigh(a)
+            kvals[index] = -0.7  # below -alpha / (1 + beta lam) for every lam
+            return kvals, kvecs
+
+        monkeypatch.setattr(solver.np.linalg, "eigh", shifted)
+
+    def test_single_system_is_singular(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        d, g, t = random_instance(rng, 3, 4, 2)
+        g.lap_eigvecs  # the graph's own eigh, done before patching
+        self.patch_eigh(monkeypatch, 0)
+        with pytest.raises(SingularSystemError, match="condition estimate inf"):
+            solve_structured(d, np.ones(2), g, t, alpha=0.5, beta=1.0)
+
+    def test_stack_records_the_failing_set_only(self, monkeypatch):
+        rng = np.random.default_rng(44)
+        d = build_dictionary(rng.normal(size=(3, 4, 3)), span=(0.3, 3.0), count=2)
+        _, g, _ = random_instance(rng, 3, 4, 2)
+        t = rng.normal(size=(3, 4, 3))
+        expected = solve_structured(d, np.ones((3, 2)), g, t, alpha=0.5, beta=1.0)
+        self.patch_eigh(monkeypatch, (1, 0))
+        model = solve_structured(d, np.ones((3, 2)), g, t, alpha=0.5, beta=1.0)
+        assert model.errors[0] is None and model.errors[2] is None
+        assert "condition estimate inf" in model.errors[1]
+        assert not model.psi[1].any()
+        np.testing.assert_array_equal(model.psi[[0, 2]], expected.psi[[0, 2]])
 
 
 def eigh_route_psi_at_zero(d, g, t, alpha, beta):
