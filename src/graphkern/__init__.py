@@ -28,11 +28,9 @@ from .kernels import (
 from .solver import (
     KrgModel,
     SingularSystemError,
-    TrainingSet,
     solve_structured,
 )
 from .mkl import (
-    MklWeights,
     OptimizerTrace,
     SolverConfig,
     gamma,
@@ -73,9 +71,7 @@ __all__ = [
     "kernel_cross",
     "KrgModel",
     "SingularSystemError",
-    "TrainingSet",
     "solve_structured",
-    "MklWeights",
     "OptimizerTrace",
     "SolverConfig",
     "gamma",

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import experiment as exp
 from .graph import NodeCoordinates, build_graph, geodesic_adjacency
-from .kernels import KernelDictionary, grid_specs
+from .kernels import KernelDictionary, _checked_weights, grid_specs
 from .mkl import SolverConfig
 # solve_structured is not called here; it stays bound in this module like in
 # every other that reaches the solver route, for tools that wrap the route
@@ -298,8 +298,11 @@ def _default_config():
 DEFAULT_CONFIG = _default_config()
 
 
-def load_config(path):
-    """Parse and validate a JSON run config, filling in defaults."""
+def load_config(path, seed=None):
+    """Parse and validate a JSON run config, filling in defaults.
+
+    A ``seed`` other than None replaces the config's, before validation.
+    """
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -310,6 +313,8 @@ def load_config(path):
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     cfg = _merge_defaults(DEFAULT_CONFIG, raw)
+    if seed is not None:
+        cfg["seed"] = seed
     if ("data" in cfg) == ("synthetic" in cfg):
         raise ConfigError(
             f"{path}: exactly one of 'data' (file mode) or 'synthetic' "
@@ -614,7 +619,7 @@ def load_model(path):
         count = _integer(grid["count"], "kernel_grid.count")
         specs = grid_specs(grid["family"], (grid["lo"], grid["hi"]), count)
         dictionary = KernelDictionary.from_specs(payload["training_inputs"], specs)
-        psi, rho = payload["psi"], payload["rho"]
+        psi, rho = payload["psi"], _checked_weights(dictionary, payload["rho"])
         graph = build_graph(payload["adjacency"])
         alpha, beta = float(payload["alpha"]), float(payload["beta"])
     except (KeyError, TypeError, ValueError, OverflowError) as err:
@@ -625,16 +630,10 @@ def load_model(path):
             f"{path}: psi has shape {psi.shape}, expected ({n}, {m}) for {n} "
             f"training inputs and {m} target names"
         )
-    if rho.shape != (dictionary.num_kernels,):
-        raise ConfigError(
-            f"{path}: rho has shape {rho.shape}, expected ({dictionary.num_kernels},)"
-        )
     if graph.num_nodes != m:
         raise ConfigError(f"{path}: adjacency has {graph.num_nodes} nodes, expected {m}")
     if not np.isfinite(psi).all():
         raise ConfigError(f"{path}: psi holds a non-finite entry")
-    if not (np.isfinite(rho) & (rho >= 0)).all():
-        raise ConfigError(f"{path}: rho must be finite and nonnegative")
     model = KrgModel(psi=psi, alpha=alpha, beta=beta, dictionary=dictionary, rho=rho, graph=graph)
     return model, names
 
@@ -805,9 +804,7 @@ def main(argv=None):
             return cmd_validate_config(args.config)
         if args.command == "predict":
             return cmd_predict(args.model, args.inputs, args.output)
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
+        cfg = load_config(args.config, args.seed)
         out_dir = Path(args.out) if args.out else Path(cfg["output_dir"])
         if args.command == "fit":
             return cmd_fit(cfg, out_dir)

@@ -48,7 +48,7 @@ from .kernels import (
     combine_cross,
 )
 from .mkl import SolverConfig, optimize
-from .solver import TrainingSet, solve_structured
+from .solver import solve_structured
 
 log = logging.getLogger("graphkern.experiment")
 
@@ -105,6 +105,8 @@ class ExperimentConfig:
             raise ValueError("n_realizations must be at least 1")
         if self.n_train < 1:
             raise ValueError("n_train must be at least 1")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be nonnegative")
         for name in ("alpha", "beta", "linear_alpha"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
@@ -124,14 +126,21 @@ class ExperimentDataset:
     coords: object = None
 
     def __post_init__(self):
-        pairs = TrainingSet(self.inputs, self.targets)  # alignment + finiteness
-        if pairs.targets.shape[1] != self.graph.num_nodes:
+        x = np.asarray(self.inputs, dtype=float)
+        t = np.asarray(self.targets, dtype=float)
+        if x.ndim != 2 or t.ndim != 2:
+            raise ValueError("inputs and targets must both be 2-D arrays")
+        if x.shape[0] != t.shape[0]:
+            raise ValueError(f"inputs have {x.shape[0]} rows but targets have {t.shape[0]}")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(t))):
+            raise ValueError("training data contains NaN or Inf")
+        if t.shape[1] != self.graph.num_nodes:
             raise ValueError(
-                f"targets have {pairs.targets.shape[1]} columns but the graph "
+                f"targets have {t.shape[1]} columns but the graph "
                 f"has {self.graph.num_nodes} nodes"
             )
-        object.__setattr__(self, "inputs", pairs.inputs)
-        object.__setattr__(self, "targets", pairs.targets)
+        object.__setattr__(self, "inputs", x)
+        object.__setattr__(self, "targets", t)
 
     @property
     def num_pairs(self):
@@ -298,10 +307,7 @@ def _fit_method(method, grid, t_fit, graph, config):
     and have no trace (``None``).
     """
     if method == METHOD_MULTI:
-        _, trace, model = optimize(
-            grid, graph, t_fit, config.solver, config.alpha, config.beta
-        )
-        return model, trace
+        return optimize(grid, graph, t_fit, config.solver, config.alpha, config.beta)
     if method == METHOD_LINEAR:
         spec, alpha, beta = KernelSpec(LINEAR), config.linear_alpha, 0.0
     elif method == METHOD_SINGLE:

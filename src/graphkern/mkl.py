@@ -20,8 +20,10 @@ schedule ``lambda(i) = (1 + sqrt(1 + 4 lambda(i-1)^2)) / 2``,
 Its step ``rho(i) = (1 - nu) z(i) + nu rho(i-1)`` is a convex combination
 of the projected point ``z(i)`` and the previous iterate, so every iterate
 stays in the feasible set, where ``gamma`` is convex and its gradient
-formula holds.  Negative or non-finite weights raise ``ValueError`` in
-:func:`gamma`, :func:`gamma_gradient` and the solves of :func:`optimize`.
+formula holds.  It returns the :class:`~graphkern.solver.KrgModel` fitted
+at the learned weights, ``model.rho``, and the iteration trace.  Negative
+or non-finite weights raise ``ValueError`` in :func:`gamma`,
+:func:`gamma_gradient` and the solves of :func:`optimize`.
 
 Every function here also takes a stacked dictionary (B training sets, see
 :mod:`graphkern.kernels`) with targets and weights carrying its batch axis.
@@ -40,39 +42,9 @@ import numpy as np
 from .kernels import kernel_inner_products
 from .solver import SingularSystemError, solve_structured
 
-FEASIBILITY_TOL = 1e-9
-
 CONVERGED = "converged"
 MAX_ITERATIONS = "max_iterations"
 SINGULAR = "singular"  # a problem of a batch whose system turned singular
-
-
-@dataclass(frozen=True)
-class MklWeights:
-    """Nonnegative kernel weights constrained to an l_q ball of radius R.
-
-    ``rho`` may be a (B, S) stack of weight vectors, one per row.
-    """
-
-    rho: np.ndarray
-    q: int
-    radius: float
-
-    def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=float)
-        if self.q not in (1, 2):
-            raise ValueError("q must be 1 or 2")
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
-        if np.any(rho < 0):
-            raise ValueError("weights must be nonnegative")
-        norm = float(np.max(_qnorm(rho, self.q), initial=0.0))
-        if norm > self.radius + FEASIBILITY_TOL:
-            raise ValueError(
-                f"||rho||_{self.q} = {norm:.6g} exceeds radius {self.radius}"
-            )
-        rho.setflags(write=False)
-        object.__setattr__(self, "rho", rho)
 
 
 @dataclass(frozen=True)
@@ -248,15 +220,16 @@ def optimize(dictionary, graph, targets, config, alpha, beta):
 
     Starts from ``rho(0) = 0`` and iterates until the squared iterate
     change drops to ``config.epsilon`` or ``config.i_max`` iterations are
-    reached.  Returns the final weights (projected once more so the result
-    is always feasible), the iteration trace and the
-    :class:`~graphkern.solver.KrgModel` fitted at those weights.  A singular
-    system mid-run raises :class:`~graphkern.solver.SingularSystemError`
-    with the partial trace attached as ``err.trace``; an iterate with a
-    negative or non-finite weight raises ``ValueError``.
+    reached.  Returns ``(model, trace)``: the
+    :class:`~graphkern.solver.KrgModel` fitted at the final weights
+    ``model.rho`` (projected once more, so they are always feasible) and
+    the iteration trace.  A singular system mid-run raises
+    :class:`~graphkern.solver.SingularSystemError` with the partial trace
+    attached as ``err.trace``; an iterate with a negative or non-finite
+    weight raises ``ValueError``.
 
     A stacked dictionary runs its problems in lockstep, one solve per
-    iteration for the whole stack.  The weights then hold one row per
+    iteration for the whole stack.  ``model.rho`` then holds one row per
     problem and the trace is a tuple of per-problem traces.  A problem
     whose system turns singular does not raise: it stops with the message
     in its trace's ``error`` and in the model's ``errors``.
@@ -307,9 +280,8 @@ def optimize(dictionary, graph, targets, config, alpha, beta):
     final_gamma = np.ravel(_gamma_from_psi(graph, targets, model.psi, alpha, beta))
     for trace, value in zip(traces, final_gamma):
         trace.final_gamma = float(value)
-    weights = MklWeights(rho_final, config.q, config.radius)
     if not batch:
-        return weights, traces[0], model
+        return model, traces[0]
     errors = tuple(t.error or e for t, e in zip(traces, model.errors))
-    return weights, traces, replace(model, errors=errors)
+    return replace(model, errors=errors), traces
 

@@ -43,32 +43,6 @@ class SingularSystemError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TrainingSet:
-    """Paired training inputs (N x L) and targets (N x M)."""
-
-    inputs: np.ndarray
-    targets: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.inputs, dtype=float)
-        t = np.asarray(self.targets, dtype=float)
-        if x.ndim != 2 or t.ndim != 2:
-            raise ValueError("inputs and targets must both be 2-D arrays")
-        if x.shape[0] != t.shape[0]:
-            raise ValueError(
-                f"inputs have {x.shape[0]} rows but targets have {t.shape[0]}"
-            )
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(t))):
-            raise ValueError("training data contains NaN or Inf")
-        object.__setattr__(self, "inputs", x)
-        object.__setattr__(self, "targets", t)
-
-    @property
-    def num_samples(self):
-        return self.inputs.shape[0]
-
-
-@dataclass(frozen=True)
 class KrgModel:
     """Fitted regression state.
 

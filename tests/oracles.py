@@ -221,7 +221,7 @@ def fit_method_sequential(method, x_train, t_fit, graph, config):
     dictionary = build_dictionary(
         x_train, family=config.grid_family, span=config.grid_span, count=config.grid_count
     )
-    _, trace, model = optimize(dictionary, graph, t_fit, config.solver, config.alpha, config.beta)
+    model, trace = optimize(dictionary, graph, t_fit, config.solver, config.alpha, config.beta)
     return model, trace.iterations_used
 
 

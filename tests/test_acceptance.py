@@ -167,8 +167,8 @@ def test_3_objective_shape_suite(default_scenario):
     x, t_noisy = default_training_block(default_scenario)
     d_big = build_dictionary(x, span=(0.01, 10.0), count=100)
     config = SolverConfig(mu0=0.01, i_max=1000, epsilon=1e-10, radius=5.0, q=1)
-    weights, _, _ = optimize(d_big, default_scenario.graph, t_noisy, config, 0.1, 5.5)
-    boundary_gap = abs(np.sum(weights.rho) - 5.0)
+    model, _ = optimize(d_big, default_scenario.graph, t_noisy, config, 0.1, 5.5)
+    boundary_gap = abs(np.sum(model.rho) - 5.0)
     boundary_ok = boundary_gap < 1e-3
 
     elapsed = time.perf_counter() - start
@@ -238,7 +238,7 @@ def test_6_convergence_on_default_scenario(default_scenario):
     x, t_noisy = default_training_block(default_scenario)
     d = build_dictionary(x, span=(0.01, 10.0), count=100)
     config = SolverConfig(mu0=0.01, i_max=200, epsilon=1e-4, radius=5.0, q=1)
-    weights, trace, _ = optimize(d, default_scenario.graph, t_noisy, config, 0.1, 5.5)
+    model, trace = optimize(d, default_scenario.graph, t_noisy, config, 0.1, 5.5)
     converged = trace.status == "converged"
     report(
         "6 convergence-within-budget",
@@ -320,8 +320,8 @@ def test_10_matrix_free_matches_stack_oracle(default_scenario):
     for n_train in (4, 30):
         x, t = default_training_block(default_scenario, n_train)
         d = build_dictionary(x)
-        weights, _, _ = optimize(d, g, t, SolverConfig(), 0.1, 5.5)
-        for rho in (weights.rho, rng.uniform(-0.05, 1.0, 100), rng.uniform(0.0, 0.1, 100)):
+        model, _ = optimize(d, g, t, SolverConfig(), 0.1, 5.5)
+        for rho in (model.rho, rng.uniform(-0.05, 1.0, 100), rng.uniform(0.0, 0.1, 100)):
             if np.any(rho < 0):
                 for route in (lambda: combine(d, rho),
                               lambda: solve_structured(d, rho, g, t, 0.1, 5.5),

@@ -173,13 +173,13 @@ def test_lockstep_optimize_matches_each_problem_alone():
     t = rng.normal(size=(5, 6, 4))
     for q in (1, 2):
         config = SolverConfig(mu0=0.5, i_max=300, epsilon=1e-4, radius=2.0, q=q)
-        weights, traces, model = optimize(build_dictionary(x, span=(0.3, 3.0), count=7),
-                                          graph, t, config, 0.3, 0.8)
+        model, traces = optimize(build_dictionary(x, span=(0.3, 3.0), count=7),
+                                 graph, t, config, 0.3, 0.8)
         counts = []
         for b in range(5):
-            w, trace, m = optimize(build_dictionary(x[b], span=(0.3, 3.0), count=7),
-                                   graph, t[b], config, 0.3, 0.8)
-            assert relative(weights.rho[b], w.rho) <= 1e-12
+            m, trace = optimize(build_dictionary(x[b], span=(0.3, 3.0), count=7),
+                                graph, t[b], config, 0.3, 0.8)
+            assert relative(model.rho[b], m.rho) <= 1e-12
             assert relative(model.psi[b], m.psi) <= 1e-10
             assert traces[b].iterations == trace.iterations
             assert traces[b].status == trace.status
@@ -200,18 +200,18 @@ def test_lockstep_optimize_freezes_a_singular_problem():
     x[0, 3] = x[0, 0]
     t = rng.normal(size=(2, 4, 2))
     config = SolverConfig(mu0=1.0, i_max=6, epsilon=1e-30, radius=1.0)
-    weights, traces, model = optimize(build_dictionary(x, span=(0.3, 3.0), count=4),
-                                      graph, t, config, 1e-13, 0.0)
+    model, traces = optimize(build_dictionary(x, span=(0.3, 3.0), count=4),
+                             graph, t, config, 1e-13, 0.0)
     assert traces[0].status == SINGULAR and traces[0].iterations_used == 1
     assert model.errors[0] == traces[0].error and model.errors[1] is None
     with pytest.raises(SingularSystemError, match="condition") as excinfo:
         optimize(build_dictionary(x[0], span=(0.3, 3.0), count=4), graph, t[0], config, 1e-13, 0.0)
     assert str(excinfo.value) == traces[0].error
     assert excinfo.value.trace.iterations == traces[0].iterations
-    w, trace, m = optimize(build_dictionary(x[1], span=(0.3, 3.0), count=4),
-                           graph, t[1], config, 1e-13, 0.0)
+    m, trace = optimize(build_dictionary(x[1], span=(0.3, 3.0), count=4),
+                        graph, t[1], config, 1e-13, 0.0)
     assert trace.iterations == traces[1].iterations and trace.status == traces[1].status
-    assert relative(weights.rho[1], w.rho) <= 1e-12
+    assert relative(model.rho[1], m.rho) <= 1e-12
 
 
 def test_batched_level_memory_within_one_megabyte_of_sequential(default_scenario):

@@ -328,6 +328,29 @@ class TestValidateConfig:
         assert f"{'.'.join(keys)}: expected an integer" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("validate-config", False), ("fit", False), ("experiment", False),
+         ("fit", True), ("experiment", True)],
+        ids=["validate-config", "fit", "experiment", "fit--seed", "experiment--seed"],
+    )
+    def test_negative_seed_exit_code(self, tmp_path, capsys, command, flag):
+        # the synthetic block's own seed builds the dataset, so only the
+        # master seed of the Monte-Carlo trials is out of range
+        path = synthetic_config(
+            tmp_path, synthetic={"num_nodes": 8, "num_pairs": 14, "num_modes": 3, "seed": 3}
+        )
+        argv = [command, "--config", str(path)]
+        if command != "validate-config":
+            argv += ["--out", str(tmp_path / "out")]
+        if flag:
+            argv += ["--seed", "-1"]
+        else:
+            edit_config(path, ("seed",), -1)
+        err = assert_input_error(capsys, cli.main(argv))
+        assert "seed" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["validate-config", "fit", "experiment"])
     @pytest.mark.parametrize(
         "block, value, message",
@@ -520,7 +543,7 @@ class TestFitAndPredict:
         cfg = cli.load_config(synthetic_config(tmp_path))
         dataset, names = cli._dataset_from_config(cfg)
         d = build_dictionary(dataset.inputs, count=12)
-        _, trace, fitted = optimize(d, dataset.graph, dataset.targets, SolverConfig(), 0.1, 2.0)
+        fitted, trace = optimize(d, dataset.graph, dataset.targets, SolverConfig(), 0.1, 2.0)
         path = tmp_path / "model.json"
         cli.save_model(path, fitted, cfg["kernel_grid"], names, trace.iterations_used,
                        trace.final_gamma)

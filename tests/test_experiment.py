@@ -157,8 +157,8 @@ class TestRunTrial:
         from graphkern import build_dictionary, optimize
 
         d = build_dictionary(x, span=cfg.grid_span, count=20)
-        weights, _, _ = optimize(d, small_dataset.graph, t, cfg.solver, 1e-6, 0.0)
-        model = solve_structured(d, weights.rho, small_dataset.graph, t, 1e-6, 0.0)
+        fitted, _ = optimize(d, small_dataset.graph, t, cfg.solver, 1e-6, 0.0)
+        model = solve_structured(d, fitted.rho, small_dataset.graph, t, 1e-6, 0.0)
         assert nmse(model.predict(x), t) < 1e-6
 
     def test_multi_kernel_fit_solves_once_per_iteration_plus_one(
@@ -324,6 +324,8 @@ class TestSeedDerivation:
             ExperimentConfig(n_train=0)
         with pytest.raises(ValueError, match="q"):
             ExperimentConfig(solver=SolverConfig(q=3))
+        with pytest.raises(ValueError, match="master_seed"):
+            ExperimentConfig(master_seed=-1)
 
     @pytest.mark.parametrize("snr_db", [np.inf, -np.inf, np.nan, 3001.0, -3001.0])
     def test_snr_db_must_be_finite(self, snr_db):
@@ -337,6 +339,18 @@ class TestSeedDerivation:
 
 
 class TestDatasetValidation:
+    def test_mismatched_rows(self):
+        g = build_graph(np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="rows"):
+            ExperimentDataset(np.zeros((3, 2)), np.zeros((4, 2)), g)
+
+    def test_rejects_nan(self):
+        g = build_graph(np.zeros((2, 2)))
+        t = np.zeros((3, 2))
+        t[0, 0] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            ExperimentDataset(np.zeros((3, 2)), t, g)
+
     def test_target_width_must_match_graph(self):
         g = build_graph(np.zeros((4, 4)))
         with pytest.raises(ValueError, match="nodes"):

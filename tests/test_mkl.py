@@ -7,7 +7,6 @@ from scipy.optimize import minimize
 from graphkern import (
     KernelDictionary,
     KernelSpec,
-    MklWeights,
     SingularSystemError,
     SolverConfig,
     build_dictionary,
@@ -18,7 +17,7 @@ from graphkern import (
     optimize,
     project,
 )
-from graphkern import mkl, solve_structured, solver
+from graphkern import kernels, mkl, solve_structured, solver
 
 from .oracles import (
     reduced_objective_matrix,
@@ -233,13 +232,15 @@ class TestProject:
 
 class TestWeightTypes:
     def test_weights_validation(self):
-        MklWeights(np.array([1.0, 2.0]), q=1, radius=3.0)
+        # each rule has one owner: the weight domain is the solver's weight
+        # check, q is SolverConfig's, and the radius is kept by optimize's
+        # final projection (TestOptimize::test_feasible_iterates_reported)
+        d = build_dictionary(np.zeros((3, 2)), span=(0.3, 3.0), count=2)
+        kernels._checked_weights(d, np.array([1.0, 2.0]))
         with pytest.raises(ValueError, match="nonnegative"):
-            MklWeights(np.array([-0.1, 1.0]), q=1, radius=3.0)
-        with pytest.raises(ValueError, match="exceeds"):
-            MklWeights(np.array([2.0, 2.0]), q=1, radius=3.0)
+            kernels._checked_weights(d, np.array([-0.1, 1.0]))
         with pytest.raises(ValueError, match="q"):
-            MklWeights(np.array([1.0]), q=3, radius=3.0)
+            SolverConfig(q=3)
 
     def test_config_validation(self):
         SolverConfig()
@@ -316,21 +317,21 @@ class TestOptimize:
         grad0 = gamma_gradient(d, g, t, np.zeros(1), alpha, beta)
         mu0 = 3.0 * radius / abs(grad0[0])
         config = SolverConfig(mu0=mu0, i_max=300, epsilon=1e-14, radius=radius, q=1)
-        weights, trace, _ = optimize(d, g, t, config, alpha, beta)
+        model, trace = optimize(d, g, t, config, alpha, beta)
         grid = np.linspace(0, radius, 41)
         values = [gamma(d, g, t, np.array([r]), alpha, beta) for r in grid]
         assert np.argmin(values) == 40  # line-search oracle: minimum at R
-        assert abs(weights.rho[0] - radius) < 1e-3
+        assert abs(model.rho[0] - radius) < 1e-3
 
     def test_first_iteration_is_plain_projected_step(self):
         rng = np.random.default_rng(12)
         d, g, t = random_instance(rng, 3, 4, 3)
         alpha, beta = 0.4, 0.6
         config = SolverConfig(mu0=0.5, i_max=1, epsilon=1e-14, radius=1.5, q=1)
-        weights, trace, _ = optimize(d, g, t, config, alpha, beta)
+        model, trace = optimize(d, g, t, config, alpha, beta)
         grad0 = gamma_gradient(d, g, t, np.zeros(3), alpha, beta)
         expected = project(-0.5 * grad0, 1.5, 1)
-        np.testing.assert_allclose(weights.rho, expected, atol=1e-12)
+        np.testing.assert_allclose(model.rho, expected, atol=1e-12)
         assert trace.iterations_used == 1
         assert trace.status == "max_iterations"
 
@@ -338,9 +339,9 @@ class TestOptimize:
         rng = np.random.default_rng(13)
         d, g, t = random_instance(rng, 3, 5, 4)
         config = SolverConfig(mu0=1.0, i_max=50, epsilon=1e-10, radius=2.0, q=1)
-        w1, _, _ = optimize(d, g, t, config, 0.5, 0.5)
-        w2, _, _ = optimize(d, g, t, config, 0.5, 0.5)
-        np.testing.assert_array_equal(w1.rho, w2.rho)
+        m1, _ = optimize(d, g, t, config, 0.5, 0.5)
+        m2, _ = optimize(d, g, t, config, 0.5, 0.5)
+        np.testing.assert_array_equal(m1.rho, m2.rho)
 
     def test_final_gamma_no_worse_than_first_step(self):
         rng = np.random.default_rng(14)
@@ -349,7 +350,7 @@ class TestOptimize:
         grad0 = gamma_gradient(d, g, t, np.zeros(3), alpha, beta)
         mu0 = 2.0 / np.abs(grad0).max()
         config = SolverConfig(mu0=mu0, i_max=200, epsilon=1e-12, radius=1.0, q=1)
-        weights, trace, _ = optimize(d, g, t, config, alpha, beta)
+        model, trace = optimize(d, g, t, config, alpha, beta)
         rho_first = project(-mu0 * grad0, 1.0, 1)
         gamma_first = gamma(d, g, t, rho_first, alpha, beta)
         assert trace.final_gamma <= gamma_first + 1e-12
@@ -362,17 +363,17 @@ class TestOptimize:
         grad0 = gamma_gradient(d, g, t, np.zeros(3), alpha, beta)
         mu0 = 3.0 / np.abs(grad0).max()
         config = SolverConfig(mu0=mu0, i_max=2000, epsilon=1e-14, radius=1.0, q=q)
-        weights, _, _ = optimize(d, g, t, config, alpha, beta)
-        norm = np.sum(weights.rho) if q == 1 else np.linalg.norm(weights.rho)
+        model, _ = optimize(d, g, t, config, alpha, beta)
+        norm = np.sum(model.rho) if q == 1 else np.linalg.norm(model.rho)
         assert abs(norm - 1.0) < 1e-3
 
     def test_feasible_iterates_reported(self):
         rng = np.random.default_rng(16)
         d, g, t = random_instance(rng, 3, 4, 3)
         config = SolverConfig(mu0=5.0, i_max=40, epsilon=1e-12, radius=1.2, q=1)
-        weights, trace, _ = optimize(d, g, t, config, 0.5, 0.5)
-        assert np.all(weights.rho >= 0)
-        assert weights.rho.sum() <= 1.2 + 1e-9
+        model, trace = optimize(d, g, t, config, 0.5, 0.5)
+        assert np.all(model.rho >= 0)
+        assert model.rho.sum() <= 1.2 + 1e-9
         assert len(trace) <= 40
         assert len(trace.gamma_values) == len(trace)
 
@@ -397,17 +398,16 @@ class TestOptimize:
             return solve_structured(*args)
 
         monkeypatch.setattr(mkl, "solve_structured", counting)
-        weights, trace, model = optimize(d, g, t, config, 0.5, 0.5)
+        model, trace = optimize(d, g, t, config, 0.5, 0.5)
         # one solve per iteration, then one at the returned weights; every
         # iterate stays in the domain
         assert len(solved) == trace.iterations_used + 1
         assert all(np.all(rho >= 0) for rho in solved)
-        np.testing.assert_array_equal(solved[-1], weights.rho)
-        np.testing.assert_array_equal(model.rho, weights.rho)
+        np.testing.assert_array_equal(solved[-1], model.rho)
         np.testing.assert_array_equal(
-            model.psi, solve_structured(d, weights.rho, g, t, 0.5, 0.5).psi
+            model.psi, solve_structured(d, model.rho, g, t, 0.5, 0.5).psi
         )
-        expected = -float(np.sum(t * (combine(d, weights.rho) @ model.psi)))
+        expected = -float(np.sum(t * (combine(d, model.rho) @ model.psi)))
         assert trace.final_gamma == pytest.approx(expected, rel=1e-12)
 
     def test_one_eigh_per_iteration(self, monkeypatch):
@@ -425,7 +425,7 @@ class TestOptimize:
 
         monkeypatch.setattr(solver.np.linalg, "eigh", counting)
         config = SolverConfig(mu0=2.0, i_max=30, epsilon=1e-10, radius=1.5)
-        _, trace, _ = optimize(d, g, t, config, 0.5, 0.5)
+        _, trace = optimize(d, g, t, config, 0.5, 0.5)
         assert trace.iterations_used > 1
         assert calls == [(5, 5)] * trace.iterations_used
 
@@ -434,7 +434,7 @@ class TestOptimize:
         rng = np.random.default_rng(22)
         d, g, t = random_instance(rng, 3, 5, 4)
         config = SolverConfig(mu0=2.0, i_max=3, epsilon=1e-14, radius=1.5, q=q)
-        _, trace, _ = optimize(d, g, t, config, 0.5, 0.5)
+        _, trace = optimize(d, g, t, config, 0.5, 0.5)
         assert len(trace.fw_gaps) == trace.iterations_used == 3
         # the first gradient is taken at rho = 0, where the gap is R times
         # the largest descent available from the ball's vertices
@@ -450,7 +450,7 @@ class TestOptimize:
         rng = np.random.default_rng(18)
         d, g, t = random_instance(rng, 3, 4, 2)
         config = SolverConfig(mu0=1.0, i_max=5, epsilon=1e-14, radius=1.0, q=1)
-        _, trace, _ = optimize(d, g, t, config, 0.5, 0.5)
+        _, trace = optimize(d, g, t, config, 0.5, 0.5)
         path = tmp_path / "trace.csv"
         trace.write_csv(path)
         with open(path, newline="") as fh:

@@ -9,7 +9,6 @@ from graphkern import (
     KernelDictionary,
     KernelSpec,
     SingularSystemError,
-    TrainingSet,
     build_dictionary,
     build_graph,
     combine,
@@ -30,18 +29,6 @@ def random_instance(rng, m, n, s, input_dim=3):
     g = build_graph(a)
     t = rng.normal(size=(n, m))
     return d, g, t
-
-
-class TestTrainingSet:
-    def test_mismatched_rows(self):
-        with pytest.raises(ValueError, match="rows"):
-            TrainingSet(np.zeros((3, 2)), np.zeros((4, 2)))
-
-    def test_rejects_nan(self):
-        t = np.zeros((3, 2))
-        t[0, 0] = np.nan
-        with pytest.raises(ValueError, match="NaN"):
-            TrainingSet(np.zeros((3, 2)), t)
 
 
 class TestSolveDense:
