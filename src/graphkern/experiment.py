@@ -13,7 +13,7 @@ training sets of a batch are stacked into one dictionary (the
 single-kernel baseline shares its squared distances), each method is
 fitted for all B at once (one batched solve per optimizer iteration), and
 each trial's test block is predicted from its own index rows into the
-dataset, without stacking the test sets.  A batch is as large as keeps its
+dataset, the B test blocks' distances taken in one stacked call.  A batch is as large as keeps its
 (B, N, L + M) arrays within one block of ``BLOCK_ENTRIES`` (see
 :func:`batch_size`); the exponential tables are streamed one training set
 at a time, as for a single fit.  Each trial is computed as it would be
@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .graph import NodeCoordinates, build_graph, geodesic_adjacency
 from .kernels import (
@@ -44,6 +43,7 @@ from .kernels import (
     LINEAR,
     KernelSpec,
     _checked_grid,
+    _cross_sq_distances,
     build_dictionary,
     combine_cross,
 )
@@ -341,7 +341,8 @@ def _run_batch(dataset, config, seeds):
     permutation for training, the rest for testing) and corrupts its
     training targets at the configured SNR, exactly as :func:`run_trial`
     describes.  Each trial's test block is predicted from its own index
-    rows into the dataset; the test sets are not stacked.
+    rows into the dataset; the distances of all B test blocks to their
+    training sets come from one stacked call.
     """
     n = config.n_train
     if dataset.num_pairs < n + 1:
@@ -360,9 +361,7 @@ def _run_batch(dataset, config, seeds):
         )
     train, test = perms[:, :n], perms[:, n:]
     x_train = dataset.inputs[train]
-    sq_test = np.stack(
-        [cdist(dataset.inputs[t], x, "sqeuclidean") for t, x in zip(test, x_train)]
-    )
+    sq_test = _cross_sq_distances(dataset.inputs[test], x_train)
 
     results = [TrialResult(nmse={}) for _ in seeds]
     grid = _grid_dictionary(x_train, config)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -164,7 +163,8 @@ def distance_matrix(coords):
     """
     pos = coords.positions
     if coords.mode == "euclidean":
-        return cdist(pos, pos)
+        diff = pos[:, None, :] - pos[None, :, :]
+        return np.sqrt(np.square(diff).sum(axis=-1))
     lat = np.radians(pos[:, 0])
     lon = np.radians(pos[:, 1])
     dlat = 0.5 * (lat[:, None] - lat[None, :])

@@ -32,7 +32,12 @@ certificate, or that keeps every kernel (small grids), is replaced by the
 identity skeleton: all Gaussian kernels with ``C = I``.  The exact
 computation is thus one case of the skeleton route, not a second route.
 :func:`combine`, :func:`kernel_cross` and :func:`combine_cross`, which
-form the model's matrices, evaluate every kernel exactly.
+form the model's matrices, evaluate every kernel, with no skeleton.  The
+training pairs' distances are summed difference by difference (scipy's
+``pdist``, imported at their first use).  The distances from new inputs
+to the training set come from numpy alone (:func:`_cross_sq_distances`),
+through the Gram identity within a stated round-off bound, so reading a
+model and predicting never load scipy.
 
 A dictionary may also hold a stack of B training sets of one size, all
 under the same specs (``training_inputs`` of shape (B, N, L)).  Weights,
@@ -48,7 +53,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
 
 GAUSSIAN = "gaussian"
 LINEAR = "linear"
@@ -150,8 +154,11 @@ class KernelDictionary:
         """Squared distances ``||x_i - x_j||^2`` for ``i < j``, row-major.
 
         The condensed form of :func:`scipy.spatial.distance.pdist`, with
-        N (N - 1) / 2 entries (per training set of a stack).
+        N (N - 1) / 2 entries (per training set of a stack), in its
+        arithmetic: each entry sums the squared differences of one pair.
         """
+        from scipy.spatial.distance import pdist
+
         x = self.training_inputs
         sets, n = math.prod(self.batch_shape), self.num_samples
         sq = np.empty(self.batch_shape + (n * (n - 1) // 2,))
@@ -392,6 +399,8 @@ def _condensed(sym):
     faster there.  A stack of small matrices is gathered in one call.
     """
     if sym.ndim == 2:
+        from scipy.spatial.distance import squareform
+
         return squareform(sym, checks=False)
     rows, cols = _upper(sym.shape[-1])
     return sym[:, rows, cols]
@@ -403,6 +412,8 @@ def _square(packed, diagonal, n):
     One matrix goes through ``squareform``, as in :func:`_condensed`.
     """
     if packed.ndim == 1:
+        from scipy.spatial.distance import squareform
+
         out = squareform(packed, checks=False)
         np.fill_diagonal(out, diagonal)
         return out
@@ -484,12 +495,54 @@ def kernel_inner_products(dictionary, sym):
     return out
 
 
+def _cross_sq_distances(inputs, training):
+    """Squared distances ``||a_k - x_n||^2`` from K inputs to N training inputs.
+
+    ``inputs`` is (K, L) and ``training`` (N, L), giving a (K, N) matrix;
+    or (B, K, L) and (B, N, L), giving each set's matrix bit for bit as it
+    gets alone.  Each set takes one matrix product in place of a
+    difference per pair: the Gram identity
+    ``||u||^2 + ||v||^2 - 2 u . v``, clamped at 0, over ``u = a - c`` and
+    ``v = x - c``, with ``c`` the mean training row.  Both operands are
+    first scaled by a power of two, so that no square overflows; that is
+    exact.  An entry's absolute error is at most
+    ``4 (L + 2) eps (||a - c||^2 + ||x - c||^2)``, ``eps = 2^-53``: of the
+    order of the squared distances from the training mean.  Unshifted, it
+    would be of the order of the squared norms, which a common offset of
+    the data (temperatures in kelvin, say) makes large.
+    """
+    top = np.maximum(
+        np.abs(inputs).max(axis=(-2, -1), initial=0.0),
+        np.abs(training).max(axis=(-2, -1), initial=0.0),
+    )
+    exponent = np.frexp(top)[1][..., None, None]
+    u = np.ldexp(inputs, -exponent)
+    v = np.ldexp(training, -exponent)
+    centre = v.mean(axis=-2, keepdims=True)
+    u -= centre
+    v -= centre
+    sq = u @ np.swapaxes(v, -1, -2)
+    sq *= -2.0
+    sq += np.einsum("...ij,...ij->...i", u, u)[..., :, None]
+    sq += np.einsum("...ij,...ij->...i", v, v)[..., None, :]
+    np.maximum(sq, 0.0, out=sq)
+    with np.errstate(over="ignore"):  # beyond float range is inf, as summed differences give it
+        return np.ldexp(sq, 2 * exponent, out=sq)
+
+
 def kernel_cross(dictionary, rho, inputs):
     """Combined-kernel evaluations between new inputs and the training set.
 
     Returns a (K, N) matrix whose row ``k`` is the combined kernel vector
-    of ``inputs[k]`` against the N training inputs.  A stack of training
-    sets is evaluated from precomputed pair quantities (:func:`combine_cross`).
+    of ``inputs[k]`` against the N training inputs.  Every kernel is
+    evaluated.  The squared distances are those of
+    :func:`_cross_sq_distances`, each within its bound ``delta`` of summed
+    differences; since ``|exp(-d) - exp(-d')| <= |d - d'|`` for
+    nonnegative ``d, d'``, an entry is within
+    ``sum_s rho_s (delta / (2 s2_s) + S eps)`` of the one that summed
+    differences give, the first term over the Gaussian kernels only and
+    the second the round-off of the sum.  A stack of training sets is
+    evaluated from precomputed pair quantities (:func:`combine_cross`).
     """
     if dictionary.batch_shape:
         raise ValueError("kernel_cross takes the dictionary of one training set")
@@ -499,11 +552,13 @@ def kernel_cross(dictionary, rho, inputs):
         raise ValueError(
             f"inputs must be 2-D with {dictionary.training_inputs.shape[1]} columns"
         )
+    if not np.all(np.isfinite(x2)):
+        raise ValueError("inputs contain NaN or Inf")
     x = dictionary.training_inputs
     gaussian, linear, _ = dictionary._families
     if not np.any(rho):
         return np.zeros((x2.shape[0], x.shape[0]))
-    sq = cdist(x2, x, "sqeuclidean") if np.any(rho[gaussian]) else None
+    sq = _cross_sq_distances(x2, x) if np.any(rho[gaussian]) else None
     dot = x2 @ x.T if np.any(rho[linear]) else None
     return combine_cross(dictionary, rho, sq, dot)
 

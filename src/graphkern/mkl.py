@@ -110,13 +110,14 @@ class OptimizerTrace:
         """Write the trace as a CSV file with a header row."""
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["iteration", "gamma", "step", "delta_sq", "rho_norm"])
+            writer.writerow(["iteration", "gamma", "step", "delta_sq", "rho_norm", "fw_gap"])
             for row in zip(
                 self.iterations,
                 self.gamma_values,
                 self.step_sizes,
                 self.delta_sq,
                 self.rho_norms,
+                self.fw_gaps,
             ):
                 writer.writerow([repr(v) for v in row])
 

@@ -15,7 +15,9 @@ dense references do:
 - :func:`reduced_objective_matrix` is the dense quadratic form of the
   reduced objective ``gamma``;
 - :func:`kernel_eval` evaluates one basis kernel on one pair of inputs,
-  and :func:`kernel_vector` the combined kernel vector of one input.
+  and :func:`kernel_vector` the combined kernel vector of one input;
+- :func:`sq_distances` sums the squared differences of every pair of
+  rows, the reference for the Gram-identity cross distances.
 
 :func:`run_trial_sequential` is the per-trial Monte-Carlo body as it was
 before realizations ran in lockstep batches: one training set at a time,
@@ -142,6 +144,11 @@ def reduced_objective_matrix(dictionary, graph, rho, alpha, beta):
     return -np.kron(np.eye(m), k) @ np.linalg.inv(system)
 
 
+def sq_distances(a, b):
+    """Squared distances between the rows of ``a`` and ``b``, summed difference by difference."""
+    return cdist(a, b, "sqeuclidean")
+
+
 def stack(dictionary):
     """``(S, N, N)`` array whose slice ``s`` is the Gram matrix of ``specs[s]``."""
     x = dictionary.training_inputs
@@ -153,7 +160,7 @@ def stack(dictionary):
             mats[i] = x @ x.T
         else:
             if sq is None:
-                sq = cdist(x, x, "sqeuclidean")
+                sq = sq_distances(x, x)
             mats[i] = np.exp(-sq / (2.0 * spec.parameter))
     return mats
 

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.spatial.distance
 from scipy.spatial.distance import pdist
 
 from graphkern import (
@@ -26,7 +27,6 @@ from graphkern.experiment import (
     batch_size,
     trial_seed,
 )
-from graphkern import kernels
 from graphkern.mkl import SINGULAR
 
 from .oracles import run_trial_sequential
@@ -72,7 +72,8 @@ def test_a_batch_computes_its_distances_once(default_scenario, monkeypatch):
         calls.append(args[0].shape)
         return pdist(*args, **kwargs)
 
-    monkeypatch.setattr(kernels, "pdist", counting)
+    # the training distances import pdist where they are built
+    monkeypatch.setattr(scipy.spatial.distance, "pdist", counting)
     config = level_config(8, n_realizations=5)
     assert batch_size(default_scenario, config) == 5
     monte_carlo(default_scenario, config)

@@ -3,7 +3,11 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -825,6 +829,29 @@ class TestModelFile:
         assert peak < 2 * size + 256 * 1024, f"peak traced allocation {peak / 1e6:.2f} MB"
 
 
+class TestReadPathImports:
+    def test_validate_config_and_predict_never_load_scipy(self, tmp_path, fitted_model):
+        # a fresh interpreter, so that no other test has loaded scipy yet
+        model_path, inputs_csv = fitted_model
+        config = synthetic_config(tmp_path)
+        script = f"""
+import sys
+import graphkern.cli as cli
+assert "scipy" not in sys.modules, "import graphkern.cli"
+assert cli.main(["validate-config", "--config", {str(config)!r}]) == 0
+assert "scipy" not in sys.modules, "validate-config"
+assert cli.main(["predict", "--model", {str(model_path)!r}, "--inputs",
+                 {str(inputs_csv)!r}, "--output", {str(tmp_path / "pred.csv")!r}]) == 0
+assert "scipy" not in sys.modules, "predict"
+"""
+        package_root = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestFitCost:
     def test_one_solve_per_iteration_plus_one(self, tmp_path, monkeypatch):
         solves = []
@@ -849,6 +876,10 @@ class TestFitCost:
             kernel_grid={"family": "gaussian", "lo": 0.01, "hi": 10.0, "count": 100},
         )
         stack_bytes = 100 * 300 * 300 * 8
+        # fit loads scipy at its first training distances; a test run alone
+        # would otherwise count scipy's module objects (22 MB) as the fit's
+        import scipy.spatial.distance  # noqa: F401
+
         tracemalloc.start()
         try:
             rc = cli.main(["fit", "--config", str(path), "--out", str(tmp_path / "out")])

@@ -198,6 +198,13 @@ class TestKernelVector:
         with pytest.raises(ValueError, match="finite"):
             model.predict(rng.normal(size=2))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_inputs(self, bad):
+        rng = np.random.default_rng(16)
+        d = build_dictionary(rng.normal(size=(3, 2)), span=(0.5, 2.0), count=2)
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            kernel_cross(d, np.ones(2), np.array([[0.5, bad]]))
+
     def test_zero_weights_zero_vector(self):
         d = build_dictionary(np.ones((3, 2)) * np.arange(3)[:, None], count=4)
         np.testing.assert_array_equal(
@@ -232,6 +239,71 @@ class TestKernelVector:
             ]
         )
         np.testing.assert_allclose(kernel_vector(d, rho, z), expected, atol=1e-12)
+
+
+EPS = 2.0**-53
+
+
+def cross_bound(inputs, training):
+    """Per entry, the error bound that ``_cross_sq_distances`` states."""
+    centre = training.mean(axis=0)
+    far_inputs = np.square(inputs - centre).sum(axis=1)
+    far_training = np.square(training - centre).sum(axis=1)
+    return 4 * (training.shape[1] + 2) * EPS * (far_inputs[:, None] + far_training[None, :])
+
+
+class TestCrossDistances:
+    """Gram-identity distances from new inputs against summed differences."""
+
+    @pytest.mark.parametrize("width", [2, 20, 200])
+    def test_offset_data_within_the_stated_bound(self, width):
+        # a common offset of 300 (temperatures in kelvin, say), with inputs
+        # that repeat training rows or lie within 1e-9 of them
+        rng = np.random.default_rng(40)
+        x = 300.0 + rng.normal(size=(60, width))
+        a = np.vstack([
+            300.0 + rng.normal(size=(30, width)),
+            x[:10] + 1e-9 * rng.normal(size=(10, width)),
+            x[10:15],
+        ])
+        err = np.abs(kernels._cross_sq_distances(a, x) - oracles.sq_distances(a, x))
+        assert np.all(err <= cross_bound(a, x))
+
+    def test_norms_beyond_float_range(self):
+        # two clusters at +-1e154: squared norms overflow, the distances
+        # within a cluster do not, and those across clusters overflow in
+        # summed differences too
+        rng = np.random.default_rng(41)
+        x = np.vstack([1e154 + 1e150 * rng.normal(size=(5, 4)),
+                       -1e154 + 1e150 * rng.normal(size=(5, 4))])
+        a = 1e154 + 1e150 * rng.normal(size=(6, 4))
+        got = kernels._cross_sq_distances(a, x)
+        ref = oracles.sq_distances(a, x)
+        assert np.all(np.isinf(ref[:, 5:])) and np.all(np.isinf(got[:, 5:]))
+        scale = 2.0**-512  # the bound, computed where its squares do not overflow
+        err = np.abs(got[:, :5] - ref[:, :5]) * scale**2
+        assert np.all(err <= cross_bound(a * scale, x * scale)[:, :5])
+
+    def test_stack_gives_each_set_as_alone(self):
+        rng = np.random.default_rng(42)
+        a = 300.0 + rng.normal(size=(3, 7, 5))
+        x = 300.0 + rng.normal(size=(3, 11, 5)) * np.array([1.0, 1e3, 1e-3])[:, None, None]
+        got = kernels._cross_sq_distances(a, x)
+        for b in range(3):
+            np.testing.assert_array_equal(got[b], kernels._cross_sq_distances(a[b], x[b]))
+
+    def test_kernel_cross_at_training_rows_reproduces_combine(self):
+        rng = np.random.default_rng(43)
+        x = 300.0 + 0.1 * rng.normal(size=(40, 6))
+        d = build_dictionary(x)
+        rho = rng.uniform(size=d.num_kernels)
+        s2 = np.array([spec.parameter for spec in d.specs])
+        # kernel_cross's stated bound; combine's own round-off is of the
+        # order of the second term
+        bound = (rho / (2.0 * s2)).sum() * cross_bound(x, x) + d.num_kernels * EPS * rho.sum()
+        off_diagonal = ~np.eye(len(x), dtype=bool)
+        err = np.abs(kernel_cross(d, rho, x) - combine(d, rho))
+        assert np.all(err[off_diagonal] <= bound[off_diagonal])
 
 
 def assert_matches(got, ref):

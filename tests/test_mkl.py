@@ -455,10 +455,12 @@ class TestOptimize:
         trace.write_csv(path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["iteration", "gamma", "step", "delta_sq", "rho_norm"]
+        assert rows[0] == ["iteration", "gamma", "step", "delta_sq", "rho_norm", "fw_gap"]
         assert len(rows) == len(trace) + 1
         parsed = [float(r[1]) for r in rows[1:]]
         np.testing.assert_array_equal(parsed, trace.gamma_values)
+        parsed = [float(r[5]) for r in rows[1:]]
+        np.testing.assert_array_equal(parsed, trace.fw_gaps)
 
 
 class TestObjectiveShape:
