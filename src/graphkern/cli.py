@@ -299,9 +299,10 @@ DEFAULT_CONFIG = _default_config()
 
 
 def load_config(path, seed=None):
-    """Parse and validate a JSON run config, filling in defaults.
+    """Parse and validate a JSON run config; returns it merged with the defaults, and its run.
 
-    A ``seed`` other than None replaces the config's, before validation.
+    The run is what :func:`_read_run` takes from the config.  A ``seed``
+    other than None replaces the config's, before validation.
     """
     try:
         with open(path) as fh:
@@ -323,10 +324,9 @@ def load_config(path, seed=None):
     if not isinstance(cfg["output_dir"], str):
         raise ConfigError(f"{path}: output_dir must be a path string, got {cfg['output_dir']!r}")
     try:
-        _read_run(cfg)
+        return cfg, _read_run(cfg)
     except (AttributeError, TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"{path}: invalid configuration: {err}") from err
-    return cfg
 
 
 def _merge_defaults(defaults, overrides):
@@ -350,9 +350,9 @@ def _integer(value, name):
 
 
 def _held(config, name, **values):
-    """``config`` with ``values``, on one kernel of its checked grid; errors name ``name``."""
+    """``config`` with ``values``, checked by the class; errors name ``name``."""
     try:
-        return replace(config, grid_count=1, **values)
+        return replace(config, **values)
     except ValueError as err:
         raise ValueError(f"{name}: {err}") from None
 
@@ -484,20 +484,16 @@ def save_model(path, model, grid_cfg, names, iterations, final_gamma):
         "target_names": list(names),
         "iterations": int(iterations),
         "gamma": float(final_gamma),
-        "adjacency": doubles(model.graph.adjacency),
     }
     with open(path, "wb") as fh:
         fh.write(orjson.dumps(payload, option=orjson.OPT_SERIALIZE_NUMPY))
 
 
 # Keys of a model file that predictions depend on.
-MODEL_KEYS = (
-    "alpha", "beta", "kernel_grid", "rho", "training_inputs", "psi",
-    "target_names", "adjacency",
-)
+MODEL_KEYS = ("alpha", "beta", "kernel_grid", "rho", "training_inputs", "psi", "target_names")
 
 # Top-level keys of a model file whose values are arrays of numbers.
-_ARRAY_KEYS = ("rho", "training_inputs", "psi", "adjacency")
+_ARRAY_KEYS = ("rho", "training_inputs", "psi")
 _WHITESPACE = re.compile(r"[ \t\n\r]*")
 
 
@@ -510,7 +506,7 @@ def _parse_model(text):
 
     Keys and the other values go through the standard library's decoder.
     An array value is parsed by orjson a block of rows at a time, so the
-    file's numbers (about 440k at N = 999, M = 200) are never all Python
+    file's numbers (about 400k at N = 999, M = 200) are never all Python
     floats at once, as they are in a tree of the whole file.  Arrays of
     numbers hold no strings, so such a value runs from its ``[`` to the
     last ``]`` before the next ``"``.  A duplicate key keeps its last
@@ -586,12 +582,14 @@ def load_model(path):
     """Rebuild a fitted model from a model file; returns (model, names).
 
     The file is checked against the schema :func:`save_model` writes: every
-    key in ``MODEL_KEYS``, finite ``psi`` of shape N x M for N training
-    inputs and M target names, one finite nonnegative weight per grid
-    kernel and an M-node graph.  It is parsed by :func:`_parse_model`,
-    which fills the four arrays without a Python object per number: a
-    tree of the whole file, from stdlib ``json`` or from orjson, holds
-    more memory at its peak, and ``predict`` is bounded by memory.
+    key in ``MODEL_KEYS``, N x M ``training_inputs`` and finite ``psi`` for
+    N training inputs and M target names, and one finite nonnegative
+    weight per grid kernel.  The model's ``graph`` is None, as a prediction
+    needs none; the ``adjacency`` of older files is decoded as any extra
+    key is, and not used.  :func:`_parse_model` fills the three arrays
+    without a Python object per number: a tree of the whole file, from
+    stdlib ``json`` or from orjson, holds more memory at its peak, and
+    ``predict`` is bounded by memory.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -612,29 +610,27 @@ def load_model(path):
     if missing:
         raise ConfigError(f"{path}: model file is missing {missing}")
     names = payload["target_names"]
-    if not isinstance(names, list):
-        raise ConfigError(f"{path}: target_names must be a list")
+    if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
+        raise ConfigError(f"{path}: target_names must be a list of strings")
     try:
         grid = payload["kernel_grid"]
         count = _integer(grid["count"], "kernel_grid.count")
         specs = grid_specs(grid["family"], (grid["lo"], grid["hi"]), count)
         dictionary = KernelDictionary.from_specs(payload["training_inputs"], specs)
         psi, rho = payload["psi"], _checked_weights(dictionary, payload["rho"])
-        graph = build_graph(payload["adjacency"])
         alpha, beta = float(payload["alpha"]), float(payload["beta"])
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"{path}: invalid model: {err}") from err
     n, m = dictionary.num_samples, len(names)
-    if psi.shape != (n, m):
-        raise ConfigError(
-            f"{path}: psi has shape {psi.shape}, expected ({n}, {m}) for {n} "
-            f"training inputs and {m} target names"
-        )
-    if graph.num_nodes != m:
-        raise ConfigError(f"{path}: adjacency has {graph.num_nodes} nodes, expected {m}")
+    for key, array in (("training_inputs", dictionary.training_inputs), ("psi", psi)):
+        if array.shape != (n, m):
+            raise ConfigError(
+                f"{path}: {key} has shape {array.shape}, expected ({n}, {m}) for {n} "
+                f"training inputs and {m} target names"
+            )
     if not np.isfinite(psi).all():
         raise ConfigError(f"{path}: psi holds a non-finite entry")
-    model = KrgModel(psi=psi, alpha=alpha, beta=beta, dictionary=dictionary, rho=rho, graph=graph)
+    model = KrgModel(psi=psi, alpha=alpha, beta=beta, dictionary=dictionary, rho=rho, graph=None)
     return model, names
 
 
@@ -642,19 +638,15 @@ def load_model(path):
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_fit(cfg, out_dir):
+def cmd_fit(cfg, config, out_dir):
     dataset, names = _dataset_from_config(cfg)
-    config = _read_run(cfg)[0]
     model, trace = exp._fit_method(
         exp.METHOD_MULTI, exp._grid_dictionary(dataset.inputs, config), dataset.targets,
         dataset.graph, config,
     )
     out_dir.mkdir(parents=True, exist_ok=True)
-    (lo, hi), count = config.grid_span, config.grid_count
-    grid = {"family": config.grid_family, "lo": lo, "hi": hi, "count": count}
-    save_model(
-        out_dir / "model.json", model, grid, names, trace.iterations_used, trace.final_gamma
-    )
+    save_model(out_dir / "model.json", model, cfg["kernel_grid"], names, trace.iterations_used,
+               trace.final_gamma)
     trace.write_csv(out_dir / "trace.csv")
     log.info(
         "fitted multi-kernel model on %d pairs in %d iterations (gamma=%.6g)",
@@ -668,10 +660,12 @@ def cmd_fit(cfg, out_dir):
 def cmd_predict(model_path, inputs_path, output_path):
     model, names = load_model(model_path)
     in_names, matrix = _read_measurements(inputs_path, min_rows=1)
-    if len(in_names) != model.dictionary.training_inputs.shape[1]:
+    if in_names != names:
+        pairs = enumerate(itertools.zip_longest(in_names, names), start=1)
+        col, got, want = next((i, a, b) for i, (a, b) in pairs if a != b)
         raise ConfigError(
-            f"{inputs_path}: expected {model.dictionary.training_inputs.shape[1]} "
-            f"input columns, got {len(in_names)}"
+            f"{inputs_path}: the header must be the model's target names in order; "
+            f"column {col} is {got!r}, expected {want!r}"
         )
     predictions = model.predict(matrix)
     try:
@@ -695,9 +689,9 @@ def _check_training_sizes(sizes, dataset):
         )
 
 
-def cmd_experiment(cfg, out_dir):
+def cmd_experiment(cfg, run, out_dir):
     dataset, _ = _dataset_from_config(cfg)
-    config, sizes, params, search = _read_run(cfg)
+    config, sizes, params, search = run
     _check_training_sizes(sizes, dataset)
 
     if search:
@@ -755,9 +749,9 @@ def cmd_experiment(cfg, out_dir):
 
 def cmd_validate_config(config_path):
     """Refuse what ``fit`` and ``experiment`` would refuse, short of fitting."""
-    cfg = load_config(config_path)
+    cfg, run = load_config(config_path)
     dataset, _ = _dataset_from_config(cfg)
-    _check_training_sizes(_read_run(cfg)[1], dataset)
+    _check_training_sizes(run[1], dataset)
     print(f"{config_path}: OK")
     return 0
 
@@ -804,11 +798,11 @@ def main(argv=None):
             return cmd_validate_config(args.config)
         if args.command == "predict":
             return cmd_predict(args.model, args.inputs, args.output)
-        cfg = load_config(args.config, args.seed)
+        cfg, run = load_config(args.config, args.seed)
         out_dir = Path(args.out) if args.out else Path(cfg["output_dir"])
         if args.command == "fit":
-            return cmd_fit(cfg, out_dir)
-        return cmd_experiment(cfg, out_dir)
+            return cmd_fit(cfg, run[0], out_dir)
+        return cmd_experiment(cfg, run, out_dir)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

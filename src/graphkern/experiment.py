@@ -248,8 +248,9 @@ def make_synthetic_dataset(
     coeffs[:, 0] += mean_level
     series = coeffs @ u.T
 
-    diffs = series[:, None, :] - series[None, :, :]
-    sq = np.sum(diffs**2, axis=-1)
+    sq = np.empty((len(series), len(series)))  # a row at a time, no (P + 1)^2 x M array
+    for i, row in enumerate(series):
+        sq[i] = np.sum((row - series) ** 2, axis=-1)
     mean_sq = float(np.sum(sq)) / (sq.shape[0] * (sq.shape[0] - 1))
     if mean_sq > 0:
         series = series * np.sqrt(mean_sq_distance / mean_sq)

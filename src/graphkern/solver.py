@@ -48,7 +48,8 @@ class KrgModel:
 
     ``psi`` is the N x M coefficient matrix; ``dictionary`` and ``rho``
     define the combined kernel; ``graph`` supplies the Laplacian that was
-    used during fitting.  Instances are immutable and shareable.
+    used during fitting, and is None in a model read from a file, since a
+    prediction needs no graph.  Instances are immutable and shareable.
 
     A model fitted on a stack of B training sets holds (B, N, M) ``psi``
     and (B, S) ``rho``, and ``errors`` holds per set ``None`` or the

@@ -10,6 +10,7 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 
 from graphkern import (
@@ -402,7 +403,7 @@ class TestValidateConfig:
         # sizes the config's map leaves out run at its own alpha and beta
         path = synthetic_config(tmp_path, alpha=0.5, beta=1.0)
         edit_config(path, ("experiment", "params_by_n_train"), {"6": [0.7, 2.0]})
-        config, sizes, params, _ = cli._read_run(cli.load_config(path))
+        config, sizes, params, _ = cli.load_config(path)[1]
         assert sizes == [4, 6]
         assert params == {6: (0.7, 2.0)}
         assert (config.alpha, config.beta) == (0.5, 1.0)
@@ -507,7 +508,7 @@ class TestFitAndPredict:
         assert cli.main(["fit", "--config", str(path), "--out", str(out)]) == 0
         model, names = cli.load_model(out / "model.json")
 
-        cfg = cli.load_config(path)
+        cfg, _ = cli.load_config(path)
         dataset, _ = cli._dataset_from_config(cfg)
         expected = model.predict(dataset.inputs[:3])
 
@@ -544,7 +545,7 @@ class TestFitAndPredict:
         assert excinfo.value.code == 2
 
     def test_model_file_round_trips_arrays_bit_exactly(self, tmp_path):
-        cfg = cli.load_config(synthetic_config(tmp_path))
+        cfg, _ = cli.load_config(synthetic_config(tmp_path))
         dataset, names = cli._dataset_from_config(cfg)
         d = build_dictionary(dataset.inputs, count=12)
         fitted, trace = optimize(d, dataset.graph, dataset.targets, SolverConfig(), 0.1, 2.0)
@@ -561,13 +562,12 @@ class TestFitAndPredict:
         payload = json.loads(path.read_text())
         assert list(payload) == [
             "format_version", "alpha", "beta", "kernel_grid", "rho", "training_inputs",
-            "psi", "target_names", "iterations", "gamma", "adjacency",
+            "psi", "target_names", "iterations", "gamma",
         ]
         for key, expected in (
             ("rho", fitted.rho),
             ("training_inputs", fitted.dictionary.training_inputs),
             ("psi", fitted.psi),
-            ("adjacency", fitted.graph.adjacency),
         ):
             np.testing.assert_array_equal(
                 np.array(payload[key]).view(np.uint64), expected.view(np.uint64)
@@ -679,7 +679,6 @@ class TestModelFile:
             lambda p: p["training_inputs"].pop(),  # N - 1 training inputs
             lambda p: p["target_names"].pop(),  # M - 1 target names
             lambda p: p.update(target_names="node0"),
-            lambda p: p.update(adjacency=[[0.0]]),  # 1-node graph
             lambda p: p["kernel_grid"].update(lo=-1.0),
             lambda p: p["kernel_grid"].pop("count"),
             lambda p: p.update(alpha="none"),
@@ -688,6 +687,8 @@ class TestModelFile:
             lambda p: p["psi"][0].__setitem__(0, math.inf),
             lambda p: p["rho"].__setitem__(0, -5.0),  # a negative weight
             lambda p: p["kernel_grid"].update(count=12.5),  # not truncated to the 12 of rho
+            lambda p: [row.pop() for row in p["training_inputs"]],  # M - 1 input columns
+            lambda p: p["target_names"].__setitem__(0, None),  # a name that is not a string
         ],
     )
     def test_malformed_model_exit_code(self, tmp_path, fitted_model, edit):
@@ -777,7 +778,6 @@ class TestModelFile:
             .replace('],"target_names"', ']],"target_names"', 1),
             lambda t: t.replace('"psi":[[', '"psi":[[1.0,', 1),  # ragged rows
             lambda t: t.replace('"training_inputs":[[', '"training_inputs":[[NaN,', 1),
-            lambda t: t.replace('"adjacency":[[', '"adjacency":[[-Infinity,', 1),
             lambda t: t.replace('"psi":[[', '"psi":[[1e400,', 1),
             lambda t: t.replace('"psi":[[', '"psi":[[' + "1" + "0" * 400 + ",", 1),
             lambda t: t.replace('"alpha":', '"alpha":' + "1" * 5000 + ',"a":', 1),
@@ -791,7 +791,7 @@ class TestModelFile:
         rc = predict_with_model_text(tmp_path, fitted_model, edit(fitted_model[0].read_text()))
         assert_input_error(capsys, rc)
 
-    @pytest.mark.parametrize("key", ["rho", "psi", "training_inputs", "adjacency"])
+    @pytest.mark.parametrize("key", ["rho", "psi", "training_inputs"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_array_entry_is_invalid_json(self, tmp_path, fitted_model, capsys,
                                                     key, value):
@@ -827,6 +827,79 @@ class TestModelFile:
         # parse stays below that.  json.load peaked at 3.7 MB here (2.7 times
         # the file), from its tree of Python floats on top of the text.
         assert peak < 2 * size + 256 * 1024, f"peak traced allocation {peak / 1e6:.2f} MB"
+
+
+def predict_to(tmp_path, model_path, inputs_csv, name):
+    """Exit code of ``predict`` writing to ``tmp_path / name``, and that path."""
+    out = tmp_path / name
+    rc = cli.main(["predict", "--model", str(model_path), "--inputs", str(inputs_csv),
+                   "--output", str(out)])
+    return rc, out
+
+
+class TestModelWithoutGraph:
+    def test_fit_writes_no_graph(self, fitted_model):
+        payload = json.loads(fitted_model[0].read_text())
+        assert list(payload) == [
+            "format_version", "alpha", "beta", "kernel_grid", "rho", "training_inputs",
+            "psi", "target_names", "iterations", "gamma",
+        ]
+
+    @pytest.mark.parametrize(
+        "adjacency",
+        [
+            None,  # the graph of the fitted data, as fit wrote it before
+            "[[0.0]]",  # a 1-node graph
+            "[[-Infinity,1.0],[NaN,0.0]]",
+            '"none"',
+            "null",
+            '[[1,["]"]],{"psi":[]}]',
+        ],
+    )
+    def test_model_with_a_graph_predicts_the_same(self, tmp_path, fitted_model, adjacency):
+        model_path, inputs_csv = fitted_model
+        if adjacency is None:
+            cfg, _ = cli.load_config(model_path.parent.parent / "config.json")
+            graph = cli._dataset_from_config(cfg)[0].graph
+            adjacency = orjson.dumps(graph.adjacency, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+            assert graph.num_nodes == len(json.loads(model_path.read_text())["target_names"])
+        text = model_path.read_text()
+        assert text.endswith("}")
+        with_graph = tmp_path / "with_graph.json"
+        with_graph.write_text(text[:-1] + ',"adjacency":' + adjacency + "}")
+        rc, expected = predict_to(tmp_path, model_path, inputs_csv, "pred.csv")
+        assert rc == 0
+        rc, got = predict_to(tmp_path, with_graph, inputs_csv, "pred-with-graph.csv")
+        assert rc == 0
+        assert got.read_bytes() == expected.read_bytes()
+        model, _ = cli.load_model(with_graph)
+        assert model.graph is None
+
+
+class TestPredictHeader:
+    @pytest.mark.parametrize(
+        "reorder, column",
+        [
+            (lambda names, rows: (names[::-1], [row[::-1] for row in rows]), 1),
+            (lambda names, rows: ([f"x{i}" for i in range(len(names))], rows), 1),
+            (lambda names, rows: (names[:2] + names[3:], [r[:2] + r[3:] for r in rows]), 3),
+            (lambda names, rows: (names + ["extra"], [r + [0.5] for r in rows]), 9),
+        ],
+        ids=["permuted", "foreign", "column-dropped", "column-added"],
+    )
+    def test_header_other_than_the_target_names_exit_code(self, tmp_path, fitted_model,
+                                                          capsys, reorder, column):
+        model_path, inputs_csv = fitted_model
+        with open(inputs_csv, newline="") as fh:
+            names, *rows = list(csv.reader(fh))
+        assert len(names) == 8
+        names, rows = reorder(names, rows)
+        edited = tmp_path / "inputs.csv"
+        write_measurements(edited, names, rows)
+        rc, out = predict_to(tmp_path, model_path, edited, "pred.csv")
+        err = assert_input_error(capsys, rc)
+        assert f"column {column} is " in err and "target names" in err
+        assert not out.exists()
 
 
 class TestReadPathImports:

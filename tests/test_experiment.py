@@ -1,5 +1,7 @@
 """Noise model, NMSE, trials, Monte-Carlo aggregation, and grid search."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,11 @@ from graphkern import (
     GAUSSIAN,
     KernelDictionary,
     KernelSpec,
+    NodeCoordinates,
     SolverConfig,
     add_noise_snr,
     build_graph,
+    geodesic_adjacency,
     grid_search_hyperparams,
     grid_specs,
     make_synthetic_dataset,
@@ -129,6 +133,50 @@ class TestSyntheticDataset:
         a = make_synthetic_dataset(num_nodes=8, num_pairs=12, seed=6)
         b = make_synthetic_dataset(num_nodes=8, num_pairs=12, seed=6)
         np.testing.assert_array_equal(a.inputs, b.inputs)
+
+    @staticmethod
+    def broadcast_dataset(num_nodes, num_pairs, num_modes, seed):
+        """(inputs, targets) of the Euclidean generator, scaled by the mean of
+        one (P + 1) x (P + 1) x M array of all row differences."""
+        rng = np.random.default_rng(seed)
+        coords = NodeCoordinates(rng.uniform(0.0, 1.0, size=(num_nodes, 2)), mode="euclidean")
+        u = build_graph(geodesic_adjacency(coords)).lap_eigvecs[:, :num_modes]
+        freqs = rng.uniform(0.02, 0.12, size=num_modes)
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=num_modes)
+        t_axis = np.arange(num_pairs + 1)
+        coeffs = 0.7 ** np.arange(num_modes) * np.cos(
+            2.0 * np.pi * np.outer(t_axis, freqs) + phases)
+        coeffs[:, 0] += 1.0
+        series = coeffs @ u.T
+        sq = np.sum((series[:, None, :] - series[None, :, :]) ** 2, axis=-1)
+        series = series * np.sqrt(6.0 / (float(np.sum(sq)) / (sq.shape[0] * (sq.shape[0] - 1))))
+        return series[:-1], series[1:]
+
+    @pytest.mark.parametrize("shape", [(60, 45, 8), (119, 7, 7), (8, 3, 2)])
+    def test_scale_has_the_bits_of_the_broadcast(self, shape):
+        num_pairs, num_nodes, num_modes = shape
+        ds = make_synthetic_dataset(num_nodes=num_nodes, num_pairs=num_pairs,
+                                    num_modes=num_modes, seed=num_pairs)
+        inputs, targets = self.broadcast_dataset(num_nodes, num_pairs, num_modes, num_pairs)
+        for got, expected in ((ds.inputs, inputs), (ds.targets, targets)):
+            np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_memory_holds_no_pairs_by_pairs_by_nodes_array(self):
+        p, m = 301, 100  # the P = 300 pairs take 301 rows of M = 100 nodes
+        make_synthetic_dataset(num_nodes=4, num_pairs=4)  # load what a first call loads
+        tracemalloc.start()
+        try:
+            make_synthetic_dataset(num_nodes=m, num_pairs=p - 1, seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # What the function must hold, in doubles: the P x P squared
+        # distances, at most four P x M arrays at once (the series, its
+        # scaled copy, one row's differences and their squares) and at most
+        # eight M x M arrays of the graph.  A P x P x M array of differences
+        # alone is 72 MB here.
+        bound = 8 * (p * p + 4 * p * m + 8 * m * m)
+        assert peak < bound, f"peak traced allocation {peak / 1e6:.2f} MB"
 
 
 class TestRunTrial:
