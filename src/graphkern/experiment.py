@@ -12,18 +12,21 @@ The realizations of one training-set size run in lockstep batches: the B
 training sets of a batch are stacked into one dictionary (the
 single-kernel baseline shares its squared distances), each method is
 fitted for all B at once (one batched solve per optimizer iteration), and
-each trial's test block is predicted from its own index rows into the
-dataset, the B test blocks' distances taken in one stacked call.  A batch is as large as keeps its
-(B, N, L + M) arrays within one block of ``BLOCK_ENTRIES`` (see
-:func:`batch_size`); the exponential tables are streamed one training set
-at a time, as for a single fit.  Each trial is computed as it would be
-alone, except that the gradient's Gaussian skeleton (see
-:mod:`graphkern.kernels`) is built for the batch's largest distance, so
-results depend on the batching only within the skeleton's certified
-error.  A trial whose system is singular records that method's error
-without stopping the rest of its batch.  Should the batch's one
-eigendecomposition fail to converge, that method is refitted one trial at
-a time, so again only the trials whose own matrix fails record the error.
+each method's batched model predicts the B test blocks, gathered once,
+with one :meth:`~graphkern.solver.KrgModel.predict` call, the route of a
+single fit.  A batch is as large as keeps its (B, N, L + M) arrays within
+one block of ``BLOCK_ENTRIES`` (see :func:`batch_size`); the exponential
+tables are streamed one training set at a time, as for a single fit.
+Each trial is computed as it would be alone, except that the gradient's
+Gaussian skeleton (see :mod:`graphkern.kernels`) is built for the
+batch's largest distance, so results depend on the batching only within
+the skeleton's certified error.  A trial whose system is singular records
+that method's error without stopping the rest of its batch; so does a
+trial whose training or test block of targets is identically zero, which
+has no SNR or NMSE (one with a zero training block records it for every
+method and is not fitted).  Should the batch's one eigendecomposition
+fail to converge, that method is refitted one trial at a time, so again
+only the trials whose own matrix fails record the error.
 
 Everything is deterministic given the master seed: the seed of trial ``i``
 is ``numpy.random.SeedSequence(master_seed, spawn_key=(i,))``, so
@@ -43,9 +46,7 @@ from .kernels import (
     LINEAR,
     KernelSpec,
     _checked_grid,
-    _cross_sq_distances,
     build_dictionary,
-    combine_cross,
 )
 from .mkl import SolverConfig, optimize
 from .solver import solve_structured
@@ -226,8 +227,15 @@ def make_synthetic_dataset(
     positively correlated across days.  The series is rescaled so the
     mean squared distance between rows equals ``mean_sq_distance``,
     placing the data where the kernel parameter grid is informative but a
-    unit-variance kernel is narrower than optimal.
+    unit-variance kernel is narrower than optimal.  ``num_pairs`` and
+    ``num_modes`` below 1, or a ``mean_sq_distance`` that is not positive
+    and finite, raise ``ValueError``.
     """
+    for name, value in (("num_pairs", num_pairs), ("num_modes", num_modes)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1")
+    if not 0 < mean_sq_distance < math.inf:
+        raise ValueError("mean_sq_distance must be positive and finite")
     rng = np.random.default_rng(seed)
     if mode == "euclidean":
         positions = rng.uniform(0.0, 1.0, size=(num_nodes, 2))
@@ -341,15 +349,17 @@ def _run_batch(dataset, config, seeds):
     Each trial partitions the pairs at random (first ``n_train`` of a
     permutation for training, the rest for testing) and corrupts its
     training targets at the configured SNR, exactly as :func:`run_trial`
-    describes.  Each trial's test block is predicted from its own index
-    rows into the dataset; the distances of all B test blocks to their
-    training sets come from one stacked call.
+    describes.  A trial whose training targets are identically zero
+    records that for every method and is left out of the batch.  Each
+    method's batched model predicts the test blocks of the rest, gathered
+    once, in one call.
     """
     n = config.n_train
     if dataset.num_pairs < n + 1:
         raise ValueError(
             f"dataset has {dataset.num_pairs} pairs; need at least {n + 1}"
         )
+    results = [TrialResult(nmse={}) for _ in seeds]
     perms = np.empty((len(seeds), dataset.num_pairs), dtype=np.intp)
     t_noisy = np.empty((len(seeds), n, dataset.targets.shape[1]))
     for b, seed in enumerate(seeds):
@@ -357,21 +367,26 @@ def _run_batch(dataset, config, seeds):
             seed = np.random.SeedSequence(seed)
         partition_seed, noise_seed = seed.spawn(2)
         perms[b] = np.random.default_rng(partition_seed).permutation(dataset.num_pairs)
-        t_noisy[b] = add_noise_snr(
-            dataset.targets[perms[b, :n]], config.snr_db, noise_seed
-        )
-    train, test = perms[:, :n], perms[:, n:]
-    x_train = dataset.inputs[train]
-    sq_test = _cross_sq_distances(dataset.inputs[test], x_train)
-
-    results = [TrialResult(nmse={}) for _ in seeds]
-    grid = _grid_dictionary(x_train, config)
+        try:
+            t_noisy[b] = add_noise_snr(
+                dataset.targets[perms[b, :n]], config.snr_db, noise_seed
+            )
+        except ValueError as err:  # an all-zero training block has no SNR
+            results[b].errors = dict.fromkeys(METHODS, str(err))
+            log.warning("trial failed: %s", err)
+    live = [b for b, result in enumerate(results) if not result.failed]
+    if not live:
+        return results
+    train, test = perms[live, :n], perms[live, n:]
+    grid = _grid_dictionary(dataset.inputs[train], config)
+    x_test = dataset.inputs[test]
     for method in METHODS:
-        _score_method(method, results, dataset, config, grid, t_noisy, test, sq_test)
+        _score_method(method, [results[b] for b in live], dataset, config, grid,
+                      t_noisy[live], test, x_test)
     return results
 
 
-def _score_method(method, results, dataset, config, grid, t_noisy, test, sq_test):
+def _score_method(method, results, dataset, config, grid, t_noisy, test, x_test):
     """Fit one method on a batch and record each trial's test NMSE or error."""
     try:
         model, traces = _fit_method(method, grid, t_noisy, dataset.graph, config)
@@ -386,22 +401,20 @@ def _score_method(method, results, dataset, config, grid, t_noisy, test, sq_test
             one = slice(b, b + 1)
             alone = _grid_dictionary(grid.training_inputs[one], config)
             _score_method(method, results[one], dataset, config, alone,
-                          t_noisy[one], test[one], sq_test[one])
+                          t_noisy[one], test[one], x_test[one])
         return
-    if method == METHOD_LINEAR:
-        dot = np.stack(
-            [dataset.inputs[t] @ x.T for t, x in zip(test, grid.training_inputs)]
-        )
-        cross = combine_cross(model.dictionary, model.rho, dot=dot)
-    else:
-        cross = combine_cross(model.dictionary, model.rho, sq=sq_test)
+    predictions = model.predict(x_test)
     for b, result in enumerate(results):
         if model.errors[b] is not None:
             result.errors[method] = model.errors[b]
-            log.warning("trial method %s failed: %s", method, model.errors[b])
-            continue
-        result.nmse[method] = nmse(cross[b] @ model.psi[b], dataset.targets[test[b]])
-        if method == METHOD_MULTI:
+        else:
+            try:
+                result.nmse[method] = nmse(predictions[b], dataset.targets[test[b]])
+            except ValueError as err:  # an all-zero test block has no NMSE
+                result.errors[method] = str(err)
+        if method in result.errors:
+            log.warning("trial method %s failed: %s", method, result.errors[method])
+        elif method == METHOD_MULTI:
             result.rho = model.rho[b].copy()
             result.iterations = traces[b].iterations_used
             result.fw_gap = traces[b].fw_gaps[-1]
@@ -475,7 +488,8 @@ def grid_search_hyperparams(dataset, method, alphas, betas, config):
     pay off under noisy training.  Ties break toward the smallest alpha,
     then the smallest beta.  The linear method searches ``linear_alpha``
     and ignores the beta grid.  Each grid point is a config of its own, so
-    :class:`ExperimentConfig` validates it.
+    :class:`ExperimentConfig` validates it.  A training block of all-zero
+    targets raises :class:`ExperimentError`.
     """
     alphas = sorted(float(a) for a in alphas)
     betas = [0.0] if method == METHOD_LINEAR else sorted(float(b) for b in betas)
@@ -488,7 +502,10 @@ def grid_search_hyperparams(dataset, method, alphas, betas, config):
     train_idx = perm[: config.n_train]
     x_train = dataset.inputs[train_idx]
     t_clean = dataset.targets[train_idx]
-    t_noisy = add_noise_snr(t_clean, config.snr_db, noise_seed)
+    try:
+        t_noisy = add_noise_snr(t_clean, config.snr_db, noise_seed)
+    except ValueError as err:  # an all-zero training block has no SNR
+        raise ExperimentError(f"grid search: {err}") from None
     grid = _grid_dictionary(x_train, config)
 
     best = None

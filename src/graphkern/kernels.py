@@ -31,19 +31,23 @@ certified on the midpoints between the nodes.  A skeleton that fails the
 certificate, or that keeps every kernel (small grids), is replaced by the
 identity skeleton: all Gaussian kernels with ``C = I``.  The exact
 computation is thus one case of the skeleton route, not a second route.
-:func:`combine`, :func:`kernel_cross` and :func:`combine_cross`, which
-form the model's matrices, evaluate every kernel, with no skeleton.  The
-training pairs' distances are summed difference by difference (scipy's
-``pdist``, imported at their first use).  The distances from new inputs
-to the training set come from numpy alone (:func:`_cross_sq_distances`),
-through the Gram identity within a stated round-off bound, so reading a
-model and predicting never load scipy.
+All three callers, :func:`combine`, :func:`kernel_inner_products` and
+:func:`kernel_cross`, draw their Gaussian entries from one streamed
+generator of exponential tables (:func:`_gaussian_tables`).  The first
+and last form the model's matrices and evaluate every kernel of nonzero
+weight, with no skeleton.  The training pairs' distances are summed
+difference by difference (scipy's ``pdist``, imported at their first
+use).  The distances from new inputs to the training set come from numpy
+alone (:func:`_cross_sq_distances`), through the Gram identity within a
+stated round-off bound, so reading a model and predicting never load
+scipy.
 
 A dictionary may also hold a stack of B training sets of one size, all
 under the same specs (``training_inputs`` of shape (B, N, L)).  Weights,
-combined kernels and inner products then carry the same leading batch
-axis, and every training set is computed as it would be alone, except
-that the whole stack shares one skeleton, built for its largest distance.
+combined kernels, inner products, new inputs and cross kernels then carry
+the same leading batch axis, and every training set is computed as it
+would be alone, except that the whole stack shares one skeleton, built
+for its largest distance.
 """
 
 import functools
@@ -269,31 +273,49 @@ def _checked_weights(dictionary, rho):
     return rho
 
 
-def _gaussian_tables(dictionary, sets, select=None):
-    """Blocks ``(b, pairs, table)`` with ``table[r, c] = exp(-d_c / (2 s2_r))``.
+def _gaussian_tables(sq, divisors):
+    """Blocks ``(b, cols, table)`` with ``table[r, c] = exp(sq[b, c] / divisors[r])``.
 
-    ``b`` runs over the training sets in ``sets`` (0 for a dictionary of
-    one set), ``c`` over the pairs in the slice ``pairs`` of that set's
-    :attr:`KernelDictionary.sq_distances` and ``r`` over the Gaussian
-    kernels, or over those that ``select`` (a boolean mask or an index
-    array) picks among them, in its order.  The entries are those of the
-    Gram matrices themselves.  One buffer of at most ``BLOCK_ENTRIES``
-    doubles is reused from block to block, so a table is valid only until
-    the next one is drawn.
+    ``sq`` is a (sets, entries) array of squared distances and
+    ``divisors`` holds ``-2 s2`` per Gaussian kernel to evaluate, so the
+    entries are those of the Gram matrices themselves.  ``b`` runs over
+    the sets and ``c`` over the entries in the slice ``cols``.  One buffer
+    of at most ``BLOCK_ENTRIES`` doubles is reused from block to block, so
+    a table is valid only until the next one is drawn.
     """
-    gaussian, _, divisors = dictionary._families
-    divisors = divisors[gaussian if select is None else gaussian[select]]
-    sq = dictionary.sq_distances.reshape(math.prod(dictionary.batch_shape), -1)
     size = sq.shape[1]
     width = max(1, BLOCK_ENTRIES // len(divisors))
     buf = np.empty((len(divisors), min(width, size)))
-    for b in sets:
+    for b in range(len(sq)):
         for start in range(0, size, width):
-            pairs = slice(start, min(start + width, size))
-            table = buf[:, : pairs.stop - start]
-            np.divide(sq[b, None, pairs], divisors[:, None], out=table)
+            cols = slice(start, min(start + width, size))
+            table = buf[:, : cols.stop - start]
+            np.divide(sq[b, None, cols], divisors[:, None], out=table)
             np.exp(table, out=table)
-            yield b, pairs, table
+            yield b, cols, table
+
+
+def _gaussian_sums(sq, divisors, weights):
+    """Weighted Gaussian sums ``out[b, c] = sum_r weights[b, r] exp(sq[b, c] / divisors[r])``.
+
+    ``sq`` is (sets, entries) and ``weights`` (sets, G) over the Gaussian
+    kernels whose ``-2 s2`` are ``divisors``.  Each set evaluates only its
+    own kernels of nonzero weight, so its sums do not depend on the other
+    sets.
+    """
+    out = np.zeros(sq.shape)
+    for b in np.flatnonzero(weights.any(axis=1)):
+        _weigh(sq[b], divisors, weights[b], out[b])
+    return out
+
+
+def _weigh(sq, divisors, weights, out):
+    # out[c] = sum_r weights[r] E_r[c] over the kernels of nonzero weight;
+    # a function of its own, so the exp buffer is freed on return
+    nonzero = weights != 0.0
+    weights = weights[nonzero]
+    for _, cols, table in _gaussian_tables(sq[None], divisors[nonzero]):
+        out[cols] = weights @ table
 
 
 @functools.lru_cache(maxsize=8)
@@ -434,31 +456,20 @@ def combine(dictionary, rho):
     ``rho``, so its matrix does not depend on the other sets of a stack.
     """
     rho = _checked_weights(dictionary, rho)
-    gaussian, linear, _ = dictionary._families
+    gaussian, linear, divisors = dictionary._families
     batch, n = dictionary.batch_shape, dictionary.num_samples
     rows = rho.reshape(-1, dictionary.num_kernels)[:, gaussian]
-    nonzero = rows != 0.0
-    if nonzero.any():
-        packed = np.zeros((len(rows), n * (n - 1) // 2))
-        totals = np.zeros(len(rows))
-        for b in np.flatnonzero(nonzero.any(axis=1)):
-            weights = rows[b, nonzero[b]]
-            totals[b] = weights.sum()  # every Gaussian is 1 at distance 0
-            _weigh_pairs(dictionary, b, nonzero[b], weights, packed[b])
-        out = _square(packed.reshape(batch + (-1,)), totals.reshape(batch), n)
+    if rows.any():
+        sq = dictionary.sq_distances.reshape(len(rows), -1)
+        packed = _gaussian_sums(sq, divisors[gaussian], rows)
+        totals = [row[row != 0.0].sum() for row in rows]  # every Gaussian is 1 at distance 0
+        out = _square(packed.reshape(batch + (-1,)), np.reshape(totals, batch), n)
     else:
         out = np.zeros(batch + (n, n))
     for s in linear:
         if np.any(rho[..., s]):
             out += rho[..., s, None, None] * dictionary.linear_gram
     return out
-
-
-def _weigh_pairs(dictionary, b, select, weights, out):
-    # out[c] = sum_r weights[r] E_r[c] over the selected Gaussian kernels of
-    # set b; a function of its own, so the exp buffer is freed on return
-    for _, pairs, table in _gaussian_tables(dictionary, [b], select):
-        out[pairs] = weights @ table
 
 
 def kernel_inner_products(dictionary, sym):
@@ -479,13 +490,14 @@ def kernel_inner_products(dictionary, sym):
     expected = dictionary.batch_shape + (n, n)
     if sym.shape != expected:
         raise ValueError(f"matrix must have shape {expected}, got {sym.shape}")
-    gaussian, linear, _ = dictionary._families
+    gaussian, linear, divisors = dictionary._families
     out = np.empty(dictionary.batch_shape + (dictionary.num_kernels,))
     if gaussian.size:
         rows, interp = dictionary._skeleton
         packed = _condensed(sym).reshape(math.prod(dictionary.batch_shape), -1)
+        sq = dictionary.sq_distances.reshape(len(packed), -1)
         acc = np.zeros((len(packed), len(rows)))
-        for b, pairs, table in _gaussian_tables(dictionary, range(len(packed)), rows):
+        for b, pairs, table in _gaussian_tables(sq, divisors[gaussian[rows]]):
             acc[b] += table @ packed[b, pairs]
         acc = (acc @ interp.T).reshape(out[..., gaussian].shape)
         trace = np.trace(sym, axis1=-2, axis2=-1)
@@ -533,54 +545,40 @@ def _cross_sq_distances(inputs, training):
 def kernel_cross(dictionary, rho, inputs):
     """Combined-kernel evaluations between new inputs and the training set.
 
-    Returns a (K, N) matrix whose row ``k`` is the combined kernel vector
-    of ``inputs[k]`` against the N training inputs.  Every kernel is
-    evaluated.  The squared distances are those of
+    ``inputs`` is (K, L) for a dictionary of one training set, giving a
+    (K, N) matrix whose row ``k`` is the combined kernel vector of
+    ``inputs[k]`` against the N training inputs; for a stack it is
+    (B, K, L), with ``rho`` (B, S), giving (B, K, N), each set's matrix
+    bit for bit as it gets alone.  A wrong batch shape or column count,
+    NaN or Inf raise ``ValueError``.  Each set evaluates only its own
+    kernels of nonzero weight.  The squared distances are those of
     :func:`_cross_sq_distances`, each within its bound ``delta`` of summed
     differences; since ``|exp(-d) - exp(-d')| <= |d - d'|`` for
     nonnegative ``d, d'``, an entry is within
     ``sum_s rho_s (delta / (2 s2_s) + S eps)`` of the one that summed
     differences give, the first term over the Gaussian kernels only and
-    the second the round-off of the sum.  A stack of training sets is
-    evaluated from precomputed pair quantities (:func:`combine_cross`).
+    the second the round-off of the sum.
     """
-    if dictionary.batch_shape:
-        raise ValueError("kernel_cross takes the dictionary of one training set")
     rho = _checked_weights(dictionary, rho)
+    x = dictionary.training_inputs
     x2 = np.asarray(inputs, dtype=float)
-    if x2.ndim != 2 or x2.shape[1] != dictionary.training_inputs.shape[1]:
+    batch = dictionary.batch_shape
+    if x2.shape[:-2] != batch or x2.ndim != x.ndim or x2.shape[-1] != x.shape[-1]:
         raise ValueError(
-            f"inputs must be 2-D with {dictionary.training_inputs.shape[1]} columns"
+            f"inputs must have shape {batch + ('K', x.shape[-1])}, got {x2.shape}"
         )
     if not np.all(np.isfinite(x2)):
         raise ValueError("inputs contain NaN or Inf")
-    x = dictionary.training_inputs
-    gaussian, linear, _ = dictionary._families
-    if not np.any(rho):
-        return np.zeros((x2.shape[0], x.shape[0]))
-    sq = _cross_sq_distances(x2, x) if np.any(rho[gaussian]) else None
-    dot = x2 @ x.T if np.any(rho[linear]) else None
-    return combine_cross(dictionary, rho, sq, dot)
-
-
-def combine_cross(dictionary, rho, sq=None, dot=None):
-    """Combined kernel ``sum_s rho_s k_s(x, x_n)`` from pair quantities.
-
-    ``sq`` holds the squared distances and ``dot`` the inner products of K
-    new inputs with the N training inputs, (K, N) per training set and
-    stacked like ``rho``; each may be ``None`` when no kernel of its family
-    has a nonzero weight (one of them is needed for the shape).  Kernels
-    are added in order, and a set adds exact zeros for its zero weights,
-    so every set's result is the one it gets alone.
-    """
-    out = np.zeros((sq if sq is not None else dot).shape)
-    weights = rho.reshape(-1, dictionary.num_kernels)
-    for s in np.flatnonzero(np.any(weights != 0.0, axis=0)):
-        weight = rho[..., s, None, None]
-        spec = dictionary.specs[s]
-        if spec.family == LINEAR:
-            out += weight * dot
-        else:
-            out += weight * np.exp(-sq / (2.0 * spec.parameter))
+    gaussian, linear, divisors = dictionary._families
+    rows = rho.reshape(-1, dictionary.num_kernels)[:, gaussian]
+    shape = x2.shape[:-1] + (x.shape[-2],)
+    if rows.any():
+        sq = _cross_sq_distances(x2, x).reshape(len(rows), -1)
+        out = _gaussian_sums(sq, divisors[gaussian], rows).reshape(shape)
+    else:
+        out = np.zeros(shape)
+    if np.any(rho[..., linear]):
+        dot = x2 @ np.swapaxes(x, -1, -2)
+        for s in linear:
+            out += rho[..., s, None, None] * dot
     return out
-

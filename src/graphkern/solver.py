@@ -54,7 +54,7 @@ class KrgModel:
     A model fitted on a stack of B training sets holds (B, N, M) ``psi``
     and (B, S) ``rho``, and ``errors`` holds per set ``None`` or the
     message of the :class:`SingularSystemError` its system raised (its
-    ``psi`` is then zero).  :meth:`predict` takes a model of one set.
+    ``psi`` is then zero).
     """
 
     psi: np.ndarray
@@ -66,18 +66,20 @@ class KrgModel:
     errors: tuple = None
 
     def predict(self, x):
-        """Predict targets for one input vector or a batch of input rows.
+        """Predict targets ``Psi^T k(x)`` for new inputs.
 
-        A 1-D input of length L yields the length-M prediction
-        ``Psi^T k(x)``; a (K, L) batch yields a (K, M) matrix of
-        predictions.
+        For a model of one training set, a 1-D input of length L yields
+        the length-M prediction and a (K, L) batch a (K, M) matrix of
+        predictions.  A model of a stack of B sets takes (B, K, L) inputs,
+        set ``b`` predicting ``x[b]``, and yields (B, K, M), each set's
+        predictions bit for bit as it gets alone.  The kernel vectors are
+        those of :func:`~graphkern.kernels.kernel_cross`, within its
+        stated bound of summed differences.
         """
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
+        if x.ndim == 1 and not self.dictionary.batch_shape:
             return kernel_cross(self.dictionary, self.rho, x[None, :])[0] @ self.psi
-        if x.ndim == 2:
-            return kernel_cross(self.dictionary, self.rho, x) @ self.psi
-        raise ValueError("input must be a vector or a matrix of row vectors")
+        return kernel_cross(self.dictionary, self.rho, x) @ self.psi
 
 
 def _check_fit_args(dictionary, rho, graph, targets, alpha, beta):

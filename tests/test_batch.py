@@ -164,6 +164,56 @@ def test_a_failing_eigh_fails_only_its_own_trials(default_scenario, monkeypatch)
     assert report.n_failed == sum(failing)
 
 
+def zero_targets_dataset(nonzero_rows):
+    """12 pairs over 4 nodes whose targets are zero outside ``nonzero_rows``."""
+    rng = np.random.default_rng(8)
+    targets = np.zeros((12, 4))
+    targets[nonzero_rows] = rng.normal(size=(len(nonzero_rows), 4))
+    a = np.abs(rng.normal(size=(4, 4)))
+    a = 0.5 * (a + a.T)
+    np.fill_diagonal(a, 0.0)
+    return ExperimentDataset(rng.normal(size=(12, 6)), targets, build_graph(a))
+
+
+@pytest.mark.parametrize("n_train, block", [(3, "training"), (9, "test")])
+def test_only_the_trials_with_an_all_zero_block_fail(n_train, block):
+    # a zero training block has no SNR and a zero test block no NMSE; the
+    # trials holding one record it for every method, and the others are
+    # scored as they are alone
+    dataset = zero_targets_dataset([0, 1, 2, 3])
+    config = ExperimentConfig(n_train=n_train, n_realizations=16, grid_count=10, master_seed=5)
+    assert batch_size(dataset, config) == 16  # one batch
+    report = monte_carlo(dataset, config)
+    failing = []
+    for i, trial in enumerate(report.trials):
+        perm = np.random.default_rng(trial_seed(5, i).spawn(2)[0]).permutation(12)
+        rows = perm[:n_train] if block == "training" else perm[n_train:]
+        zero = not np.any(dataset.targets[rows])
+        if zero:
+            assert set(trial.errors) == set(METHODS) and not trial.nmse
+            assert all(f"{'target' if block == 'training' else 'reference'} block is "
+                       "identically zero" in message for message in trial.errors.values())
+        else:
+            expected = run_trial_sequential(dataset, config, trial_seed(5, i))
+            assert trial.errors == expected.errors == {}
+            for method in METHODS:
+                assert relative(trial.nmse[method], expected.nmse[method]) <= 1e-10
+            assert relative(trial.rho, expected.rho) <= 1e-10
+        failing.append(zero)
+    assert 0 < sum(failing) <= 8
+    assert report.n_failed == sum(failing)
+    assert report.n_ok == dict.fromkeys(METHODS, 16 - sum(failing))
+
+
+def test_all_zero_targets_fail_every_trial():
+    dataset = zero_targets_dataset([])
+    config = ExperimentConfig(n_train=3, n_realizations=4, grid_count=10)
+    with pytest.raises(ExperimentError) as excinfo:
+        monte_carlo(dataset, config)
+    report = excinfo.value.partial_report
+    assert report.n_failed == 4 and report.n_ok == dict.fromkeys(METHODS, 0)
+
+
 def test_lockstep_optimize_matches_each_problem_alone():
     rng = np.random.default_rng(31)
     a = np.abs(rng.normal(size=(4, 4)))

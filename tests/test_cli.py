@@ -362,6 +362,16 @@ class TestValidateConfig:
         [
             ("synthetic", {"num_nodes": 8, "num_node": 8, "num_pairs": 14}, "'num_node'"),
             ("synthetic", None, "cannot build the dataset"),
+            ("synthetic", {"num_nodes": 8, "num_pairs": 0}, "num_pairs must be at least 1"),
+            ("synthetic", {"num_nodes": 8, "num_pairs": -3}, "num_pairs must be at least 1"),
+            ("synthetic", {"num_nodes": 8, "num_pairs": 14, "num_modes": 0},
+             "num_modes must be at least 1"),
+            ("synthetic", {"num_nodes": 8, "num_pairs": 14, "mean_sq_distance": 0},
+             "mean_sq_distance must be positive and finite"),
+            ("synthetic", {"num_nodes": 8, "num_pairs": 14, "mean_sq_distance": -1},
+             "mean_sq_distance must be positive and finite"),
+            ("synthetic", {"num_nodes": 8, "num_pairs": 14, "mean_sq_distance": math.inf},
+             "mean_sq_distance must be positive and finite"),
             ("experiment", {"params_by_n_train": None}, "invalid configuration"),
             ("experiment", {"params_by_n_train": []}, "invalid configuration"),
             ("data", 5, "cannot build the dataset"),
@@ -472,6 +482,29 @@ class TestFitAndPredict:
         rc = run_on_config(command, path, tmp_path / "out")
         err = assert_input_error(capsys, rc)
         assert "line 5" in err and "'nan' in column 1" in err
+
+    def test_all_zero_measurements_fail_the_experiment(self, tmp_path, capsys):
+        # a fit needs no SNR, but every trial's training block is zero
+        names = [f"town{i}" for i in range(5)]
+        write_measurements(tmp_path / "m.csv", names, np.zeros((12, 5)).tolist())
+        write_coords(tmp_path / "c.csv", [[n, 55.0 + i, 12.0 + i] for i, n in enumerate(names)])
+        cfg = {"data": {"measurements": str(tmp_path / "m.csv"),
+                        "coordinates": str(tmp_path / "c.csv")},
+               "experiment": {"n_train_values": [4], "n_realizations": 3}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert run_on_config("validate-config", path, None) == 0
+        assert run_on_config("fit", path, tmp_path / "fit") == 0
+        capsys.readouterr()
+        assert run_on_config("experiment", path, tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert "numeric failure: 3 of 3 trials failed" in err and "Traceback" not in err
+        cfg["experiment"]["grid_search"] = {"alphas": [0.1], "betas": [1.0]}
+        path.write_text(json.dumps(cfg))
+        assert run_on_config("experiment", path, tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert "numeric failure: grid search: target block is identically zero" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["validate-config", "fit", "experiment"])
     @pytest.mark.parametrize(

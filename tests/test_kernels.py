@@ -198,12 +198,84 @@ class TestKernelVector:
         with pytest.raises(ValueError, match="finite"):
             model.predict(rng.normal(size=2))
 
+    @pytest.mark.parametrize("batch", [(), (3,)])
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-    def test_non_finite_inputs(self, bad):
+    def test_non_finite_inputs(self, bad, batch):
+        # in a stack, one entry of one set
         rng = np.random.default_rng(16)
-        d = build_dictionary(rng.normal(size=(3, 2)), span=(0.5, 2.0), count=2)
+        d = build_dictionary(rng.normal(size=batch + (3, 2)), span=(0.5, 2.0), count=2)
+        x = rng.normal(size=batch + (4, 2))
+        x[(1,) * len(batch) + (2, 1)] = bad
+        rho = np.ones(batch + (2,))
         with pytest.raises(ValueError, match="NaN or Inf"):
-            kernel_cross(d, np.ones(2), np.array([[0.5, bad]]))
+            kernel_cross(d, rho, x)
+        model = KrgModel(np.ones(batch + (3, 5)), 1.0, 0.0, d, rho, None)
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            model.predict(x)
+
+    @pytest.mark.parametrize(
+        "batch, shape",
+        [
+            ((), (4, 3)),  # wrong column count
+            ((), (2, 4, 2)),  # a stack of inputs for one training set
+            ((), (2,)),  # one row: only predict takes it
+            ((3,), (4, 2)),  # one block of inputs for a stack
+            ((3,), (2, 4, 2)),  # too few sets
+            ((3,), (3, 4, 3)),  # wrong column count
+            ((3,), (3, 2)),  # one row per set
+        ],
+    )
+    def test_wrong_input_shape(self, batch, shape):
+        rng = np.random.default_rng(17)
+        d = build_dictionary(rng.normal(size=batch + (3, 2)), span=(0.5, 2.0), count=2)
+        rho = np.ones(batch + (2,))
+        with pytest.raises(ValueError, match="inputs must have shape"):
+            kernel_cross(d, rho, rng.normal(size=shape))
+        if batch:
+            model = KrgModel(np.ones(batch + (3, 5)), 1.0, 0.0, d, rho, None)
+            with pytest.raises(ValueError, match="inputs must have shape"):
+                model.predict(rng.normal(size=shape))
+
+    @pytest.mark.parametrize("family", [GAUSSIAN, LINEAR, "mixed"])
+    def test_stack_gives_each_set_as_alone(self, family, monkeypatch):
+        rng = np.random.default_rng(18)
+        specs = {
+            GAUSSIAN: grid_specs(span=(0.05, 4.0), count=7),
+            LINEAR: [KernelSpec(LINEAR)],
+            "mixed": [KernelSpec(GAUSSIAN, 0.3), KernelSpec(LINEAR), KernelSpec(GAUSSIAN, 2.0),
+                      KernelSpec(GAUSSIAN, 0.9), KernelSpec(LINEAR)],
+        }[family]
+        x = rng.normal(size=(4, 6, 3)) * np.array([1.0, 10.0, 0.1, 1.0])[:, None, None]
+        x_new = rng.normal(size=(4, 5, 3))
+        rho = rng.uniform(size=(4, len(specs))) * (rng.uniform(size=(4, len(specs))) < 0.6)
+        rho[0] = rng.uniform(size=len(specs))
+        rho[2] = 0.0  # a set with no kernel at all
+        psi = rng.normal(size=(4, 6, 2))
+        d = KernelDictionary.from_specs(x, specs)
+        tables = []
+        tables_of = kernels._gaussian_tables
+
+        def counting(sq, divisors):
+            tables.append(len(divisors) * sq.size)
+            return tables_of(sq, divisors)
+
+        monkeypatch.setattr(kernels, "_gaussian_tables", counting)
+        got = kernel_cross(d, rho, x_new)
+        # each set evaluates its own Gaussian kernels of nonzero weight only
+        gaussian = np.array([spec.family == GAUSSIAN for spec in specs])
+        own = [np.count_nonzero(r[gaussian]) * 5 * 6 for r in rho]
+        assert tables == [count for count in own if count]
+        predictions = KrgModel(psi, 0.1, 0.0, d, rho, None).predict(x_new)
+        assert got.shape == (4, 5, 6) and predictions.shape == (4, 5, 2)
+        np.testing.assert_array_equal(got[2], 0.0)
+        for b in range(4):
+            alone = KernelDictionary.from_specs(x[b], specs)
+            np.testing.assert_array_equal(got[b], kernel_cross(alone, rho[b], x_new[b]))
+            model = KrgModel(psi[b], 0.1, 0.0, alone, rho[b], None)
+            np.testing.assert_array_equal(predictions[b], model.predict(x_new[b]))
+            expected = [[sum(w * kernel_eval(spec, row, new) for w, spec in zip(rho[b], specs))
+                         for row in x[b]] for new in x_new[b]]
+            np.testing.assert_allclose(got[b], expected, rtol=1e-12, atol=1e-12)
 
     def test_zero_weights_zero_vector(self):
         d = build_dictionary(np.ones((3, 2)) * np.arange(3)[:, None], count=4)
