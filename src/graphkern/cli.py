@@ -57,10 +57,9 @@ _NUMBER_CHARS = b"0123456789+-.eE[], \t\n\r"
 
 
 def _parse_number_block(items, ndim):
-    """``items``, the text of an array's items, as an ndim-D float64 array."""
+    """``items``, the bytes of an array's items, as an ndim-D float64 array."""
     import orjson
 
-    items = items.encode()
     if items.translate(None, _NUMBER_CHARS):
         raise ValueError
     block = np.array(orjson.loads(b"[" + items + b"]"), dtype=np.float64)
@@ -173,7 +172,7 @@ def _parse_rows(lines, width, min_rows):
         # read as two rows.
         if items.count("[") + items.count("]") != 2 * len(block) or _NEGATIVE_ZERO.search(items):
             raise ValueError
-        values = _parse_number_block(items, ndim=2)
+        values = _parse_number_block(items.encode(), ndim=2)
         if values.shape[1] != width:
             raise ValueError
         data.frombytes(values.tobytes())
@@ -494,88 +493,138 @@ MODEL_KEYS = ("alpha", "beta", "kernel_grid", "rho", "training_inputs", "psi", "
 
 # Top-level keys of a model file whose values are arrays of numbers.
 _ARRAY_KEYS = ("rho", "training_inputs", "psi")
-_WHITESPACE = re.compile(r"[ \t\n\r]*")
+_WHITESPACE = re.compile(rb"[ \t\n\r]*")
+# A JSON string, delimited but not checked, and the bytes that end a number
+# or literal or that open, close or quote inside an object or array.
+_STRING = re.compile(rb'"(?:[^"\\]|\\.)*"', re.DOTALL)
+_SCALAR = re.compile(rb'[^ \t\n\r,:\[\]{}"]*')
+_DELIMITER = re.compile(rb'["\[\]{}]')
 
 
-def _skip(text, i):
-    return _WHITESPACE.match(text, i).end()
+def _skip(data, i):
+    return _WHITESPACE.match(data, i).end()
 
 
-def _parse_model(text):
+def _decode_error(message, data, i):
+    """A :class:`json.JSONDecodeError` at byte ``i`` of ``data``, placed in its decoded text."""
+    text = data.decode("utf-8", "replace")
+    return json.JSONDecodeError(message, text, len(data[:i].decode("utf-8", "replace")))
+
+
+def _value_end(data, i):
+    """Where the JSON value that starts at byte ``i`` ends; the value is not checked.
+
+    A string ends at its closing quote, an object or array at the bracket
+    that closes it (brackets inside strings do not count), and anything
+    else at the next delimiter.  Malformed input is refused afterwards, by
+    :func:`_load_value` or by the walk of :func:`_parse_model`.
+    """
+    if not data.startswith((b'"', b"[", b"{"), i):
+        return _SCALAR.match(data, i).end()
+    depth = 0
+    while match := _DELIMITER.search(data, i):
+        if match.group() == b'"':
+            string = _STRING.match(data, match.start())
+            if string is None:
+                break
+            i = string.end()
+        else:
+            i = match.end()
+            depth += 1 if match.group() in b"[{" else -1
+        if depth == 0:
+            return i
+    return len(data)
+
+
+def _load_value(data, start, end):
+    """The JSON value in bytes ``start:end``, decoded as strict UTF-8 and read by :mod:`json`."""
+    try:
+        text = data[start:end].decode("utf-8")
+    except UnicodeDecodeError as err:  # placed in the file, not in the value
+        raise UnicodeDecodeError(
+            "utf-8", data, start + err.start, start + err.end, err.reason
+        ) from None
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise _decode_error(err.msg, data, start + len(text[:err.pos].encode())) from None
+
+
+def _parse_model(data):
     """The top-level object of a model file, each ``_ARRAY_KEYS`` value a float64 array.
 
-    Keys and the other values go through the standard library's decoder.
-    An array value is parsed by orjson a block of rows at a time, so the
-    file's numbers (about 400k at N = 999, M = 200) are never all Python
-    floats at once, as they are in a tree of the whole file.  Arrays of
-    numbers hold no strings, so such a value runs from its ``[`` to the
-    last ``]`` before the next ``"``.  A duplicate key keeps its last
-    value, as in :mod:`json`.  Raises :class:`json.JSONDecodeError` for
-    text that is not one JSON object, or whose array keys hold anything
-    but a 1-D or 2-D array of numbers.
+    ``data`` is the file's bytes (or its text).  Keys and the other values
+    are delimited by :func:`_value_end` and read by the standard library's
+    decoder, one value at a time.  An array value is parsed by orjson a
+    block of rows at a time, so the file's numbers (about 400k at N = 999,
+    M = 200) are never all Python floats at once, as they are in a tree of
+    the whole file.  Arrays of numbers hold no strings, so such a value
+    runs from its ``[`` to the last ``]`` before the next ``"``.  A
+    duplicate key keeps its last value, as in :mod:`json`.  Raises
+    :class:`json.JSONDecodeError` for input that is not one JSON object,
+    or whose array keys hold anything but a 1-D or 2-D array of numbers,
+    and :class:`UnicodeDecodeError` for a key or value that is not UTF-8.
     """
-    decoder = json.JSONDecoder()
-    i = _skip(text, 0)
-    if not text.startswith("{", i):
-        raise json.JSONDecodeError("Expecting '{': a model file holds one object", text, i)
+    if isinstance(data, str):
+        data = data.encode()
+    i = _skip(data, 0)
+    if not data.startswith(b"{", i):
+        raise _decode_error("Expecting '{': a model file holds one object", data, i)
     payload = {}
-    i = _skip(text, i + 1)
-    if not text.startswith("}", i):
+    i = _skip(data, i + 1)
+    if not data.startswith(b"}", i):
         while True:
-            if not text.startswith('"', i):
-                raise json.JSONDecodeError(
-                    "Expecting property name enclosed in double quotes", text, i
-                )
-            key, i = json.decoder.scanstring(text, i + 1)
-            i = _skip(text, i)
-            if not text.startswith(":", i):
-                raise json.JSONDecodeError("Expecting ':' delimiter", text, i)
-            i = _skip(text, i + 1)
+            if not data.startswith(b'"', i):
+                raise _decode_error("Expecting property name enclosed in double quotes", data, i)
+            end = _value_end(data, i)
+            key, i = _load_value(data, i, end), _skip(data, end)
+            if not data.startswith(b":", i):
+                raise _decode_error("Expecting ':' delimiter", data, i)
+            i = _skip(data, i + 1)
             if key in _ARRAY_KEYS:
-                payload[key], i = _parse_number_array(text, i, key)
+                payload[key], i = _parse_number_array(data, i, key)
             else:
-                payload[key], i = decoder.raw_decode(text, i)
-            i = _skip(text, i)
-            if not text.startswith(",", i):
+                end = _value_end(data, i)
+                payload[key], i = _load_value(data, i, end), end
+            i = _skip(data, i)
+            if not data.startswith(b",", i):
                 break
-            i = _skip(text, i + 1)
-        if not text.startswith("}", i):
-            raise json.JSONDecodeError("Expecting ',' delimiter", text, i)
-    i = _skip(text, i + 1)
-    if i != len(text):
-        raise json.JSONDecodeError("Extra data", text, i)
+            i = _skip(data, i + 1)
+        if not data.startswith(b"}", i):
+            raise _decode_error("Expecting ',' delimiter", data, i)
+    i = _skip(data, i + 1)
+    if i != len(data):
+        raise _decode_error("Extra data", data, i)
     return payload
 
 
-def _parse_number_array(text, start, key):
-    """The array of numbers, or of rows of numbers, at ``text[start]``; returns (array, end)."""
-    quote = text.find('"', start)
-    end = text.rfind("]", start, len(text) if quote < 0 else quote) + 1
+def _parse_number_array(data, start, key):
+    """The array of numbers, or of rows of numbers, at byte ``start``; returns (array, end)."""
+    quote = data.find(b'"', start)
+    end = data.rfind(b"]", start, len(data) if quote < 0 else quote) + 1
     try:
-        if not (text.startswith("[", start) and end):
+        if not (data.startswith(b"[", start) and end):
             raise ValueError
-        first = _skip(text, start + 1)
-        if not text.startswith("[", first):
-            return _parse_number_block(text[start + 1:end - 1], ndim=1), end
+        first = _skip(data, start + 1)
+        if not data.startswith(b"[", first):
+            return _parse_number_block(data[start + 1:end - 1], ndim=1), end
         blocks = []
         while True:
             stop = first
             for _ in range(_ROWS_PER_BLOCK):
-                row_end = text.find("]", stop, end - 1)
+                row_end = data.find(b"]", stop, end - 1)
                 if row_end < 0:
                     break
                 stop = row_end + 1
-            blocks.append(_parse_number_block(text[first:stop], ndim=2))
-            first = _skip(text, stop)
+            blocks.append(_parse_number_block(data[first:stop], ndim=2))
+            first = _skip(data, stop)
             if first == end - 1:
                 return np.concatenate(blocks), end
-            if not text.startswith(",", first):
+            if not data.startswith(b",", first):
                 raise ValueError
-            first = _skip(text, first + 1)
+            first = _skip(data, first + 1)
     except ValueError:
-        raise json.JSONDecodeError(
-            f"{key} must be a 1-D or 2-D array of numbers", text, start
-        ) from None
+        raise _decode_error(f"{key} must be a 1-D or 2-D array of numbers", data, start) from None
 
 
 def load_model(path):
@@ -586,20 +635,21 @@ def load_model(path):
     N training inputs and M target names, and one finite nonnegative
     weight per grid kernel.  The model's ``graph`` is None, as a prediction
     needs none; the ``adjacency`` of older files is decoded as any extra
-    key is, and not used.  :func:`_parse_model` fills the three arrays
-    without a Python object per number: a tree of the whole file, from
-    stdlib ``json`` or from orjson, holds more memory at its peak, and
-    ``predict`` is bounded by memory.
+    key is, and not used.  The file is held once, as bytes, and
+    :func:`_parse_model` walks them and fills the three arrays without a
+    Python object per number: a decoded copy of the text, or a tree of the
+    whole file from stdlib ``json`` or from orjson, holds more memory at
+    its peak, and ``predict`` is bounded by memory.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as err:
         raise ConfigError(f"cannot open model file {path}: {err}") from err
+    try:
+        payload = _parse_model(data)
     except UnicodeDecodeError as err:
         raise ConfigError(f"{path}: model file is not UTF-8 text: {err}") from err
-    try:
-        payload = _parse_model(text)
     except ValueError as err:  # json.JSONDecodeError, or an integer too long to convert
         raise ConfigError(f"{path}: invalid JSON: {err}") from err
     if payload.get("format_version") != MODEL_FORMAT_VERSION:

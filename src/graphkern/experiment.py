@@ -228,14 +228,18 @@ def make_synthetic_dataset(
     mean squared distance between rows equals ``mean_sq_distance``,
     placing the data where the kernel parameter grid is informative but a
     unit-variance kernel is narrower than optimal.  ``num_pairs`` and
-    ``num_modes`` below 1, or a ``mean_sq_distance`` that is not positive
-    and finite, raise ``ValueError``.
+    ``num_modes`` below 1, a ``mean_sq_distance`` that is not positive
+    and finite, or a non-finite ``mode_decay`` or ``mean_level`` raise
+    ``ValueError``.
     """
     for name, value in (("num_pairs", num_pairs), ("num_modes", num_modes)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1")
     if not 0 < mean_sq_distance < math.inf:
         raise ValueError("mean_sq_distance must be positive and finite")
+    for name, value in (("mode_decay", mode_decay), ("mean_level", mean_level)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
     rng = np.random.default_rng(seed)
     if mode == "euclidean":
         positions = rng.uniform(0.0, 1.0, size=(num_nodes, 2))

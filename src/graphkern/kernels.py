@@ -35,12 +35,11 @@ All three callers, :func:`combine`, :func:`kernel_inner_products` and
 :func:`kernel_cross`, draw their Gaussian entries from one streamed
 generator of exponential tables (:func:`_gaussian_tables`).  The first
 and last form the model's matrices and evaluate every kernel of nonzero
-weight, with no skeleton.  The training pairs' distances are summed
-difference by difference (scipy's ``pdist``, imported at their first
-use).  The distances from new inputs to the training set come from numpy
-alone (:func:`_cross_sq_distances`), through the Gram identity within a
-stated round-off bound, so reading a model and predicting never load
-scipy.
+weight, with no skeleton.  Squared distances, between the training
+pairs and from new inputs to the training set alike, come from one numpy
+route (:func:`_cross_sq_distances`): the Gram identity over shifted and
+scaled rows, within a stated round-off bound.  No module of the package
+imports scipy.
 
 A dictionary may also hold a stack of B training sets of one size, all
 under the same specs (``training_inputs`` of shape (B, N, L)).  Weights,
@@ -157,17 +156,15 @@ class KernelDictionary:
     def sq_distances(self):
         """Squared distances ``||x_i - x_j||^2`` for ``i < j``, row-major.
 
-        The condensed form of :func:`scipy.spatial.distance.pdist`, with
-        N (N - 1) / 2 entries (per training set of a stack), in its
-        arithmetic: each entry sums the squared differences of one pair.
+        N (N - 1) / 2 entries per training set: the condensed upper
+        triangle of :func:`_cross_sq_distances` of the training inputs
+        with themselves, one call for a whole stack.  An entry is within
+        ``4 (L + 2) eps (||x_i - c||^2 + ||x_j - c||^2)`` of the sum of the
+        pair's squared differences, ``c`` the mean training row and
+        ``eps = 2^-53``.
         """
-        from scipy.spatial.distance import pdist
-
         x = self.training_inputs
-        sets, n = math.prod(self.batch_shape), self.num_samples
-        sq = np.empty(self.batch_shape + (n * (n - 1) // 2,))
-        for rows, out in zip(x.reshape(sets, n, x.shape[-1]), sq.reshape(sets, -1)):
-            pdist(rows, "sqeuclidean", out=out)
+        sq = _condensed(_cross_sq_distances(x, x))
         sq.setflags(write=False)
         return sq
 
@@ -361,10 +358,8 @@ def _column_skeleton(table):
     Householder QR with column pivoting (Businger & Golub 1965) stops at
     the first pivot below ``_SKELETON_RANK_CUT`` times the first one; its
     pivots so far are ``columns`` and the rest follow from
-    ``R11^-1 R12``.  LAPACK's ``geqp3`` picks the same pivots, but scipy
-    calls it through a BLAS library of its own, which the rest of a sweep
-    never loads; its first use cost 1.3 MB of resident memory (scipy 1.17
-    wheels).
+    ``R11^-1 R12``.  LAPACK's ``geqp3`` picks the same pivots, but numpy
+    does not wrap it, and the package does not import scipy.
     """
     r = np.array(table)
     count = r.shape[1]
@@ -416,28 +411,37 @@ def _upper(n):
 def _condensed(sym):
     """Upper triangles (``i < j``, row-major) of a matrix or of a stack of them.
 
-    One matrix goes through ``squareform``: the index arrays that a stack
-    gathers with would take 8 MB at N = 1000, and ``squareform`` is also
-    faster there.  A stack of small matrices is gathered in one call.
+    One matrix is packed a row slice at a time: the index arrays that a
+    stack gathers with would take 8 MB at N = 1000.  A stack of small
+    matrices is gathered in one call.
     """
-    if sym.ndim == 2:
-        from scipy.spatial.distance import squareform
-
-        return squareform(sym, checks=False)
-    rows, cols = _upper(sym.shape[-1])
-    return sym[:, rows, cols]
+    n = sym.shape[-1]
+    if sym.ndim == 3:
+        rows, cols = _upper(n)
+        return sym[:, rows, cols]
+    out = np.empty(n * (n - 1) // 2)
+    start = 0
+    for i in range(n - 1):
+        out[start:start + n - 1 - i] = sym[i, i + 1:]
+        start += n - 1 - i
+    return out
 
 
 def _square(packed, diagonal, n):
     """N x N symmetric matrices from condensed upper triangles and one diagonal value each.
 
-    One matrix goes through ``squareform``, as in :func:`_condensed`.
+    One matrix is filled a row at a time, as in :func:`_condensed`: row
+    ``i`` takes its upper part from ``packed`` and its lower part from
+    column ``i`` of the rows above it, which are filled already.
     """
     if packed.ndim == 1:
-        from scipy.spatial.distance import squareform
-
-        out = squareform(packed, checks=False)
-        np.fill_diagonal(out, diagonal)
+        out = np.empty((n, n))
+        start = 0
+        for i in range(n):
+            out[i, :i] = out[:i, i]
+            out[i, i] = diagonal
+            out[i, i + 1:] = packed[start:start + n - 1 - i]
+            start += n - 1 - i
         return out
     out = np.empty((packed.shape[0], n, n))
     rows, cols = _upper(n)

@@ -4,8 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.spatial.distance
-from scipy.spatial.distance import pdist
 
 from graphkern import (
     ExperimentConfig,
@@ -14,6 +12,7 @@ from graphkern import (
     SolverConfig,
     build_dictionary,
     build_graph,
+    kernels,
     make_synthetic_dataset,
     monte_carlo,
     optimize,
@@ -67,17 +66,18 @@ def test_batched_levels_match_sequential_oracle(default_scenario, n_train):
 
 def test_a_batch_computes_its_distances_once(default_scenario, monkeypatch):
     calls = []
+    route = kernels._cross_sq_distances
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return pdist(*args, **kwargs)
+    def counting(inputs, training):
+        if inputs is training:  # the training pairs, not new inputs against them
+            calls.append(training.shape)
+        return route(inputs, training)
 
-    # the training distances import pdist where they are built
-    monkeypatch.setattr(scipy.spatial.distance, "pdist", counting)
+    monkeypatch.setattr(kernels, "_cross_sq_distances", counting)
     config = level_config(8, n_realizations=5)
     assert batch_size(default_scenario, config) == 5
     monte_carlo(default_scenario, config)
-    assert calls == [(8, default_scenario.inputs.shape[1])] * 5  # one per training set
+    assert calls == [(5, 8, default_scenario.inputs.shape[1])]  # one for the whole stack
 
 
 def duplicated_rows_dataset():

@@ -372,6 +372,10 @@ class TestValidateConfig:
              "mean_sq_distance must be positive and finite"),
             ("synthetic", {"num_nodes": 8, "num_pairs": 14, "mean_sq_distance": math.inf},
              "mean_sq_distance must be positive and finite"),
+            ("synthetic", {"num_nodes": 8, "num_pairs": 14, "mode_decay": math.nan},
+             "mode_decay must be finite"),
+            ("synthetic", {"num_nodes": 8, "num_pairs": 14, "mean_level": math.inf},
+             "mean_level must be finite"),
             ("experiment", {"params_by_n_train": None}, "invalid configuration"),
             ("experiment", {"params_by_n_train": []}, "invalid configuration"),
             ("data", 5, "cannot build the dataset"),
@@ -824,6 +828,16 @@ class TestModelFile:
         rc = predict_with_model_text(tmp_path, fitted_model, edit(fitted_model[0].read_text()))
         assert_input_error(capsys, rc)
 
+    @pytest.mark.parametrize(
+        "old, new", [(b'"node0"', b'"node\xff"'), (b'"gamma"', b'"gamm\xe9"')],
+        ids=["in-a-value", "in-a-key"],
+    )
+    def test_non_utf8_byte_exit_code(self, tmp_path, fitted_model, capsys, old, new):
+        data = fitted_model[0].read_bytes()
+        assert old in data
+        rc = predict_with_model_text(tmp_path, fitted_model, data.replace(old, new, 1))
+        assert "not UTF-8" in assert_input_error(capsys, rc)
+
     @pytest.mark.parametrize("key", ["rho", "psi", "training_inputs"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_array_entry_is_invalid_json(self, tmp_path, fitted_model, capsys,
@@ -856,10 +870,11 @@ class TestModelFile:
         finally:
             tracemalloc.stop()
         assert_same_bits(loaded.psi, model.psi)
-        # Reading the text holds it twice for a moment (bytes, then str); the
-        # parse stays below that.  json.load peaked at 3.7 MB here (2.7 times
-        # the file), from its tree of Python floats on top of the text.
-        assert peak < 2 * size + 256 * 1024, f"peak traced allocation {peak / 1e6:.2f} MB"
+        # The file is held once, as bytes, and the parse adds 0.85 MB over it
+        # (a 1.2 MB file).  Reading it as text held it twice, bytes and str,
+        # and json.load peaked at 2.7 times the file, from its tree of
+        # Python floats on top of the text.
+        assert peak < size + 1024 * 1024, f"peak traced allocation {peak / 1e6:.2f} MB"
 
 
 def predict_to(tmp_path, model_path, inputs_csv, name):
@@ -935,8 +950,8 @@ class TestPredictHeader:
         assert not out.exists()
 
 
-class TestReadPathImports:
-    def test_validate_config_and_predict_never_load_scipy(self, tmp_path, fitted_model):
+class TestCommandImports:
+    def test_no_command_loads_scipy(self, tmp_path, fitted_model):
         # a fresh interpreter, so that no other test has loaded scipy yet
         model_path, inputs_csv = fitted_model
         config = synthetic_config(tmp_path)
@@ -949,6 +964,11 @@ assert "scipy" not in sys.modules, "validate-config"
 assert cli.main(["predict", "--model", {str(model_path)!r}, "--inputs",
                  {str(inputs_csv)!r}, "--output", {str(tmp_path / "pred.csv")!r}]) == 0
 assert "scipy" not in sys.modules, "predict"
+assert cli.main(["fit", "--config", {str(config)!r}, "--out", {str(tmp_path / "fit")!r}]) == 0
+assert "scipy" not in sys.modules, "fit"
+assert cli.main(["experiment", "--config", {str(config)!r}, "--out",
+                 {str(tmp_path / "exp")!r}]) == 0
+assert "scipy" not in sys.modules, "experiment"
 """
         package_root = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ)
@@ -982,10 +1002,6 @@ class TestFitCost:
             kernel_grid={"family": "gaussian", "lo": 0.01, "hi": 10.0, "count": 100},
         )
         stack_bytes = 100 * 300 * 300 * 8
-        # fit loads scipy at its first training distances; a test run alone
-        # would otherwise count scipy's module objects (22 MB) as the fit's
-        import scipy.spatial.distance  # noqa: F401
-
         tracemalloc.start()
         try:
             rc = cli.main(["fit", "--config", str(path), "--out", str(tmp_path / "out")])

@@ -138,7 +138,13 @@ class TestCombine:
     def test_one_hot_selects_matrix(self, dictionary):
         e2 = np.zeros(4)
         e2[2] = 1.0
-        np.testing.assert_array_equal(combine(dictionary, e2), stack(dictionary)[2])
+        # kernel 2 over the dictionary's own distances, unit on the diagonal
+        expected = np.ones((5, 5))
+        rows, cols = np.triu_indices(5, 1)
+        expected[rows, cols] = expected[cols, rows] = np.exp(
+            dictionary.sq_distances / (-2.0 * dictionary.specs[2].parameter)
+        )
+        np.testing.assert_array_equal(combine(dictionary, e2), expected)
 
     def test_half_half_average(self, dictionary):
         d2 = KernelDictionary.from_specs(
@@ -340,6 +346,18 @@ class TestCrossDistances:
         ])
         err = np.abs(kernels._cross_sq_distances(a, x) - oracles.sq_distances(a, x))
         assert np.all(err <= cross_bound(a, x))
+
+    @pytest.mark.parametrize("offset", [0.0, 300.0])
+    def test_training_pairs_within_the_stated_bound(self, offset):
+        # rows like the benchmark's scale-fit data (smooth signals over 200
+        # nodes, mean squared distance 6), as they are and at a common offset
+        x = offset + make_synthetic_dataset(
+            num_nodes=200, num_pairs=400, seed=1, mode="geodesic"
+        ).inputs
+        rows, cols = np.triu_indices(len(x), 1)
+        got = build_dictionary(x, count=2).sq_distances
+        err = np.abs(got - oracles.sq_distances(x, x)[rows, cols])
+        assert np.all(err <= cross_bound(x, x)[rows, cols])
 
     def test_norms_beyond_float_range(self):
         # two clusters at +-1e154: squared norms overflow, the distances
