@@ -460,14 +460,30 @@ def save_model(path, model, grid_cfg, names, iterations, final_gamma):
     making a Python float of each entry; every double is written in its
     shortest round-trip form, so :func:`load_model` gets back the same
     bits.  Of the grid block only the four fields that :func:`load_model`
-    reads are kept.
+    reads are kept.  The object is written one key at a time, so the text
+    of the whole model is never held at once; the bytes are those of
+    ``orjson.dumps`` of :func:`_model_payload`.
     """
     import orjson
+
+    with open(path, "wb") as fh:
+        for i, (key, value) in enumerate(
+            _model_payload(model, grid_cfg, names, iterations, final_gamma).items()
+        ):
+            fh.write(b"," if i else b"{")
+            fh.write(orjson.dumps(key))
+            fh.write(b":")
+            fh.write(orjson.dumps(value, option=orjson.OPT_SERIALIZE_NUMPY))
+        fh.write(b"}")
+
+
+def _model_payload(model, grid_cfg, names, iterations, final_gamma):
+    """The JSON object of a model file, key by key in file order."""
 
     def doubles(a):
         return np.ascontiguousarray(a, dtype=np.float64)
 
-    payload = {
+    return {
         "format_version": MODEL_FORMAT_VERSION,
         "alpha": model.alpha,
         "beta": model.beta,
@@ -484,8 +500,6 @@ def save_model(path, model, grid_cfg, names, iterations, final_gamma):
         "iterations": int(iterations),
         "gamma": float(final_gamma),
     }
-    with open(path, "wb") as fh:
-        fh.write(orjson.dumps(payload, option=orjson.OPT_SERIALIZE_NUMPY))
 
 
 # Keys of a model file that predictions depend on.

@@ -113,6 +113,9 @@ class KernelDictionary:
         self.specs = tuple(specs)
         self.training_inputs = training_inputs
         self.training_inputs.setflags(write=False)
+        # the last new inputs and their distances to the training set, kept
+        # only between dictionaries that with_specs links
+        self._cross_memo = None
 
     @classmethod
     def from_specs(cls, training_inputs, specs):
@@ -132,11 +135,16 @@ class KernelDictionary:
 
         When ``specs`` hold a Gaussian kernel, the new dictionary takes
         this one's squared distances, built here if need be, so that the
-        two build them once.
+        two build them once.  The two also share the distances of the
+        last new inputs that :func:`kernel_cross` evaluated on either, so
+        that scoring both on the same inputs computes them once.
         """
         other = self.from_specs(self.training_inputs, specs)
         if other._families[0].size:
             other.__dict__["sq_distances"] = self.sq_distances
+        if self._cross_memo is None:
+            self._cross_memo = {}
+        other._cross_memo = self._cross_memo
         return other
 
     @property
@@ -546,6 +554,22 @@ def _cross_sq_distances(inputs, training):
         return np.ldexp(sq, 2 * exponent, out=sq)
 
 
+def _new_input_distances(dictionary, inputs):
+    """:func:`_cross_sq_distances` of ``inputs`` to the training set.
+
+    Dictionaries linked by :meth:`KernelDictionary.with_specs` keep the
+    last result and return it again for equal inputs.
+    """
+    memo = dictionary._cross_memo
+    if memo is None:
+        return _cross_sq_distances(inputs, dictionary.training_inputs)
+    if "inputs" not in memo or not np.array_equal(memo["inputs"], inputs):
+        sq = _cross_sq_distances(inputs, dictionary.training_inputs)
+        sq.setflags(write=False)
+        memo.update(inputs=inputs.copy(), sq=sq)
+    return memo["sq"]
+
+
 def kernel_cross(dictionary, rho, inputs):
     """Combined-kernel evaluations between new inputs and the training set.
 
@@ -577,7 +601,7 @@ def kernel_cross(dictionary, rho, inputs):
     rows = rho.reshape(-1, dictionary.num_kernels)[:, gaussian]
     shape = x2.shape[:-1] + (x.shape[-2],)
     if rows.any():
-        sq = _cross_sq_distances(x2, x).reshape(len(rows), -1)
+        sq = _new_input_distances(dictionary, x2).reshape(len(rows), -1)
         out = _gaussian_sums(sq, divisors[gaussian], rows).reshape(shape)
     else:
         out = np.zeros(shape)

@@ -30,7 +30,7 @@ Every function here also takes a stacked dictionary (B training sets, see
 :func:`optimize` then runs the B problems in lockstep: a problem that
 meets the stopping rule, or whose system turns singular, freezes at its
 own iteration while the others go on, so each result is the one a run on
-that problem alone returns.
+that problem alone, as a stack of one, returns.
 """
 
 import csv

@@ -16,10 +16,30 @@ kernel ridge regression ``Psi = (K + alpha I)^{-1} T``.
 :func:`solve_structured` also fits a stack of B systems that share the
 graph, one per training set of a stacked dictionary, with one batched
 eigendecomposition; each system is solved and condition-checked exactly as
-it would be alone.
+it would be alone by the dense ``eigh``.
 
 At ``rho = 0``, where the optimizer starts, ``K = 0`` and no ``eigh``
 runs: its eigendecomposition (0, I) is known.
+
+A single training set of at least ``LOW_RANK_MIN_SIZE`` inputs first
+tries a certified low-rank eigenbasis of ``K`` (Halko, Martinsson & Tropp
+2011, "Finding structure with randomness").  A range sketch
+``Y = K Omega``, its Gaussian ``Omega`` seeded by N so that a fit is
+reproducible, grows ``ceil(N / 32)`` columns at a time until the Cholesky
+factorization of its core ``Omega^T K Omega`` breaks down or shows a
+pivot at round-off or below ``1e-8 alpha / max(1 + beta lam)``: off the
+sketched range ``K`` is then negligible next to ``alpha``.  ``Q = qr(Y)``
+and ``eigh(Q^T K Q)`` give the eigenpairs on the range; off it the
+eigenvalue is taken as 0, so those denominators are ``alpha`` and the
+condition rule keeps its meaning.  The solution is refined once against
+the full column systems and kept only when their normwise backward error
+is at most ``LOW_RANK_TOLERANCE``, just above round-off; a relative
+residual would not do, as its round-off grows with the condition of the
+systems.  A sketch that reaches 0.4 N columns, a condition estimate
+beyond the limit or a failed certificate leaves the solve to the dense
+``eigh``, unchanged; so do stacks and smaller sets.  The
+``graphkern.solver`` logger reports each solve's route, sketch rank and
+backward error at DEBUG level.
 
 The weights must be nonnegative and finite, so that ``K`` is positive
 semidefinite; others raise ``ValueError``, as they do in
@@ -27,15 +47,39 @@ semidefinite; others raise ``ValueError``, as they do in
 at or below zero counts as singular.
 """
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import _checked_weights, combine, kernel_cross
 
+log = logging.getLogger("graphkern.solver")
+
 # Systems whose estimated condition number exceeds this are refused instead
 # of being silently regularized.
 CONDITION_LIMIT = 1e12
+
+# Single training sets of at least this many inputs try the low-rank route.
+# Measured on one core: on rank-20 inputs it took 0.73 of the dense time at
+# N = 200 and 0.2 at N = 999, where a refused sketch costs about a fifth of
+# a dense solve at any N; at N = 150 its coarse sketch was refused.
+LOW_RANK_MIN_SIZE = 200
+# The low-rank solution is kept when the normwise backward error of its
+# column systems is at most this: just above round-off, since the dense
+# route leaves 5e-17 to 2e-16.
+LOW_RANK_TOLERANCE = 1e-15
+# The sketch stops growing once a pivot of its core, which estimates the
+# trace of the part of K the sketch misses, falls to this fraction of
+# alpha / max(1 + beta lam): that part then perturbs the first solve by
+# about as much, and one refinement squares it.  It also stops at a pivot
+# at the core's round-off, r eps trace(core) for r columns: the sketch has
+# then passed K's numerical rank.
+_SKETCH_FLOOR = 1e-8
+# The sketch grows by N / _SKETCH_STEPS columns at a time, up to _SKETCH_CAP N:
+# at rank 0.44 N (N = 800) the route was no faster than the dense eigh.
+_SKETCH_STEPS = 32
+_SKETCH_CAP = 0.4
 
 
 class SingularSystemError(RuntimeError):
@@ -114,13 +158,23 @@ def solve_structured(dictionary, rho, graph, targets, alpha, beta):
     """
     rho, t = _check_fit_args(dictionary, rho, graph, targets, alpha, beta)
     u, lam = graph.lap_eigvecs, graph.lap_eigvals
+    n = dictionary.num_samples
     # kvecs None stands for K = 0, for which LAPACK's eigh returns exactly
     # (0, I); a product with I is exact, so it is skipped
     kvecs = None
     if rho.any():
-        kvals, kvecs = np.linalg.eigh(combine(dictionary, rho))
+        k = combine(dictionary, rho)
+        if not dictionary.batch_shape and n >= LOW_RANK_MIN_SIZE and alpha > 0:
+            rotated = _solve_low_rank(k, t @ u, 1.0 + beta * lam, alpha)
+            if rotated is not None:
+                return KrgModel(rotated @ u.T, float(alpha), float(beta), dictionary, rho, graph)
+        else:
+            log.debug("solve at N = %d: dense eigh", n)
+        kvals, kvecs = np.linalg.eigh(k)
+        del k
     else:
-        kvals = np.zeros(dictionary.batch_shape + (dictionary.num_samples,))
+        kvals = np.zeros(dictionary.batch_shape + (n,))
+        log.debug("solve at N = %d: zero kernel, no eigh", n)
     # denoms[..., j, m] is the eigenvalue of column system m along kernel mode j
     denoms = kvals[..., :, None] * (1.0 + beta * lam) + alpha
     # a denominator at or below zero marks a system as singular
@@ -150,4 +204,74 @@ def solve_structured(dictionary, rho, graph, targets, alpha, beta):
         psi[failed] = 0.0
         errors = tuple(messages)
     return KrgModel(psi, float(alpha), float(beta), dictionary, rho, graph, errors)
+
+
+def _solve_low_rank(k, t_rot, scale, alpha):
+    """``Psi~`` of the column systems ``scale[m] K psi~_m + alpha psi~_m = t_rot[:, m]``.
+
+    Solved through a certified low-rank eigenbasis of the PSD matrix
+    ``k`` (see the module docstring); None when the route refuses, and the
+    caller then takes the dense ``eigh``.
+    """
+    n = len(k)
+    block, cap = -(-n // _SKETCH_STEPS), int(_SKETCH_CAP * n)
+    floor = _SKETCH_FLOOR * alpha / scale.max()
+    rng = np.random.default_rng(n)
+    # sketch columns are stored as rows, so that a sketch that stops early
+    # touches only the pages of the rows it wrote
+    omega = np.empty((cap, n))
+    sketch = np.empty((cap, n))
+    core = np.zeros((cap, cap))  # Omega^T K Omega, lower triangle
+    rank = 0
+    while True:
+        if rank + block > cap:
+            log.debug("solve at N = %d: no sketch of up to %d columns, dense eigh", n, rank)
+            return None
+        new = slice(rank, rank + block)
+        rank += block
+        omega[new] = rng.standard_normal((block, n))
+        sketch[new] = omega[new] @ k
+        core[new, :rank] = sketch[new] @ omega[:rank].T
+        try:
+            pivots = np.diagonal(np.linalg.cholesky(core[:rank, :rank])) ** 2
+        except np.linalg.LinAlgError:  # not numerically positive definite
+            break
+        roundoff = rank * np.finfo(float).eps * np.trace(core[:rank, :rank])
+        if pivots.min() <= max(floor, roundoff):
+            break
+    q = np.linalg.qr(sketch[:rank].T)[0]
+    del omega, sketch, core
+    kappa, w = np.linalg.eigh(q.T @ (k @ q))
+    v = q @ w
+    del q, w
+    denoms = kappa[:, None] * scale + alpha
+    # off the sketched range the eigenvalue is 0 and the denominator alpha
+    dmin, dmax = min(denoms.min(), alpha), max(denoms.max(), alpha)
+    if not dmin > 0.0 or dmax > CONDITION_LIMIT * dmin:
+        log.debug("solve at N = %d: sketch rank %d beyond the condition limit, dense eigh",
+                  n, rank)
+        return None
+    gain = 1.0 / denoms - 1.0 / alpha
+
+    def approximate_inverse(r):
+        return r / alpha + v @ ((v.T @ r) * gain)
+
+    def residual(psi):
+        return t_rot - (k @ psi) * scale - alpha * psi
+
+    psi = approximate_inverse(t_rot)
+    psi += approximate_inverse(residual(psi))
+    # normwise backward error of the M systems together; kappa[-1] is the
+    # largest eigenvalue of K up to round-off
+    size = np.linalg.norm(residual(psi))
+    bound = np.linalg.norm(psi * (kappa[-1] * scale + alpha)) + np.linalg.norm(t_rot)
+    error = size / bound if bound else 0.0
+    relative = size / np.linalg.norm(t_rot) if bound else 0.0
+    if not error <= LOW_RANK_TOLERANCE:
+        log.debug("solve at N = %d: sketch rank %d, backward error %.1e refused, dense eigh",
+                  n, rank, error)
+        return None
+    log.debug("solve at N = %d: sketch rank %d, certified backward error %.1e, "
+              "relative residual %.1e", n, rank, error, relative)
+    return psi
 

@@ -69,15 +69,18 @@ def test_a_batch_computes_its_distances_once(default_scenario, monkeypatch):
     route = kernels._cross_sq_distances
 
     def counting(inputs, training):
-        if inputs is training:  # the training pairs, not new inputs against them
-            calls.append(training.shape)
+        # the training pairs, or the test blocks against them
+        calls.append(("pairs" if inputs is training else "test", inputs.shape))
         return route(inputs, training)
 
     monkeypatch.setattr(kernels, "_cross_sq_distances", counting)
     config = level_config(8, n_realizations=5)
     assert batch_size(default_scenario, config) == 5
     monte_carlo(default_scenario, config)
-    assert calls == [(5, 8, default_scenario.inputs.shape[1])]  # one for the whole stack
+    pairs, dim = default_scenario.inputs.shape
+    # one call for the whole stack; the test block's distances serve both
+    # Gaussian methods' predictions
+    assert calls == [("pairs", (5, 8, dim)), ("test", (5, pairs - 8, dim))]
 
 
 def duplicated_rows_dataset():

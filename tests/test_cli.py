@@ -581,6 +581,17 @@ class TestFitAndPredict:
                       "--threads", "2"])
         assert excinfo.value.code == 2
 
+    def test_model_file_written_key_by_key_is_the_payload_dumped_at_once(self, tmp_path):
+        cfg, _ = cli.load_config(synthetic_config(tmp_path))
+        dataset, names = cli._dataset_from_config(cfg)
+        d = build_dictionary(dataset.inputs, count=12)
+        fitted, trace = optimize(d, dataset.graph, dataset.targets, SolverConfig(), 0.1, 2.0)
+        args = (fitted, cfg["kernel_grid"], names, trace.iterations_used, trace.final_gamma)
+        path = tmp_path / "model.json"
+        cli.save_model(path, *args)
+        whole = orjson.dumps(cli._model_payload(*args), option=orjson.OPT_SERIALIZE_NUMPY)
+        assert path.read_bytes() == whole
+
     def test_model_file_round_trips_arrays_bit_exactly(self, tmp_path):
         cfg, _ = cli.load_config(synthetic_config(tmp_path))
         dataset, names = cli._dataset_from_config(cfg)

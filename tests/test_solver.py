@@ -308,3 +308,98 @@ def _with_psi(model, psi):
     from dataclasses import replace
 
     return replace(model, psi=psi)
+
+
+def curve_instance(seed=50, n=600, m=4):
+    """N inputs on a 3-D helix, whose wide Gaussians have numerical rank about 20."""
+    rng = np.random.default_rng(seed)
+    s = np.sort(rng.uniform(0.0, 6.0, n))
+    x = np.column_stack([np.cos(s), np.sin(s), 0.3 * s])
+    d = build_dictionary(x, span=(0.01, 10.0), count=20)
+    _, g, _ = random_instance(rng, m, 2, 1)
+    rho = np.zeros(20)
+    rho[[12, 16]] = 1.0
+    return d, rho, g, rng.normal(size=(n, m))
+
+
+class TestLowRankRoute:
+    @staticmethod
+    def spy(monkeypatch):
+        """Record what each low-rank attempt returned: True if it was kept."""
+        kept = []
+        route = solver._solve_low_rank
+
+        def recording(*args):
+            out = route(*args)
+            kept.append(out is not None)
+            return out
+
+        monkeypatch.setattr(solver, "_solve_low_rank", recording)
+        return kept
+
+    @staticmethod
+    def dense_route(monkeypatch, *args):
+        with monkeypatch.context() as m:
+            m.setattr(solver, "LOW_RANK_MIN_SIZE", np.inf)
+            return solve_structured(*args)
+
+    def test_low_rank_instance_matches_the_dense_oracle(self, monkeypatch, caplog):
+        d, rho, g, t = curve_instance()
+        assert d.num_samples >= solver.LOW_RANK_MIN_SIZE
+        kept = self.spy(monkeypatch)
+        with caplog.at_level("DEBUG", logger="graphkern.solver"):
+            model = solve_structured(d, rho, g, t, alpha=0.1, beta=5.5)
+        assert kept == [True]
+        assert "sketch rank" in caplog.text and "certified backward error" in caplog.text
+        oracle = solve_dense(d, rho, g, t, alpha=0.1, beta=5.5)
+        assert np.max(np.abs(model.psi - oracle.psi)) < 1e-8 * np.max(np.abs(oracle.psi))
+        dense = self.dense_route(monkeypatch, d, rho, g, t, 0.1, 5.5)
+        assert np.max(np.abs(model.psi - dense.psi)) < 1e-10 * np.max(np.abs(dense.psi))
+
+    def test_full_rank_instance_falls_back_bit_for_bit(self, monkeypatch):
+        rng = np.random.default_rng(51)
+        d = build_dictionary(rng.normal(size=(300, 3)), span=(0.01, 10.0), count=20)
+        _, g, _ = random_instance(rng, 4, 2, 1)
+        t = rng.normal(size=(300, 4))
+        rho = np.zeros(20)
+        rho[0] = 1.0  # the narrowest Gaussian: K is nearly the identity
+        kept = self.spy(monkeypatch)
+        model = solve_structured(d, rho, g, t, alpha=0.1, beta=5.5)
+        assert kept == [False]
+        dense = self.dense_route(monkeypatch, d, rho, g, t, 0.1, 5.5)
+        np.testing.assert_array_equal(model.psi.view(np.uint64), dense.psi.view(np.uint64))
+
+    def test_failed_certificate_falls_back_bit_for_bit(self, monkeypatch):
+        d, rho, g, t = curve_instance()
+        monkeypatch.setattr(solver, "LOW_RANK_TOLERANCE", 0.0)
+        kept = self.spy(monkeypatch)
+        model = solve_structured(d, rho, g, t, alpha=0.1, beta=5.5)
+        assert kept == [False]
+        dense = self.dense_route(monkeypatch, d, rho, g, t, 0.1, 5.5)
+        np.testing.assert_array_equal(model.psi.view(np.uint64), dense.psi.view(np.uint64))
+
+    def test_tiny_alpha_raises_as_the_dense_route_does(self, monkeypatch):
+        d, rho, g, t = curve_instance()
+        with pytest.raises(SingularSystemError, match="alpha") as dense:
+            self.dense_route(monkeypatch, d, rho, g, t, 1e-12, 5.5)
+        kept = self.spy(monkeypatch)
+        with pytest.raises(SingularSystemError) as err:
+            solve_structured(d, rho, g, t, alpha=1e-12, beta=5.5)
+        assert kept == [False]
+        assert str(err.value) == str(dense.value)
+
+    def test_stacks_never_sketch(self, monkeypatch):
+        d, rho, g, t = curve_instance()
+        x = d.training_inputs
+        stacked = build_dictionary(np.stack([x, x[::-1]]), span=(0.01, 10.0), count=20)
+        kept = self.spy(monkeypatch)
+        model = solve_structured(stacked, np.stack([rho, rho]), g, np.stack([t, t[::-1]]),
+                                 alpha=0.1, beta=5.5)
+        assert kept == []
+        assert model.errors == (None, None)
+
+    def test_two_solves_give_identical_bytes(self):
+        d, rho, g, t = curve_instance()
+        first = solve_structured(d, rho, g, t, alpha=0.1, beta=5.5)
+        again = solve_structured(d, rho, g, t, alpha=0.1, beta=5.5)
+        assert first.psi.tobytes() == again.psi.tobytes()
