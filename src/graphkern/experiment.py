@@ -384,7 +384,13 @@ def _run_batch(dataset, config, seeds):
     train, test = perms[live, :n], perms[live, n:]
     grid = _grid_dictionary(dataset.inputs[train], config)
     x_test = dataset.inputs[test]
-    for method in METHODS:
+    # Read-only, and the linear method's dictionary links the grid to the
+    # dictionaries that with_specs makes: the two Gaussian methods'
+    # predictions then share one computation of the test block's distances
+    # (kernels._new_input_distances).  The multi-kernel fit, the largest of
+    # the batch, runs before any dictionary holds them.
+    x_test.setflags(write=False)
+    for method in (METHOD_LINEAR, METHOD_MULTI, METHOD_SINGLE):
         _score_method(method, [results[b] for b in live], dataset, config, grid,
                       t_noisy[live], test, x_test)
     return results

@@ -113,8 +113,8 @@ class KernelDictionary:
         self.specs = tuple(specs)
         self.training_inputs = training_inputs
         self.training_inputs.setflags(write=False)
-        # the last new inputs and their distances to the training set, kept
-        # only between dictionaries that with_specs links
+        # the last read-only new inputs and their distances to the training
+        # set, kept only between dictionaries that with_specs links
         self._cross_memo = None
 
     @classmethod
@@ -136,8 +136,8 @@ class KernelDictionary:
         When ``specs`` hold a Gaussian kernel, the new dictionary takes
         this one's squared distances, built here if need be, so that the
         two build them once.  The two also share the distances of the
-        last new inputs that :func:`kernel_cross` evaluated on either, so
-        that scoring both on the same inputs computes them once.
+        last read-only array of new inputs that :func:`kernel_cross`
+        evaluated on either, so that scoring both on it computes them once.
         """
         other = self.from_specs(self.training_inputs, specs)
         if other._families[0].size:
@@ -558,15 +558,17 @@ def _new_input_distances(dictionary, inputs):
     """:func:`_cross_sq_distances` of ``inputs`` to the training set.
 
     Dictionaries linked by :meth:`KernelDictionary.with_specs` keep the
-    last result and return it again for equal inputs.
+    last result for read-only inputs and return it again for the same
+    array, which is taken not to change: a copy or a digest of the inputs
+    to compare would add to the peak memory of the call.
     """
     memo = dictionary._cross_memo
-    if memo is None:
+    if memo is None or inputs.flags.writeable:
         return _cross_sq_distances(inputs, dictionary.training_inputs)
-    if "inputs" not in memo or not np.array_equal(memo["inputs"], inputs):
+    if memo.get("inputs") is not inputs:
         sq = _cross_sq_distances(inputs, dictionary.training_inputs)
         sq.setflags(write=False)
-        memo.update(inputs=inputs.copy(), sq=sq)
+        memo.update(inputs=inputs, sq=sq)
     return memo["sq"]
 
 

@@ -263,15 +263,14 @@ def _solve_low_rank(k, t_rot, scale, alpha):
     psi += approximate_inverse(residual(psi))
     # normwise backward error of the M systems together; kappa[-1] is the
     # largest eigenvalue of K up to round-off
-    size = np.linalg.norm(residual(psi))
-    bound = np.linalg.norm(psi * (kappa[-1] * scale + alpha)) + np.linalg.norm(t_rot)
-    error = size / bound if bound else 0.0
-    relative = size / np.linalg.norm(t_rot) if bound else 0.0
+    size, t_size = np.linalg.norm(residual(psi)), np.linalg.norm(t_rot)
+    bound = np.linalg.norm(psi * (kappa[-1] * scale + alpha)) + t_size
+    error = size / bound if bound else 0.0  # T~ = 0 gives Psi~ = 0 exactly
     if not error <= LOW_RANK_TOLERANCE:
         log.debug("solve at N = %d: sketch rank %d, backward error %.1e refused, dense eigh",
                   n, rank, error)
         return None
     log.debug("solve at N = %d: sketch rank %d, certified backward error %.1e, "
-              "relative residual %.1e", n, rank, error, relative)
+              "relative residual %.1e", n, rank, error, size / t_size if t_size else 0.0)
     return psi
 

@@ -114,6 +114,31 @@ class TestBuildDictionary:
         np.testing.assert_array_equal(combine(single, np.ones((2, 1))),
                                       combine(alone, np.ones((2, 1))))
 
+    def test_linked_dictionaries_share_distances_of_read_only_inputs_only(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        d = build_dictionary(rng.normal(size=(6, 3)), span=(0.2, 4.0), count=7)
+        single = d.with_specs([KernelSpec(GAUSSIAN, 0.5)])
+        calls = []
+        route = kernels._cross_sq_distances
+
+        def counting(inputs, training):
+            calls.append(inputs.shape)
+            return route(inputs, training)
+
+        monkeypatch.setattr(kernels, "_cross_sq_distances", counting)
+        x = rng.normal(size=(4, 3))
+        rho = np.full(7, 0.2)
+        kernel_cross(single, np.ones(1), x)
+        x += 1.0  # a writable array may change between calls
+        alone = KernelDictionary.from_specs(d.training_inputs, d.specs)
+        np.testing.assert_array_equal(kernel_cross(d, rho, x), kernel_cross(alone, rho, x))
+        assert len(calls) == 3
+        x.setflags(write=False)
+        first = kernel_cross(single, np.ones(1), x)
+        np.testing.assert_array_equal(kernel_cross(d, rho, x), kernel_cross(alone, rho, x))
+        assert len(calls) == 5  # one for both linked dictionaries, one for the other
+        np.testing.assert_array_equal(first, kernel_cross(single, np.ones(1), x))
+
     def test_matrices_symmetric_psd_with_unit_diagonal(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(6, 2))
