@@ -49,9 +49,9 @@ class ConfigError(Exception):
 # Number text: the one codec of the CSV and model files
 # ---------------------------------------------------------------------------
 
-# Rows of numbers that orjson formats or parses at a time, and the
-# characters the text of an array of numbers may hold.  orjson is imported
-# where it is used, so that importing this module does not load it.
+# Rows of numbers that orjson parses at a time, and the characters the
+# text of an array of numbers may hold.  orjson is imported where it is
+# used, so that importing this module does not load it.
 _ROWS_PER_BLOCK = 64
 _NUMBER_CHARS = b"0123456789+-.eE[], \t\n\r"
 
@@ -72,7 +72,7 @@ def _write_number_rows(fh, matrix):
     """Write the rows of a float64 matrix as CSV lines, each value as ``repr`` writes it.
 
     The bytes are those of ``csv.writer(fh).writerows(matrix.tolist())``.
-    orjson formats a block of rows at a time; it writes each double in the
+    orjson formats the whole matrix at once; it writes each double in the
     same shortest round-trip digits as ``repr``, but for a finite nonzero
     value with ``|x| < 1e-4`` or ``|x| >= 1e16`` in another style (it writes
     ``0.00001`` and ``1e16`` where ``repr`` writes ``1e-05`` and ``1e+16``)
@@ -81,17 +81,18 @@ def _write_number_rows(fh, matrix):
     """
     import orjson
 
+    if not len(matrix):
+        return
+    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
     magnitudes = np.abs(matrix)
     by_repr = (
         ~np.isfinite(matrix) | ((magnitudes < 1e-4) & (matrix != 0.0)) | (magnitudes >= 1e16)
     ).any(axis=1)
-    for start in range(0, matrix.shape[0], _ROWS_PER_BLOCK):
-        block = np.ascontiguousarray(matrix[start:start + _ROWS_PER_BLOCK], dtype=np.float64)
-        lines = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].decode().split("],[")
-        for i in np.flatnonzero(by_repr[start:start + _ROWS_PER_BLOCK]):
-            lines[i] = ",".join(map(repr, block[i].tolist()))
-        lines.append("")
-        fh.write("\r\n".join(lines))
+    lines = orjson.dumps(matrix, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].decode().split("],[")
+    for i in np.flatnonzero(by_repr):
+        lines[i] = ",".join(map(repr, matrix[i].tolist()))
+    lines.append("")
+    fh.write("\r\n".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -454,27 +455,19 @@ def _dataset_from_config(cfg):
 # ---------------------------------------------------------------------------
 
 def save_model(path, model, grid_cfg, names, iterations, final_gamma):
-    """Write a fitted model as one compact JSON object.
+    """Write a fitted model as one compact JSON object, :func:`_model_payload`.
 
     The arrays go to orjson as float64 buffers, which it formats without
     making a Python float of each entry; every double is written in its
     shortest round-trip form, so :func:`load_model` gets back the same
     bits.  Of the grid block only the four fields that :func:`load_model`
-    reads are kept.  The object is written one key at a time, so the text
-    of the whole model is never held at once; the bytes are those of
-    ``orjson.dumps`` of :func:`_model_payload`.
+    reads are kept.
     """
     import orjson
 
+    payload = _model_payload(model, grid_cfg, names, iterations, final_gamma)
     with open(path, "wb") as fh:
-        for i, (key, value) in enumerate(
-            _model_payload(model, grid_cfg, names, iterations, final_gamma).items()
-        ):
-            fh.write(b"," if i else b"{")
-            fh.write(orjson.dumps(key))
-            fh.write(b":")
-            fh.write(orjson.dumps(value, option=orjson.OPT_SERIALIZE_NUMPY))
-        fh.write(b"}")
+        fh.write(orjson.dumps(payload, option=orjson.OPT_SERIALIZE_NUMPY))
 
 
 def _model_payload(model, grid_cfg, names, iterations, final_gamma):
@@ -732,15 +725,18 @@ def cmd_predict(model_path, inputs_path, output_path):
             f"column {col} is {got!r}, expected {want!r}"
         )
     predictions = model.predict(matrix)
-    try:
-        fh = open(output_path, "w", newline="")
-    except OSError as err:
-        raise ConfigError(f"cannot open output file {output_path}: {err}") from err
-    with fh:
+    with open(output_path, "w", newline="") as fh:
         csv.writer(fh).writerow(names)
         _write_number_rows(fh, predictions)
     print(f"predictions written to {output_path}")
     return 0
+
+
+def _check_output_dir(path):
+    """Refuse, before any fitting, an output path whose nearest existing part is no directory."""
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"cannot create output directory {path}: {existing} is not a directory")
 
 
 def _check_training_sizes(sizes, dataset):
@@ -864,13 +860,18 @@ def main(argv=None):
             return cmd_predict(args.model, args.inputs, args.output)
         cfg, run = load_config(args.config, args.seed)
         out_dir = Path(args.out) if args.out else Path(cfg["output_dir"])
+        _check_output_dir(out_dir)
         if args.command == "fit":
             return cmd_fit(cfg, run[0], out_dir)
         return cmd_experiment(cfg, run, out_dir)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (SingularSystemError, exp.ExperimentError, np.linalg.LinAlgError) as err:
+    except OSError as err:  # inputs are read through ConfigError; this is an output
+        print(f"error: cannot write the outputs: {err}", file=sys.stderr)
+        return 2
+    except (SingularSystemError, FloatingPointError, exp.ExperimentError,
+            np.linalg.LinAlgError) as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return 1
 

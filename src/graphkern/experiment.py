@@ -10,7 +10,8 @@ independently seeded realizations and aggregates.
 
 The realizations of one training-set size run in lockstep batches: the B
 training sets of a batch are stacked into one dictionary (the
-single-kernel baseline shares its squared distances), each method is
+single-kernel baseline shares its squared distances, through the
+package-private ``KernelDictionary._with_specs``), each method is
 fitted for all B at once (one batched solve per optimizer iteration), and
 each method's batched model predicts the B test blocks, gathered once,
 with one :meth:`~graphkern.solver.KrgModel.predict` call, the route of a
@@ -20,11 +21,12 @@ tables are streamed one training set at a time, as for a single fit.
 Each trial is computed as it would be alone, except that the gradient's
 Gaussian skeleton (see :mod:`graphkern.kernels`) is built for the
 batch's largest distance, so results depend on the batching only within
-the skeleton's certified error.  A trial whose system is singular records
-that method's error without stopping the rest of its batch; so does a
-trial whose training or test block of targets is identically zero, which
-has no SNR or NMSE (one with a zero training block records it for every
-method and is not fitted).  Should the batch's one eigendecomposition
+the skeleton's certified error.  A trial whose system is singular, or
+whose optimizer step leaves float range, records that method's error
+without stopping the rest of its batch; so does a trial whose training
+or test block of targets is identically zero, which has no SNR or NMSE
+(one with a zero training block records it for every method and is not
+fitted).  Should the batch's one eigendecomposition
 fail to converge, that method is refitted one trial at a time, so again
 only the trials whose own matrix fails record the error.
 
@@ -316,7 +318,7 @@ def _fit_method(method, grid, t_fit, graph, config):
     :class:`~graphkern.mkl.OptimizerTrace` per set.  The multi-kernel
     method learns weights over ``grid``.  The two baselines solve one
     kernel at weight 1 over the same inputs, sharing ``grid``'s squared
-    distances (:meth:`~graphkern.kernels.KernelDictionary.with_specs`),
+    distances (:meth:`~graphkern.kernels.KernelDictionary._with_specs`),
     and have no trace (``None``).
     """
     if method == METHOD_MULTI:
@@ -328,7 +330,7 @@ def _fit_method(method, grid, t_fit, graph, config):
         alpha, beta = config.alpha, config.beta
     else:
         raise ValueError(f"unknown method {method!r}")
-    dictionary = grid.with_specs([spec])
+    dictionary = grid._with_specs([spec])
     rho = np.ones(dictionary.batch_shape + (1,))
     return solve_structured(dictionary, rho, graph, t_fit, alpha, beta), None
 
@@ -385,7 +387,7 @@ def _run_batch(dataset, config, seeds):
     grid = _grid_dictionary(dataset.inputs[train], config)
     x_test = dataset.inputs[test]
     # Read-only, and the linear method's dictionary links the grid to the
-    # dictionaries that with_specs makes: the two Gaussian methods'
+    # dictionaries that _with_specs makes: the two Gaussian methods'
     # predictions then share one computation of the test block's distances
     # (kernels._new_input_distances).  The multi-kernel fit, the largest of
     # the batch, runs before any dictionary holds them.

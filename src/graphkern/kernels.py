@@ -74,6 +74,11 @@ _SKELETON_DECAY = 40.0
 _SKELETON_RANK_CUT = 1e-14
 _SKELETON_TOLERANCE = 1e-13
 
+# Half the float64 entries a numpy array can hold (its size in bytes must
+# fit an intp): np.linspace counts a grid's length in doubles, which round
+# a count just below the limit up to it.
+_MAX_COUNT = np.iinfo(np.intp).max // 16
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -114,7 +119,7 @@ class KernelDictionary:
         self.training_inputs = training_inputs
         self.training_inputs.setflags(write=False)
         # the last read-only new inputs and their distances to the training
-        # set, kept only between dictionaries that with_specs links
+        # set, kept only between dictionaries that _with_specs links
         self._cross_memo = None
 
     @classmethod
@@ -130,7 +135,7 @@ class KernelDictionary:
             raise ValueError("need at least one kernel spec")
         return cls(specs, x)
 
-    def with_specs(self, specs):
+    def _with_specs(self, specs):
         """The dictionary of ``specs`` over the same training inputs.
 
         When ``specs`` hold a Gaussian kernel, the new dictionary takes
@@ -138,6 +143,8 @@ class KernelDictionary:
         two build them once.  The two also share the distances of the
         last read-only array of new inputs that :func:`kernel_cross`
         evaluated on either, so that scoring both on it computes them once.
+        Package-private, as the memo takes a read-only array not to change:
+        true of the Monte-Carlo's test blocks, not of every such array.
         """
         other = self.from_specs(self.training_inputs, specs)
         if other._families[0].size:
@@ -242,6 +249,8 @@ def _checked_grid(family, span, count):
     if family == GAUSSIAN and not 0 < lo < hi < math.inf:
         raise ValueError(f"invalid parameter span [{lo}, {hi}]: need 0 < lo < hi < inf")
     operator.index(count)  # as range() and np.linspace() take it
+    if count > _MAX_COUNT:
+        raise ValueError(f"kernel grid count {count} exceeds {_MAX_COUNT}: too large for numpy")
     if family not in _FAMILIES:
         raise ValueError(f"unknown kernel family {family!r}")
     return lo, hi
@@ -557,7 +566,7 @@ def _cross_sq_distances(inputs, training):
 def _new_input_distances(dictionary, inputs):
     """:func:`_cross_sq_distances` of ``inputs`` to the training set.
 
-    Dictionaries linked by :meth:`KernelDictionary.with_specs` keep the
+    Dictionaries linked by :meth:`KernelDictionary._with_specs` keep the
     last result for read-only inputs and return it again for the same
     array, which is taken not to change: a copy or a digest of the inputs
     to compare would add to the peak memory of the call.

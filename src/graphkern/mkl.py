@@ -22,15 +22,16 @@ of the projected point ``z(i)`` and the previous iterate, so every iterate
 stays in the feasible set, where ``gamma`` is convex and its gradient
 formula holds.  It returns the :class:`~graphkern.solver.KrgModel` fitted
 at the learned weights, ``model.rho``, and the iteration trace.  Negative
-or non-finite weights raise ``ValueError`` in :func:`gamma`,
-:func:`gamma_gradient` and the solves of :func:`optimize`.
+or non-finite weights raise ``ValueError`` in :func:`gamma` and
+:func:`gamma_gradient`.  The iterates of :func:`optimize` stay finite: a
+step that leaves float range stops its problem as a singular system does.
 
 Every function here also takes a stacked dictionary (B training sets, see
 :mod:`graphkern.kernels`) with targets and weights carrying its batch axis.
 :func:`optimize` then runs the B problems in lockstep: a problem that
-meets the stopping rule, or whose system turns singular, freezes at its
-own iteration while the others go on, so each result is the one a run on
-that problem alone, as a stack of one, returns.
+meets the stopping rule, whose system turns singular or whose step leaves
+float range freezes at its own iteration while the others go on, so each
+result is the one a run on that problem alone, as a stack of one, returns.
 """
 
 import csv
@@ -45,6 +46,7 @@ from .solver import SingularSystemError, solve_structured
 CONVERGED = "converged"
 MAX_ITERATIONS = "max_iterations"
 SINGULAR = "singular"  # a problem of a batch whose system turned singular
+OVERFLOW = "overflow"  # a problem of a batch whose step left float range
 
 
 @dataclass(frozen=True)
@@ -225,15 +227,18 @@ def optimize(dictionary, graph, targets, config, alpha, beta):
     :class:`~graphkern.solver.KrgModel` fitted at the final weights
     ``model.rho`` (projected once more, so they are always feasible) and
     the iteration trace.  A singular system mid-run raises
-    :class:`~graphkern.solver.SingularSystemError` with the partial trace
-    attached as ``err.trace``; an iterate with a negative or non-finite
-    weight raises ``ValueError``.
+    :class:`~graphkern.solver.SingularSystemError`, and a step that leaves
+    float range (a gradient that overflows, say, from a huge ``mu0`` or a
+    tiny ``alpha``) ``FloatingPointError``, each with the partial trace
+    attached as ``err.trace``.  No ``RuntimeWarning`` escapes such a step.
 
     A stacked dictionary runs its problems in lockstep, one solve per
     iteration for the whole stack.  ``model.rho`` then holds one row per
     problem and the trace is a tuple of per-problem traces.  A problem
-    whose system turns singular does not raise: it stops with the message
-    in its trace's ``error`` and in the model's ``errors``.
+    whose system turns singular or whose step leaves float range does not
+    raise: it stops with the message in its trace's ``error`` and in the
+    model's ``errors``, its status ``SINGULAR`` or ``OVERFLOW``, and its
+    ``psi`` is zero.
     """
     targets = np.asarray(targets, dtype=float)
     batch = dictionary.batch_shape
@@ -250,12 +255,27 @@ def optimize(dictionary, graph, targets, config, alpha, beta):
                         traces[b].error = model.errors[b]
                         traces[b].status = SINGULAR
                         live[b] = False
-            value = _gamma_from_psi(graph, targets, model.psi, alpha, beta)
-            grad = _gradient_from_psi(dictionary, model.psi, alpha)
-            del model  # freed before the next solve
-            gap = frank_wolfe_gap(grad, rho_prev, config.radius, config.q)
             mu = config.mu0 / i
-            z = project(rho_prev - mu * grad, config.radius, config.q)
+            # a problem whose step leaves float range stops below, its
+            # overflowing values unrecorded
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = _gamma_from_psi(graph, targets, model.psi, alpha, beta)
+                grad = _gradient_from_psi(dictionary, model.psi, alpha)
+                gap = frank_wolfe_gap(grad, rho_prev, config.radius, config.q)
+                step = rho_prev - mu * grad
+            del model  # freed before the next solve
+            outside = ~np.isfinite(step).all(axis=-1)
+            if outside.any():
+                message = (f"the step of iteration {i} leaves float range; "
+                           f"consider a smaller mu0 or a larger alpha")
+                if not batch:
+                    raise FloatingPointError(message)
+                for b in np.flatnonzero(live & outside):
+                    traces[b].error = message
+                    traces[b].status = OVERFLOW
+                live = live & ~outside
+                step = np.where(outside[..., None], rho_prev, step)
+            z = project(step, config.radius, config.q)
             lam = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * lam_prev**2))
             nu = (lam_prev - 1.0) / lam
             rho = (1.0 - nu) * z + nu * rho_prev
@@ -273,16 +293,18 @@ def optimize(dictionary, graph, targets, config, alpha, beta):
             live = live & ~converged
             if not live.any():
                 break
-    except SingularSystemError as err:  # one problem alone raises
+    except (SingularSystemError, FloatingPointError) as err:  # one problem alone raises
         err.trace = traces[0]
         raise
     rho_final = project(rho_prev, config.radius, config.q)
     model = solve_structured(dictionary, rho_final, graph, targets, alpha, beta)
-    final_gamma = np.ravel(_gamma_from_psi(graph, targets, model.psi, alpha, beta))
+    with np.errstate(over="ignore", invalid="ignore"):  # a problem stopped outside float range
+        final_gamma = np.ravel(_gamma_from_psi(graph, targets, model.psi, alpha, beta))
     for trace, value in zip(traces, final_gamma):
         trace.final_gamma = float(value)
     if not batch:
         return model, traces[0]
     errors = tuple(t.error or e for t, e in zip(traces, model.errors))
+    model.psi[np.array([e is not None for e in errors]).reshape(batch)] = 0.0  # as if singular
     return replace(model, errors=errors), traces
 

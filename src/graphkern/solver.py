@@ -97,8 +97,9 @@ class KrgModel:
 
     A model fitted on a stack of B training sets holds (B, N, M) ``psi``
     and (B, S) ``rho``, and ``errors`` holds per set ``None`` or the
-    message of the :class:`SingularSystemError` its system raised (its
-    ``psi`` is then zero).
+    message of the :class:`SingularSystemError` its system raised, or in a
+    model from :func:`~graphkern.mkl.optimize` of a step that left float
+    range (its ``psi`` is then zero).
     """
 
     psi: np.ndarray

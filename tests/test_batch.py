@@ -26,7 +26,7 @@ from graphkern.experiment import (
     batch_size,
     trial_seed,
 )
-from graphkern.mkl import SINGULAR
+from graphkern.mkl import OVERFLOW, SINGULAR
 
 from .oracles import run_trial_sequential
 
@@ -266,6 +266,38 @@ def test_lockstep_optimize_freezes_a_singular_problem():
                         graph, t[1], config, 1e-13, 0.0)
     assert trace.iterations == traces[1].iterations and trace.status == traces[1].status
     assert relative(model.rho[1], m.rho) <= 1e-12
+
+
+def test_lockstep_optimize_stops_a_problem_whose_step_leaves_float_range():
+    # the second problem's targets are scaled by 1e200, so its first
+    # gradient, a quadratic form in Psi ~ 1e200, overflows; it stops with
+    # the message a run of it alone raises, and the other two go on
+    rng = np.random.default_rng(33)
+    a = np.abs(rng.normal(size=(4, 4)))
+    a = 0.5 * (a + a.T)
+    np.fill_diagonal(a, 0.0)
+    graph = build_graph(a)
+    x = rng.normal(size=(3, 6, 3))
+    t = rng.normal(size=(3, 6, 4))
+    t[1] *= 1e200
+    config = SolverConfig(mu0=0.5, i_max=100, epsilon=1e-6, radius=2.0)
+
+    def fit(x, t):
+        return optimize(build_dictionary(x, span=(0.3, 3.0), count=7), graph, t, config, 0.3, 0.8)
+
+    model, traces = fit(x, t)
+    assert traces[1].status == OVERFLOW and traces[1].iterations_used == 0
+    assert model.errors[1] == traces[1].error and "float range" in traces[1].error
+    assert not model.psi[1].any()
+    with pytest.raises(FloatingPointError) as excinfo:
+        fit(x[1], t[1])
+    assert str(excinfo.value) == traces[1].error
+    for b in (0, 2):
+        m, trace = fit(x[b], t[b])
+        assert model.errors[b] is None and traces[b].error is None
+        assert trace.iterations == traces[b].iterations and trace.status == traces[b].status
+        assert relative(model.rho[b], m.rho) <= 1e-12
+        assert relative(model.psi[b], m.psi) <= 1e-10
 
 
 def test_batched_level_memory_within_one_megabyte_of_sequential(default_scenario):

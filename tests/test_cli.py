@@ -433,6 +433,16 @@ class TestValidateConfig:
         assert f"output_dir must be a path string, got {value!r}" in err
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
+    @pytest.mark.parametrize("command", ["validate-config", "fit", "experiment"])
+    @pytest.mark.parametrize("count", [10**41, 2**60], ids=["10**41", "2**60"])
+    def test_oversized_grid_count_exit_code(self, tmp_path, capsys, command, count):
+        # numpy refuses a grid of either count without allocating it
+        path = synthetic_config(tmp_path)
+        edit_config(path, ("kernel_grid", "count"), count)
+        err = assert_input_error(capsys, run_on_config(command, path, tmp_path / "out"))
+        assert f"kernel grid count {count} exceeds" in err
+        assert not (tmp_path / "out").exists()
+
     def test_data_mode_requires_existing_files(self, tmp_path):
         cfg = {
             "data": {
@@ -510,6 +520,44 @@ class TestFitAndPredict:
         assert "numeric failure: grid search: target block is identically zero" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["fit", "experiment"])
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_unusable_output_dir_exits_before_fitting(self, tmp_path, capsys, monkeypatch,
+                                                      command, out):
+        fits = []
+        monkeypatch.setattr(experiment, "_fit_method", lambda *args: fits.append(args))
+        (tmp_path / "file").write_text("")
+        path = synthetic_config(tmp_path)
+        err = assert_input_error(capsys, run_on_config(command, path, tmp_path / out))
+        assert str(tmp_path / out) in err and "not a directory" in err
+        assert fits == []
+
+    @pytest.mark.parametrize("command, output", [("fit", "trace.csv"),
+                                                 ("experiment", "report.json")])
+    def test_unwritable_output_exit_code(self, tmp_path, capsys, command, output):
+        # the directory passes the check, but an output in it is a directory
+        (tmp_path / "out" / output).mkdir(parents=True)
+        path = synthetic_config(tmp_path)
+        err = assert_input_error(capsys, run_on_config(command, path, tmp_path / "out"))
+        assert str(tmp_path / "out" / output) in err
+
+    @pytest.mark.parametrize(
+        "command, keys, value, message",
+        [("fit", ("optimizer", "mu0"), 1e308, "the step of iteration 1 leaves float range"),
+         ("fit", ("alpha",), 1e-300, "the step of iteration 1 leaves float range"),
+         # every trial's multi-kernel fit records the message
+         ("experiment", ("optimizer", "mu0"), 1e308, "2 of 2 trials failed")],
+    )
+    def test_step_outside_float_range_exit_code(self, tmp_path, capsys, command, keys, value,
+                                                message):
+        path = synthetic_config(tmp_path)
+        edit_config(path, keys, value)
+        assert run_on_config("validate-config", path, None) == 0
+        capsys.readouterr()
+        assert run_on_config(command, path, tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"numeric failure: {message}") and err.count("\n") == 1
+
     @pytest.mark.parametrize("command", ["validate-config", "fit", "experiment"])
     @pytest.mark.parametrize(
         "keys, value",
@@ -581,7 +629,7 @@ class TestFitAndPredict:
                       "--threads", "2"])
         assert excinfo.value.code == 2
 
-    def test_model_file_written_key_by_key_is_the_payload_dumped_at_once(self, tmp_path):
+    def test_model_file_is_the_payload_dumped_at_once(self, tmp_path):
         cfg, _ = cli.load_config(synthetic_config(tmp_path))
         dataset, names = cli._dataset_from_config(cfg)
         d = build_dictionary(dataset.inputs, count=12)

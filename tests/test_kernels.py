@@ -97,6 +97,13 @@ class TestBuildDictionary:
         with pytest.raises(ValueError, match="span"):
             build_dictionary(np.zeros((2, 1)), span=(np.nan, 1.0), count=2)
 
+    @pytest.mark.parametrize("count", [10**41, 2**60, 2**60 - 1])
+    def test_oversized_count(self, count):
+        # np.linspace raises its own ValueError for each of these counts,
+        # without allocating; 2**60 - 1 rounds up to numpy's limit
+        with pytest.raises(ValueError, match=f"kernel grid count {count} exceeds"):
+            grid_specs(GAUSSIAN, (0.01, 10.0), count)
+
     def test_empty_training_set(self):
         with pytest.raises(ValueError, match="empty"):
             build_dictionary(np.zeros((0, 2)), count=2)
@@ -104,9 +111,9 @@ class TestBuildDictionary:
     def test_with_specs_shares_the_distances(self):
         x = np.random.default_rng(2).normal(size=(2, 6, 3))  # a stack of two sets
         d = build_dictionary(x, span=(0.2, 4.0), count=7)
-        linear = d.with_specs([KernelSpec(LINEAR)])
+        linear = d._with_specs([KernelSpec(LINEAR)])
         assert "sq_distances" not in vars(d)  # a linear kernel needs none
-        single = d.with_specs([KernelSpec(GAUSSIAN, 0.5)])
+        single = d._with_specs([KernelSpec(GAUSSIAN, 0.5)])
         assert single.sq_distances is d.sq_distances
         assert single.training_inputs is d.training_inputs
         assert linear.specs == (KernelSpec(LINEAR),)
@@ -117,7 +124,7 @@ class TestBuildDictionary:
     def test_linked_dictionaries_share_distances_of_read_only_inputs_only(self, monkeypatch):
         rng = np.random.default_rng(3)
         d = build_dictionary(rng.normal(size=(6, 3)), span=(0.2, 4.0), count=7)
-        single = d.with_specs([KernelSpec(GAUSSIAN, 0.5)])
+        single = d._with_specs([KernelSpec(GAUSSIAN, 0.5)])
         calls = []
         route = kernels._cross_sq_distances
 

@@ -387,6 +387,18 @@ class TestOptimize:
         assert hasattr(excinfo.value, "trace")
         assert excinfo.value.trace.iterations_used == 0
 
+    @pytest.mark.parametrize("mu0, alpha", [(1e308, 0.4), (0.1, 1e-300)])
+    def test_step_outside_float_range_attaches_trace(self, mu0, alpha):
+        # the first step, -mu0 times a gradient that grows as |T|^2 / alpha,
+        # overflows; no RuntimeWarning escapes
+        rng = np.random.default_rng(18)
+        d, g, t = random_instance(rng, 3, 4, 3, unit_targets=False)
+        config = SolverConfig(mu0=mu0, i_max=10, epsilon=1e-10, radius=1.0, q=1)
+        message = "step of iteration 1 leaves float range"
+        with pytest.raises(FloatingPointError, match=message) as excinfo:
+            optimize(d, g, t, config, alpha, 0.5)
+        assert excinfo.value.trace.iterations_used == 0
+
     def test_returns_model_solved_once_at_final_weights(self, monkeypatch):
         rng = np.random.default_rng(21)
         d, g, t = random_instance(rng, 3, 5, 4)
