@@ -19,10 +19,10 @@ from .kernels import (
     GAUSSIAN,
     LINEAR,
     KernelDictionary,
+    KernelGrid,
     KernelSpec,
     build_dictionary,
     combine,
-    grid_specs,
     kernel_cross,
 )
 from .solver import (
@@ -64,10 +64,10 @@ __all__ = [
     "GAUSSIAN",
     "LINEAR",
     "KernelDictionary",
+    "KernelGrid",
     "KernelSpec",
     "build_dictionary",
     "combine",
-    "grid_specs",
     "kernel_cross",
     "KrgModel",
     "SingularSystemError",

@@ -22,14 +22,14 @@ import math
 import os
 import re
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import experiment as exp
 from .graph import NodeCoordinates, build_graph, geodesic_adjacency
-from .kernels import KernelDictionary, _checked_weights, grid_specs
+from .kernels import KernelDictionary, KernelGrid, _checked_weights, build_dictionary
 from .mkl import SolverConfig
 # solve_structured is not called here; it stays bound in this module like in
 # every other that reaches the solver route, for tools that wrap the route
@@ -267,10 +267,7 @@ def _default_config():
     e = exp.ExperimentConfig()
     opt = e.solver
     return {
-        "kernel_grid": {
-            "family": e.grid_family, "lo": e.grid_span[0], "hi": e.grid_span[1],
-            "count": e.grid_count,
-        },
+        "kernel_grid": asdict(e.grid),
         "alpha": e.alpha,
         "beta": e.beta,
         "optimizer": {
@@ -360,14 +357,14 @@ def _held(config, name, **values):
 def _read_run(cfg):
     """What a run takes from a merged config: ``(config, sizes, params, search)``.
 
-    The one reader of the ``experiment``, ``optimizer`` and ``kernel_grid``
-    blocks: the base ExperimentConfig (at the class's ``n_train``), the
-    training sizes, the (alpha, beta) pair of each size, and None or the
-    grid search's (alphas, betas).  The range rules are the config
-    classes': each size, pair and grid value is checked by the
-    ExperimentConfig that holds it.
+    The one reader of the ``experiment`` and ``optimizer`` blocks, plus
+    :func:`_kernel_grid`: the base ExperimentConfig (at the class's
+    ``n_train``), the training sizes, the (alpha, beta) pair of each size,
+    and None or the grid search's (alphas, betas).  The range rules are the
+    config classes': each size, pair and grid-search value is checked by
+    the ExperimentConfig that holds it.
     """
-    grid, e, opt = cfg["kernel_grid"], cfg["experiment"], cfg["optimizer"]
+    e, opt = cfg["experiment"], cfg["optimizer"]
     # configs written when a second schedule existed may name the one left
     if opt.get("momentum", "damped") != "damped":
         raise ValueError(
@@ -376,9 +373,7 @@ def _read_run(cfg):
     config = exp.ExperimentConfig(
         snr_db=float(e["snr_db"]),
         n_realizations=_integer(e["n_realizations"], "experiment.n_realizations"),
-        grid_family=grid["family"],
-        grid_span=(float(grid["lo"]), float(grid["hi"])),
-        grid_count=_integer(grid["count"], "kernel_grid.count"),
+        grid=_kernel_grid(cfg["kernel_grid"]),
         linear_alpha=float(e["linear_alpha"]),
         single_sigma_sq=float(e["single_sigma_sq"]),
         alpha=float(cfg["alpha"]),
@@ -454,23 +449,29 @@ def _dataset_from_config(cfg):
 # Model files
 # ---------------------------------------------------------------------------
 
-def save_model(path, model, grid_cfg, names, iterations, final_gamma):
+def _kernel_grid(block):
+    """The KernelGrid of a config's or a model file's ``kernel_grid``; other keys are ignored."""
+    return KernelGrid(block["family"], float(block["lo"]), float(block["hi"]),
+                      _integer(block["count"], "kernel_grid.count"))
+
+
+def save_model(path, model, grid, names, iterations, final_gamma):
     """Write a fitted model as one compact JSON object, :func:`_model_payload`.
 
-    The arrays go to orjson as float64 buffers, which it formats without
-    making a Python float of each entry; every double is written in its
-    shortest round-trip form, so :func:`load_model` gets back the same
-    bits.  Of the grid block only the four fields that :func:`load_model`
-    reads are kept.
+    ``grid`` is the :class:`~graphkern.kernels.KernelGrid` the model was
+    fitted over.  The arrays go to orjson as float64 buffers, which it
+    formats without making a Python float of each entry; every double is
+    written in its shortest round-trip form, so :func:`load_model` gets
+    back the same bits.
     """
     import orjson
 
-    payload = _model_payload(model, grid_cfg, names, iterations, final_gamma)
+    payload = _model_payload(model, grid, names, iterations, final_gamma)
     with open(path, "wb") as fh:
         fh.write(orjson.dumps(payload, option=orjson.OPT_SERIALIZE_NUMPY))
 
 
-def _model_payload(model, grid_cfg, names, iterations, final_gamma):
+def _model_payload(model, grid, names, iterations, final_gamma):
     """The JSON object of a model file, key by key in file order."""
 
     def doubles(a):
@@ -480,12 +481,7 @@ def _model_payload(model, grid_cfg, names, iterations, final_gamma):
         "format_version": MODEL_FORMAT_VERSION,
         "alpha": model.alpha,
         "beta": model.beta,
-        "kernel_grid": {
-            "family": grid_cfg["family"],
-            "lo": float(grid_cfg["lo"]),
-            "hi": float(grid_cfg["hi"]),
-            "count": int(grid_cfg["count"]),
-        },
+        "kernel_grid": asdict(grid),
         "rho": doubles(model.rho),
         "training_inputs": doubles(model.dictionary.training_inputs),
         "psi": doubles(model.psi),
@@ -670,9 +666,7 @@ def load_model(path):
     if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
         raise ConfigError(f"{path}: target_names must be a list of strings")
     try:
-        grid = payload["kernel_grid"]
-        count = _integer(grid["count"], "kernel_grid.count")
-        specs = grid_specs(grid["family"], (grid["lo"], grid["hi"]), count)
+        specs = _kernel_grid(payload["kernel_grid"]).specs()
         dictionary = KernelDictionary.from_specs(payload["training_inputs"], specs)
         psi, rho = payload["psi"], _checked_weights(dictionary, payload["rho"])
         alpha, beta = float(payload["alpha"]), float(payload["beta"])
@@ -698,11 +692,11 @@ def load_model(path):
 def cmd_fit(cfg, config, out_dir):
     dataset, names = _dataset_from_config(cfg)
     model, trace = exp._fit_method(
-        exp.METHOD_MULTI, exp._grid_dictionary(dataset.inputs, config), dataset.targets,
+        exp.METHOD_MULTI, build_dictionary(dataset.inputs, config.grid), dataset.targets,
         dataset.graph, config,
     )
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_model(out_dir / "model.json", model, cfg["kernel_grid"], names, trace.iterations_used,
+    save_model(out_dir / "model.json", model, config.grid, names, trace.iterations_used,
                trace.final_gamma)
     trace.write_csv(out_dir / "trace.csv")
     log.info(
@@ -786,12 +780,11 @@ def cmd_experiment(cfg, run, out_dir):
 
     rho_path = out_dir / "rho_instance.csv"
     rho_report = reports[-1]
-    specs = grid_specs(config.grid_family, config.grid_span, config.grid_count)
     with open(rho_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["kernel_index", "parameter", "rho"])
         rho = rho_report.representative_rho
-        for i, spec in enumerate(specs):
+        for i, spec in enumerate(config.grid.specs()):
             value = 0.0 if rho is None else float(rho[i])
             writer.writerow([i + 1, repr(float(spec.parameter)), repr(value)])
 
@@ -869,6 +862,9 @@ def main(argv=None):
         return 2
     except OSError as err:  # inputs are read through ConfigError; this is an output
         print(f"error: cannot write the outputs: {err}", file=sys.stderr)
+        return 2
+    except MemoryError as err:  # say, a kernel grid too large to allocate
+        print(f"error: out of memory: {err}", file=sys.stderr)
         return 2
     except (SingularSystemError, FloatingPointError, exp.ExperimentError,
             np.linalg.LinAlgError) as err:

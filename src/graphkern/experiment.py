@@ -46,8 +46,8 @@ from .kernels import (
     BLOCK_ENTRIES,
     GAUSSIAN,
     LINEAR,
+    KernelGrid,
     KernelSpec,
-    _checked_grid,
     build_dictionary,
 )
 from .mkl import SolverConfig, optimize
@@ -84,16 +84,16 @@ class ExperimentError(RuntimeError):
 class ExperimentConfig:
     """Protocol parameters for one Monte-Carlo scenario.
 
-    ``solver`` holds the multi-kernel weight optimizer's settings, a
-    :class:`~graphkern.mkl.SolverConfig`, which validates itself.
+    ``grid`` describes the multi-kernel method's dictionary, a
+    :class:`~graphkern.kernels.KernelGrid`, and ``solver`` holds its
+    weight optimizer's settings, a :class:`~graphkern.mkl.SolverConfig`;
+    each validates itself.
     """
 
     snr_db: float = 0.0
     n_train: int = 30
     n_realizations: int = 100
-    grid_family: str = GAUSSIAN
-    grid_span: tuple = (0.01, 10.0)
-    grid_count: int = 100
+    grid: KernelGrid = field(default_factory=KernelGrid)
     linear_alpha: float = DEFAULT_LINEAR_ALPHA
     single_sigma_sq: float = 1.0
     alpha: float = 0.1
@@ -116,7 +116,6 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be finite and nonnegative")
         if not (math.isfinite(self.single_sigma_sq) and self.single_sigma_sq > 0):
             raise ValueError("single_sigma_sq must be finite and positive")
-        _checked_grid(self.grid_family, self.grid_span, self.grid_count)
 
 
 @dataclass(frozen=True)
@@ -175,7 +174,6 @@ class MonteCarloReport:
     n_ok: dict
     mean_iterations: float
     representative_rho: np.ndarray
-    n_trials: int
     n_failed: int
     trials: list
     mean_fw_gap: float = np.nan
@@ -302,20 +300,13 @@ def nmse(pred, truth):
     return float(np.sum((p - t) ** 2)) / denom
 
 
-def _grid_dictionary(x_train, config):
-    """The dictionary of the config's kernel grid over one training set or a stack."""
-    return build_dictionary(
-        x_train, family=config.grid_family, span=config.grid_span, count=config.grid_count
-    )
-
-
 def _fit_method(method, grid, t_fit, graph, config):
     """Fit one method; returns (model, optimizer trace).
 
-    ``grid`` is :func:`_grid_dictionary` over the training inputs and
-    ``t_fit`` the targets, for one training set or a stack of them; for
-    a stack the model is batched and the trace is a tuple with one
-    :class:`~graphkern.mkl.OptimizerTrace` per set.  The multi-kernel
+    ``grid`` is the dictionary of ``config.grid`` over the training
+    inputs and ``t_fit`` the targets, for one training set or a stack of
+    them; for a stack the model is batched and the trace is a tuple with
+    one :class:`~graphkern.mkl.OptimizerTrace` per set.  The multi-kernel
     method learns weights over ``grid``.  The two baselines solve one
     kernel at weight 1 over the same inputs, sharing ``grid``'s squared
     distances (:meth:`~graphkern.kernels.KernelDictionary._with_specs`),
@@ -384,7 +375,7 @@ def _run_batch(dataset, config, seeds):
     if not live:
         return results
     train, test = perms[live, :n], perms[live, n:]
-    grid = _grid_dictionary(dataset.inputs[train], config)
+    grid = build_dictionary(dataset.inputs[train], config.grid)
     x_test = dataset.inputs[test]
     # Read-only, and the linear method's dictionary links the grid to the
     # dictionaries that _with_specs makes: the two Gaussian methods'
@@ -411,7 +402,7 @@ def _score_method(method, results, dataset, config, grid, t_noisy, test, x_test)
         # the trials whose own matrix fails record the error
         for b in range(len(results)):
             one = slice(b, b + 1)
-            alone = _grid_dictionary(grid.training_inputs[one], config)
+            alone = build_dictionary(grid.training_inputs[one], config.grid)
             _score_method(method, results[one], dataset, config, alone,
                           t_noisy[one], test[one], x_test[one])
         return
@@ -478,7 +469,6 @@ def monte_carlo(dataset, config):
         n_ok=n_ok,
         mean_iterations=float(np.mean([t.iterations for t in multi])) if multi else np.nan,
         representative_rho=rho,
-        n_trials=len(trials),
         n_failed=n_failed,
         trials=trials,
         mean_fw_gap=float(np.mean([t.fw_gap for t in multi])) if multi else np.nan,
@@ -518,7 +508,7 @@ def grid_search_hyperparams(dataset, method, alphas, betas, config):
         t_noisy = add_noise_snr(t_clean, config.snr_db, noise_seed)
     except ValueError as err:  # an all-zero training block has no SNR
         raise ExperimentError(f"grid search: {err}") from None
-    grid = _grid_dictionary(x_train, config)
+    grid = build_dictionary(x_train, config.grid)
 
     best = None
     for a in alphas:

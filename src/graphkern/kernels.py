@@ -100,6 +100,48 @@ class KernelSpec:
             )
 
 
+@dataclass(frozen=True)
+class KernelGrid:
+    """A uniform grid of ``count`` basis kernels of one family.
+
+    For the Gaussian family the grid places ``count`` variances uniformly
+    over ``[lo, hi]``: ``s2_s = lo + (s - 1) (hi - lo) / (count - 1)`` (a
+    single-kernel grid uses ``lo``).  The linear kernel has no parameter,
+    so its grid is ``count`` copies and is normally used with ``count=1``.
+    The grid is checked when made, without building a spec per kernel; its
+    fields, in this order, are the ``kernel_grid`` block of a config and
+    of a model file.
+    """
+
+    family: str = GAUSSIAN
+    lo: float = 0.01
+    hi: float = 10.0
+    count: int = 100
+
+    def __post_init__(self):
+        lo, hi, count = float(self.lo), float(self.hi), self.count
+        if count < 1:
+            raise ValueError("kernel count must be at least 1")
+        if self.family == GAUSSIAN and not 0 < lo < hi < math.inf:
+            raise ValueError(f"invalid parameter span [{lo}, {hi}]: need 0 < lo < hi < inf")
+        count = operator.index(count)  # as range() and np.linspace() take it
+        if count > _MAX_COUNT:
+            raise ValueError(
+                f"kernel grid count {count} exceeds {_MAX_COUNT}: too large for numpy"
+            )
+        if self.family not in _FAMILIES:
+            raise ValueError(f"unknown kernel family {self.family!r}")
+        # held as the checked float and int values, which a model file records
+        for name, value in (("lo", lo), ("hi", hi), ("count", count)):
+            object.__setattr__(self, name, value)
+
+    def specs(self):
+        """The grid's kernel specs, in order."""
+        if self.family == LINEAR:
+            return [KernelSpec(LINEAR) for _ in range(self.count)]
+        return [KernelSpec(self.family, p) for p in np.linspace(self.lo, self.hi, self.count)]
+
+
 class KernelDictionary:
     """S basis kernels over N training inputs, evaluated on demand.
 
@@ -223,42 +265,9 @@ class KernelDictionary:
         )
 
 
-def grid_specs(family=GAUSSIAN, span=(0.01, 10.0), count=100):
-    """Kernel specs of a uniform parameter grid.
-
-    For the Gaussian family the grid places ``count`` variances uniformly
-    over ``span = (lo, hi)``: ``s2_s = lo + (s - 1) (hi - lo) / (count - 1)``
-    (a single-kernel grid uses ``lo``).  The linear kernel has no
-    parameter, so the grid degenerates to ``count`` copies and is normally
-    used with ``count=1``.
-    """
-    lo, hi = _checked_grid(family, span, count)
-    if family == LINEAR:
-        return [KernelSpec(LINEAR) for _ in range(count)]
-    return [KernelSpec(family, p) for p in np.linspace(lo, hi, count)]
-
-
-def _checked_grid(family, span, count):
-    """The ``(lo, hi)`` of a grid :func:`grid_specs` can build; raises what it would raise.
-
-    Checks the family, span and count without building a spec per kernel.
-    """
-    lo, hi = float(span[0]), float(span[1])
-    if count < 1:
-        raise ValueError("kernel count must be at least 1")
-    if family == GAUSSIAN and not 0 < lo < hi < math.inf:
-        raise ValueError(f"invalid parameter span [{lo}, {hi}]: need 0 < lo < hi < inf")
-    operator.index(count)  # as range() and np.linspace() take it
-    if count > _MAX_COUNT:
-        raise ValueError(f"kernel grid count {count} exceeds {_MAX_COUNT}: too large for numpy")
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown kernel family {family!r}")
-    return lo, hi
-
-
-def build_dictionary(training_inputs, family=GAUSSIAN, span=(0.01, 10.0), count=100):
-    """Build a dictionary from a uniform parameter grid (see :func:`grid_specs`)."""
-    return KernelDictionary.from_specs(training_inputs, grid_specs(family, span, count))
+def build_dictionary(training_inputs, grid=KernelGrid()):
+    """Build the dictionary of a :class:`KernelGrid` over the training inputs."""
+    return KernelDictionary.from_specs(training_inputs, grid.specs())
 
 
 def _validated_inputs(training_inputs):

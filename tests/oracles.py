@@ -225,9 +225,7 @@ def fit_method_sequential(method, x_train, t_fit, graph, config):
         )
         model = solve_structured(dictionary, np.ones(1), graph, t_fit, config.alpha, config.beta)
         return model, 0
-    dictionary = build_dictionary(
-        x_train, family=config.grid_family, span=config.grid_span, count=config.grid_count
-    )
+    dictionary = build_dictionary(x_train, config.grid)
     model, trace = optimize(dictionary, graph, t_fit, config.solver, config.alpha, config.beta)
     return model, trace.iterations_used
 

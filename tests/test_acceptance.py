@@ -15,6 +15,7 @@ from graphkern import (
     ExperimentConfig,
     GAUSSIAN,
     KernelDictionary,
+    KernelGrid,
     KernelSpec,
     SolverConfig,
     build_dictionary,
@@ -47,7 +48,7 @@ def report(name, ok, detail=""):
 
 def random_instance(rng, m, n, s):
     x = rng.normal(size=(n, 3))
-    d = build_dictionary(x, span=(0.3, 3.0), count=s)
+    d = build_dictionary(x, KernelGrid(lo=0.3, hi=3.0, count=s))
     a = np.abs(rng.normal(size=(m, m)))
     a = 0.5 * (a + a.T)
     np.fill_diagonal(a, 0.0)
@@ -165,7 +166,7 @@ def test_3_objective_shape_suite(default_scenario):
 
     # terminal boundary of the optimizer on the default scenario
     x, t_noisy = default_training_block(default_scenario)
-    d_big = build_dictionary(x, span=(0.01, 10.0), count=100)
+    d_big = build_dictionary(x, KernelGrid(lo=0.01, hi=10.0, count=100))
     config = SolverConfig(mu0=0.01, i_max=1000, epsilon=1e-10, radius=5.0, q=1)
     model, _ = optimize(d_big, default_scenario.graph, t_noisy, config, 0.1, 5.5)
     boundary_gap = abs(np.sum(model.rho) - 5.0)
@@ -236,7 +237,7 @@ def test_5_beta_zero_reduces_to_kernel_ridge():
 
 def test_6_convergence_on_default_scenario(default_scenario):
     x, t_noisy = default_training_block(default_scenario)
-    d = build_dictionary(x, span=(0.01, 10.0), count=100)
+    d = build_dictionary(x, KernelGrid(lo=0.01, hi=10.0, count=100))
     config = SolverConfig(mu0=0.01, i_max=200, epsilon=1e-4, radius=5.0, q=1)
     model, trace = optimize(d, default_scenario.graph, t_noisy, config, 0.1, 5.5)
     converged = trace.status == "converged"

@@ -8,6 +8,7 @@ import pytest
 from graphkern import (
     ExperimentConfig,
     ExperimentDataset,
+    KernelGrid,
     SingularSystemError,
     SolverConfig,
     build_dictionary,
@@ -101,7 +102,7 @@ def duplicated_rows_dataset():
 def test_only_the_singular_trials_of_a_batch_fail():
     dataset = duplicated_rows_dataset()
     config = ExperimentConfig(
-        n_train=3, n_realizations=16, linear_alpha=0.0, grid_count=10, master_seed=4
+        n_train=3, n_realizations=16, linear_alpha=0.0, grid=KernelGrid(count=10), master_seed=4
     )
     assert batch_size(dataset, config) == 16  # one batch
     report = monte_carlo(dataset, config)
@@ -124,7 +125,7 @@ def test_only_the_singular_trials_of_a_batch_fail():
 def test_majority_of_singular_trials_still_raises():
     dataset = duplicated_rows_dataset()
     config = ExperimentConfig(
-        n_train=3, n_realizations=8, alpha=0.0, beta=0.0, grid_count=10, master_seed=4
+        n_train=3, n_realizations=8, alpha=0.0, beta=0.0, grid=KernelGrid(count=10), master_seed=4
     )
     with pytest.raises(ExperimentError) as excinfo:
         monte_carlo(dataset, config)
@@ -184,7 +185,8 @@ def test_only_the_trials_with_an_all_zero_block_fail(n_train, block):
     # trials holding one record it for every method, and the others are
     # scored as they are alone
     dataset = zero_targets_dataset([0, 1, 2, 3])
-    config = ExperimentConfig(n_train=n_train, n_realizations=16, grid_count=10, master_seed=5)
+    config = ExperimentConfig(n_train=n_train, n_realizations=16, grid=KernelGrid(count=10),
+                              master_seed=5)
     assert batch_size(dataset, config) == 16  # one batch
     report = monte_carlo(dataset, config)
     failing = []
@@ -210,7 +212,7 @@ def test_only_the_trials_with_an_all_zero_block_fail(n_train, block):
 
 def test_all_zero_targets_fail_every_trial():
     dataset = zero_targets_dataset([])
-    config = ExperimentConfig(n_train=3, n_realizations=4, grid_count=10)
+    config = ExperimentConfig(n_train=3, n_realizations=4, grid=KernelGrid(count=10))
     with pytest.raises(ExperimentError) as excinfo:
         monte_carlo(dataset, config)
     report = excinfo.value.partial_report
@@ -227,11 +229,11 @@ def test_lockstep_optimize_matches_each_problem_alone():
     t = rng.normal(size=(5, 6, 4))
     for q in (1, 2):
         config = SolverConfig(mu0=0.5, i_max=300, epsilon=1e-4, radius=2.0, q=q)
-        model, traces = optimize(build_dictionary(x, span=(0.3, 3.0), count=7),
+        model, traces = optimize(build_dictionary(x, KernelGrid(lo=0.3, hi=3.0, count=7)),
                                  graph, t, config, 0.3, 0.8)
         counts = []
         for b in range(5):
-            m, trace = optimize(build_dictionary(x[b], span=(0.3, 3.0), count=7),
+            m, trace = optimize(build_dictionary(x[b], KernelGrid(lo=0.3, hi=3.0, count=7)),
                                 graph, t[b], config, 0.3, 0.8)
             assert relative(model.rho[b], m.rho) <= 1e-12
             assert relative(model.psi[b], m.psi) <= 1e-10
@@ -254,15 +256,16 @@ def test_lockstep_optimize_freezes_a_singular_problem():
     x[0, 3] = x[0, 0]
     t = rng.normal(size=(2, 4, 2))
     config = SolverConfig(mu0=1.0, i_max=6, epsilon=1e-30, radius=1.0)
-    model, traces = optimize(build_dictionary(x, span=(0.3, 3.0), count=4),
+    model, traces = optimize(build_dictionary(x, KernelGrid(lo=0.3, hi=3.0, count=4)),
                              graph, t, config, 1e-13, 0.0)
     assert traces[0].status == SINGULAR and traces[0].iterations_used == 1
     assert model.errors[0] == traces[0].error and model.errors[1] is None
     with pytest.raises(SingularSystemError, match="condition") as excinfo:
-        optimize(build_dictionary(x[0], span=(0.3, 3.0), count=4), graph, t[0], config, 1e-13, 0.0)
+        optimize(build_dictionary(x[0], KernelGrid(lo=0.3, hi=3.0, count=4)), graph, t[0], config,
+                 1e-13, 0.0)
     assert str(excinfo.value) == traces[0].error
     assert excinfo.value.trace.iterations == traces[0].iterations
-    m, trace = optimize(build_dictionary(x[1], span=(0.3, 3.0), count=4),
+    m, trace = optimize(build_dictionary(x[1], KernelGrid(lo=0.3, hi=3.0, count=4)),
                         graph, t[1], config, 1e-13, 0.0)
     assert trace.iterations == traces[1].iterations and trace.status == traces[1].status
     assert relative(model.rho[1], m.rho) <= 1e-12
@@ -283,7 +286,8 @@ def test_lockstep_optimize_stops_a_problem_whose_step_leaves_float_range():
     config = SolverConfig(mu0=0.5, i_max=100, epsilon=1e-6, radius=2.0)
 
     def fit(x, t):
-        return optimize(build_dictionary(x, span=(0.3, 3.0), count=7), graph, t, config, 0.3, 0.8)
+        return optimize(build_dictionary(x, KernelGrid(lo=0.3, hi=3.0, count=7)), graph, t, config,
+                        0.3, 0.8)
 
     model, traces = fit(x, t)
     assert traces[1].status == OVERFLOW and traces[1].iterations_used == 0

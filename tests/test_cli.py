@@ -14,7 +14,7 @@ import orjson
 import pytest
 
 from graphkern import (
-    SolverConfig, build_dictionary, build_graph, cli, experiment, grid_specs, mkl, optimize,
+    KernelGrid, SolverConfig, build_dictionary, build_graph, cli, experiment, mkl, optimize,
     solver,
 )
 
@@ -443,6 +443,16 @@ class TestValidateConfig:
         assert f"kernel grid count {count} exceeds" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["fit", "experiment"])
+    def test_unallocatable_grid_exit_code(self, tmp_path, capsys, command):
+        # 2**50 kernels are within the count bound, but numpy refuses their
+        # 8 PiB of parameters at once, as they exceed the address space
+        path = synthetic_config(tmp_path)
+        edit_config(path, ("kernel_grid", "count"), 2**50)
+        err = assert_input_error(capsys, run_on_config(command, path, tmp_path / "out"))
+        assert err.startswith("error: out of memory: ")
+        assert not (tmp_path / "out").exists()
+
     def test_data_mode_requires_existing_files(self, tmp_path):
         cfg = {
             "data": {
@@ -632,9 +642,10 @@ class TestFitAndPredict:
     def test_model_file_is_the_payload_dumped_at_once(self, tmp_path):
         cfg, _ = cli.load_config(synthetic_config(tmp_path))
         dataset, names = cli._dataset_from_config(cfg)
-        d = build_dictionary(dataset.inputs, count=12)
+        d = build_dictionary(dataset.inputs, KernelGrid(count=12))
         fitted, trace = optimize(d, dataset.graph, dataset.targets, SolverConfig(), 0.1, 2.0)
-        args = (fitted, cfg["kernel_grid"], names, trace.iterations_used, trace.final_gamma)
+        grid = cli._kernel_grid(cfg["kernel_grid"])
+        args = (fitted, grid, names, trace.iterations_used, trace.final_gamma)
         path = tmp_path / "model.json"
         cli.save_model(path, *args)
         whole = orjson.dumps(cli._model_payload(*args), option=orjson.OPT_SERIALIZE_NUMPY)
@@ -643,11 +654,11 @@ class TestFitAndPredict:
     def test_model_file_round_trips_arrays_bit_exactly(self, tmp_path):
         cfg, _ = cli.load_config(synthetic_config(tmp_path))
         dataset, names = cli._dataset_from_config(cfg)
-        d = build_dictionary(dataset.inputs, count=12)
+        d = build_dictionary(dataset.inputs, KernelGrid(count=12))
         fitted, trace = optimize(d, dataset.graph, dataset.targets, SolverConfig(), 0.1, 2.0)
         path = tmp_path / "model.json"
-        cli.save_model(path, fitted, cfg["kernel_grid"], names, trace.iterations_used,
-                       trace.final_gamma)
+        cli.save_model(path, fitted, cli._kernel_grid(cfg["kernel_grid"]), names,
+                       trace.iterations_used, trace.final_gamma)
         model, _ = cli.load_model(path)
         np.testing.assert_array_equal(model.psi, fitted.psi)
         np.testing.assert_array_equal(model.rho, fitted.rho)
@@ -790,6 +801,37 @@ class TestModelFile:
     def test_malformed_model_exit_code(self, tmp_path, fitted_model, edit):
         assert predict_with_edited_model(tmp_path, fitted_model, edit) == 2
 
+    def test_unallocatable_grid_exit_code(self, tmp_path, fitted_model, capsys):
+        rc = predict_with_edited_model(
+            tmp_path, fitted_model, lambda p: p["kernel_grid"].update(count=2**50)
+        )
+        assert assert_input_error(capsys, rc).startswith("error: out of memory: ")
+        assert not (tmp_path / "pred.csv").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("count", 12.5, "kernel_grid.count: expected an integer, got 12.5"),
+            ("count", True, "kernel_grid.count: expected an integer, got True"),
+            ("count", 0, "kernel count must be at least 1"),
+            ("lo", 0, "invalid parameter span [0.0, 10.0]: need 0 < lo < hi < inf"),
+            ("hi", math.inf, "invalid parameter span [0.01, inf]: need 0 < lo < hi < inf"),
+            ("family", "Gaussian", "unknown kernel family 'Gaussian'"),
+        ],
+    )
+    def test_grid_refused_alike_in_config_and_model(self, tmp_path, fitted_model, capsys, key,
+                                                    value, message):
+        # one reader takes the kernel_grid block of a config and of a model file
+        path = synthetic_config(tmp_path)
+        edit_config(path, ("kernel_grid", key), value)
+        err = assert_input_error(capsys, cli.main(["validate-config", "--config", str(path)]))
+        assert err.endswith(f": invalid configuration: {message}\n")
+        rc = predict_with_edited_model(
+            tmp_path, fitted_model, lambda p: p["kernel_grid"].update({key: value})
+        )
+        err = assert_input_error(capsys, rc)
+        assert err.endswith(f": invalid model: {message}\n")
+
     def test_unedited_model_predicts(self, tmp_path, fitted_model):
         assert predict_with_edited_model(tmp_path, fitted_model, lambda p: None) == 0
 
@@ -912,11 +954,11 @@ class TestModelFile:
         # N = 300 training inputs, M = 100 nodes: 70k numbers, a 1.4 MB file
         rng = np.random.default_rng(3)
         n, m = 300, 100
-        grid = {"family": "gaussian", "lo": 0.01, "hi": 10.0, "count": 12}
+        grid = KernelGrid(count=12)
         weights = np.triu(rng.uniform(size=(m, m)), 1)
         model = solver.KrgModel(
             psi=rng.normal(size=(n, m)), alpha=0.1, beta=2.0,
-            dictionary=build_dictionary(rng.normal(size=(n, m)), count=12),
+            dictionary=build_dictionary(rng.normal(size=(n, m)), KernelGrid(count=12)),
             rho=rng.uniform(size=12), graph=build_graph(weights + weights.T),
         )
         path = tmp_path / "model.json"
@@ -1090,7 +1132,7 @@ class TestExperimentCommand:
             rho_rows = list(csv.reader(fh))
         assert rho_rows[0] == ["kernel_index", "parameter", "rho"]
         assert len(rho_rows) == 1 + 12  # one row per kernel
-        specs = grid_specs("gaussian", (0.01, 10.0), 12)
+        specs = KernelGrid("gaussian", 0.01, 10.0, 12).specs()
         assert [float(r[1]) for r in rho_rows[1:]] == [s.parameter for s in specs]
 
         report = json.loads((out / "report.json").read_text())

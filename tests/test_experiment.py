@@ -10,14 +10,15 @@ from graphkern import (
     ExperimentDataset,
     GAUSSIAN,
     KernelDictionary,
+    KernelGrid,
     KernelSpec,
     NodeCoordinates,
     SolverConfig,
     add_noise_snr,
+    build_dictionary,
     build_graph,
     geodesic_adjacency,
     grid_search_hyperparams,
-    grid_specs,
     make_synthetic_dataset,
     monte_carlo,
     nmse,
@@ -185,7 +186,7 @@ class TestRunTrial:
         # penalty; the 0.1 bound was calibrated on a pilot run
         cfg = ExperimentConfig(
             snr_db=300.0, n_train=20, n_realizations=1, alpha=0.001, beta=0.0,
-            grid_count=30, master_seed=0,
+            grid=KernelGrid(count=30), master_seed=0,
         )
         result = run_trial(small_dataset, cfg, trial_seed(0, 0))
         assert not result.errors
@@ -195,16 +196,16 @@ class TestRunTrial:
         # fitting and evaluating on the same noiseless block: near-zero error
         cfg = ExperimentConfig(
             snr_db=300.0, n_train=12, n_realizations=1, alpha=1e-6, beta=0.0,
-            grid_count=20, master_seed=1,
+            grid=KernelGrid(count=20), master_seed=1,
         )
         seed = trial_seed(1, 0)
         rng = np.random.default_rng(seed.spawn(2)[0])
         perm = rng.permutation(small_dataset.num_pairs)
         idx = perm[:12]
         x, t = small_dataset.inputs[idx], small_dataset.targets[idx]
-        from graphkern import build_dictionary, optimize
+        from graphkern import optimize
 
-        d = build_dictionary(x, span=cfg.grid_span, count=20)
+        d = build_dictionary(x, cfg.grid)
         fitted, _ = optimize(d, small_dataset.graph, t, cfg.solver, 1e-6, 0.0)
         model = solve_structured(d, fitted.rho, small_dataset.graph, t, 1e-6, 0.0)
         assert nmse(model.predict(x), t) < 1e-6
@@ -213,7 +214,7 @@ class TestRunTrial:
         self, small_dataset, monkeypatch
     ):
         from graphkern import experiment, mkl
-        from graphkern.experiment import _fit_method, _grid_dictionary
+        from graphkern.experiment import _fit_method
 
         solves = []
 
@@ -223,10 +224,10 @@ class TestRunTrial:
 
         for module in (experiment, mkl):
             monkeypatch.setattr(module, "solve_structured", counting)
-        cfg = ExperimentConfig(n_train=12, n_realizations=1, grid_count=20)
+        cfg = ExperimentConfig(n_train=12, n_realizations=1, grid=KernelGrid(count=20))
         x, t = small_dataset.inputs[:12], small_dataset.targets[:12]
         model, trace = _fit_method(
-            METHOD_MULTI, _grid_dictionary(x, cfg), t, small_dataset.graph, cfg
+            METHOD_MULTI, build_dictionary(x, cfg.grid), t, small_dataset.graph, cfg
         )
         iterations = trace.iterations_used
         assert iterations >= 1
@@ -432,16 +433,11 @@ class TestConfigGrid:
             ("gaussian", ("a", 1.0), 10, ValueError, "could not convert string to float: 'a'"),
         ],
     )
-    def test_refusals_are_those_of_grid_specs(self, family, span, count, error, message):
-        # the config checks the grid without building it, and must refuse
-        # exactly what grid_specs refuses, with the same message
-        for build in (
-            lambda: grid_specs(family, span, count),
-            lambda: ExperimentConfig(grid_family=family, grid_span=span, grid_count=count),
-        ):
-            with pytest.raises(error) as got:
-                build()
-            assert str(got.value) == message
+    def test_kernel_grid_refusals(self, family, span, count, error, message):
+        # the grid is checked when made, without building a spec per kernel
+        with pytest.raises(error) as got:
+            KernelGrid(family, *span, count)
+        assert str(got.value) == message
 
     @pytest.mark.parametrize(
         "family, span, count",
@@ -449,5 +445,5 @@ class TestConfigGrid:
          ("linear", (7.0, -1.0), 3)],
     )
     def test_accepted_grids_build(self, family, span, count):
-        config = ExperimentConfig(grid_family=family, grid_span=span, grid_count=count)
-        assert len(grid_specs(config.grid_family, config.grid_span, config.grid_count)) == count
+        config = ExperimentConfig(grid=KernelGrid(family, *span, count))
+        assert len(config.grid.specs()) == count

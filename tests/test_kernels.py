@@ -9,11 +9,11 @@ from graphkern import (
     GAUSSIAN,
     LINEAR,
     KernelDictionary,
+    KernelGrid,
     KernelSpec,
     KrgModel,
     build_dictionary,
     combine,
-    grid_specs,
     kernel_cross,
     make_synthetic_dataset,
 )
@@ -60,25 +60,25 @@ class TestKernelEval:
 class TestBuildDictionary:
     def test_grid_endpoints_and_step(self):
         x = np.zeros((2, 1))
-        d = build_dictionary(x, span=(0.01, 10.0), count=100)
+        d = build_dictionary(x, KernelGrid(lo=0.01, hi=10.0, count=100))
         params = np.array([s.parameter for s in d.specs])
         assert params[0] == pytest.approx(0.01)
         assert params[-1] == pytest.approx(10.0)
         np.testing.assert_allclose(np.diff(params), 9.99 / 99, rtol=1e-12)
 
     def test_single_kernel_grid(self):
-        d = build_dictionary(np.zeros((2, 1)), span=(0.25, 10.0), count=1)
+        d = build_dictionary(np.zeros((2, 1)), KernelGrid(lo=0.25, hi=10.0, count=1))
         assert d.num_kernels == 1
         assert d.specs[0].parameter == pytest.approx(0.25)
 
     def test_one_sample_unit_matrices(self):
-        d = build_dictionary(np.array([[1.0, 2.0]]), span=(0.5, 2.0), count=3)
+        d = build_dictionary(np.array([[1.0, 2.0]]), KernelGrid(lo=0.5, hi=2.0, count=3))
         np.testing.assert_allclose(stack(d), np.ones((3, 1, 1)))
 
     def test_matrices_match_pointwise_eval(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(4, 3))
-        d = build_dictionary(x, span=(0.3, 3.0), count=5)
+        d = build_dictionary(x, KernelGrid(lo=0.3, hi=3.0, count=5))
         mats = stack(d)
         for s, spec in enumerate(d.specs):
             for m in range(4):
@@ -89,28 +89,28 @@ class TestBuildDictionary:
 
     def test_invalid_span(self):
         with pytest.raises(ValueError, match="span"):
-            build_dictionary(np.zeros((2, 1)), span=(0.0, 1.0), count=2)
+            build_dictionary(np.zeros((2, 1)), KernelGrid(lo=0.0, hi=1.0, count=2))
         with pytest.raises(ValueError, match="span"):
-            build_dictionary(np.zeros((2, 1)), span=(2.0, 1.0), count=2)
+            build_dictionary(np.zeros((2, 1)), KernelGrid(lo=2.0, hi=1.0, count=2))
         with pytest.raises(ValueError, match="span"):
-            build_dictionary(np.zeros((2, 1)), span=(0.01, np.inf), count=2)
+            build_dictionary(np.zeros((2, 1)), KernelGrid(lo=0.01, hi=np.inf, count=2))
         with pytest.raises(ValueError, match="span"):
-            build_dictionary(np.zeros((2, 1)), span=(np.nan, 1.0), count=2)
+            build_dictionary(np.zeros((2, 1)), KernelGrid(lo=np.nan, hi=1.0, count=2))
 
     @pytest.mark.parametrize("count", [10**41, 2**60, 2**60 - 1])
     def test_oversized_count(self, count):
         # np.linspace raises its own ValueError for each of these counts,
         # without allocating; 2**60 - 1 rounds up to numpy's limit
         with pytest.raises(ValueError, match=f"kernel grid count {count} exceeds"):
-            grid_specs(GAUSSIAN, (0.01, 10.0), count)
+            KernelGrid(GAUSSIAN, 0.01, 10.0, count)
 
     def test_empty_training_set(self):
         with pytest.raises(ValueError, match="empty"):
-            build_dictionary(np.zeros((0, 2)), count=2)
+            build_dictionary(np.zeros((0, 2)), KernelGrid(count=2))
 
     def test_with_specs_shares_the_distances(self):
         x = np.random.default_rng(2).normal(size=(2, 6, 3))  # a stack of two sets
-        d = build_dictionary(x, span=(0.2, 4.0), count=7)
+        d = build_dictionary(x, KernelGrid(lo=0.2, hi=4.0, count=7))
         linear = d._with_specs([KernelSpec(LINEAR)])
         assert "sq_distances" not in vars(d)  # a linear kernel needs none
         single = d._with_specs([KernelSpec(GAUSSIAN, 0.5)])
@@ -123,7 +123,7 @@ class TestBuildDictionary:
 
     def test_linked_dictionaries_share_distances_of_read_only_inputs_only(self, monkeypatch):
         rng = np.random.default_rng(3)
-        d = build_dictionary(rng.normal(size=(6, 3)), span=(0.2, 4.0), count=7)
+        d = build_dictionary(rng.normal(size=(6, 3)), KernelGrid(lo=0.2, hi=4.0, count=7))
         single = d._with_specs([KernelSpec(GAUSSIAN, 0.5)])
         calls = []
         route = kernels._cross_sq_distances
@@ -149,7 +149,7 @@ class TestBuildDictionary:
     def test_matrices_symmetric_psd_with_unit_diagonal(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(6, 2))
-        d = build_dictionary(x, span=(0.2, 4.0), count=7)
+        d = build_dictionary(x, KernelGrid(lo=0.2, hi=4.0, count=7))
         for mat in stack(d):
             np.testing.assert_allclose(mat, mat.T, atol=1e-9)
             np.testing.assert_allclose(np.diag(mat), np.ones(6), atol=1e-12)
@@ -160,7 +160,7 @@ class TestCombine:
     @pytest.fixture
     def dictionary(self):
         rng = np.random.default_rng(2)
-        return build_dictionary(rng.normal(size=(5, 2)), span=(0.3, 3.0), count=4)
+        return build_dictionary(rng.normal(size=(5, 2)), KernelGrid(lo=0.3, hi=3.0, count=4))
 
     def test_zero_weights(self, dictionary):
         np.testing.assert_array_equal(
@@ -218,7 +218,7 @@ class TestKernelVector:
     def test_training_point_recovers_unit_entry(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(4, 3))
-        d = build_dictionary(x, span=(0.5, 2.0), count=3)
+        d = build_dictionary(x, KernelGrid(lo=0.5, hi=2.0, count=3))
         e1 = np.zeros(3)
         e1[1] = 1.0
         v = kernel_vector(d, e1, x[2])
@@ -228,7 +228,7 @@ class TestKernelVector:
     def test_non_finite_weights(self, bad):
         rng = np.random.default_rng(15)
         x = rng.normal(size=(3, 2))
-        d = build_dictionary(x, span=(0.5, 2.0), count=2)
+        d = build_dictionary(x, KernelGrid(lo=0.5, hi=2.0, count=2))
         rho = np.array([bad, 1.0])
         with pytest.raises(ValueError, match="finite"):
             kernel_cross(d, rho, rng.normal(size=(2, 2)))
@@ -241,7 +241,7 @@ class TestKernelVector:
     def test_non_finite_inputs(self, bad, batch):
         # in a stack, one entry of one set
         rng = np.random.default_rng(16)
-        d = build_dictionary(rng.normal(size=batch + (3, 2)), span=(0.5, 2.0), count=2)
+        d = build_dictionary(rng.normal(size=batch + (3, 2)), KernelGrid(lo=0.5, hi=2.0, count=2))
         x = rng.normal(size=batch + (4, 2))
         x[(1,) * len(batch) + (2, 1)] = bad
         rho = np.ones(batch + (2,))
@@ -265,7 +265,7 @@ class TestKernelVector:
     )
     def test_wrong_input_shape(self, batch, shape):
         rng = np.random.default_rng(17)
-        d = build_dictionary(rng.normal(size=batch + (3, 2)), span=(0.5, 2.0), count=2)
+        d = build_dictionary(rng.normal(size=batch + (3, 2)), KernelGrid(lo=0.5, hi=2.0, count=2))
         rho = np.ones(batch + (2,))
         with pytest.raises(ValueError, match="inputs must have shape"):
             kernel_cross(d, rho, rng.normal(size=shape))
@@ -278,7 +278,7 @@ class TestKernelVector:
     def test_stack_gives_each_set_as_alone(self, family, monkeypatch):
         rng = np.random.default_rng(18)
         specs = {
-            GAUSSIAN: grid_specs(span=(0.05, 4.0), count=7),
+            GAUSSIAN: KernelGrid(lo=0.05, hi=4.0, count=7).specs(),
             LINEAR: [KernelSpec(LINEAR)],
             "mixed": [KernelSpec(GAUSSIAN, 0.3), KernelSpec(LINEAR), KernelSpec(GAUSSIAN, 2.0),
                       KernelSpec(GAUSSIAN, 0.9), KernelSpec(LINEAR)],
@@ -316,7 +316,7 @@ class TestKernelVector:
             np.testing.assert_allclose(got[b], expected, rtol=1e-12, atol=1e-12)
 
     def test_zero_weights_zero_vector(self):
-        d = build_dictionary(np.ones((3, 2)) * np.arange(3)[:, None], count=4)
+        d = build_dictionary(np.ones((3, 2)) * np.arange(3)[:, None], KernelGrid(count=4))
         np.testing.assert_array_equal(
             kernel_vector(d, np.zeros(4), np.array([0.5, 0.5])), np.zeros(3)
         )
@@ -328,8 +328,8 @@ class TestKernelVector:
         x = rng.normal(size=(5, 2))
         x_new = rng.normal(size=2)
         rho = rng.uniform(0, 1, size=6)
-        d = build_dictionary(x, span=(0.4, 4.0), count=6)
-        d_aug = build_dictionary(np.vstack([x, x_new]), span=(0.4, 4.0), count=6)
+        d = build_dictionary(x, KernelGrid(lo=0.4, hi=4.0, count=6))
+        d_aug = build_dictionary(np.vstack([x, x_new]), KernelGrid(lo=0.4, hi=4.0, count=6))
         expected = combine(d_aug, rho)[:5, 5]
         np.testing.assert_allclose(kernel_vector(d, rho, x_new), expected, atol=1e-12)
 
@@ -387,7 +387,7 @@ class TestCrossDistances:
             num_nodes=200, num_pairs=400, seed=1, mode="geodesic"
         ).inputs
         rows, cols = np.triu_indices(len(x), 1)
-        got = build_dictionary(x, count=2).sq_distances
+        got = build_dictionary(x, KernelGrid(count=2)).sq_distances
         err = np.abs(got - oracles.sq_distances(x, x)[rows, cols])
         assert np.all(err <= cross_bound(x, x)[rows, cols])
 
@@ -472,7 +472,7 @@ class TestMatrixFreeAgainstStack:
     def test_negative_weights(self):
         # such weights can make K indefinite; no route combines them
         rng = np.random.default_rng(10)
-        d = build_dictionary(rng.normal(size=(12, 2)), span=(0.2, 4.0), count=9)
+        d = build_dictionary(rng.normal(size=(12, 2)), KernelGrid(lo=0.2, hi=4.0, count=9))
         rho = rng.uniform(-0.5, 1.0, size=9)
         assert np.any(rho < 0)
         with pytest.raises(ValueError, match="nonnegative"):
@@ -484,7 +484,7 @@ class TestMatrixFreeAgainstStack:
     def test_partial_last_block(self, monkeypatch, n, block_entries):
         monkeypatch.setattr(kernels, "BLOCK_ENTRIES", block_entries)
         rng = np.random.default_rng(12)
-        d = build_dictionary(rng.normal(size=(n, 3)), span=(0.3, 3.0), count=100)
+        d = build_dictionary(rng.normal(size=(n, 3)), KernelGrid(lo=0.3, hi=3.0, count=100))
         pairs = n * (n - 1) // 2
         assert pairs > block_entries // 100 and pairs % (block_entries // 100) != 0
         rho = np.zeros(100)
@@ -516,7 +516,7 @@ def gradient_matches(d, psi, alpha=0.7):
 
 def scaled_to(x, largest):
     """``x`` scaled so that its largest squared distance is ``largest``."""
-    d = build_dictionary(x, count=1)
+    d = build_dictionary(x, KernelGrid(count=1))
     return x * np.sqrt(largest / d.sq_distances.max())
 
 
@@ -540,7 +540,7 @@ class TestSkeleton:
             [scaled_to(rng.normal(size=(20, 3)), top) for top in (0.1, 3.0, 100.0)]
         )
         psi = rng.normal(size=(3, 20, 4))
-        specs = grid_specs()
+        specs = KernelGrid().specs()
         stacked = kernel_inner_products(
             KernelDictionary.from_specs(sets, specs), psi @ np.swapaxes(psi, -1, -2)
         )
@@ -552,7 +552,7 @@ class TestSkeleton:
     @pytest.mark.parametrize("n", [1, 40])
     def test_mixed_families(self, n):
         rng = np.random.default_rng(18)
-        specs = grid_specs()
+        specs = KernelGrid().specs()
         specs[:0] = [KernelSpec(LINEAR)]
         specs[50:50] = [KernelSpec(LINEAR)]
         d = KernelDictionary.from_specs(rng.normal(size=(n, 3)), specs)
@@ -564,7 +564,7 @@ class TestSkeleton:
 
     def test_small_grid_is_the_identity(self):
         rng = np.random.default_rng(19)
-        d = build_dictionary(rng.normal(size=(12, 3)), span=(0.3, 3.0), count=4)
+        d = build_dictionary(rng.normal(size=(12, 3)), KernelGrid(lo=0.3, hi=3.0, count=4))
         gradient_matches(d, rng.normal(size=(12, 3)))
         rows, interp = d._skeleton
         np.testing.assert_array_equal(rows, np.arange(4))

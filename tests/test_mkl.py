@@ -6,6 +6,7 @@ from scipy.optimize import minimize
 
 from graphkern import (
     KernelDictionary,
+    KernelGrid,
     KernelSpec,
     SingularSystemError,
     SolverConfig,
@@ -29,7 +30,7 @@ from .oracles import (
 
 def random_instance(rng, m, n, s, unit_targets=True):
     x = rng.normal(size=(n, 3))
-    d = build_dictionary(x, span=(0.3, 3.0), count=s)
+    d = build_dictionary(x, KernelGrid(lo=0.3, hi=3.0, count=s))
     a = np.abs(rng.normal(size=(m, m)))
     a = 0.5 * (a + a.T)
     np.fill_diagonal(a, 0.0)
@@ -235,7 +236,7 @@ class TestWeightTypes:
         # each rule has one owner: the weight domain is the solver's weight
         # check, q is SolverConfig's, and the radius is kept by optimize's
         # final projection (TestOptimize::test_feasible_iterates_reported)
-        d = build_dictionary(np.zeros((3, 2)), span=(0.3, 3.0), count=2)
+        d = build_dictionary(np.zeros((3, 2)), KernelGrid(lo=0.3, hi=3.0, count=2))
         kernels._checked_weights(d, np.array([1.0, 2.0]))
         with pytest.raises(ValueError, match="nonnegative"):
             kernels._checked_weights(d, np.array([-0.1, 1.0]))
@@ -263,7 +264,7 @@ def domain_instance(rng, stacked):
     """One system, or a stack of three, with two kernels over four inputs."""
     _, g, t = random_instance(rng, 3, 4, 2)
     batch = (3,) if stacked else ()
-    d = build_dictionary(rng.normal(size=batch + (4, 3)), span=(0.3, 3.0), count=2)
+    d = build_dictionary(rng.normal(size=batch + (4, 3)), KernelGrid(lo=0.3, hi=3.0, count=2))
     return d, g, np.broadcast_to(t, batch + t.shape), np.full(batch + (2,), 0.5)
 
 

@@ -7,6 +7,7 @@ from graphkern import (
     GAUSSIAN,
     LINEAR,
     KernelDictionary,
+    KernelGrid,
     KernelSpec,
     SingularSystemError,
     build_dictionary,
@@ -22,7 +23,7 @@ from .oracles import krg_objective, solve_dense
 
 def random_instance(rng, m, n, s, input_dim=3):
     x = rng.normal(size=(n, input_dim))
-    d = build_dictionary(x, span=(0.3, 3.0), count=s)
+    d = build_dictionary(x, KernelGrid(lo=0.3, hi=3.0, count=s))
     a = np.abs(rng.normal(size=(m, m)))
     a = 0.5 * (a + a.T)
     np.fill_diagonal(a, 0.0)
@@ -81,7 +82,7 @@ class TestSolveDense:
     def test_singular_system_guard(self):
         # alpha = 0 with a rank-deficient kernel (duplicated inputs)
         x = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        d = build_dictionary(x, span=(1.0, 2.0), count=1)
+        d = build_dictionary(x, KernelGrid(lo=1.0, hi=2.0, count=1))
         g = build_graph(np.zeros((2, 2)))
         t = np.ones((3, 2))
         with pytest.raises(SingularSystemError, match="alpha"):
@@ -101,7 +102,7 @@ class TestSolveStructured:
     def test_edgeless_graph_matches_ridge(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(4, 2))
-        d = build_dictionary(x, span=(0.5, 2.0), count=2)
+        d = build_dictionary(x, KernelGrid(lo=0.5, hi=2.0, count=2))
         g = build_graph(np.zeros((3, 3)))
         t = rng.normal(size=(4, 3))
         rho = np.array([0.3, 0.6])
@@ -124,7 +125,7 @@ class TestSolveStructured:
 
     def test_singular_guard(self):
         x = np.array([[1.0], [1.0]])
-        d = build_dictionary(x, span=(1.0, 2.0), count=1)
+        d = build_dictionary(x, KernelGrid(lo=1.0, hi=2.0, count=1))
         g = build_graph(np.zeros((2, 2)))
         with pytest.raises(SingularSystemError, match="alpha"):
             solve_structured(d, np.ones(1), g, np.ones((2, 2)), alpha=0.0, beta=0.0)
@@ -154,7 +155,7 @@ class TestNonpositiveDenominator:
 
     def test_stack_records_the_failing_set_only(self, monkeypatch):
         rng = np.random.default_rng(44)
-        d = build_dictionary(rng.normal(size=(3, 4, 3)), span=(0.3, 3.0), count=2)
+        d = build_dictionary(rng.normal(size=(3, 4, 3)), KernelGrid(lo=0.3, hi=3.0, count=2))
         _, g, _ = random_instance(rng, 3, 4, 2)
         t = rng.normal(size=(3, 4, 3))
         expected = solve_structured(d, np.ones((3, 2)), g, t, alpha=0.5, beta=1.0)
@@ -185,7 +186,7 @@ class TestZeroWeights:
 
     def test_stack_matches_eigh_route_bitwise(self):
         rng = np.random.default_rng(41)
-        d = build_dictionary(rng.normal(size=(5, 7, 3)), span=(0.3, 3.0), count=4)
+        d = build_dictionary(rng.normal(size=(5, 7, 3)), KernelGrid(lo=0.3, hi=3.0, count=4))
         _, g, _ = random_instance(rng, 4, 7, 4)
         t = rng.normal(size=(5, 7, 4))
         model = solve_structured(d, np.zeros((5, 4)), g, t, alpha=0.1, beta=5.5)
@@ -198,7 +199,7 @@ class TestZeroWeights:
         d, g, t = random_instance(rng, 3, 4, 2)
         with pytest.raises(SingularSystemError, match="alpha"):
             solve_structured(d, np.zeros(2), g, t, alpha=0.0, beta=1.0)
-        stacked = build_dictionary(rng.normal(size=(3, 4, 3)), span=(0.3, 3.0), count=2)
+        stacked = build_dictionary(rng.normal(size=(3, 4, 3)), KernelGrid(lo=0.3, hi=3.0, count=2))
         model = solve_structured(
             stacked, np.zeros((3, 2)), g, rng.normal(size=(3, 4, 3)), alpha=0.0, beta=1.0
         )
@@ -315,7 +316,7 @@ def curve_instance(seed=50, n=600, m=4):
     rng = np.random.default_rng(seed)
     s = np.sort(rng.uniform(0.0, 6.0, n))
     x = np.column_stack([np.cos(s), np.sin(s), 0.3 * s])
-    d = build_dictionary(x, span=(0.01, 10.0), count=20)
+    d = build_dictionary(x, KernelGrid(lo=0.01, hi=10.0, count=20))
     _, g, _ = random_instance(rng, m, 2, 1)
     rho = np.zeros(20)
     rho[[12, 16]] = 1.0
@@ -358,7 +359,7 @@ class TestLowRankRoute:
 
     def test_full_rank_instance_falls_back_bit_for_bit(self, monkeypatch):
         rng = np.random.default_rng(51)
-        d = build_dictionary(rng.normal(size=(300, 3)), span=(0.01, 10.0), count=20)
+        d = build_dictionary(rng.normal(size=(300, 3)), KernelGrid(lo=0.01, hi=10.0, count=20))
         _, g, _ = random_instance(rng, 4, 2, 1)
         t = rng.normal(size=(300, 4))
         rho = np.zeros(20)
@@ -391,7 +392,7 @@ class TestLowRankRoute:
     def test_stacks_never_sketch(self, monkeypatch):
         d, rho, g, t = curve_instance()
         x = d.training_inputs
-        stacked = build_dictionary(np.stack([x, x[::-1]]), span=(0.01, 10.0), count=20)
+        stacked = build_dictionary(np.stack([x, x[::-1]]), KernelGrid(lo=0.01, hi=10.0, count=20))
         kept = self.spy(monkeypatch)
         model = solve_structured(stacked, np.stack([rho, rho]), g, np.stack([t, t[::-1]]),
                                  alpha=0.1, beta=5.5)
