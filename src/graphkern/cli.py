@@ -450,9 +450,26 @@ def _dataset_from_config(cfg):
 # ---------------------------------------------------------------------------
 
 def _kernel_grid(block):
-    """The KernelGrid of a config's or a model file's ``kernel_grid``; other keys are ignored."""
-    return KernelGrid(block["family"], float(block["lo"]), float(block["hi"]),
+    """The KernelGrid of a config's or a model file's ``kernel_grid``; other keys are ignored.
+
+    Every command reads the grid here, before it allocates anything for
+    it, so ``validate-config``, ``fit``, ``experiment`` and ``predict``
+    refuse the same counts: a grid whose parameters alone, one double per
+    kernel, exceed the machine's physical memory raises ``MemoryError``.
+    """
+    grid = KernelGrid(block["family"], float(block["lo"]), float(block["hi"]),
                       _integer(block["count"], "kernel_grid.count"))
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no such query here: numpy's own check stands
+        return grid
+    if 8 * grid.count > memory:
+        raise MemoryError(
+            f"kernel grid count {grid.count}: its parameters alone take "
+            f"{8 * grid.count / 2**30:.4g} GiB, more than the {memory / 2**30:.4g} GiB "
+            f"of physical memory"
+        )
+    return grid
 
 
 def save_model(path, model, grid, names, iterations, final_gamma):

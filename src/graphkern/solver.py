@@ -11,7 +11,12 @@ input are ``y = Psi^T k(x)``.
 :func:`solve_structured` diagonalizes ``L`` (and ``K``) to decouple the
 system into M small solves, giving the ``Psi`` of the MN x MN system up to
 round-off without forming it.  Setting ``beta = 0`` recovers standard
-kernel ridge regression ``Psi = (K + alpha I)^{-1} T``.
+kernel ridge regression ``Psi = (K + alpha I)^{-1} T``.  It rotates the
+targets into graph-spectral coordinates, ``T~ = T U`` with
+``L = U diag(lam) U^T``, solves there, and rotates the solution back,
+``Psi = Psi~ U^T``.  The optimizer of :mod:`graphkern.mkl` calls the same
+solve in rotated coordinates, once per iterate, and rotates only once per
+fit each way.
 
 :func:`solve_structured` also fits a stack of B systems that share the
 graph, one per training set of a stacked dictionary, with one batched
@@ -22,24 +27,43 @@ At ``rho = 0``, where the optimizer starts, ``K = 0`` and no ``eigh``
 runs: its eigendecomposition (0, I) is known.
 
 A single training set of at least ``LOW_RANK_MIN_SIZE`` inputs first
-tries a certified low-rank eigenbasis of ``K`` (Halko, Martinsson & Tropp
-2011, "Finding structure with randomness").  A range sketch
-``Y = K Omega``, its Gaussian ``Omega`` seeded by N so that a fit is
-reproducible, grows ``ceil(N / 32)`` columns at a time until the Cholesky
-factorization of its core ``Omega^T K Omega`` breaks down or shows a
-pivot at round-off or below ``1e-8 alpha / max(1 + beta lam)``: off the
-sketched range ``K`` is then negligible next to ``alpha``.  ``Q = qr(Y)``
-and ``eigh(Q^T K Q)`` give the eigenpairs on the range; off it the
-eigenvalue is taken as 0, so those denominators are ``alpha`` and the
-condition rule keeps its meaning.  The solution is refined once against
-the full column systems and kept only when their normwise backward error
-is at most ``LOW_RANK_TOLERANCE``, just above round-off; a relative
-residual would not do, as its round-off grows with the condition of the
-systems.  A sketch that reaches 0.4 N columns, a condition estimate
-beyond the limit or a failed certificate leaves the solve to the dense
-``eigh``, unchanged; so do stacks and smaller sets.  The
-``graphkern.solver`` logger reports each solve's route, sketch rank and
-backward error at DEBUG level.
+tries a certified low-rank eigenbasis of ``K``:
+
+- **Sketch** (Halko, Martinsson & Tropp 2011, "Finding structure with
+  randomness").  A range sketch ``Y = K Omega`` grows ``ceil(N / 32)``
+  Gaussian columns at a time until the Cholesky factorization
+  ``L L^T`` of its core ``Omega^T K Omega`` breaks down or shows a pivot
+  at round-off or below ``1e-8 alpha / max(1 + beta lam)``: off the
+  sketched range ``K`` is then negligible next to ``alpha``.
+- **Nystrom eigenbasis** (Tropp, Yurtsever, Udell & Cevher 2017,
+  "Fixed-rank approximation of a positive-semidefinite matrix from
+  streaming data").  The eigenpairs are those of the Nystrom
+  approximation ``Y core^-1 Y^T = F^T F``, ``F = L^-1 Y^T``, taken from
+  the small ``eigh(F F^T) = W diag(s^2) W^T`` as ``V = F^T W / s``, with
+  the factor the stopping rule computed: no second pass over ``K``.
+  Where the core's factorization broke down, ``L`` factors the shifted
+  core ``Omega^T (K + nu I) Omega`` instead, ``Y`` becomes
+  ``(K + nu I) Omega`` and ``nu``, with ``nu = eps ||Y||_F``, is taken
+  off the eigenvalues.  Modes at the round-off of ``F F^T``, or within
+  the shift, count as off the range, where the eigenvalue is taken as 0:
+  those denominators are ``alpha`` and the condition rule keeps its
+  meaning.
+- **Certificate.**  The solution is refined once against the full column
+  systems and kept only when their normwise backward error is at most
+  ``LOW_RANK_TOLERANCE``, just above round-off; a relative residual would
+  not do, as its round-off grows with the condition of the systems.  The
+  bound takes the largest eigenvalue of the Nystrom approximation, at most
+  that of ``K``, so the test is no weaker than with ``K``'s own.
+- **One fit, one ``Omega``.**  ``Omega`` is seeded by N, so that a fit is
+  reproducible, and drawn once per fit, as far as its widest sketch
+  needs; :func:`solve_structured` alone is a fit of one solve.
+- **Fallback.**  A sketch that reaches 0.4 N columns, a shifted core that
+  still has no factor, a condition estimate beyond the limit or a failed
+  certificate leaves the solve to the dense ``eigh``, unchanged, and so
+  do the later solves of the same fit; so do stacks and smaller sets.
+
+The ``graphkern.solver`` logger reports each solve's route, sketch rank
+and backward error at DEBUG level.
 
 The weights must be nonnegative and finite, so that ``K`` is positive
 semidefinite; others raise ``ValueError``, as they do in
@@ -158,17 +182,64 @@ def solve_structured(dictionary, rho, graph, targets, alpha, beta):
     Both routes refuse negative or non-finite weights (``ValueError``).
     """
     rho, t = _check_fit_args(dictionary, rho, graph, targets, alpha, beta)
-    u, lam = graph.lap_eigvecs, graph.lap_eigvals
+    u = graph.lap_eigvecs
+    psi, errors = _solve_rotated(dictionary, rho, graph, t @ u, alpha, beta, _Sketch())
+    return KrgModel(psi @ u.T, float(alpha), float(beta), dictionary, rho, graph, errors)
+
+
+class _Sketch:
+    """What the low-rank solves of one fit share.
+
+    The Gaussian test matrix ``Omega``, seeded by N, is drawn once, as far
+    as the widest sketch so far needs.  Its columns are stored as rows, so
+    that a sketch that stops early touches only the pages of the rows it
+    draws.  A refused sketch sets ``refused`` and frees ``Omega``: the
+    later solves of the fit take the dense ``eigh`` at once.
+    """
+
+    def __init__(self):
+        self.refused = False
+        self._rng = None
+        self._rows = None
+        self._drawn = 0
+
+    def refuse(self):
+        """Send the later solves of the fit to the dense ``eigh``; ``Omega`` is freed."""
+        self.refused = True
+        self._rows = None
+
+    def omega(self, n, rank):
+        """The first ``rank`` columns of ``Omega``, as a (rank, n) array."""
+        if self._rows is None:
+            self._rng = np.random.default_rng(n)
+            self._rows = np.empty((int(_SKETCH_CAP * n), n))
+        if rank > self._drawn:
+            self._rows[self._drawn:rank] = self._rng.standard_normal((rank - self._drawn, n))
+            self._drawn = rank
+        return self._rows[:rank]
+
+
+def _solve_rotated(dictionary, rho, graph, t_rot, alpha, beta, sketch):
+    """``(Psi~, errors)``: the fit in graph-spectral coordinates.
+
+    ``t_rot`` is ``T~ = T U`` and the solution ``Psi~ = Psi U``; ``rho``
+    is checked already, and ``sketch`` is the fit's :class:`_Sketch`.  One
+    training set raises :class:`SingularSystemError` for a failing system
+    and has ``errors`` None.  A stack has per set ``None`` or the message,
+    and a failing set's ``Psi~`` is zero.
+    """
+    lam = graph.lap_eigvals
     n = dictionary.num_samples
     # kvecs None stands for K = 0, for which LAPACK's eigh returns exactly
     # (0, I); a product with I is exact, so it is skipped
     kvecs = None
     if rho.any():
         k = combine(dictionary, rho)
-        if not dictionary.batch_shape and n >= LOW_RANK_MIN_SIZE and alpha > 0:
-            rotated = _solve_low_rank(k, t @ u, 1.0 + beta * lam, alpha)
-            if rotated is not None:
-                return KrgModel(rotated @ u.T, float(alpha), float(beta), dictionary, rho, graph)
+        if (not dictionary.batch_shape and n >= LOW_RANK_MIN_SIZE and alpha > 0
+                and not sketch.refused):
+            psi = _solve_low_rank(k, t_rot, 1.0 + beta * lam, alpha, sketch)
+            if psi is not None:
+                return psi, None
         else:
             log.debug("solve at N = %d: dense eigh", n)
         kvals, kvecs = np.linalg.eigh(k)
@@ -192,86 +263,115 @@ def solve_structured(dictionary, rho, graph, targets, alpha, beta):
         if not dictionary.batch_shape:
             raise SingularSystemError(messages[0])
         denoms[failed] = 1.0  # their psi is set to zero below
-    coeffs = t @ u
-    if kvecs is not None:
-        coeffs = np.swapaxes(kvecs, -1, -2) @ coeffs
-    np.divide(coeffs, denoms, out=coeffs)
+    psi = t_rot if kvecs is None else np.swapaxes(kvecs, -1, -2) @ t_rot
+    psi = psi / denoms
     del denoms
     if kvecs is not None:
-        coeffs = kvecs @ coeffs
-    psi = coeffs @ u.T
-    errors = None
-    if dictionary.batch_shape:
-        psi[failed] = 0.0
-        errors = tuple(messages)
-    return KrgModel(psi, float(alpha), float(beta), dictionary, rho, graph, errors)
+        psi = kvecs @ psi
+    if not dictionary.batch_shape:
+        return psi, None
+    psi[failed] = 0.0
+    return psi, tuple(messages)
 
 
-def _solve_low_rank(k, t_rot, scale, alpha):
+def _solve_low_rank(k, t_rot, scale, alpha, sketch):
     """``Psi~`` of the column systems ``scale[m] K psi~_m + alpha psi~_m = t_rot[:, m]``.
 
-    Solved through a certified low-rank eigenbasis of the PSD matrix
-    ``k`` (see the module docstring); None when the route refuses, and the
-    caller then takes the dense ``eigh``.
+    Solved through a certified Nystrom eigenbasis of the PSD matrix ``k``
+    (see the module docstring); None when the route refuses, which it
+    records in the fit's ``sketch``, and the caller then takes the dense
+    ``eigh``.
     """
     n = len(k)
+    eps = np.finfo(float).eps
     block, cap = -(-n // _SKETCH_STEPS), int(_SKETCH_CAP * n)
     floor = _SKETCH_FLOOR * alpha / scale.max()
-    rng = np.random.default_rng(n)
-    # sketch columns are stored as rows, so that a sketch that stops early
-    # touches only the pages of the rows it wrote
-    omega = np.empty((cap, n))
-    sketch = np.empty((cap, n))
+    sketch_rows = np.empty((cap, n))  # Y^T = Omega^T K
     core = np.zeros((cap, cap))  # Omega^T K Omega, lower triangle
     rank = 0
     while True:
         if rank + block > cap:
             log.debug("solve at N = %d: no sketch of up to %d columns, dense eigh", n, rank)
+            sketch.refuse()
             return None
         new = slice(rank, rank + block)
         rank += block
-        omega[new] = rng.standard_normal((block, n))
-        sketch[new] = omega[new] @ k
-        core[new, :rank] = sketch[new] @ omega[:rank].T
+        omega = sketch.omega(n, rank)
+        sketch_rows[new] = omega[new] @ k
+        core[new, :rank] = sketch_rows[new] @ omega.T
         try:
-            pivots = np.diagonal(np.linalg.cholesky(core[:rank, :rank])) ** 2
+            factor = np.linalg.cholesky(core[:rank, :rank])
         except np.linalg.LinAlgError:  # not numerically positive definite
+            factor = None
             break
-        roundoff = rank * np.finfo(float).eps * np.trace(core[:rank, :rank])
+        pivots = np.diagonal(factor) ** 2
+        roundoff = rank * eps * np.trace(core[:rank, :rank])
         if pivots.min() <= max(floor, roundoff):
             break
-    q = np.linalg.qr(sketch[:rank].T)[0]
-    del omega, sketch, core
-    kappa, w = np.linalg.eigh(q.T @ (k @ q))
-    v = q @ w
-    del q, w
+    y = sketch_rows[:rank]
+    shift = 0.0
+    if factor is None:
+        # the Nystrom approximation of K + shift I, less the shift (Tropp,
+        # Yurtsever, Udell & Cevher 2017): its core is positive definite
+        shift = eps * np.linalg.norm(y)
+        y = y + shift * omega
+        try:
+            factor = np.linalg.cholesky(core[:rank, :rank] + shift * (omega @ omega.T))
+        except np.linalg.LinAlgError:
+            log.debug("solve at N = %d: sketch rank %d has no shifted Cholesky factor, "
+                      "dense eigh", n, rank)
+            sketch.refuse()
+            return None
+        log.debug("solve at N = %d: core breaks down at sketch rank %d, shift %.1e",
+                  n, rank, shift)
+    del core
+    # the Nystrom approximation is F^T F with F = L^-1 Y^T, written over
+    # Y^T from its last rows up: a row of F reads the rows of Y^T up to its own
+    inverse = np.linalg.inv(factor)
+    for start in range(rank - block, -1, -block):
+        end = start + block
+        y[start:end] = inverse[start:end, :end] @ y[:end]
+    squares, w = np.linalg.eigh(y @ y.T)
+    # modes at the round-off of F F^T, or within the shift, are off the range
+    keep = squares - shift > rank * eps * squares[-1]
+    # the eigenvectors of F^T F, as rows
+    vt = (w[:, keep] / np.sqrt(squares[keep])).T @ y
+    kappa = squares[keep] - shift
+    del sketch_rows, y, w, factor, inverse
     denoms = kappa[:, None] * scale + alpha
     # off the sketched range the eigenvalue is 0 and the denominator alpha
     dmin, dmax = min(denoms.min(), alpha), max(denoms.max(), alpha)
     if not dmin > 0.0 or dmax > CONDITION_LIMIT * dmin:
         log.debug("solve at N = %d: sketch rank %d beyond the condition limit, dense eigh",
                   n, rank)
+        sketch.refuse()
         return None
     gain = 1.0 / denoms - 1.0 / alpha
 
     def approximate_inverse(r):
-        return r / alpha + v @ ((v.T @ r) * gain)
+        out = vt.T @ ((vt @ r) * gain)
+        out += r / alpha
+        return out
 
     def residual(psi):
-        return t_rot - (k @ psi) * scale - alpha * psi
+        out = k @ psi
+        out *= scale
+        np.subtract(t_rot, out, out=out)
+        out -= alpha * psi
+        return out
 
     psi = approximate_inverse(t_rot)
     psi += approximate_inverse(residual(psi))
-    # normwise backward error of the M systems together; kappa[-1] is the
-    # largest eigenvalue of K up to round-off
+    # normwise backward error of the M systems together; kappa[-1], the
+    # largest eigenvalue of the Nystrom approximation, is at most that of K
     size, t_size = np.linalg.norm(residual(psi)), np.linalg.norm(t_rot)
     bound = np.linalg.norm(psi * (kappa[-1] * scale + alpha)) + t_size
     error = size / bound if bound else 0.0  # T~ = 0 gives Psi~ = 0 exactly
     if not error <= LOW_RANK_TOLERANCE:
         log.debug("solve at N = %d: sketch rank %d, backward error %.1e refused, dense eigh",
                   n, rank, error)
+        sketch.refuse()
         return None
     log.debug("solve at N = %d: sketch rank %d, certified backward error %.1e, "
               "relative residual %.1e", n, rank, error, size / t_size if t_size else 0.0)
     return psi
-

@@ -19,12 +19,19 @@ dense references do:
 - :func:`sq_distances` sums the squared differences of every pair of
   rows, the reference for the Gram-identity cross distances.
 
+:func:`optimize_unrotated` is the optimizer loop as it ran before its
+iterations moved to graph-spectral coordinates: one public
+:func:`graphkern.solve_structured` per iteration, which rotates the
+targets in and the solution out, and the objective
+:func:`gamma_from_psi` taken from ``Psi`` in the original coordinates.
+
 :func:`run_trial_sequential` is the per-trial Monte-Carlo body as it was
 before realizations ran in lockstep batches: one training set at a time,
 through the single-set fitting calls, so the batched path can be checked
 against it trial by trial.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -47,6 +54,16 @@ from graphkern import (
 )
 from graphkern import kernels
 from graphkern.experiment import METHOD_LINEAR, METHOD_MULTI, METHOD_SINGLE, METHODS
+from graphkern.mkl import (
+    CONVERGED,
+    OVERFLOW,
+    SINGULAR,
+    OptimizerTrace,
+    _gradient_from_psi,
+    _qnorm,
+    frank_wolfe_gap,
+    project,
+)
 from graphkern.kernels import _checked_weights, kernel_cross
 from graphkern.solver import CONDITION_LIMIT, KrgModel, _check_fit_args
 
@@ -142,6 +159,82 @@ def reduced_objective_matrix(dictionary, graph, rho, alpha, beta):
         graph.laplacian, k
     )
     return -np.kron(np.eye(m), k) @ np.linalg.inv(system)
+
+
+def gamma_from_psi(graph, targets, psi, alpha, beta):
+    """``-tr(T^T K Psi)`` from a solution ``Psi`` in the original coordinates.
+
+    ``K Psi = (T - alpha Psi) U diag(1 / (1 + beta lam)) U^T``, so both
+    factors are rotated here.  One value per system of a stack.
+    """
+    u, lam = graph.lap_eigvecs, graph.lap_eigvals
+    t_rot = targets @ u
+    k_psi_rot = (targets - alpha * psi) @ u / (1.0 + beta * lam)
+    return -np.sum(t_rot * k_psi_rot, axis=(-2, -1))
+
+
+def optimize_unrotated(dictionary, graph, targets, config, alpha, beta):
+    """:func:`graphkern.optimize` through the public solve, in the original coordinates."""
+    targets = np.asarray(targets, dtype=float)
+    batch = dictionary.batch_shape
+    traces = tuple(OptimizerTrace() for _ in range(math.prod(batch)))
+    live = np.ones(batch, dtype=bool)
+    rho_prev = np.zeros(batch + (dictionary.num_kernels,))
+    lam_prev = 1.0
+    for i in range(1, config.i_max + 1):
+        model = solve_structured(dictionary, rho_prev, graph, targets, alpha, beta)
+        if batch:
+            for b in np.flatnonzero(live):
+                if model.errors[b] is not None:
+                    traces[b].error = model.errors[b]
+                    traces[b].status = SINGULAR
+                    live[b] = False
+        mu = config.mu0 / i
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = gamma_from_psi(graph, targets, model.psi, alpha, beta)
+            grad = _gradient_from_psi(dictionary, model.psi, alpha)
+            gap = frank_wolfe_gap(grad, rho_prev, config.radius, config.q)
+            step = rho_prev - mu * grad
+        outside = ~np.isfinite(step).all(axis=-1)
+        if outside.any():
+            message = (f"the step of iteration {i} leaves float range; "
+                       f"consider a smaller mu0 or a larger alpha")
+            if not batch:
+                raise FloatingPointError(message)
+            for b in np.flatnonzero(live & outside):
+                traces[b].error = message
+                traces[b].status = OVERFLOW
+            live = live & ~outside
+            step = np.where(outside[..., None], rho_prev, step)
+        z = project(step, config.radius, config.q)
+        lam = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * lam_prev**2))
+        nu = (lam_prev - 1.0) / lam
+        rho = (1.0 - nu) * z + nu * rho_prev
+        dsq = np.sum((rho - rho_prev) ** 2, axis=-1)
+        norms = _qnorm(rho, config.q)
+        rows = np.flatnonzero(live)
+        for b, v, d, r, g in zip(rows, np.ravel(value)[rows], np.ravel(dsq)[rows],
+                                 np.ravel(norms)[rows], np.ravel(gap)[rows]):
+            traces[b]._append(i, float(v), mu, float(d), float(r), float(g))
+        rho_prev = np.where(live[..., None], rho, rho_prev)
+        lam_prev = lam
+        converged = live & (dsq <= config.epsilon)
+        for b in np.flatnonzero(converged):
+            traces[b].status = CONVERGED
+        live = live & ~converged
+        if not live.any():
+            break
+    rho_final = project(rho_prev, config.radius, config.q)
+    model = solve_structured(dictionary, rho_final, graph, targets, alpha, beta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        final_gamma = np.ravel(gamma_from_psi(graph, targets, model.psi, alpha, beta))
+    for trace, value in zip(traces, final_gamma):
+        trace.final_gamma = float(value)
+    if not batch:
+        return model, traces[0]
+    errors = tuple(t.error or e for t, e in zip(traces, model.errors))
+    model.psi[np.array([e is not None for e in errors]).reshape(batch)] = 0.0
+    return model, traces
 
 
 def sq_distances(a, b):

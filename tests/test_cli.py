@@ -443,15 +443,25 @@ class TestValidateConfig:
         assert f"kernel grid count {count} exceeds" in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["fit", "experiment"])
+    @pytest.mark.parametrize("command", ["validate-config", "fit", "experiment"])
     def test_unallocatable_grid_exit_code(self, tmp_path, capsys, command):
-        # 2**50 kernels are within the count bound, but numpy refuses their
-        # 8 PiB of parameters at once, as they exceed the address space
+        # 2**50 kernels are within the count bound, but their 8 PiB of
+        # parameters exceed any machine's memory
         path = synthetic_config(tmp_path)
         edit_config(path, ("kernel_grid", "count"), 2**50)
         err = assert_input_error(capsys, run_on_config(command, path, tmp_path / "out"))
-        assert err.startswith("error: out of memory: ")
+        assert err.startswith("error: out of memory: kernel grid count 1125899906842624")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("family", ["gaussian", "linear"])
+    def test_load_config_refuses_a_grid_beyond_memory(self, tmp_path, family):
+        # the check every command runs on the grid before allocating it
+        path = synthetic_config(tmp_path)
+        edit_config(path, ("kernel_grid", "family"), family)
+        assert cli.load_config(path)[1][0].grid.family == family
+        edit_config(path, ("kernel_grid", "count"), 2**50)
+        with pytest.raises(MemoryError, match="kernel grid count 1125899906842624: its param"):
+            cli.load_config(path)
 
     def test_data_mode_requires_existing_files(self, tmp_path):
         cfg = {
@@ -805,7 +815,8 @@ class TestModelFile:
         rc = predict_with_edited_model(
             tmp_path, fitted_model, lambda p: p["kernel_grid"].update(count=2**50)
         )
-        assert assert_input_error(capsys, rc).startswith("error: out of memory: ")
+        assert assert_input_error(capsys, rc).startswith(
+            "error: out of memory: kernel grid count 1125899906842624")
         assert not (tmp_path / "pred.csv").exists()
 
     @pytest.mark.parametrize(
@@ -1085,10 +1096,9 @@ class TestFitCost:
 
         def counting(*args):
             solves.append(args)
-            return solver.solve_structured(*args)
+            return solver._solve_rotated(*args)
 
-        for module in (mkl, cli):
-            monkeypatch.setattr(module, "solve_structured", counting)
+        monkeypatch.setattr(mkl, "_solve_rotated", counting)
         path = synthetic_config(tmp_path)
         out = tmp_path / "out"
         assert cli.main(["fit", "--config", str(path), "--out", str(out)]) == 0

@@ -213,17 +213,16 @@ class TestRunTrial:
     def test_multi_kernel_fit_solves_once_per_iteration_plus_one(
         self, small_dataset, monkeypatch
     ):
-        from graphkern import experiment, mkl
+        from graphkern import mkl, solver
         from graphkern.experiment import _fit_method
 
         solves = []
 
         def counting(*args):
             solves.append(args)
-            return solve_structured(*args)
+            return solver._solve_rotated(*args)
 
-        for module in (experiment, mkl):
-            monkeypatch.setattr(module, "solve_structured", counting)
+        monkeypatch.setattr(mkl, "_solve_rotated", counting)
         cfg = ExperimentConfig(n_train=12, n_realizations=1, grid=KernelGrid(count=20))
         x, t = small_dataset.inputs[:12], small_dataset.targets[:12]
         model, trace = _fit_method(

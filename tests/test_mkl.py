@@ -21,6 +21,7 @@ from graphkern import (
 from graphkern import kernels, mkl, solve_structured, solver
 
 from .oracles import (
+    optimize_unrotated,
     reduced_objective_matrix,
     stack,
     weight_objective_features,
@@ -408,9 +409,9 @@ class TestOptimize:
 
         def counting(*args):
             solved.append(np.array(args[1]))
-            return solve_structured(*args)
+            return solver._solve_rotated(*args)
 
-        monkeypatch.setattr(mkl, "solve_structured", counting)
+        monkeypatch.setattr(mkl, "_solve_rotated", counting)
         model, trace = optimize(d, g, t, config, 0.5, 0.5)
         # one solve per iteration, then one at the returned weights; every
         # iterate stays in the domain
@@ -474,6 +475,56 @@ class TestOptimize:
         np.testing.assert_array_equal(parsed, trace.gamma_values)
         parsed = [float(r[5]) for r in rows[1:]]
         np.testing.assert_array_equal(parsed, trace.fw_gaps)
+
+
+class TestSpectralCoordinates:
+    """The optimizer in graph-spectral coordinates against the loop that rotated per iterate.
+
+    The stated drift bound: equal iteration counts and statuses,
+    ``|d rho| <= 1e-10``, ``|d psi| <= 1e-9 max |psi|`` and the objective
+    trace within ``1e-9 max |gamma|``.
+    """
+
+    @staticmethod
+    def assert_within_bound(d, g, t, config, alpha, beta):
+        model, trace = optimize(d, g, t, config, alpha, beta)
+        oracle, oracle_trace = optimize_unrotated(d, g, t, config, alpha, beta)
+        traces = trace if d.batch_shape else (trace,)
+        oracle_traces = oracle_trace if d.batch_shape else (oracle_trace,)
+        for got, want in zip(traces, oracle_traces):
+            assert got.iterations_used == want.iterations_used >= 2
+            assert got.status == want.status
+            scale = np.max(np.abs(want.gamma_values + [want.final_gamma]))
+            np.testing.assert_allclose(got.gamma_values, want.gamma_values, rtol=0,
+                                       atol=1e-9 * scale)
+            assert abs(got.final_gamma - want.final_gamma) <= 1e-9 * scale
+        assert np.max(np.abs(model.rho - oracle.rho)) <= 1e-10
+        assert np.max(np.abs(model.psi - oracle.psi)) <= 1e-9 * np.max(np.abs(oracle.psi))
+        assert model.errors == oracle.errors
+
+    def test_dense_single_set(self):
+        rng = np.random.default_rng(30)
+        d, g, t = random_instance(rng, 6, 9, 5, unit_targets=False)
+        self.assert_within_bound(d, g, t, SolverConfig(mu0=0.5, i_max=40, epsilon=1e-10),
+                                 0.3, 2.0)
+
+    def test_low_rank_single_set(self, monkeypatch):
+        from .test_solver import TestLowRankRoute, wide_curve_instance
+
+        d, g, t = wide_curve_instance()
+        kept = TestLowRankRoute.spy(monkeypatch)
+        self.assert_within_bound(d, g, t, SolverConfig(mu0=0.01, i_max=20, epsilon=1e-10),
+                                 0.1, 5.5)
+        assert kept and all(kept)
+
+    def test_stack(self):
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=(4, 9, 3))
+        d = build_dictionary(x, KernelGrid(lo=0.3, hi=3.0, count=5))
+        _, g, _ = random_instance(rng, 6, 9, 5)
+        t = rng.normal(size=(4, 9, 6))
+        self.assert_within_bound(d, g, t, SolverConfig(mu0=0.5, i_max=40, epsilon=1e-6),
+                                 0.3, 2.0)
 
 
 class TestObjectiveShape:

@@ -10,9 +10,11 @@ from graphkern import (
     KernelGrid,
     KernelSpec,
     SingularSystemError,
+    SolverConfig,
     build_dictionary,
     build_graph,
     combine,
+    optimize,
     smoothness,
     solve_structured,
     solver,
@@ -404,3 +406,86 @@ class TestLowRankRoute:
         first = solve_structured(d, rho, g, t, alpha=0.1, beta=5.5)
         again = solve_structured(d, rho, g, t, alpha=0.1, beta=5.5)
         assert first.psi.tobytes() == again.psi.tobytes()
+
+
+def wide_curve_instance(seed=60, n=300, m=4):
+    """N helix inputs and only wide Gaussians: every K(rho) of a fit is of low rank."""
+    rng = np.random.default_rng(seed)
+    s = np.sort(rng.uniform(0.0, 6.0, n))
+    x = np.column_stack([np.cos(s), np.sin(s), 0.3 * s])
+    d = build_dictionary(x, KernelGrid(lo=2.0, hi=10.0, count=6))
+    _, g, _ = random_instance(rng, m, 2, 1)
+    return d, g, rng.normal(size=(n, m))
+
+
+class TestFitSketch:
+    """What the low-rank solves of one fit share: one Omega, and a refusal."""
+
+    def test_a_fit_draws_omega_once(self, monkeypatch):
+        d, g, t = wide_curve_instance()
+        kept = TestLowRankRoute.spy(monkeypatch)
+        draws = []
+        default_rng = np.random.default_rng
+
+        def counting(*args):
+            draws.append(args)
+            return default_rng(*args)
+
+        monkeypatch.setattr(solver.np.random, "default_rng", counting)
+        _, trace = optimize(d, g, t, SolverConfig(mu0=0.01, i_max=20, epsilon=1e-10), 0.1, 5.5)
+        assert trace.iterations_used >= 2
+        assert kept == [True] * trace.iterations_used  # every nonzero solve, the final one too
+        assert draws == [(d.num_samples,)]
+
+    def test_a_fit_refuses_a_sketch_once(self, monkeypatch):
+        # the narrowest Gaussians make K nearly the identity: no sketch fits
+        rng = np.random.default_rng(51)
+        d = build_dictionary(rng.normal(size=(300, 3)), KernelGrid(lo=0.01, hi=0.05, count=3))
+        _, g, _ = random_instance(rng, 4, 2, 1)
+        t = rng.normal(size=(300, 4))
+        kept = TestLowRankRoute.spy(monkeypatch)
+        _, trace = optimize(d, g, t, SolverConfig(mu0=0.01, i_max=20, epsilon=1e-10), 0.1, 5.5)
+        assert trace.iterations_used >= 2  # two solves at nonzero weights, at least
+        assert kept == [False]
+        # a solve alone has no fit to remember the refusal
+        for _ in range(2):
+            solve_structured(d, np.ones(3), g, t, 0.1, 5.5)
+        assert kept == [False] * 3
+
+
+class TestCholeskyBreakdown:
+    # with 10 distinct inputs K has rank 10, below the second block of its
+    # sketch: the core's Cholesky factorization breaks down, and the
+    # shifted core of Tropp et al. is factored instead
+    @staticmethod
+    def repeated_instance(rng, n=300):
+        x = np.repeat(rng.normal(size=(10, 3)), n // 10, axis=0)
+        d = build_dictionary(x, KernelGrid(lo=0.01, hi=10.0, count=20))
+        _, g, _ = random_instance(rng, 4, 2, 1)
+        rho = np.zeros(20)
+        rho[[3, 12]] = 1.0
+        return d, rho, g, rng.normal(size=(n, 4))
+
+    def test_rank_deficient_kernel_is_certified(self, monkeypatch, caplog):
+        d, rho, g, t = self.repeated_instance(np.random.default_rng(52))
+        kept = TestLowRankRoute.spy(monkeypatch)
+        with caplog.at_level("DEBUG", logger="graphkern.solver"):
+            model = solve_structured(d, rho, g, t, alpha=0.1, beta=5.5)
+        assert "core breaks down" in caplog.text and "certified backward error" in caplog.text
+        assert kept == [True]
+        dense = TestLowRankRoute.dense_route(monkeypatch, d, rho, g, t, 0.1, 5.5)
+        assert np.max(np.abs(model.psi - dense.psi)) < 1e-10 * np.max(np.abs(dense.psi))
+
+    def test_zero_kernel_falls_back_bit_for_bit(self, monkeypatch, caplog):
+        # K = 0 at a nonzero weight: even the shifted core is zero
+        rng = np.random.default_rng(53)
+        d = KernelDictionary.from_specs(np.zeros((200, 3)), [KernelSpec(LINEAR)])
+        _, g, _ = random_instance(rng, 4, 2, 1)
+        t = rng.normal(size=(200, 4))
+        kept = TestLowRankRoute.spy(monkeypatch)
+        with caplog.at_level("DEBUG", logger="graphkern.solver"):
+            model = solve_structured(d, np.ones(1), g, t, alpha=0.1, beta=5.5)
+        assert "no shifted Cholesky factor" in caplog.text
+        assert kept == [False]
+        dense = TestLowRankRoute.dense_route(monkeypatch, d, np.ones(1), g, t, 0.1, 5.5)
+        np.testing.assert_array_equal(model.psi.view(np.uint64), dense.psi.view(np.uint64))
