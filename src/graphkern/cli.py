@@ -453,9 +453,13 @@ def _kernel_grid(block):
     """The KernelGrid of a config's or a model file's ``kernel_grid``; other keys are ignored.
 
     Every command reads the grid here, before it allocates anything for
-    it, so ``validate-config``, ``fit``, ``experiment`` and ``predict``
-    refuse the same counts: a grid whose parameters alone, one double per
-    kernel, exceed the machine's physical memory raises ``MemoryError``.
+    it: a grid whose parameters alone, one double per kernel, exceed the
+    machine's physical memory raises ``MemoryError``, in
+    ``validate-config``, ``fit``, ``experiment`` and ``predict`` alike.
+    The agreement is partial: the bound ignores a container's memory
+    limit, and a linear grid below it can still pass ``validate-config``
+    and exhaust memory in ``fit``, which builds one ``KernelSpec`` per
+    kernel.
     """
     grid = KernelGrid(block["family"], float(block["lo"]), float(block["hi"]),
                       _integer(block["count"], "kernel_grid.count"))

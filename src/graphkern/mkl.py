@@ -166,10 +166,10 @@ def gamma(dictionary, graph, targets, rho, alpha, beta):
 
     A stacked dictionary gives one value per training set.
     """
-    rho, targets = _check_fit_args(dictionary, rho, graph, targets, alpha, beta)
-    t_rot = targets @ graph.lap_eigvecs
-    psi_rot, _ = _solve_rotated(dictionary, rho, graph, t_rot, alpha, beta, _Sketch())
-    value = _gamma_rotated(graph, t_rot, psi_rot, alpha, beta)
+    model = solve_structured(dictionary, rho, graph, targets, alpha, beta)
+    u = graph.lap_eigvecs
+    value = _gamma_rotated(graph, np.asarray(targets, dtype=float) @ u, model.psi @ u,
+                           alpha, beta)
     return value if dictionary.batch_shape else float(value)
 
 

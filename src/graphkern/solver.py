@@ -52,8 +52,11 @@ tries a certified low-rank eigenbasis of ``K``:
   systems and kept only when their normwise backward error is at most
   ``LOW_RANK_TOLERANCE``, just above round-off; a relative residual would
   not do, as its round-off grows with the condition of the systems.  The
-  bound takes the largest eigenvalue of the Nystrom approximation, at most
-  that of ``K``, so the test is no weaker than with ``K``'s own.
+  bound takes the Rayleigh quotient of ``K`` at the leading Nystrom
+  eigenvector, at most ``K``'s largest eigenvalue, so the test is no
+  weaker than with that eigenvalue.  The Nystrom approximation's own
+  largest eigenvalue would not do: where the sketch stopped on a pivot at
+  round-off, ``L^-1`` can inflate a mode that is only noise.
 - **One fit, one ``Omega``.**  ``Omega`` is seeded by N, so that a fit is
   reproducible, and drawn once per fit, as far as its widest sketch
   needs; :func:`solve_structured` alone is a fit of one solve.
@@ -62,8 +65,8 @@ tries a certified low-rank eigenbasis of ``K``:
   certificate leaves the solve to the dense ``eigh``, unchanged, and so
   do the later solves of the same fit; so do stacks and smaller sets.
 
-The ``graphkern.solver`` logger reports each solve's route, sketch rank
-and backward error at DEBUG level.
+The ``graphkern.solver`` logger reports each solve's route, sketch rank,
+the pivot that stopped its sketch and backward error at DEBUG level.
 
 The weights must be nonnegative and finite, so that ``K`` is positive
 semidefinite; others raise ``ValueError``, as they do in
@@ -307,6 +310,8 @@ def _solve_low_rank(k, t_rot, scale, alpha, sketch):
         pivots = np.diagonal(factor) ** 2
         roundoff = rank * eps * np.trace(core[:rank, :rank])
         if pivots.min() <= max(floor, roundoff):
+            log.debug("solve at N = %d: sketch stops at rank %d on a pivot of %.1e "
+                      "(floor %.1e, round-off %.1e)", n, rank, pivots.min(), floor, roundoff)
             break
     y = sketch_rows[:rank]
     shift = 0.0
@@ -362,10 +367,12 @@ def _solve_low_rank(k, t_rot, scale, alpha, sketch):
 
     psi = approximate_inverse(t_rot)
     psi += approximate_inverse(residual(psi))
-    # normwise backward error of the M systems together; kappa[-1], the
-    # largest eigenvalue of the Nystrom approximation, is at most that of K
+    # normwise backward error of the M systems together, bounded with a
+    # Rayleigh quotient of K, which cannot exceed K's largest eigenvalue
+    v = vt[-1]
+    top = v @ (k @ v) / (v @ v)
     size, t_size = np.linalg.norm(residual(psi)), np.linalg.norm(t_rot)
-    bound = np.linalg.norm(psi * (kappa[-1] * scale + alpha)) + t_size
+    bound = np.linalg.norm(psi * (top * scale + alpha)) + t_size
     error = size / bound if bound else 0.0  # T~ = 0 gives Psi~ = 0 exactly
     if not error <= LOW_RANK_TOLERANCE:
         log.debug("solve at N = %d: sketch rank %d, backward error %.1e refused, dense eigh",

@@ -1094,11 +1094,15 @@ class TestFitCost:
     def test_one_solve_per_iteration_plus_one(self, tmp_path, monkeypatch):
         solves = []
 
+        route = solver._solve_rotated
+
         def counting(*args):
             solves.append(args)
-            return solver._solve_rotated(*args)
+            return route(*args)
 
-        monkeypatch.setattr(mkl, "_solve_rotated", counting)
+        # every solve: the optimizer's and public solve_structured's
+        for module in (solver, mkl):
+            monkeypatch.setattr(module, "_solve_rotated", counting)
         path = synthetic_config(tmp_path)
         out = tmp_path / "out"
         assert cli.main(["fit", "--config", str(path), "--out", str(out)]) == 0

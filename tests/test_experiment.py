@@ -218,11 +218,15 @@ class TestRunTrial:
 
         solves = []
 
+        route = solver._solve_rotated
+
         def counting(*args):
             solves.append(args)
-            return solver._solve_rotated(*args)
+            return route(*args)
 
-        monkeypatch.setattr(mkl, "_solve_rotated", counting)
+        # every solve: the optimizer's and public solve_structured's
+        for module in (solver, mkl):
+            monkeypatch.setattr(module, "_solve_rotated", counting)
         cfg = ExperimentConfig(n_train=12, n_realizations=1, grid=KernelGrid(count=20))
         x, t = small_dataset.inputs[:12], small_dataset.targets[:12]
         model, trace = _fit_method(

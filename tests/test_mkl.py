@@ -407,11 +407,15 @@ class TestOptimize:
         config = SolverConfig(mu0=2.0, i_max=30, epsilon=1e-10, radius=1.5)
         solved = []
 
+        route = solver._solve_rotated
+
         def counting(*args):
             solved.append(np.array(args[1]))
-            return solver._solve_rotated(*args)
+            return route(*args)
 
-        monkeypatch.setattr(mkl, "_solve_rotated", counting)
+        # every solve: the optimizer's and public solve_structured's
+        for module in (solver, mkl):
+            monkeypatch.setattr(module, "_solve_rotated", counting)
         model, trace = optimize(d, g, t, config, 0.5, 0.5)
         # one solve per iteration, then one at the returned weights; every
         # iterate stays in the domain

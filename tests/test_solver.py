@@ -1,5 +1,7 @@
 """Closed-form regression solves: dense vs structured, objective, prediction."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -489,3 +491,34 @@ class TestCholeskyBreakdown:
         assert kept == [False]
         dense = TestLowRankRoute.dense_route(monkeypatch, d, np.ones(1), g, t, 0.1, 5.5)
         np.testing.assert_array_equal(model.psi.view(np.uint64), dense.psi.view(np.uint64))
+
+
+class TestRoundOffPivot:
+    # 19 linear features: K = X X^T has rank 19, one below the sketch's
+    # second block, and the core's last pivot falls to round-off without a
+    # breakdown, so L^-1 inverts a pivot that is only noise
+    def test_kept_solution_passes_the_certificate_with_the_largest_eigenvalue(
+        self, monkeypatch, caplog
+    ):
+        rng = np.random.default_rng(54)
+        d = KernelDictionary.from_specs(rng.normal(size=(300, 19)), [KernelSpec(LINEAR)])
+        _, g, _ = random_instance(rng, 4, 2, 1)
+        t = rng.normal(size=(300, 4))
+        alpha, beta = 0.1, 5.5
+        kept = TestLowRankRoute.spy(monkeypatch)
+        with caplog.at_level("DEBUG", logger="graphkern.solver"):
+            model = solve_structured(d, np.ones(1), g, t, alpha, beta)
+        stop = re.search(r"stops at rank 20 on a pivot of (\S+) \(floor \S+, round-off (\S+)\)",
+                         caplog.text)
+        assert stop and float(stop[1]) <= float(stop[2])
+        assert kept == [True]
+        # the backward error, bounded with K's own largest eigenvalue
+        k = combine(d, np.ones(1))
+        scale = 1.0 + beta * g.lap_eigvals
+        t_rot, psi_rot = t @ g.lap_eigvecs, model.psi @ g.lap_eigvecs
+        residual = t_rot - scale * (k @ psi_rot) - alpha * psi_rot
+        bound = (np.linalg.norm(psi_rot * (np.linalg.eigvalsh(k)[-1] * scale + alpha))
+                 + np.linalg.norm(t_rot))
+        assert np.linalg.norm(residual) <= solver.LOW_RANK_TOLERANCE * bound
+        dense = TestLowRankRoute.dense_route(monkeypatch, d, np.ones(1), g, t, alpha, beta)
+        assert np.max(np.abs(model.psi - dense.psi)) < 1e-10 * np.max(np.abs(dense.psi))
