@@ -34,20 +34,41 @@ tries a certified low-rank eigenbasis of ``K``:
   Gaussian columns at a time until the Cholesky factorization
   ``L L^T`` of its core ``Omega^T K Omega`` breaks down or shows a pivot
   at round-off or below ``1e-8 alpha / max(1 + beta lam)``: off the
-  sketched range ``K`` is then negligible next to ``alpha``.
+  sketched range ``K`` is then negligible next to ``alpha``.  The factor
+  grows with the sketch, a block row at a time (Martinsson & Tropp 2020,
+  "Randomized numerical linear algebra: Foundations and algorithms"):
+  new rows ``Y_new^T = Omega_new^T K`` give the core's block row
+  ``[C21 C22] = Y_new^T Omega``, and ``L`` gains ``L21 = C21 L11^-T``, by
+  block forward substitution with the inverses of ``L``'s diagonal
+  blocks, and ``L22``, the factor of ``C22 - L21 L21^T``.  The core is
+  never held whole, nothing is refactored, and nothing wider than one
+  block is factored or inverted.  The pivots are those of the ``L22``
+  blocks, and the round-off level takes the core's trace, summed over the
+  ``C22``.
+- **One product ahead.**  A fit's later sketches compute as many rows
+  as its last sketch stopped at in one product, then run the same block
+  checks and drop the rows beyond their stop: a sketch stops at the rank
+  it would have reached block by block.
 - **Nystrom eigenbasis** (Tropp, Yurtsever, Udell & Cevher 2017,
   "Fixed-rank approximation of a positive-semidefinite matrix from
   streaming data").  The eigenpairs are those of the Nystrom
   approximation ``Y core^-1 Y^T = F^T F``, ``F = L^-1 Y^T``, taken from
-  the small ``eigh(F F^T) = W diag(s^2) W^T`` as ``V = F^T W / s``, with
-  the factor the stopping rule computed: no second pass over ``K``.
-  Where the core's factorization broke down, ``L`` factors the shifted
-  core ``Omega^T (K + nu I) Omega`` instead, ``Y`` becomes
-  ``(K + nu I) Omega`` and ``nu``, with ``nu = eps ||Y||_F``, is taken
-  off the eigenvalues.  Modes at the round-off of ``F F^T``, or within
-  the shift, count as off the range, where the eigenvalue is taken as 0:
-  those denominators are ``alpha`` and the condition rule keeps its
-  meaning.
+  the small ``eigh(F F^T) = W diag(s^2) W^T`` as ``V = F^T W / s``.  At
+  the stop the same substitution writes ``F`` over ``Y^T``: there is no
+  second pass over ``K``.  Where a block's factorization broke down,
+  ``Y`` is still whole and becomes ``(K + nu I) Omega``, with
+  ``nu = eps ||Y||_F``; the block steps start again on it and factor the
+  shifted core ``Omega^T (K + nu I) Omega``, with no product with ``K``,
+  and ``nu`` is taken off the eigenvalues.  Modes at the round-off of
+  ``F F^T``, or within the shift, count as off the range, where the
+  eigenvalue is taken as 0: those denominators are ``alpha`` and the
+  condition rule keeps its meaning.  On the fits checked, the sketches stop at the ranks of a
+  factor refactored whole at every block (a last block at ``K``'s
+  numerical rank can stop on a round-off pivot in one and break down in
+  the other), and outputs move by round-off only, within the bound
+  stated for the optimizer's graph-spectral coordinates: equal iteration
+  counts, ``|d rho| <= 1e-10``, ``|d psi| <= 1e-9 max |psi|`` and a
+  relative change in NMSE of at most ``1e-9``.
 - **Certificate.**  The solution is refined once against the full column
   systems and kept only when their normwise backward error is at most
   ``LOW_RANK_TOLERANCE``, just above round-off; a relative residual would
@@ -66,7 +87,8 @@ tries a certified low-rank eigenbasis of ``K``:
   do the later solves of the same fit; so do stacks and smaller sets.
 
 The ``graphkern.solver`` logger reports each solve's route, sketch rank,
-the pivot that stopped its sketch and backward error at DEBUG level.
+the pivot that stopped its sketch, how many of the rows computed ahead
+it used and backward error at DEBUG level.
 
 The weights must be nonnegative and finite, so that ``K`` is positive
 semidefinite; others raise ``ValueError``, as they do in
@@ -196,8 +218,10 @@ class _Sketch:
     The Gaussian test matrix ``Omega``, seeded by N, is drawn once, as far
     as the widest sketch so far needs.  Its columns are stored as rows, so
     that a sketch that stops early touches only the pages of the rows it
-    draws.  A refused sketch sets ``refused`` and frees ``Omega``: the
-    later solves of the fit take the dense ``eigh`` at once.
+    draws.  ``rank`` is where the fit's last sketch stopped: the next
+    sketch computes that many rows ``Omega^T K`` in one product.  A
+    refused sketch sets ``refused`` and frees ``Omega``: the later solves
+    of the fit take the dense ``eigh`` at once.
     """
 
     def __init__(self):
@@ -205,6 +229,7 @@ class _Sketch:
         self._rng = None
         self._rows = None
         self._drawn = 0
+        self.rank = 0
 
     def refuse(self):
         """Send the later solves of the fit to the dense ``eigh``; ``Omega`` is freed."""
@@ -277,6 +302,121 @@ def _solve_rotated(dictionary, rho, graph, t_rot, alpha, beta, sketch):
     return psi, tuple(messages)
 
 
+def _forward(factor, inverses, b):
+    """``L^-1 b`` by block forward substitution, written over ``b``.
+
+    ``factor`` holds ``L`` in its lower triangle and ``inverses`` the
+    inverses of its diagonal blocks, in order, as many as cover the rows
+    of ``b``.
+    """
+    start = 0
+    for inverse in inverses:
+        stop = start + len(inverse)
+        b[start:stop] = inverse @ (b[start:stop] - factor[start:stop, :start] @ b[:start])
+        start = stop
+    return b
+
+
+def _grow_factor(rows, factor, inverses, omega, start, stop):
+    """Add the block row ``start:stop`` to the Cholesky factor ``L`` of the core.
+
+    ``rows[:stop]`` holds the sketch rows ``Y^T = Omega^T K`` and ``factor``
+    the lower triangle of ``L`` so far, whose diagonal blocks have the
+    inverses ``inverses``.  With ``[C21 C22] = Y_new^T Omega``, the new
+    block row is ``L21 = C21 L11^-T``, by block forward substitution, and
+    ``L22``, the factor of ``C22 - L21 L21^T``.  Returns the pivots
+    ``diag(L22)^2`` and ``trace(C22)``; raises ``LinAlgError`` where
+    ``L22`` has no factor.
+    """
+    core = rows[start:stop] @ omega[:stop].T
+    l21 = _forward(factor, inverses, core[:, :start].T).T
+    core22 = core[:, start:]
+    l22 = np.linalg.cholesky(core22 - l21 @ l21.T)
+    factor[start:stop, :start] = l21
+    factor[start:stop, start:stop] = l22
+    inverses.append(np.linalg.inv(l22))
+    return np.diagonal(l22) ** 2, np.trace(core22)
+
+
+def _nystrom_eigenbasis(k, floor, sketch):
+    """``(rank, kappa, vt)``: the sketch rank and the Nystrom eigenpairs of ``k``.
+
+    ``kappa`` holds the eigenvalues of the modes on the sketched range and
+    the rows of ``vt`` their eigenvectors (see the module docstring); the
+    sketch also stops on a pivot at or below ``floor``.  None when the
+    sketch is refused, which the fit's ``sketch`` records.
+    """
+    n = len(k)
+    eps = np.finfo(float).eps
+    block, cap = -(-n // _SKETCH_STEPS), int(_SKETCH_CAP * n)
+    rows = np.empty((cap, n))  # Y^T = Omega^T K, then F = L^-1 Y^T
+    # L, lower triangle, sized for the widest sketch and held from its
+    # start, where the whole core once was: with no cap x cap array held
+    # through the sketch, glibc's heap grew and peak RSS over 12 fits at
+    # N = 999 rose from 76.2 to 80.7 MB
+    factor = np.empty((cap, cap))
+    inverses = []  # of the diagonal blocks of L
+    # the rank at which the fit's last sketch stopped, in one product
+    ahead = sketch.rank
+    if ahead:
+        np.matmul(sketch.omega(n, ahead), k, out=rows[:ahead])
+    rank, trace, least = 0, 0.0, np.inf
+    while True:
+        if rank + block > cap:
+            log.debug("solve at N = %d: no sketch of up to %d columns (%d rows computed ahead), "
+                      "dense eigh", n, rank, ahead)
+            sketch.refuse()
+            return None
+        start, rank = rank, rank + block
+        omega = sketch.omega(n, rank)
+        if rank > ahead:
+            np.matmul(omega[start:], k, out=rows[start:rank])
+        try:
+            pivots, core_trace = _grow_factor(rows, factor, inverses, omega, start, rank)
+        except np.linalg.LinAlgError:  # not numerically positive definite
+            breakdown = True
+            break
+        trace += core_trace
+        least = min(least, pivots.min())
+        roundoff = rank * eps * trace
+        if least <= max(floor, roundoff):
+            breakdown = False
+            break
+    sketch.rank = rank
+    used = min(ahead, rank)
+    y = rows[:rank]
+    shift = 0.0
+    if breakdown:
+        # the Nystrom approximation of K + shift I, less the shift (Tropp,
+        # Yurtsever, Udell & Cevher 2017): its core is positive definite.
+        # Y is still whole, so the block steps start again on Y + shift Omega
+        shift = eps * np.linalg.norm(y)
+        y += shift * omega
+        log.debug("solve at N = %d: core breaks down at sketch rank %d, shift %.1e, "
+                  "%d of %d rows computed ahead used", n, rank, shift, used, ahead)
+        inverses.clear()
+        try:
+            for start in range(0, rank, block):
+                _grow_factor(rows, factor, inverses, omega, start, start + block)
+        except np.linalg.LinAlgError:
+            log.debug("solve at N = %d: sketch rank %d has no shifted Cholesky factor, "
+                      "dense eigh", n, rank)
+            sketch.refuse()
+            return None
+    else:
+        log.debug("solve at N = %d: sketch stops at rank %d on a pivot of %.1e "
+                  "(floor %.1e, round-off %.1e), %d of %d rows computed ahead used",
+                  n, rank, least, floor, roundoff, used, ahead)
+    # the Nystrom approximation is F^T F with F = L^-1 Y^T, written over Y^T
+    f = _forward(factor, inverses, y)
+    squares, w = np.linalg.eigh(f @ f.T)
+    # modes at the round-off of F F^T, or within the shift, are off the range
+    keep = squares - shift > rank * eps * squares[-1]
+    # the eigenvectors of F^T F, as rows
+    vt = (w[:, keep] / np.sqrt(squares[keep])).T @ f
+    return rank, squares[keep] - shift, vt
+
+
 def _solve_low_rank(k, t_rot, scale, alpha, sketch):
     """``Psi~`` of the column systems ``scale[m] K psi~_m + alpha psi~_m = t_rot[:, m]``.
 
@@ -286,63 +426,10 @@ def _solve_low_rank(k, t_rot, scale, alpha, sketch):
     ``eigh``.
     """
     n = len(k)
-    eps = np.finfo(float).eps
-    block, cap = -(-n // _SKETCH_STEPS), int(_SKETCH_CAP * n)
-    floor = _SKETCH_FLOOR * alpha / scale.max()
-    sketch_rows = np.empty((cap, n))  # Y^T = Omega^T K
-    core = np.zeros((cap, cap))  # Omega^T K Omega, lower triangle
-    rank = 0
-    while True:
-        if rank + block > cap:
-            log.debug("solve at N = %d: no sketch of up to %d columns, dense eigh", n, rank)
-            sketch.refuse()
-            return None
-        new = slice(rank, rank + block)
-        rank += block
-        omega = sketch.omega(n, rank)
-        sketch_rows[new] = omega[new] @ k
-        core[new, :rank] = sketch_rows[new] @ omega.T
-        try:
-            factor = np.linalg.cholesky(core[:rank, :rank])
-        except np.linalg.LinAlgError:  # not numerically positive definite
-            factor = None
-            break
-        pivots = np.diagonal(factor) ** 2
-        roundoff = rank * eps * np.trace(core[:rank, :rank])
-        if pivots.min() <= max(floor, roundoff):
-            log.debug("solve at N = %d: sketch stops at rank %d on a pivot of %.1e "
-                      "(floor %.1e, round-off %.1e)", n, rank, pivots.min(), floor, roundoff)
-            break
-    y = sketch_rows[:rank]
-    shift = 0.0
-    if factor is None:
-        # the Nystrom approximation of K + shift I, less the shift (Tropp,
-        # Yurtsever, Udell & Cevher 2017): its core is positive definite
-        shift = eps * np.linalg.norm(y)
-        y = y + shift * omega
-        try:
-            factor = np.linalg.cholesky(core[:rank, :rank] + shift * (omega @ omega.T))
-        except np.linalg.LinAlgError:
-            log.debug("solve at N = %d: sketch rank %d has no shifted Cholesky factor, "
-                      "dense eigh", n, rank)
-            sketch.refuse()
-            return None
-        log.debug("solve at N = %d: core breaks down at sketch rank %d, shift %.1e",
-                  n, rank, shift)
-    del core
-    # the Nystrom approximation is F^T F with F = L^-1 Y^T, written over
-    # Y^T from its last rows up: a row of F reads the rows of Y^T up to its own
-    inverse = np.linalg.inv(factor)
-    for start in range(rank - block, -1, -block):
-        end = start + block
-        y[start:end] = inverse[start:end, :end] @ y[:end]
-    squares, w = np.linalg.eigh(y @ y.T)
-    # modes at the round-off of F F^T, or within the shift, are off the range
-    keep = squares - shift > rank * eps * squares[-1]
-    # the eigenvectors of F^T F, as rows
-    vt = (w[:, keep] / np.sqrt(squares[keep])).T @ y
-    kappa = squares[keep] - shift
-    del sketch_rows, y, w, factor, inverse
+    basis = _nystrom_eigenbasis(k, _SKETCH_FLOOR * alpha / scale.max(), sketch)
+    if basis is None:
+        return None
+    rank, kappa, vt = basis
     denoms = kappa[:, None] * scale + alpha
     # off the sketched range the eigenvalue is 0 and the denominator alpha
     dmin, dmax = min(denoms.min(), alpha), max(denoms.max(), alpha)

@@ -19,6 +19,13 @@ dense references do:
 - :func:`sq_distances` sums the squared differences of every pair of
   rows, the reference for the Gram-identity cross distances.
 
+:func:`nystrom_eigenbasis_refactored` is the low-rank route's eigenbasis
+as it was before its Cholesky factor grew with the sketch: the whole
+core ``Omega^T K Omega`` refactored at every block, ``L^-1`` taken by a
+general inverse, and ``F = L^-1 Y^T`` formed block by block afterwards.
+:func:`low_rank_solve_refactored` refines a solve on that basis as the
+solver does.
+
 :func:`optimize_unrotated` is the optimizer loop as it ran before its
 iterations moved to graph-spectral coordinates: one public
 :func:`graphkern.solve_structured` per iteration, which rotates the
@@ -65,6 +72,7 @@ from graphkern.mkl import (
     project,
 )
 from graphkern.kernels import _checked_weights, kernel_cross
+from graphkern import solver
 from graphkern.solver import CONDITION_LIMIT, KrgModel, _check_fit_args
 
 
@@ -235,6 +243,68 @@ def optimize_unrotated(dictionary, graph, targets, config, alpha, beta):
     errors = tuple(t.error or e for t, e in zip(traces, model.errors))
     model.psi[np.array([e is not None for e in errors]).reshape(batch)] = 0.0
     return model, traces
+
+
+def nystrom_eigenbasis_refactored(k, floor):
+    """``(rank, kappa, vt)`` of the Nystrom eigenbasis, refactoring the core at every block.
+
+    The test matrix is the one a fit's first sketch draws, seeded by N.
+    None where the sketch would be refused: it reaches its cap, or the
+    shifted core has no factor either.
+    """
+    n = len(k)
+    eps = np.finfo(float).eps
+    block, cap = -(-n // solver._SKETCH_STEPS), int(solver._SKETCH_CAP * n)
+    rng = np.random.default_rng(n)
+    omega = np.empty((0, n))
+    rows = np.empty((cap, n))
+    core = np.zeros((cap, cap))
+    rank = 0
+    while True:
+        if rank + block > cap:
+            return None
+        new = slice(rank, rank + block)
+        rank += block
+        omega = np.concatenate([omega, rng.standard_normal((block, n))])
+        rows[new] = omega[new] @ k
+        core[new, :rank] = rows[new] @ omega.T
+        try:
+            factor = np.linalg.cholesky(core[:rank, :rank])
+        except np.linalg.LinAlgError:
+            factor = None
+            break
+        if np.diagonal(factor).min() ** 2 <= max(floor, rank * eps * np.trace(core[:rank, :rank])):
+            break
+    y = rows[:rank]
+    shift = 0.0
+    if factor is None:
+        shift = eps * np.linalg.norm(y)
+        y = y + shift * omega
+        try:
+            factor = np.linalg.cholesky(core[:rank, :rank] + shift * (omega @ omega.T))
+        except np.linalg.LinAlgError:
+            return None
+    inverse = np.linalg.inv(factor)
+    for start in range(rank - block, -1, -block):
+        end = start + block
+        y[start:end] = inverse[start:end, :end] @ y[:end]
+    squares, w = np.linalg.eigh(y @ y.T)
+    keep = squares - shift > rank * eps * squares[-1]
+    vt = (w[:, keep] / np.sqrt(squares[keep])).T @ y
+    return rank, squares[keep] - shift, vt
+
+
+def low_rank_solve_refactored(k, t_rot, scale, alpha):
+    """``(rank, kappa, Psi~)``: one refined solve on :func:`nystrom_eigenbasis_refactored`."""
+    rank, kappa, vt = nystrom_eigenbasis_refactored(k, solver._SKETCH_FLOOR * alpha / scale.max())
+    gain = 1.0 / (kappa[:, None] * scale + alpha) - 1.0 / alpha
+
+    def approximate_inverse(r):
+        return vt.T @ ((vt @ r) * gain) + r / alpha
+
+    psi = approximate_inverse(t_rot)
+    psi += approximate_inverse(t_rot - scale * (k @ psi) - alpha * psi)
+    return rank, kappa, psi
 
 
 def sq_distances(a, b):

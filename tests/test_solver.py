@@ -22,7 +22,7 @@ from graphkern import (
     solver,
 )
 
-from .oracles import krg_objective, solve_dense
+from .oracles import krg_objective, low_rank_solve_refactored, solve_dense
 
 
 def random_instance(rng, m, n, s, input_dim=3):
@@ -493,6 +493,14 @@ class TestCholeskyBreakdown:
         np.testing.assert_array_equal(model.psi.view(np.uint64), dense.psi.view(np.uint64))
 
 
+def linear_instance(seed, features, n=300, m=4):
+    """N random inputs under the linear kernel: K = X X^T has rank ``features``."""
+    rng = np.random.default_rng(seed)
+    d = KernelDictionary.from_specs(rng.normal(size=(n, features)), [KernelSpec(LINEAR)])
+    _, g, _ = random_instance(rng, m, 2, 1)
+    return d, np.ones(1), g, rng.normal(size=(n, m))
+
+
 class TestRoundOffPivot:
     # 19 linear features: K = X X^T has rank 19, one below the sketch's
     # second block, and the core's last pivot falls to round-off without a
@@ -500,10 +508,7 @@ class TestRoundOffPivot:
     def test_kept_solution_passes_the_certificate_with_the_largest_eigenvalue(
         self, monkeypatch, caplog
     ):
-        rng = np.random.default_rng(54)
-        d = KernelDictionary.from_specs(rng.normal(size=(300, 19)), [KernelSpec(LINEAR)])
-        _, g, _ = random_instance(rng, 4, 2, 1)
-        t = rng.normal(size=(300, 4))
+        d, _, g, t = linear_instance(54, 19)
         alpha, beta = 0.1, 5.5
         kept = TestLowRankRoute.spy(monkeypatch)
         with caplog.at_level("DEBUG", logger="graphkern.solver"):
@@ -522,3 +527,101 @@ class TestRoundOffPivot:
         assert np.linalg.norm(residual) <= solver.LOW_RANK_TOLERANCE * bound
         dense = TestLowRankRoute.dense_route(monkeypatch, d, np.ones(1), g, t, alpha, beta)
         assert np.max(np.abs(model.psi - dense.psi)) < 1e-10 * np.max(np.abs(dense.psi))
+
+
+def factor_instance(name):
+    """``(d, rho, g, t)`` of one low-rank solve.
+
+    The sketches of ``curve`` and ``wide_curve`` break down; that of
+    ``round_off_pivot`` stops on a pivot at round-off.
+    """
+    if name == "curve":
+        return curve_instance()
+    if name == "wide_curve":
+        d, g, t = wide_curve_instance()
+        return d, np.ones(6), g, t
+    return linear_instance(54, 19)
+
+
+def rotated_system(d, rho, g, t, alpha, beta):
+    """``(K, T~, scale, floor)``: one solve's inputs in graph-spectral coordinates."""
+    scale = 1.0 + beta * g.lap_eigvals
+    return combine(d, rho), t @ g.lap_eigvecs, scale, solver._SKETCH_FLOOR * alpha / scale.max()
+
+
+class TestGrowingFactor:
+    """The factor grown with the sketch, against the core refactored at every block."""
+
+    @pytest.mark.parametrize("name, route", [
+        ("curve", "core breaks down at sketch rank 38"),
+        ("wide_curve", "core breaks down at sketch rank 30"),
+        ("round_off_pivot", "sketch stops at rank 20"),
+    ])
+    def test_matches_the_refactored_factor(self, name, route, caplog):
+        k, t_rot, scale, floor = rotated_system(*factor_instance(name), 0.1, 5.5)
+        with caplog.at_level("DEBUG", logger="graphkern.solver"):
+            rank, kappa, _ = solver._nystrom_eigenbasis(k, floor, solver._Sketch())
+        assert route in caplog.text
+        old_rank, old_kappa, old_psi = low_rank_solve_refactored(k, t_rot, scale, 0.1)
+        assert rank == old_rank
+        # a mode that one side keeps at round-off and the other drops counts
+        # as 0, the eigenvalue off the sketched range
+        width = max(len(kappa), len(old_kappa))
+        grown, refactored = (np.concatenate([np.zeros(width - len(v)), v])
+                             for v in (kappa, old_kappa))
+        assert np.max(np.abs(grown - refactored)) <= 1e-9 * old_kappa.max()
+        psi = solver._solve_low_rank(k, t_rot, scale, 0.1, solver._Sketch())
+        assert psi is not None
+        assert np.max(np.abs(psi - old_psi)) <= 1e-9 * np.max(np.abs(old_psi))
+
+    @pytest.mark.parametrize("name", ["curve", "wide_curve"])
+    def test_rows_computed_ahead_never_move_a_stop_rank_in_a_fit(self, monkeypatch, name):
+        d, _, g, t = factor_instance(name)
+        calls = []
+        basis = solver._nystrom_eigenbasis
+
+        def recording(k, floor, sketch):
+            ahead = sketch.rank
+            out = basis(k, floor, sketch)
+            calls.append((k.copy(), floor, ahead, out[0]))
+            return out
+
+        monkeypatch.setattr(solver, "_nystrom_eigenbasis", recording)
+        optimize(d, g, t, SolverConfig(mu0=0.01, i_max=3, epsilon=1e-10), 0.1, 5.5)
+        assert len(calls) >= 2
+        assert all(ahead > 0 for _, _, ahead, _ in calls[1:])
+        for k, floor, _, rank in calls:
+            assert basis(k, floor, solver._Sketch())[0] == rank
+
+    def test_rows_beyond_a_lower_stop_are_discarded(self, caplog):
+        # the second K has rank 9, below the first's 29: the second sketch
+        # computes 30 rows ahead and stops at 10
+        high, rho, g, t = linear_instance(55, 29)
+        low = linear_instance(56, 9)[0]
+        sketch = solver._Sketch()
+        first, _, _, floor = rotated_system(high, rho, g, t, 0.1, 5.5)
+        second = combine(low, rho)
+        wide = solver._nystrom_eigenbasis(first, floor, sketch)[0]
+        with caplog.at_level("DEBUG", logger="graphkern.solver"):
+            narrow = solver._nystrom_eigenbasis(second, floor, sketch)[0]
+        assert narrow < wide
+        assert f"{narrow} of {wide} rows computed ahead used" in caplog.text
+        assert narrow == solver._nystrom_eigenbasis(second, floor, solver._Sketch())[0]
+
+    @pytest.mark.parametrize("name", ["curve", "wide_curve", "round_off_pivot"])
+    def test_nothing_wider_than_one_block_is_factored_or_inverted(self, monkeypatch, name):
+        d, rho, g, t = factor_instance(name)
+        g.lap_eigvecs  # the graph's own eigh, done before patching
+        widths = {"cholesky": [], "inv": []}
+        for routine, seen in widths.items():
+            def recording(a, _routine=getattr(np.linalg, routine), _seen=seen):
+                _seen.append(a.shape[-1])
+                return _routine(a)
+
+            monkeypatch.setattr(solver.np.linalg, routine, recording)
+        kept = TestLowRankRoute.spy(monkeypatch)
+        solve_structured(d, rho, g, t, alpha=0.1, beta=5.5)
+        assert kept == [True]
+        block = -(-d.num_samples // solver._SKETCH_STEPS)
+        assert widths["cholesky"] and max(widths["cholesky"]) <= block
+        assert widths["inv"] and max(widths["inv"]) <= block
