@@ -20,7 +20,6 @@ from .kernels import (
     LINEAR,
     KernelDictionary,
     KernelGrid,
-    KernelSpec,
     build_dictionary,
     combine,
     kernel_cross,
@@ -65,7 +64,6 @@ __all__ = [
     "LINEAR",
     "KernelDictionary",
     "KernelGrid",
-    "KernelSpec",
     "build_dictionary",
     "combine",
     "kernel_cross",

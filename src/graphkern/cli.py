@@ -453,13 +453,11 @@ def _kernel_grid(block):
     """The KernelGrid of a config's or a model file's ``kernel_grid``; other keys are ignored.
 
     Every command reads the grid here, before it allocates anything for
-    it: a grid whose parameters alone, one double per kernel, exceed the
-    machine's physical memory raises ``MemoryError``, in
-    ``validate-config``, ``fit``, ``experiment`` and ``predict`` alike.
-    The agreement is partial: the bound ignores a container's memory
-    limit, and a linear grid below it can still pass ``validate-config``
-    and exhaust memory in ``fit``, which builds one ``KernelSpec`` per
-    kernel.
+    it: a grid whose parameter array, one double per kernel and all that a
+    dictionary holds per kernel, exceeds the machine's physical memory
+    raises ``MemoryError``, in ``validate-config``, ``fit``,
+    ``experiment`` and ``predict`` alike.  The bound ignores a
+    container's memory limit.
     """
     grid = KernelGrid(block["family"], float(block["lo"]), float(block["hi"]),
                       _integer(block["count"], "kernel_grid.count"))
@@ -687,8 +685,8 @@ def load_model(path):
     if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
         raise ConfigError(f"{path}: target_names must be a list of strings")
     try:
-        specs = _kernel_grid(payload["kernel_grid"]).specs()
-        dictionary = KernelDictionary.from_specs(payload["training_inputs"], specs)
+        grid = _kernel_grid(payload["kernel_grid"])
+        dictionary = KernelDictionary.from_specs(payload["training_inputs"], grid)
         psi, rho = payload["psi"], _checked_weights(dictionary, payload["rho"])
         alpha, beta = float(payload["alpha"]), float(payload["beta"])
     except (KeyError, TypeError, ValueError, OverflowError) as err:
@@ -805,9 +803,9 @@ def cmd_experiment(cfg, run, out_dir):
         writer = csv.writer(fh)
         writer.writerow(["kernel_index", "parameter", "rho"])
         rho = rho_report.representative_rho
-        for i, spec in enumerate(config.grid.specs()):
+        for i, parameter in enumerate(config.grid.parameters()):
             value = 0.0 if rho is None else float(rho[i])
-            writer.writerow([i + 1, repr(float(spec.parameter)), repr(value)])
+            writer.writerow([i + 1, repr(float(parameter)), repr(value)])
 
     report_path = out_dir / "report.json"
     with open(report_path, "w") as fh:

@@ -11,7 +11,7 @@ independently seeded realizations and aggregates.
 The realizations of one training-set size run in lockstep batches: the B
 training sets of a batch are stacked into one dictionary (the
 single-kernel baseline shares its squared distances, through the
-package-private ``KernelDictionary._with_specs``), each method is
+package-private ``KernelDictionary._with_grid``), each method is
 fitted for all B at once (one batched solve per optimizer iteration), and
 each method's batched model predicts the B test blocks, gathered once,
 with one :meth:`~graphkern.solver.KrgModel.predict` call, the route of a
@@ -47,7 +47,6 @@ from .kernels import (
     GAUSSIAN,
     LINEAR,
     KernelGrid,
-    KernelSpec,
     build_dictionary,
 )
 from .mkl import SolverConfig, optimize
@@ -300,30 +299,31 @@ def nmse(pred, truth):
     return float(np.sum((p - t) ** 2)) / denom
 
 
-def _fit_method(method, grid, t_fit, graph, config):
+def _fit_method(method, dictionary, t_fit, graph, config):
     """Fit one method; returns (model, optimizer trace).
 
-    ``grid`` is the dictionary of ``config.grid`` over the training
-    inputs and ``t_fit`` the targets, for one training set or a stack of
-    them; for a stack the model is batched and the trace is a tuple with
-    one :class:`~graphkern.mkl.OptimizerTrace` per set.  The multi-kernel
-    method learns weights over ``grid``.  The two baselines solve one
-    kernel at weight 1 over the same inputs, sharing ``grid``'s squared
-    distances (:meth:`~graphkern.kernels.KernelDictionary._with_specs`),
-    and have no trace (``None``).
+    ``dictionary`` is that of ``config.grid`` over the training inputs and
+    ``t_fit`` the targets, for one training set or a stack of them; for a
+    stack the model is batched and the trace is a tuple with one
+    :class:`~graphkern.mkl.OptimizerTrace` per set.  The multi-kernel
+    method learns weights over ``dictionary``.  The two baselines solve
+    the one-kernel grid of their kernel at weight 1 over the same inputs,
+    sharing ``dictionary``'s squared distances
+    (:meth:`~graphkern.kernels.KernelDictionary._with_grid`), and have no
+    trace (``None``).
     """
     if method == METHOD_MULTI:
-        return optimize(grid, graph, t_fit, config.solver, config.alpha, config.beta)
+        return optimize(dictionary, graph, t_fit, config.solver, config.alpha, config.beta)
     if method == METHOD_LINEAR:
-        spec, alpha, beta = KernelSpec(LINEAR), config.linear_alpha, 0.0
+        kernel, alpha, beta = KernelGrid(LINEAR, count=1), config.linear_alpha, 0.0
     elif method == METHOD_SINGLE:
-        spec = KernelSpec(GAUSSIAN, config.single_sigma_sq)
-        alpha, beta = config.alpha, config.beta
+        s2 = config.single_sigma_sq
+        kernel, alpha, beta = KernelGrid(GAUSSIAN, s2, s2, 1), config.alpha, config.beta
     else:
         raise ValueError(f"unknown method {method!r}")
-    dictionary = grid._with_specs([spec])
-    rho = np.ones(dictionary.batch_shape + (1,))
-    return solve_structured(dictionary, rho, graph, t_fit, alpha, beta), None
+    baseline = dictionary._with_grid(kernel)
+    rho = np.ones(baseline.batch_shape + (1,))
+    return solve_structured(baseline, rho, graph, t_fit, alpha, beta), None
 
 
 def batch_size(dataset, config):
@@ -375,24 +375,24 @@ def _run_batch(dataset, config, seeds):
     if not live:
         return results
     train, test = perms[live, :n], perms[live, n:]
-    grid = build_dictionary(dataset.inputs[train], config.grid)
+    dictionary = build_dictionary(dataset.inputs[train], config.grid)
     x_test = dataset.inputs[test]
-    # Read-only, and the linear method's dictionary links the grid to the
-    # dictionaries that _with_specs makes: the two Gaussian methods'
-    # predictions then share one computation of the test block's distances
-    # (kernels._new_input_distances).  The multi-kernel fit, the largest of
-    # the batch, runs before any dictionary holds them.
+    # Read-only, and the linear method's dictionary links the multi-kernel
+    # one to the dictionaries that _with_grid makes: the two Gaussian
+    # methods' predictions then share one computation of the test block's
+    # distances (kernels._new_input_distances).  The multi-kernel fit, the
+    # largest of the batch, runs before any dictionary holds them.
     x_test.setflags(write=False)
     for method in (METHOD_LINEAR, METHOD_MULTI, METHOD_SINGLE):
-        _score_method(method, [results[b] for b in live], dataset, config, grid,
+        _score_method(method, [results[b] for b in live], dataset, config, dictionary,
                       t_noisy[live], test, x_test)
     return results
 
 
-def _score_method(method, results, dataset, config, grid, t_noisy, test, x_test):
+def _score_method(method, results, dataset, config, dictionary, t_noisy, test, x_test):
     """Fit one method on a batch and record each trial's test NMSE or error."""
     try:
-        model, traces = _fit_method(method, grid, t_noisy, dataset.graph, config)
+        model, traces = _fit_method(method, dictionary, t_noisy, dataset.graph, config)
     except np.linalg.LinAlgError as err:
         if len(results) == 1:
             results[0].errors[method] = str(err)
@@ -402,7 +402,7 @@ def _score_method(method, results, dataset, config, grid, t_noisy, test, x_test)
         # the trials whose own matrix fails record the error
         for b in range(len(results)):
             one = slice(b, b + 1)
-            alone = build_dictionary(grid.training_inputs[one], config.grid)
+            alone = build_dictionary(dictionary.training_inputs[one], config.grid)
             _score_method(method, results[one], dataset, config, alone,
                           t_noisy[one], test[one], x_test[one])
         return
@@ -508,7 +508,7 @@ def grid_search_hyperparams(dataset, method, alphas, betas, config):
         t_noisy = add_noise_snr(t_clean, config.snr_db, noise_seed)
     except ValueError as err:  # an all-zero training block has no SNR
         raise ExperimentError(f"grid search: {err}") from None
-    grid = build_dictionary(x_train, config.grid)
+    dictionary = build_dictionary(x_train, config.grid)
 
     best = None
     for a in alphas:
@@ -517,7 +517,7 @@ def grid_search_hyperparams(dataset, method, alphas, betas, config):
                 cfg = replace(config, linear_alpha=a)
             else:
                 cfg = replace(config, alpha=a, beta=b)
-            model, _ = _fit_method(method, grid, t_noisy, dataset.graph, cfg)
+            model, _ = _fit_method(method, dictionary, t_noisy, dataset.graph, cfg)
             score = nmse(model.predict(x_train), t_clean)
             if best is None or score < best[0]:
                 best = (score, a, b)

@@ -1,21 +1,24 @@
 """Basis kernel dictionaries over a fixed set of training inputs.
 
-A dictionary describes S basis kernels over the same N training inputs.
-The effective kernel used for regression is the weighted sum
-``K = sum_s rho_s K_s`` with nonnegative weights, formed by :func:`combine`.
-:func:`combine` and :func:`kernel_cross` refuse negative or non-finite
-weights with a ``ValueError``, so a combined kernel is always positive
-semidefinite.
+A dictionary describes the S basis kernels of one :class:`KernelGrid`
+over the same N training inputs.  The effective kernel used for
+regression is the weighted sum ``K = sum_s rho_s K_s`` with nonnegative
+weights, formed by :func:`combine`.  :func:`combine` and
+:func:`kernel_cross` refuse negative or non-finite weights with a
+``ValueError``, so a combined kernel is always positive semidefinite.
 
-Two kernel families are supported: Gaussian ``exp(-||x - x'||^2 / (2 s2))``
-parameterized by the variance ``s2``, and the linear kernel ``x^T x'``.
-Every Gaussian basis matrix is a function of one shared squared-distance
-matrix, so the dictionary stores no per-kernel matrices: it keeps the
-condensed upper triangle of the distances (N (N - 1) / 2 entries) and,
-when a linear kernel is present, the N x N Gram matrix ``X X^T``.  Both
-are built on first use, so a dictionary that only evaluates new inputs
-(:func:`kernel_cross`) never builds them.  Work over the pairs runs in
-blocks of at most ``BLOCK_ENTRIES`` exponentials, which stay in cache.
+A grid is of one of two families: Gaussian ``exp(-||x - x'||^2 / (2 s2))``,
+parameterized by the variance ``s2``, or the linear kernel ``x^T x'``.
+The dictionary holds the grid and its parameters in one float64 array,
+and no object per kernel.  Every Gaussian basis matrix is a function of
+one shared squared-distance matrix, so the dictionary stores no
+per-kernel matrices: it keeps the condensed upper triangle of the
+distances (N (N - 1) / 2 entries).  Every kernel of a linear grid is the
+one N x N Gram matrix ``X X^T``, so its sums are that matrix times the
+sum of the weights.  Both are built on first use, so a dictionary that
+only evaluates new inputs (:func:`kernel_cross`) never builds them.
+Work over the pairs runs in blocks of at most ``BLOCK_ENTRIES``
+exponentials, which stay in cache.
 
 The Gaussian rows ``E[s, c] = exp(-d_c / (2 s2_s))`` over the pairs have
 low numerical rank in ``s``: each is a smooth function of ``d`` on
@@ -25,8 +28,9 @@ decomposition ``E = C E[J]`` (Cheng, Gimbutas, Martinsson & Rokhlin 2005),
 which takes |J| <= 32 rows in place of S = 100 on the default grid.  The
 skeleton is chosen by pivoted QR on a table of the kernels over
 multi-scale Chebyshev nodes of ``[0, top]``, ``top`` the power of two at
-or above the largest distance, so one skeleton serves every dictionary
-of the same grid whose distances lie below ``top``.  Its entry error is
+or above the largest distance, so one skeleton, cached by grid and
+``top``, serves every dictionary of the same grid whose distances lie
+below ``top``.  Its entry error is
 certified on the midpoints between the nodes.  A skeleton that fails the
 certificate, or that keeps every kernel (small grids), is replaced by the
 identity skeleton: all Gaussian kernels with ``C = I``.  The exact
@@ -42,7 +46,7 @@ scaled rows, within a stated round-off bound.  No module of the package
 imports scipy.
 
 A dictionary may also hold a stack of B training sets of one size, all
-under the same specs (``training_inputs`` of shape (B, N, L)).  Weights,
+under the same grid (``training_inputs`` of shape (B, N, L)).  Weights,
 combined kernels, inner products, new inputs and cross kernels then carry
 the same leading batch axis, and every training set is computed as it
 would be alone, except that the whole stack shares one skeleton, built
@@ -81,36 +85,19 @@ _MAX_COUNT = np.iinfo(np.intp).max // 16
 
 
 @dataclass(frozen=True)
-class KernelSpec:
-    """One basis kernel: a family plus its parameter.
-
-    ``parameter`` is the Gaussian variance (must be positive); it is
-    ignored for the linear kernel.
-    """
-
-    family: str
-    parameter: float = 1.0
-
-    def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown kernel family {self.family!r}")
-        if self.family == GAUSSIAN and not 0 < self.parameter < math.inf:
-            raise ValueError(
-                f"Gaussian kernel variance must be positive and finite, got {self.parameter}"
-            )
-
-
-@dataclass(frozen=True)
 class KernelGrid:
     """A uniform grid of ``count`` basis kernels of one family.
 
     For the Gaussian family the grid places ``count`` variances uniformly
-    over ``[lo, hi]``: ``s2_s = lo + (s - 1) (hi - lo) / (count - 1)`` (a
-    single-kernel grid uses ``lo``).  The linear kernel has no parameter,
-    so its grid is ``count`` copies and is normally used with ``count=1``.
-    The grid is checked when made, without building a spec per kernel; its
-    fields, in this order, are the ``kernel_grid`` block of a config and
-    of a model file.
+    over ``[lo, hi]``: ``s2_s = lo + (s - 1) (hi - lo) / (count - 1)``.  It
+    needs ``0 < lo < hi < inf``; a one-kernel grid uses ``lo``, and may
+    also have ``lo == hi``, so ``KernelGrid(GAUSSIAN, s2, s2, 1)`` is the
+    single kernel of variance ``s2``.  The linear kernel has no parameter,
+    so its grid is ``count`` copies and is normally used with ``count=1``;
+    its ``lo`` and ``hi`` are recorded, and must be finite, but not used.
+    The grid is checked when made, without building anything per kernel;
+    its fields, in this order, are the ``kernel_grid`` block of a config
+    and of a model file.
     """
 
     family: str = GAUSSIAN
@@ -122,9 +109,12 @@ class KernelGrid:
         lo, hi, count = float(self.lo), float(self.hi), self.count
         if count < 1:
             raise ValueError("kernel count must be at least 1")
-        if self.family == GAUSSIAN and not 0 < lo < hi < math.inf:
-            raise ValueError(f"invalid parameter span [{lo}, {hi}]: need 0 < lo < hi < inf")
-        count = operator.index(count)  # as range() and np.linspace() take it
+        if self.family == GAUSSIAN:
+            if not (0 < lo < hi < math.inf or count == 1 and 0 < lo == hi < math.inf):
+                raise ValueError(f"invalid parameter span [{lo}, {hi}]: need 0 < lo < hi < inf")
+        elif not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"invalid parameter span [{lo}, {hi}]: need finite lo and hi")
+        count = operator.index(count)  # as np.linspace() takes it
         if count > _MAX_COUNT:
             raise ValueError(
                 f"kernel grid count {count} exceeds {_MAX_COUNT}: too large for numpy"
@@ -135,20 +125,22 @@ class KernelGrid:
         for name, value in (("lo", lo), ("hi", hi), ("count", count)):
             object.__setattr__(self, name, value)
 
-    def specs(self):
-        """The grid's kernel specs, in order."""
+    def parameters(self):
+        """The kernels' parameters in order: Gaussian variances, or ones for the linear family."""
         if self.family == LINEAR:
-            return [KernelSpec(LINEAR) for _ in range(self.count)]
-        return [KernelSpec(self.family, p) for p in np.linspace(self.lo, self.hi, self.count)]
+            return np.ones(self.count)
+        return np.linspace(self.lo, self.hi, self.count)
 
 
 class KernelDictionary:
-    """S basis kernels over N training inputs, evaluated on demand.
+    """The S basis kernels of one grid over N training inputs, evaluated on demand.
 
     Attributes
     ----------
-    specs : tuple of KernelSpec
-        The generating kernels, in order.
+    grid : KernelGrid
+        The generating grid.
+    parameters : (S,) array
+        ``grid.parameters()``, read-only.
     training_inputs : (N, L) array, or (B, N, L) for a stack of B training sets
         Row ``n`` (of each set) is the n-th training input.
 
@@ -156,40 +148,44 @@ class KernelDictionary:
     are built on first access and read-only afterwards.
     """
 
-    def __init__(self, specs, training_inputs):
-        self.specs = tuple(specs)
+    def __init__(self, grid, training_inputs):
+        self.grid = grid
+        self.parameters = grid.parameters()
+        self.parameters.setflags(write=False)
         self.training_inputs = training_inputs
         self.training_inputs.setflags(write=False)
         # the last read-only new inputs and their distances to the training
-        # set, kept only between dictionaries that _with_specs links
+        # set, kept only between dictionaries that _with_grid links
         self._cross_memo = None
 
     @classmethod
-    def from_specs(cls, training_inputs, specs):
-        """Build a dictionary from explicit kernel specs.
+    def from_specs(cls, training_inputs, grid):
+        """The dictionary of ``grid``, a :class:`KernelGrid`, over checked training inputs.
 
         ``training_inputs`` is one (N, L) training set or a (B, N, L)
-        stack of them.
+        stack of them.  :func:`build_dictionary` is this call; the name is
+        the one ``perfbench`` traces, and :attr:`specs` what it passes back.
         """
-        x = _validated_inputs(training_inputs)
-        specs = tuple(specs)
-        if not specs:
-            raise ValueError("need at least one kernel spec")
-        return cls(specs, x)
+        return cls(grid, _validated_inputs(training_inputs))
 
-    def _with_specs(self, specs):
-        """The dictionary of ``specs`` over the same training inputs.
+    @property
+    def specs(self):
+        """The grid, as :meth:`from_specs` takes it back."""
+        return self.grid
 
-        When ``specs`` hold a Gaussian kernel, the new dictionary takes
-        this one's squared distances, built here if need be, so that the
-        two build them once.  The two also share the distances of the
-        last read-only array of new inputs that :func:`kernel_cross`
-        evaluated on either, so that scoring both on it computes them once.
-        Package-private, as the memo takes a read-only array not to change:
-        true of the Monte-Carlo's test blocks, not of every such array.
+    def _with_grid(self, grid):
+        """The dictionary of ``grid`` over the same training inputs.
+
+        A Gaussian ``grid`` takes this dictionary's squared distances,
+        built here if need be, so that the two build them once.  The two
+        also share the distances of the last read-only array of new
+        inputs that :func:`kernel_cross` evaluated on either, so that
+        scoring both on it computes them once.  Package-private, as the
+        memo takes a read-only array not to change: true of the
+        Monte-Carlo's test blocks, not of every such array.
         """
-        other = self.from_specs(self.training_inputs, specs)
-        if other._families[0].size:
+        other = self.from_specs(self.training_inputs, grid)
+        if grid.family == GAUSSIAN:
             other.__dict__["sq_distances"] = self.sq_distances
         if self._cross_memo is None:
             self._cross_memo = {}
@@ -198,7 +194,7 @@ class KernelDictionary:
 
     @property
     def num_kernels(self):
-        return len(self.specs)
+        return self.grid.count
 
     @property
     def num_samples(self):
@@ -234,28 +230,20 @@ class KernelDictionary:
         return gram
 
     @cached_property
-    def _families(self):
-        """Gaussian and linear kernel indices, and ``-2 s2`` per kernel."""
-        gaussian = np.array([s.family == GAUSSIAN for s in self.specs])
-        divisors = np.array([-2.0 * s.parameter for s in self.specs])
-        return np.flatnonzero(gaussian), np.flatnonzero(~gaussian), divisors
-
-    @cached_property
     def _skeleton(self):
-        """``(rows, interp)`` of :func:`_build_skeleton` for these distances.
+        """``(rows, interp)`` of :func:`_build_skeleton` for a Gaussian grid and these distances.
 
         One skeleton serves every set of a stack: it is built for the
         largest distance of them all.  Without pairs (N = 1), with all
         inputs equal, or with distances beyond float range, it is the
         identity and no skeleton is built.
         """
-        gaussian, _, divisors = self._families
         largest = float(self.sq_distances.max(initial=0.0))
         if not 0.0 < largest < math.inf:
-            return _identity_skeleton(gaussian.size)
+            return _identity_skeleton(self.num_kernels)
         mantissa, exponent = math.frexp(largest)
         top = math.ldexp(1.0, exponent - (mantissa == 0.5))
-        return _build_skeleton(tuple(divisors[gaussian].tolist()), top)
+        return _build_skeleton(self.grid, top)
 
     def __repr__(self):
         batch = f", batch_shape={self.batch_shape}" if self.batch_shape else ""
@@ -267,7 +255,7 @@ class KernelDictionary:
 
 def build_dictionary(training_inputs, grid=KernelGrid()):
     """Build the dictionary of a :class:`KernelGrid` over the training inputs."""
-    return KernelDictionary.from_specs(training_inputs, grid.specs())
+    return KernelDictionary.from_specs(training_inputs, grid)
 
 
 def _validated_inputs(training_inputs):
@@ -321,7 +309,7 @@ def _gaussian_tables(sq, divisors):
 def _gaussian_sums(sq, divisors, weights):
     """Weighted Gaussian sums ``out[b, c] = sum_r weights[b, r] exp(sq[b, c] / divisors[r])``.
 
-    ``sq`` is (sets, entries) and ``weights`` (sets, G) over the Gaussian
+    ``sq`` is (sets, entries) and ``weights`` (sets, S) over the Gaussian
     kernels whose ``-2 s2`` are ``divisors``.  Each set evaluates only its
     own kernels of nonzero weight, so its sums do not depend on the other
     sets.
@@ -342,12 +330,12 @@ def _weigh(sq, divisors, weights, out):
 
 
 @functools.lru_cache(maxsize=8)
-def _build_skeleton(divisors, top):
-    """Skeleton ``(rows, interp)`` of Gaussian rows over distances in ``[0, top]``.
+def _build_skeleton(grid, top):
+    """Skeleton ``(rows, interp)`` of a Gaussian grid's rows over distances in ``[0, top]``.
 
-    ``divisors`` holds ``-2 s2`` per Gaussian kernel, so that row ``r`` is
+    With ``divisors`` the grid's ``-2 s2``, row ``r`` is
     ``exp(d / divisors[r])``.  ``rows`` indexes the skeleton kernels J and
-    ``interp`` is the (G, |J|) matrix C with
+    ``interp`` is the (S, |J|) matrix C with
     ``exp(d / divisors) = C exp(d / divisors[rows])`` for every ``d`` in
     ``[0, top]``, to ``_SKELETON_TOLERANCE`` per entry.
 
@@ -360,7 +348,7 @@ def _build_skeleton(divisors, top):
     is checked on the midpoints between the nodes.  A skeleton that fails
     the check, or that keeps every kernel, is replaced by the identity.
     """
-    divisors = np.array(divisors)
+    divisors = -2.0 * grid.parameters()
     unit = 0.5 - 0.5 * np.cos(np.linspace(0.0, np.pi, _SKELETON_NODES))
     fastest = -1.0 / divisors.max()
     scales = [top]
@@ -478,6 +466,18 @@ def _square(packed, diagonal, n):
     return out
 
 
+def _linear_sums(rho, gram, shape):
+    """``sum_s rho_s G`` per set, for a linear grid whose every kernel is the Gram matrix G.
+
+    ``gram()`` returns G, and is called only when some weight is nonzero.
+    """
+    weight = rho.sum(axis=-1)
+    out = np.zeros(shape)
+    if weight.any():
+        out += weight[..., None, None] * gram()
+    return out
+
+
 def combine(dictionary, rho):
     """Weighted kernel matrix ``sum_s rho_s K_s`` (symmetric PSD), per training set.
 
@@ -486,55 +486,49 @@ def combine(dictionary, rho):
     ``rho``, so its matrix does not depend on the other sets of a stack.
     """
     rho = _checked_weights(dictionary, rho)
-    gaussian, linear, divisors = dictionary._families
     batch, n = dictionary.batch_shape, dictionary.num_samples
-    rows = rho.reshape(-1, dictionary.num_kernels)[:, gaussian]
-    if rows.any():
-        sq = dictionary.sq_distances.reshape(len(rows), -1)
-        packed = _gaussian_sums(sq, divisors[gaussian], rows)
-        totals = [row[row != 0.0].sum() for row in rows]  # every Gaussian is 1 at distance 0
-        out = _square(packed.reshape(batch + (-1,)), np.reshape(totals, batch), n)
-    else:
-        out = np.zeros(batch + (n, n))
-    for s in linear:
-        if np.any(rho[..., s]):
-            out += rho[..., s, None, None] * dictionary.linear_gram
-    return out
+    if dictionary.grid.family == LINEAR:
+        return _linear_sums(rho, lambda: dictionary.linear_gram, batch + (n, n))
+    rows = rho.reshape(-1, dictionary.num_kernels)
+    if not rows.any():
+        return np.zeros(batch + (n, n))
+    sq = dictionary.sq_distances.reshape(len(rows), -1)
+    packed = _gaussian_sums(sq, -2.0 * dictionary.parameters, rows)
+    totals = [row[row != 0.0].sum() for row in rows]  # every Gaussian is 1 at distance 0
+    return _square(packed.reshape(batch + (-1,)), np.reshape(totals, batch), n)
 
 
 def kernel_inner_products(dictionary, sym):
     """Frobenius products ``<K_s, sym>`` of every basis kernel with a symmetric matrix.
 
     ``sym`` carries the dictionary's batch axis, if any, and so does the
-    result.  A Gaussian term is ``2 E_s . p + tr(sym)``, with ``p`` the
-    condensed upper triangle of ``sym`` and ``E_s`` the kernel's entries
-    over the pairs.  The products ``E_j . p`` are taken only for the
-    skeleton kernels J, one block of pairs at a time, and the Gaussian
-    terms follow as ``2 C (E[J] p) + tr(sym)``.  The skeleton's certified
-    entry error (``_SKELETON_TOLERANCE``) bounds a term's error by
-    ``2e-13 ||p||_1``; where no skeleton passes the certificate, J holds
-    every Gaussian kernel, C is the identity and the terms are exact.
+    result.  Every kernel of a linear grid gives ``<X X^T, sym>``.  A
+    Gaussian term is ``2 E_s . p + tr(sym)``, with ``p`` the condensed
+    upper triangle of ``sym`` and ``E_s`` the kernel's entries over the
+    pairs.  The products ``E_j . p`` are taken only for the skeleton
+    kernels J, one block of pairs at a time, and the terms follow as
+    ``2 C (E[J] p) + tr(sym)``.  The skeleton's certified entry error
+    (``_SKELETON_TOLERANCE``) bounds a term's error by ``2e-13 ||p||_1``;
+    where no skeleton passes the certificate, J holds every kernel, C is
+    the identity and the terms are exact.
     """
     sym = np.asarray(sym, dtype=float)
     n = dictionary.num_samples
     expected = dictionary.batch_shape + (n, n)
     if sym.shape != expected:
         raise ValueError(f"matrix must have shape {expected}, got {sym.shape}")
-    gaussian, linear, divisors = dictionary._families
-    out = np.empty(dictionary.batch_shape + (dictionary.num_kernels,))
-    if gaussian.size:
-        rows, interp = dictionary._skeleton
-        packed = _condensed(sym).reshape(math.prod(dictionary.batch_shape), -1)
-        sq = dictionary.sq_distances.reshape(len(packed), -1)
-        acc = np.zeros((len(packed), len(rows)))
-        for b, pairs, table in _gaussian_tables(sq, divisors[gaussian[rows]]):
-            acc[b] += table @ packed[b, pairs]
-        acc = (acc @ interp.T).reshape(out[..., gaussian].shape)
-        trace = np.trace(sym, axis1=-2, axis2=-1)
-        out[..., gaussian] = 2.0 * acc + trace[..., None]
-    for s in linear:
-        out[..., s] = np.sum(dictionary.linear_gram * sym, axis=(-2, -1))
-    return out
+    if dictionary.grid.family == LINEAR:
+        product = np.sum(dictionary.linear_gram * sym, axis=(-2, -1))
+        return np.repeat(product[..., None], dictionary.num_kernels, axis=-1)
+    rows, interp = dictionary._skeleton
+    packed = _condensed(sym).reshape(math.prod(dictionary.batch_shape), -1)
+    sq = dictionary.sq_distances.reshape(len(packed), -1)
+    acc = np.zeros((len(packed), len(rows)))
+    for b, pairs, table in _gaussian_tables(sq, -2.0 * dictionary.parameters[rows]):
+        acc[b] += table @ packed[b, pairs]
+    acc = (acc @ interp.T).reshape(dictionary.batch_shape + (-1,))
+    trace = np.trace(sym, axis1=-2, axis2=-1)
+    return 2.0 * acc + trace[..., None]
 
 
 def _cross_sq_distances(inputs, training):
@@ -575,7 +569,7 @@ def _cross_sq_distances(inputs, training):
 def _new_input_distances(dictionary, inputs):
     """:func:`_cross_sq_distances` of ``inputs`` to the training set.
 
-    Dictionaries linked by :meth:`KernelDictionary._with_specs` keep the
+    Dictionaries linked by :meth:`KernelDictionary._with_grid` keep the
     last result for read-only inputs and return it again for the same
     array, which is taken not to change: a copy or a digest of the inputs
     to compare would add to the peak memory of the call.
@@ -599,13 +593,12 @@ def kernel_cross(dictionary, rho, inputs):
     (B, K, L), with ``rho`` (B, S), giving (B, K, N), each set's matrix
     bit for bit as it gets alone.  A wrong batch shape or column count,
     NaN or Inf raise ``ValueError``.  Each set evaluates only its own
-    kernels of nonzero weight.  The squared distances are those of
-    :func:`_cross_sq_distances`, each within its bound ``delta`` of summed
-    differences; since ``|exp(-d) - exp(-d')| <= |d - d'|`` for
-    nonnegative ``d, d'``, an entry is within
+    kernels of nonzero weight.  For a Gaussian grid the squared distances
+    are those of :func:`_cross_sq_distances`, each within its bound
+    ``delta`` of summed differences; since ``|exp(-d) - exp(-d')| <= |d - d'|``
+    for nonnegative ``d, d'``, an entry is within
     ``sum_s rho_s (delta / (2 s2_s) + S eps)`` of the one that summed
-    differences give, the first term over the Gaussian kernels only and
-    the second the round-off of the sum.
+    differences give, the second term the round-off of the sum.
     """
     rho = _checked_weights(dictionary, rho)
     x = dictionary.training_inputs
@@ -617,16 +610,11 @@ def kernel_cross(dictionary, rho, inputs):
         )
     if not np.all(np.isfinite(x2)):
         raise ValueError("inputs contain NaN or Inf")
-    gaussian, linear, divisors = dictionary._families
-    rows = rho.reshape(-1, dictionary.num_kernels)[:, gaussian]
     shape = x2.shape[:-1] + (x.shape[-2],)
-    if rows.any():
-        sq = _new_input_distances(dictionary, x2).reshape(len(rows), -1)
-        out = _gaussian_sums(sq, divisors[gaussian], rows).reshape(shape)
-    else:
-        out = np.zeros(shape)
-    if np.any(rho[..., linear]):
-        dot = x2 @ np.swapaxes(x, -1, -2)
-        for s in linear:
-            out += rho[..., s, None, None] * dot
-    return out
+    if dictionary.grid.family == LINEAR:
+        return _linear_sums(rho, lambda: x2 @ np.swapaxes(x, -1, -2), shape)
+    rows = rho.reshape(-1, dictionary.num_kernels)
+    if not rows.any():
+        return np.zeros(shape)
+    sq = _new_input_distances(dictionary, x2).reshape(len(rows), -1)
+    return _gaussian_sums(sq, -2.0 * dictionary.parameters, rows).reshape(shape)

@@ -2,7 +2,7 @@
 
 Production code never forms the S x N x N kernel stack: it keeps only the
 pairwise distances and evaluates kernels on demand.  The stack references
-build every basis Gram matrix the direct way, one spec at a time, so the
+build every basis Gram matrix the direct way, one kernel at a time, so the
 matrix-free paths can be checked against them.
 
 Production code also never forms the MN x MN regression system.  The
@@ -49,8 +49,7 @@ from scipy.spatial.distance import cdist
 from graphkern import (
     GAUSSIAN,
     LINEAR,
-    KernelDictionary,
-    KernelSpec,
+    KernelGrid,
     SingularSystemError,
     TrialResult,
     add_noise_snr,
@@ -76,16 +75,16 @@ from graphkern import solver
 from graphkern.solver import CONDITION_LIMIT, KrgModel, _check_fit_args
 
 
-def kernel_eval(spec, x, x2):
-    """Evaluate one basis kernel on a pair of input vectors."""
+def kernel_eval(family, parameter, x, x2):
+    """Evaluate one basis kernel, of a family and parameter, on a pair of input vectors."""
     x = np.asarray(x, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     if x.shape != x2.shape or x.ndim != 1:
         raise ValueError(f"input vectors must share one shape, got {x.shape} and {x2.shape}")
-    if spec.family == LINEAR:
+    if family == LINEAR:
         return float(x @ x2)
     sq = float(np.sum((x - x2) ** 2))
-    return float(np.exp(-sq / (2.0 * spec.parameter)))
+    return float(np.exp(-sq / (2.0 * parameter)))
 
 
 def kernel_vector(dictionary, rho, x):
@@ -313,19 +312,12 @@ def sq_distances(a, b):
 
 
 def stack(dictionary):
-    """``(S, N, N)`` array whose slice ``s`` is the Gram matrix of ``specs[s]``."""
+    """``(S, N, N)`` array whose slice ``s`` is the Gram matrix of kernel ``s``."""
     x = dictionary.training_inputs
-    n = x.shape[0]
-    sq = None
-    mats = np.empty((dictionary.num_kernels, n, n))
-    for i, spec in enumerate(dictionary.specs):
-        if spec.family == LINEAR:
-            mats[i] = x @ x.T
-        else:
-            if sq is None:
-                sq = sq_distances(x, x)
-            mats[i] = np.exp(-sq / (2.0 * spec.parameter))
-    return mats
+    if dictionary.grid.family == LINEAR:
+        return np.array([x @ x.T for _ in dictionary.parameters])
+    sq = sq_distances(x, x)
+    return np.array([np.exp(-sq / (2.0 * s2)) for s2 in dictionary.parameters])
 
 
 def combine(dictionary, rho):
@@ -379,13 +371,12 @@ def weight_objective_quadratic(dictionary, graph, psi, beta):
 def fit_method_sequential(method, x_train, t_fit, graph, config):
     """Fit one method on one training set; returns (model, iterations)."""
     if method == METHOD_LINEAR:
-        dictionary = KernelDictionary.from_specs(x_train, [KernelSpec(LINEAR)])
+        dictionary = build_dictionary(x_train, KernelGrid(LINEAR, count=1))
         model = solve_structured(dictionary, np.ones(1), graph, t_fit, config.linear_alpha, 0.0)
         return model, 0
     if method == METHOD_SINGLE:
-        dictionary = KernelDictionary.from_specs(
-            x_train, [KernelSpec(GAUSSIAN, config.single_sigma_sq)]
-        )
+        s2 = config.single_sigma_sq
+        dictionary = build_dictionary(x_train, KernelGrid(GAUSSIAN, s2, s2, 1))
         model = solve_structured(dictionary, np.ones(1), graph, t_fit, config.alpha, config.beta)
         return model, 0
     dictionary = build_dictionary(x_train, config.grid)

@@ -13,10 +13,7 @@ import pytest
 
 from graphkern import (
     ExperimentConfig,
-    GAUSSIAN,
-    KernelDictionary,
     KernelGrid,
-    KernelSpec,
     SolverConfig,
     build_dictionary,
     build_graph,

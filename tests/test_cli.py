@@ -265,6 +265,18 @@ class TestValidateConfig:
         err = assert_input_error(capsys, cli.main(["validate-config", "--config", str(path)]))
         assert "invalid parameter span" in err
 
+    @pytest.mark.parametrize("bound", [{"lo": math.nan}, {"hi": math.inf}, {"lo": -math.inf}])
+    def test_non_finite_linear_grid_span(self, tmp_path, capsys, bound):
+        # a linear grid uses no bounds, but a model file records them, and
+        # one holding null would load in no predict
+        grid = {"family": "linear", "lo": 0.01, "hi": 10.0, "count": 2}
+        path = synthetic_config(tmp_path, kernel_grid={**grid, **bound})
+        for argv in (["validate-config"], ["fit", "--out", str(tmp_path / "out")],
+                     ["experiment", "--out", str(tmp_path / "exp")]):
+            err = assert_input_error(capsys, cli.main([*argv, "--config", str(path)]))
+            assert "invalid parameter span" in err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "exp").exists()
+
     def test_unknown_kernel_family(self, tmp_path):
         path = synthetic_config(
             tmp_path, kernel_grid={"family": "poly", "lo": 0.1, "hi": 1.0, "count": 3}
@@ -1146,8 +1158,8 @@ class TestExperimentCommand:
             rho_rows = list(csv.reader(fh))
         assert rho_rows[0] == ["kernel_index", "parameter", "rho"]
         assert len(rho_rows) == 1 + 12  # one row per kernel
-        specs = KernelGrid("gaussian", 0.01, 10.0, 12).specs()
-        assert [float(r[1]) for r in rho_rows[1:]] == [s.parameter for s in specs]
+        parameters = KernelGrid("gaussian", 0.01, 10.0, 12).parameters()
+        assert [float(r[1]) for r in rho_rows[1:]] == parameters.tolist()
 
         report = json.loads((out / "report.json").read_text())
         assert [r["n_train"] for r in report["results"]] == [4, 6]

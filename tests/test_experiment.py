@@ -9,9 +9,7 @@ from graphkern import (
     ExperimentConfig,
     ExperimentDataset,
     GAUSSIAN,
-    KernelDictionary,
     KernelGrid,
-    KernelSpec,
     NodeCoordinates,
     SolverConfig,
     add_noise_snr,
@@ -265,11 +263,8 @@ class TestRunTrial:
         idx = rng.permutation(small_dataset.num_pairs)[:10]
         x, t = small_dataset.inputs[idx], small_dataset.targets[idx]
         g = small_dataset.graph
-        multi = KernelDictionary.from_specs(
-            x,
-            [KernelSpec(GAUSSIAN, 0.25), KernelSpec(GAUSSIAN, 1.0), KernelSpec(GAUSSIAN, 4.0)],
-        )
-        single = KernelDictionary.from_specs(x, [KernelSpec(GAUSSIAN, 1.0)])
+        multi = build_dictionary(x, KernelGrid(GAUSSIAN, 0.25, 1.75, 3))  # 0.25, 1.0, 1.75
+        single = build_dictionary(x, KernelGrid(GAUSSIAN, 1.0, 1.0, 1))
         one_hot = np.array([0.0, 1.0, 0.0])
         m_multi = solve_structured(multi, one_hot, g, t, 0.1, 5.5)
         m_single = solve_structured(single, np.ones(1), g, t, 0.1, 5.5)
@@ -434,10 +429,16 @@ class TestConfigGrid:
             ("cubic", (0.01, 10.0), 2.5, TypeError,
              "'float' object cannot be interpreted as an integer"),
             ("gaussian", ("a", 1.0), 10, ValueError, "could not convert string to float: 'a'"),
+            # lo == hi makes one kernel only
+            ("gaussian", (2.0, 2.0), 2, ValueError,
+             "invalid parameter span [2.0, 2.0]: need 0 < lo < hi < inf"),
+            # a linear grid ignores its bounds, but a model file must record them
+            ("linear", (np.nan, 10.0), 2, ValueError,
+             "invalid parameter span [nan, 10.0]: need finite lo and hi"),
         ],
     )
     def test_kernel_grid_refusals(self, family, span, count, error, message):
-        # the grid is checked when made, without building a spec per kernel
+        # the grid is checked when made, without building anything per kernel
         with pytest.raises(error) as got:
             KernelGrid(family, *span, count)
         assert str(got.value) == message
@@ -445,8 +446,8 @@ class TestConfigGrid:
     @pytest.mark.parametrize(
         "family, span, count",
         [("gaussian", (0.01, 10.0), 100), ("gaussian", (2.0, 3.0), 1), ("linear", (0.0, 0.0), 1),
-         ("linear", (7.0, -1.0), 3)],
+         ("linear", (7.0, -1.0), 3), ("gaussian", (2.0, 2.0), 1)],
     )
     def test_accepted_grids_build(self, family, span, count):
         config = ExperimentConfig(grid=KernelGrid(family, *span, count))
-        assert len(config.grid.specs()) == count
+        assert len(config.grid.parameters()) == count

@@ -5,9 +5,7 @@ import pytest
 from scipy.optimize import minimize
 
 from graphkern import (
-    KernelDictionary,
     KernelGrid,
-    KernelSpec,
     SingularSystemError,
     SolverConfig,
     build_dictionary,
@@ -44,7 +42,7 @@ def random_instance(rng, m, n, s, unit_targets=True):
 
 def scalar_instance():
     g = build_graph(np.zeros((1, 1)))
-    d = KernelDictionary.from_specs(np.zeros((1, 1)), [KernelSpec("gaussian", 1.0)])
+    d = build_dictionary(np.zeros((1, 1)), KernelGrid("gaussian", 1.0, 1.0, 1))
     t = np.array([[1.0]])
     return d, g, t
 

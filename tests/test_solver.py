@@ -8,9 +8,7 @@ import pytest
 from graphkern import (
     GAUSSIAN,
     LINEAR,
-    KernelDictionary,
     KernelGrid,
-    KernelSpec,
     SingularSystemError,
     SolverConfig,
     build_dictionary,
@@ -235,7 +233,7 @@ class TestObjective:
         rng = np.random.default_rng(10)
         n, m, l = 5, 3, 4
         x = rng.normal(size=(n, l))
-        d = KernelDictionary.from_specs(x, [KernelSpec(LINEAR)])
+        d = build_dictionary(x, KernelGrid(LINEAR, count=1))
         a = np.abs(rng.normal(size=(m, m)))
         a = 0.5 * (a + a.T)
         np.fill_diagonal(a, 0.0)
@@ -285,7 +283,7 @@ class TestPredict:
     def test_single_sample_shrinkage(self):
         # N=1 Gaussian: K = [1], prediction at the training input is t/(1+alpha)
         x = np.array([[2.0, -1.0]])
-        d = KernelDictionary.from_specs(x, [KernelSpec(GAUSSIAN, 1.0)])
+        d = build_dictionary(x, KernelGrid(GAUSSIAN, 1.0, 1.0, 1))
         g = build_graph(np.zeros((3, 3)))
         t = np.array([[3.0, -6.0, 9.0]])
         alpha = 0.5
@@ -481,7 +479,7 @@ class TestCholeskyBreakdown:
     def test_zero_kernel_falls_back_bit_for_bit(self, monkeypatch, caplog):
         # K = 0 at a nonzero weight: even the shifted core is zero
         rng = np.random.default_rng(53)
-        d = KernelDictionary.from_specs(np.zeros((200, 3)), [KernelSpec(LINEAR)])
+        d = build_dictionary(np.zeros((200, 3)), KernelGrid(LINEAR, count=1))
         _, g, _ = random_instance(rng, 4, 2, 1)
         t = rng.normal(size=(200, 4))
         kept = TestLowRankRoute.spy(monkeypatch)
@@ -493,22 +491,40 @@ class TestCholeskyBreakdown:
         np.testing.assert_array_equal(model.psi.view(np.uint64), dense.psi.view(np.uint64))
 
 
-def linear_instance(seed, features, n=300, m=4):
-    """N random inputs under the linear kernel: K = X X^T has rank ``features``."""
+def linear_instance(seed, features, n=300, m=4, tail=1.0):
+    """N random inputs under the linear kernel: K = X X^T has rank ``features``.
+
+    The last feature is scaled by ``tail``, which makes the least
+    eigenvalue of K about ``tail**2`` times the others.
+    """
     rng = np.random.default_rng(seed)
-    d = KernelDictionary.from_specs(rng.normal(size=(n, features)), [KernelSpec(LINEAR)])
+    x = rng.normal(size=(n, features))
+    x[:, -1] *= tail
+    d = build_dictionary(x, KernelGrid(LINEAR, count=1))
     _, g, _ = random_instance(rng, m, 2, 1)
     return d, np.ones(1), g, rng.normal(size=(n, m))
 
 
+def round_off_pivot_instance():
+    """``(d, rho, g, t)`` whose sketch stops at rank 20 on a pivot in the round-off band.
+
+    20 linear features, the last scaled by 3e-7: K's 20th eigenvalue is
+    about 1e-13 of the others, so the core's 20th pivot, the last of the
+    sketch's second block, reads 1.1e-10 against a round-off bound of
+    4.8e-10, under one BLAS thread and under two.  At rank 19 exactly the
+    pivot would be pure round-off, and its sign, a stop or a breakdown,
+    would depend on the thread setting.
+    """
+    return linear_instance(54, 20, tail=3e-7)
+
+
 class TestRoundOffPivot:
-    # 19 linear features: K = X X^T has rank 19, one below the sketch's
-    # second block, and the core's last pivot falls to round-off without a
-    # breakdown, so L^-1 inverts a pivot that is only noise
+    # the core's last pivot falls in the round-off band without a
+    # breakdown, so L^-1 inverts a pivot that the sketch counts as noise
     def test_kept_solution_passes_the_certificate_with_the_largest_eigenvalue(
         self, monkeypatch, caplog
     ):
-        d, _, g, t = linear_instance(54, 19)
+        d, _, g, t = round_off_pivot_instance()
         alpha, beta = 0.1, 5.5
         kept = TestLowRankRoute.spy(monkeypatch)
         with caplog.at_level("DEBUG", logger="graphkern.solver"):
@@ -540,7 +556,7 @@ def factor_instance(name):
     if name == "wide_curve":
         d, g, t = wide_curve_instance()
         return d, np.ones(6), g, t
-    return linear_instance(54, 19)
+    return round_off_pivot_instance()
 
 
 def rotated_system(d, rho, g, t, alpha, beta):
