@@ -822,6 +822,7 @@ def cmd_experiment(cfg, run, out_dir):
 def cmd_validate_config(config_path):
     """Refuse what ``fit`` and ``experiment`` would refuse, short of fitting."""
     cfg, run = load_config(config_path)
+    _check_output_dir(Path(cfg["output_dir"]))
     dataset, _ = _dataset_from_config(cfg)
     _check_training_sizes(run[1], dataset)
     print(f"{config_path}: OK")

@@ -10,14 +10,16 @@ independently seeded realizations and aggregates.
 
 The realizations of one training-set size run in lockstep batches: the B
 training sets of a batch are stacked into one dictionary (the
-single-kernel baseline shares its squared distances, through the
-package-private ``KernelDictionary._with_grid``), each method is
-fitted for all B at once (one batched solve per optimizer iteration), and
-each method's batched model predicts the B test blocks, gathered once,
-with one :meth:`~graphkern.solver.KrgModel.predict` call, the route of a
-single fit.  A batch is as large as keeps its (B, N, L + M) arrays within
-one block of ``BLOCK_ENTRIES`` (see :func:`batch_size`); the exponential
-tables are streamed one training set at a time, as for a single fit.
+single-kernel baseline shares only its squared distances between
+training inputs, through the package-private
+``KernelDictionary._with_grid``), each method is fitted for all B at
+once (one batched solve per optimizer iteration), and each method's
+batched model predicts the B test blocks, gathered once, with one
+:meth:`~graphkern.solver.KrgModel.predict` call, the route of a single
+fit, which computes the test blocks' distances itself.  A batch is as
+large as keeps its (B, N, L + M) arrays within one block of
+``BLOCK_ENTRIES`` (see :func:`batch_size`); the exponential tables are
+streamed one training set at a time, as for a single fit.
 Each trial is computed as it would be alone, except that the gradient's
 Gaussian skeleton (see :mod:`graphkern.kernels`) is built for the
 batch's largest distance, so results depend on the batching only within
@@ -228,8 +230,8 @@ def make_synthetic_dataset(
     placing the data where the kernel parameter grid is informative but a
     unit-variance kernel is narrower than optimal.  ``num_pairs`` and
     ``num_modes`` below 1, a ``mean_sq_distance`` that is not positive
-    and finite, or a non-finite ``mode_decay`` or ``mean_level`` raise
-    ``ValueError``.
+    and finite, a non-finite ``mode_decay`` or ``mean_level``, or a
+    series beyond float range raise ``ValueError``.
     """
     for name, value in (("num_pairs", num_pairs), ("num_modes", num_modes)):
         if value < 1:
@@ -251,20 +253,24 @@ def make_synthetic_dataset(
 
     num_modes = min(num_modes, num_nodes)
     u = graph.lap_eigvecs[:, :num_modes]
-    amps = mode_decay ** np.arange(num_modes)
     freqs = rng.uniform(0.02, 0.12, size=num_modes)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=num_modes)
     t_axis = np.arange(num_pairs + 1)
-    coeffs = amps * np.cos(2.0 * np.pi * np.outer(t_axis, freqs) + phases)
-    coeffs[:, 0] += mean_level
-    series = coeffs @ u.T
-
-    sq = np.empty((len(series), len(series)))  # a row at a time, no (P + 1)^2 x M array
-    for i, row in enumerate(series):
-        sq[i] = np.sum((row - series) ** 2, axis=-1)
-    mean_sq = float(np.sum(sq)) / (sq.shape[0] * (sq.shape[0] - 1))
-    if mean_sq > 0:
-        series = series * np.sqrt(mean_sq_distance / mean_sq)
+    # a series beyond float range, inf or NaN, is refused as training data
+    with np.errstate(over="ignore", invalid="ignore"):
+        amps = mode_decay ** np.arange(num_modes)
+        coeffs = amps * np.cos(2.0 * np.pi * np.outer(t_axis, freqs) + phases)
+        coeffs[:, 0] += mean_level
+        series = coeffs @ u.T
+        # measured on the series scaled by a power of two, exactly, so that
+        # no squared distance of a finite series overflows
+        scaled = np.ldexp(series, -np.frexp(np.abs(series).max())[1])
+        sq = np.empty((len(series), len(series)))  # a row at a time, no (P + 1)^2 x M array
+        for i, row in enumerate(scaled):
+            sq[i] = np.sum((row - scaled) ** 2, axis=-1)
+        mean_sq = float(np.sum(sq)) / (sq.shape[0] * (sq.shape[0] - 1))
+        if mean_sq > 0:
+            series = scaled * np.sqrt(mean_sq_distance / mean_sq)
 
     return ExperimentDataset(
         inputs=series[:-1], targets=series[1:], graph=graph, coords=coords
@@ -377,12 +383,6 @@ def _run_batch(dataset, config, seeds):
     train, test = perms[live, :n], perms[live, n:]
     dictionary = build_dictionary(dataset.inputs[train], config.grid)
     x_test = dataset.inputs[test]
-    # Read-only, and the linear method's dictionary links the multi-kernel
-    # one to the dictionaries that _with_grid makes: the two Gaussian
-    # methods' predictions then share one computation of the test block's
-    # distances (kernels._new_input_distances).  The multi-kernel fit, the
-    # largest of the batch, runs before any dictionary holds them.
-    x_test.setflags(write=False)
     for method in (METHOD_LINEAR, METHOD_MULTI, METHOD_SINGLE):
         _score_method(method, [results[b] for b in live], dataset, config, dictionary,
                       t_noisy[live], test, x_test)

@@ -154,9 +154,6 @@ class KernelDictionary:
         self.parameters.setflags(write=False)
         self.training_inputs = training_inputs
         self.training_inputs.setflags(write=False)
-        # the last read-only new inputs and their distances to the training
-        # set, kept only between dictionaries that _with_grid links
-        self._cross_memo = None
 
     @classmethod
     def from_specs(cls, training_inputs, grid):
@@ -176,20 +173,14 @@ class KernelDictionary:
     def _with_grid(self, grid):
         """The dictionary of ``grid`` over the same training inputs.
 
-        A Gaussian ``grid`` takes this dictionary's squared distances,
-        built here if need be, so that the two build them once.  The two
-        also share the distances of the last read-only array of new
-        inputs that :func:`kernel_cross` evaluated on either, so that
-        scoring both on it computes them once.  Package-private, as the
-        memo takes a read-only array not to change: true of the
-        Monte-Carlo's test blocks, not of every such array.
+        A Gaussian ``grid`` takes this dictionary's squared distances
+        between training inputs, built here if need be, so that the two
+        build them once.  Only those are shared: :func:`kernel_cross`
+        computes the distances of new inputs afresh on every call.
         """
         other = self.from_specs(self.training_inputs, grid)
         if grid.family == GAUSSIAN:
             other.__dict__["sq_distances"] = self.sq_distances
-        if self._cross_memo is None:
-            self._cross_memo = {}
-        other._cross_memo = self._cross_memo
         return other
 
     @property
@@ -566,24 +557,6 @@ def _cross_sq_distances(inputs, training):
         return np.ldexp(sq, 2 * exponent, out=sq)
 
 
-def _new_input_distances(dictionary, inputs):
-    """:func:`_cross_sq_distances` of ``inputs`` to the training set.
-
-    Dictionaries linked by :meth:`KernelDictionary._with_grid` keep the
-    last result for read-only inputs and return it again for the same
-    array, which is taken not to change: a copy or a digest of the inputs
-    to compare would add to the peak memory of the call.
-    """
-    memo = dictionary._cross_memo
-    if memo is None or inputs.flags.writeable:
-        return _cross_sq_distances(inputs, dictionary.training_inputs)
-    if memo.get("inputs") is not inputs:
-        sq = _cross_sq_distances(inputs, dictionary.training_inputs)
-        sq.setflags(write=False)
-        memo.update(inputs=inputs, sq=sq)
-    return memo["sq"]
-
-
 def kernel_cross(dictionary, rho, inputs):
     """Combined-kernel evaluations between new inputs and the training set.
 
@@ -616,5 +589,5 @@ def kernel_cross(dictionary, rho, inputs):
     rows = rho.reshape(-1, dictionary.num_kernels)
     if not rows.any():
         return np.zeros(shape)
-    sq = _new_input_distances(dictionary, x2).reshape(len(rows), -1)
+    sq = _cross_sq_distances(x2, x).reshape(len(rows), -1)
     return _gaussian_sums(sq, -2.0 * dictionary.parameters, rows).reshape(shape)

@@ -256,7 +256,10 @@ def _solve_rotated(dictionary, rho, graph, t_rot, alpha, beta, sketch):
     and has ``errors`` None.  A stack has per set ``None`` or the message,
     and a failing set's ``Psi~`` is zero.
     """
-    lam = graph.lap_eigvals
+    # beta lam or a denominator beyond float range, inf or NaN, reads as
+    # a singular system below: it fails dmin > 0 or the condition limit
+    with np.errstate(over="ignore"):
+        scale = 1.0 + beta * graph.lap_eigvals
     n = dictionary.num_samples
     # kvecs None stands for K = 0, for which LAPACK's eigh returns exactly
     # (0, I); a product with I is exact, so it is skipped
@@ -265,7 +268,7 @@ def _solve_rotated(dictionary, rho, graph, t_rot, alpha, beta, sketch):
         k = combine(dictionary, rho)
         if (not dictionary.batch_shape and n >= LOW_RANK_MIN_SIZE and alpha > 0
                 and not sketch.refused):
-            psi = _solve_low_rank(k, t_rot, 1.0 + beta * lam, alpha, sketch)
+            psi = _solve_low_rank(k, t_rot, scale, alpha, sketch)
             if psi is not None:
                 return psi, None
         else:
@@ -276,7 +279,8 @@ def _solve_rotated(dictionary, rho, graph, t_rot, alpha, beta, sketch):
         kvals = np.zeros(dictionary.batch_shape + (n,))
         log.debug("solve at N = %d: zero kernel, no eigh", n)
     # denoms[..., j, m] is the eigenvalue of column system m along kernel mode j
-    denoms = kvals[..., :, None] * (1.0 + beta * lam) + alpha
+    with np.errstate(over="ignore", invalid="ignore"):
+        denoms = kvals[..., :, None] * scale + alpha
     # a denominator at or below zero marks a system as singular
     dmax = denoms.max(axis=(-2, -1))
     dmin = denoms.min(axis=(-2, -1))
@@ -430,7 +434,8 @@ def _solve_low_rank(k, t_rot, scale, alpha, sketch):
     if basis is None:
         return None
     rank, kappa, vt = basis
-    denoms = kappa[:, None] * scale + alpha
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, as in _solve_rotated
+        denoms = kappa[:, None] * scale + alpha
     # off the sketched range the eigenvalue is 0 and the denominator alpha
     dmin, dmax = min(denoms.min(), alpha), max(denoms.max(), alpha)
     if not dmin > 0.0 or dmax > CONDITION_LIMIT * dmin:

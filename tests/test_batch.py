@@ -65,7 +65,7 @@ def test_batched_levels_match_sequential_oracle(default_scenario, n_train):
         assert trial.iterations == expected.iterations
 
 
-def test_a_batch_computes_its_distances_once(default_scenario, monkeypatch):
+def test_a_batch_computes_its_training_distances_once(default_scenario, monkeypatch):
     calls = []
     route = kernels._cross_sq_distances
 
@@ -79,9 +79,10 @@ def test_a_batch_computes_its_distances_once(default_scenario, monkeypatch):
     assert batch_size(default_scenario, config) == 5
     monte_carlo(default_scenario, config)
     pairs, dim = default_scenario.inputs.shape
-    # one call for the whole stack; the test block's distances serve both
-    # Gaussian methods' predictions
-    assert calls == [("pairs", (5, 8, dim)), ("test", (5, pairs - 8, dim))]
+    # one call for the whole stack, shared by both Gaussian methods; each
+    # of them computes the test blocks' distances when it predicts
+    test = ("test", (5, pairs - 8, dim))
+    assert calls == [("pairs", (5, 8, dim)), test, test]
 
 
 def duplicated_rows_dataset():

@@ -552,14 +552,18 @@ class TestFitAndPredict:
         assert "numeric failure: grid search: target block is identically zero" in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["fit", "experiment"])
+    @pytest.mark.parametrize("command", ["validate-config", "fit", "experiment"])
     @pytest.mark.parametrize("out", ["file", "file/sub"])
     def test_unusable_output_dir_exits_before_fitting(self, tmp_path, capsys, monkeypatch,
                                                       command, out):
         fits = []
         monkeypatch.setattr(experiment, "_fit_method", lambda *args: fits.append(args))
         (tmp_path / "file").write_text("")
-        path = synthetic_config(tmp_path)
+        # validate-config checks output_dir; fit and experiment keep the
+        # default there, so the path they refuse can only be --out
+        path = synthetic_config(
+            tmp_path, **({"output_dir": str(tmp_path / out)} if command == "validate-config"
+                         else {}))
         err = assert_input_error(capsys, run_on_config(command, path, tmp_path / out))
         assert str(tmp_path / out) in err and "not a directory" in err
         assert fits == []
@@ -589,6 +593,23 @@ class TestFitAndPredict:
         assert run_on_config(command, path, tmp_path / "out") == 1
         err = capsys.readouterr().err
         assert err.startswith(f"numeric failure: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, keys, rc, message",
+        [("fit", ("beta",), 1, "numeric failure: column systems have condition estimate inf"),
+         *[(command, ("synthetic", "mode_decay"), 2,
+            "error: cannot build the dataset: training data contains NaN or Inf")
+           for command in ("validate-config", "fit", "experiment")]],
+        ids=["fit-beta", "validate-config-mode_decay", "fit-mode_decay", "experiment-mode_decay"],
+    )
+    def test_float_overflow_prints_the_error_line_only(self, tmp_path, capsys, command, keys,
+                                                       rc, message):
+        # pytest raises a RuntimeWarning, so a warning on the way fails here
+        path = synthetic_config(tmp_path)
+        edit_config(path, keys, 1e308)
+        assert run_on_config(command, path, tmp_path / "out") == rc
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["validate-config", "fit", "experiment"])
     @pytest.mark.parametrize(

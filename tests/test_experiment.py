@@ -108,6 +108,20 @@ class TestSyntheticDataset:
         mean_sq = sq.sum() / (30 * 29)
         assert mean_sq == pytest.approx(6.0, rel=0.2)
 
+    def test_scale_of_a_series_whose_squared_distances_overflow(self):
+        # amplitudes up to 1e160: squared distances beyond float range, unless
+        # measured on the series scaled down
+        ds = make_synthetic_dataset(num_nodes=8, num_pairs=12, num_modes=3, mode_decay=1e80,
+                                    seed=3)
+        series = np.vstack([ds.inputs, ds.targets[-1:]])
+        sq = ((series[:, None, :] - series[None, :, :]) ** 2).sum(-1)
+        assert sq.sum() / (13 * 12) == pytest.approx(6.0, rel=1e-12)
+
+    def test_series_beyond_float_range_is_refused_silently(self):
+        # pytest turns a RuntimeWarning into an error
+        with pytest.raises(ValueError, match="training data contains NaN or Inf"):
+            make_synthetic_dataset(num_nodes=8, num_pairs=12, mode_decay=1e308, seed=3)
+
     def test_targets_smoother_than_noise(self):
         from graphkern import smoothness
 

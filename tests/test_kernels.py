@@ -175,30 +175,21 @@ class TestBuildDictionary:
         np.testing.assert_array_equal(combine(single, np.ones((2, 1))),
                                       combine(alone, np.ones((2, 1))))
 
-    def test_linked_dictionaries_share_distances_of_read_only_inputs_only(self, monkeypatch):
+    def test_linked_dictionaries_see_a_changed_read_only_view(self):
         rng = np.random.default_rng(3)
         d = build_dictionary(rng.normal(size=(6, 3)), KernelGrid(lo=0.2, hi=4.0, count=7))
         single = d._with_grid(KernelGrid(GAUSSIAN, 0.5, 0.5, 1))
-        calls = []
-        route = kernels._cross_sq_distances
-
-        def counting(inputs, training):
-            calls.append(inputs.shape)
-            return route(inputs, training)
-
-        monkeypatch.setattr(kernels, "_cross_sq_distances", counting)
-        x = rng.normal(size=(4, 3))
+        base = rng.normal(size=(4, 3))
+        view = base[:]
+        view.setflags(write=False)  # read-only, yet its base may change
         rho = np.full(7, 0.2)
-        kernel_cross(single, np.ones(1), x)
-        x += 1.0  # a writable array may change between calls
+        kernel_cross(single, np.ones(1), view)
+        base += 1.0
         alone = build_dictionary(d.training_inputs, d.grid)
-        np.testing.assert_array_equal(kernel_cross(d, rho, x), kernel_cross(alone, rho, x))
-        assert len(calls) == 3
-        x.setflags(write=False)
-        first = kernel_cross(single, np.ones(1), x)
-        np.testing.assert_array_equal(kernel_cross(d, rho, x), kernel_cross(alone, rho, x))
-        assert len(calls) == 5  # one for both linked dictionaries, one for the other
-        np.testing.assert_array_equal(first, kernel_cross(single, np.ones(1), x))
+        np.testing.assert_array_equal(kernel_cross(d, rho, view), kernel_cross(alone, rho, view))
+        alone = build_dictionary(d.training_inputs, single.grid)
+        np.testing.assert_array_equal(kernel_cross(single, np.ones(1), view),
+                                      kernel_cross(alone, np.ones(1), view))
 
     def test_matrices_symmetric_psd_with_unit_diagonal(self):
         rng = np.random.default_rng(1)

@@ -132,6 +132,17 @@ class TestSolveStructured:
         with pytest.raises(SingularSystemError, match="alpha"):
             solve_structured(d, np.ones(1), g, np.ones((2, 2)), alpha=0.0, beta=0.0)
 
+    @pytest.mark.parametrize("n", [4, solver.LOW_RANK_MIN_SIZE])
+    def test_beta_beyond_float_range_is_singular(self, n):
+        # 1 + beta lam and the denominators overflow, silently: pytest turns
+        # a RuntimeWarning into an error.  With one input column K has low
+        # numerical rank, so at N = 200 a sketch forms and its denominators
+        # overflow before the dense route's do.
+        rng = np.random.default_rng(45)
+        d, g, t = random_instance(rng, 3, n, 2, input_dim=1)
+        with pytest.raises(SingularSystemError, match="condition estimate inf"):
+            solve_structured(d, np.ones(2), g, t, alpha=0.5, beta=1e308)
+
 
 class TestNonpositiveDenominator:
     # a column system with a denominator at or below zero is singular,
