@@ -14,16 +14,21 @@ single-kernel baseline shares only its squared distances between
 training inputs, through the package-private
 ``KernelDictionary._with_grid``), each method is fitted for all B at
 once (one batched solve per optimizer iteration), and each method's
-batched model predicts the B test blocks, gathered once, with one
-:meth:`~graphkern.solver.KrgModel.predict` call, the route of a single
-fit, which computes the test blocks' distances itself.  A batch is as
-large as keeps its (B, N, L + M) arrays within one block of
-``BLOCK_ENTRIES`` (see :func:`batch_size`); the exponential tables are
-streamed one training set at a time, as for a single fit.
+batched model predicts the B test blocks, whose inputs it gathers then,
+with one :meth:`~graphkern.solver.KrgModel.predict` call, the route of a
+single fit, which computes the test blocks' distances itself.  A batch
+is as large as keeps every row its trials hold, training and test, within
+one block of ``BLOCK_ENTRIES``: B P (L + M + N) doubles for P pairs, each
+an input, a target or prediction and its kernel entries against the N
+training inputs (see :func:`batch_size`).  At the paper's scale (P = 60,
+L = M = 45, N <= 30) that is B = 13, and a level of 25 realizations runs
+as two batches.  The exponential tables are streamed one training set at
+a time, as for a single fit.
 Each trial is computed as it would be alone, except that the gradient's
 Gaussian skeleton (see :mod:`graphkern.kernels`) is built for the
-batch's largest distance, so results depend on the batching only within
-the skeleton's certified error.  A trial whose system is singular, or
+batch's largest distance, so outputs depend on the batch composition
+only at round-off, within the skeleton's certified error.  A trial
+whose system is singular, or
 whose optimizer step leaves float range, records that method's error
 without stopping the rest of its batch; so does a trial whose training
 or test block of targets is identically zero, which has no SNR or NMSE
@@ -333,15 +338,21 @@ def _fit_method(method, dictionary, t_fit, graph, config):
 
 
 def batch_size(dataset, config):
-    """Trials per lockstep batch at ``config.n_train``.
+    """Trials per lockstep batch.
 
-    A batch's stacked inputs, targets and solver temporaries, about eight
-    arrays of B N (L + M) doubles, fit in one block of ``BLOCK_ENTRIES``.
-    The realizations are split into the fewest such batches, of near-equal
-    size.
+    A trial holds a row for every one of the P pairs: its input and its
+    target or prediction (L + M doubles) and its kernel entries against
+    the N training inputs (N doubles), in the stacked dictionary and
+    solver for its N training rows and when each method predicts for its
+    P - N test rows.  A batch of B trials is as large as keeps those
+    B P (L + M + N) doubles within one block of ``BLOCK_ENTRIES``, and at
+    least one trial; the realizations are split into the fewest such
+    batches, of near-equal size.  So a longer test block never gets a
+    larger batch.  With P = 60 pairs and L = M = 45, the paper's scale,
+    B = 13 at every ``n_train`` up to 30.
     """
-    width = dataset.inputs.shape[1] + dataset.targets.shape[1]
-    most = max(1, BLOCK_ENTRIES // (8 * config.n_train * width))
+    width = dataset.inputs.shape[1] + dataset.targets.shape[1] + config.n_train
+    most = max(1, BLOCK_ENTRIES // (dataset.num_pairs * width))
     batches = -(-config.n_realizations // most)
     return -(-config.n_realizations // batches)
 
@@ -354,8 +365,8 @@ def _run_batch(dataset, config, seeds):
     training targets at the configured SNR, exactly as :func:`run_trial`
     describes.  A trial whose training targets are identically zero
     records that for every method and is left out of the batch.  Each
-    method's batched model predicts the test blocks of the rest, gathered
-    once, in one call.
+    method's batched model predicts the test blocks of the rest in one
+    call.
     """
     n = config.n_train
     if dataset.num_pairs < n + 1:
@@ -380,17 +391,21 @@ def _run_batch(dataset, config, seeds):
     live = [b for b, result in enumerate(results) if not result.failed]
     if not live:
         return results
-    train, test = perms[live, :n], perms[live, n:]
-    dictionary = build_dictionary(dataset.inputs[train], config.grid)
-    x_test = dataset.inputs[test]
+    if len(live) < len(seeds):
+        perms, t_noisy = perms[live], t_noisy[live]
+    dictionary = build_dictionary(dataset.inputs[perms[:, :n]], config.grid)
     for method in (METHOD_LINEAR, METHOD_MULTI, METHOD_SINGLE):
         _score_method(method, [results[b] for b in live], dataset, config, dictionary,
-                      t_noisy[live], test, x_test)
+                      t_noisy, perms[:, n:])
     return results
 
 
-def _score_method(method, results, dataset, config, dictionary, t_noisy, test, x_test):
-    """Fit one method on a batch and record each trial's test NMSE or error."""
+def _score_method(method, results, dataset, config, dictionary, t_noisy, test):
+    """Fit one method on a batch and record each trial's test NMSE or error.
+
+    ``test`` holds each trial's test rows; their inputs are gathered only
+    when the fitted model predicts them.
+    """
     try:
         model, traces = _fit_method(method, dictionary, t_noisy, dataset.graph, config)
     except np.linalg.LinAlgError as err:
@@ -404,9 +419,9 @@ def _score_method(method, results, dataset, config, dictionary, t_noisy, test, x
             one = slice(b, b + 1)
             alone = build_dictionary(dictionary.training_inputs[one], config.grid)
             _score_method(method, results[one], dataset, config, alone,
-                          t_noisy[one], test[one], x_test[one])
+                          t_noisy[one], test[one])
         return
-    predictions = model.predict(x_test)
+    predictions = model.predict(dataset.inputs[test])
     for b, result in enumerate(results):
         if model.errors[b] is not None:
             result.errors[method] = model.errors[b]

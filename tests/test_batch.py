@@ -65,6 +65,32 @@ def test_batched_levels_match_sequential_oracle(default_scenario, n_train):
         assert trial.iterations == expected.iterations
 
 
+@pytest.mark.parametrize("n_realizations", [25, 100])
+def test_batch_size_counts_every_row_a_trial_holds(default_scenario, n_realizations):
+    # every paper level runs as more than one batch, so the oracle test
+    # above compares batches of several trials, not one
+    for n_train in DEFAULT_SINGLE_PARAMS:
+        config = level_config(n_train, n_realizations)
+        assert 1 < batch_size(default_scenario, config) < n_realizations
+    # a batch of more than one trial keeps the rows of all its pairs, each
+    # an input, a target and N kernel entries, within one block, so a longer
+    # test block at the same n_train never gets a larger batch
+    graph = default_scenario.graph
+    inputs_width = default_scenario.inputs.shape[1]
+    for n_train in (4, 8, 16, 30, 300):
+        config = ExperimentConfig(n_train=n_train, n_realizations=n_realizations)
+        width = inputs_width + graph.num_nodes + n_train
+        sizes = []
+        for pairs in range(n_train + 1, 1000, 7):
+            dataset = ExperimentDataset(np.zeros((pairs, inputs_width)),
+                                        np.zeros((pairs, graph.num_nodes)), graph)
+            size = batch_size(dataset, config)
+            assert size == 1 or size * pairs * width <= kernels.BLOCK_ENTRIES
+            sizes.append(size)
+        assert sizes == sorted(sizes, reverse=True)
+        assert sizes[-1] == 1
+
+
 def test_a_batch_computes_its_training_distances_once(default_scenario, monkeypatch):
     calls = []
     route = kernels._cross_sq_distances
@@ -305,8 +331,9 @@ def test_lockstep_optimize_stops_a_problem_whose_step_leaves_float_range():
         assert relative(model.psi[b], m.psi) <= 1e-10
 
 
-def test_batched_level_memory_within_one_megabyte_of_sequential(default_scenario):
-    config = level_config(30)
+@pytest.mark.parametrize("n_train", [4, 8, 16, 30])
+def test_batched_level_memory_within_one_megabyte_of_sequential(default_scenario, n_train):
+    config = level_config(n_train)
     tracemalloc.start()
     try:
         for i in range(config.n_realizations):
