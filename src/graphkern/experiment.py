@@ -76,6 +76,9 @@ DEFAULT_SINGLE_PARAMS = {
     30: (0.1, 5.5),
 }
 DEFAULT_N_TRAIN_SWEEP = (4, 8, 16, 30)
+# Realizations per training size: a report keeps every trial, about 1.3 kB
+# each on the default grid, so this bound keeps a level near 130 MB
+MAX_REALIZATIONS = 100_000
 
 
 class ExperimentError(RuntimeError):
@@ -110,8 +113,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not abs(self.snr_db) <= 3000:  # 10 ** (snr_db / 10) a nonzero finite double
             raise ValueError("snr_db must be finite and between -3000 and 3000 dB")
-        if self.n_realizations < 1:
-            raise ValueError("n_realizations must be at least 1")
+        if not 1 <= self.n_realizations <= MAX_REALIZATIONS:
+            raise ValueError(f"n_realizations must be between 1 and {MAX_REALIZATIONS}")
         if self.n_train < 1:
             raise ValueError("n_train must be at least 1")
         if self.master_seed < 0:
@@ -460,13 +463,11 @@ def monte_carlo(dataset, config):
     Raises :class:`ExperimentError` (with ``partial_report`` attached)
     when more than half the trials record a failure.
     """
-    seeds = [trial_seed(config.master_seed, i) for i in range(config.n_realizations)]
-    size = batch_size(dataset, config)
-    trials = [
-        trial
-        for i in range(0, len(seeds), size)
-        for trial in _run_batch(dataset, config, seeds[i : i + size])
-    ]
+    size, indices = batch_size(dataset, config), range(config.n_realizations)
+    trials = []
+    for start in indices[::size]:  # each batch's seeds are made as it runs
+        seeds = [trial_seed(config.master_seed, i) for i in indices[start : start + size]]
+        trials += _run_batch(dataset, config, seeds)
 
     nmse_mean, nmse_std, n_ok = {}, {}, {}
     for method in METHODS:

@@ -307,17 +307,12 @@ def _gaussian_sums(sq, divisors, weights):
     """
     out = np.zeros(sq.shape)
     for b in np.flatnonzero(weights.any(axis=1)):
-        _weigh(sq[b], divisors, weights[b], out[b])
+        nonzero = weights[b] != 0.0
+        row = weights[b, nonzero]
+        for _, cols, table in _gaussian_tables(sq[b, None], divisors[nonzero]):
+            out[b, cols] = row @ table
+        table = None  # the last view goes, and with it the buffer, before the next set's
     return out
-
-
-def _weigh(sq, divisors, weights, out):
-    # out[c] = sum_r weights[r] E_r[c] over the kernels of nonzero weight;
-    # a function of its own, so the exp buffer is freed on return
-    nonzero = weights != 0.0
-    weights = weights[nonzero]
-    for _, cols, table in _gaussian_tables(sq[None], divisors[nonzero]):
-        out[cols] = weights @ table
 
 
 @functools.lru_cache(maxsize=8)

@@ -64,8 +64,8 @@ from .solver import (
 
 CONVERGED = "converged"
 MAX_ITERATIONS = "max_iterations"
-SINGULAR = "singular"  # a problem of a batch whose system turned singular
-OVERFLOW = "overflow"  # a problem of a batch whose step left float range
+SINGULAR = "singular"  # a problem whose system turned singular
+OVERFLOW = "overflow"  # a problem whose step left float range
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,8 @@ class OptimizerTrace:
     iterate.  The gap bounds how far that point's objective is above the
     optimum (see :func:`frank_wolfe_gap`).  ``final_gamma`` is the
     objective at the returned (projected) weights.  ``error`` is the
-    message of the singular system that stopped a problem of a batch.
+    message of the singular system or the out-of-range step that stopped
+    the problem, with ``status`` ``SINGULAR`` or ``OVERFLOW``.
     """
 
     iterations: list = field(default_factory=list)
@@ -245,19 +246,19 @@ def optimize(dictionary, graph, targets, config, alpha, beta):
     reached.  Returns ``(model, trace)``: the
     :class:`~graphkern.solver.KrgModel` fitted at the final weights
     ``model.rho`` (projected once more, so they are always feasible) and
-    the iteration trace.  A singular system mid-run raises
-    :class:`~graphkern.solver.SingularSystemError`, and a step that leaves
-    float range (a gradient that overflows, say, from a huge ``mu0`` or a
-    tiny ``alpha``) ``FloatingPointError``, each with the partial trace
-    attached as ``err.trace``.  No ``RuntimeWarning`` escapes such a step.
+    the iteration trace.  A stacked dictionary runs its problems in
+    lockstep, one solve per iteration for the whole stack; ``model.rho``
+    then holds one row per problem and the trace is a tuple of traces.
 
-    A stacked dictionary runs its problems in lockstep, one solve per
-    iteration for the whole stack.  ``model.rho`` then holds one row per
-    problem and the trace is a tuple of per-problem traces.  A problem
-    whose system turns singular or whose step leaves float range does not
-    raise: it stops with the message in its trace's ``error`` and in the
-    model's ``errors``, its status ``SINGULAR`` or ``OVERFLOW``, and its
-    ``psi`` is zero.
+    One problem and a stack take the same loop.  A problem whose system
+    turns singular or whose step leaves float range (a gradient that
+    overflows, say, from a huge ``mu0`` or a tiny ``alpha``; no
+    ``RuntimeWarning`` escapes) stops with the message in its trace's
+    ``error``, its status ``SINGULAR`` or ``OVERFLOW``.  In a stack the
+    message goes into the model's ``errors`` and the problem's ``psi`` is
+    zero.  A run of one problem raises once, after the loop,
+    :class:`~graphkern.solver.SingularSystemError` or
+    ``FloatingPointError``, with its trace as ``err.trace``.
     """
     batch = dictionary.batch_shape
     traces = tuple(OptimizerTrace() for _ in range(math.prod(batch)))
@@ -269,57 +270,51 @@ def optimize(dictionary, graph, targets, config, alpha, beta):
     t_rot = targets @ graph.lap_eigvecs
     sketch = _Sketch()
     lam_prev = 1.0
-    try:
-        for i in range(1, config.i_max + 1):
-            psi, errors = _solve_rotated(dictionary, _checked_weights(dictionary, rho_prev),
-                                         graph, t_rot, alpha, beta, sketch)
-            if batch:
-                for b in np.flatnonzero(live):
-                    if errors[b] is not None:
-                        traces[b].error = errors[b]
-                        traces[b].status = SINGULAR
-                        live[b] = False
-            mu = config.mu0 / i
-            # a problem whose step leaves float range stops below, its
-            # overflowing values unrecorded
-            with np.errstate(over="ignore", invalid="ignore"):
-                value = _gamma_rotated(graph, t_rot, psi, alpha, beta)
-                grad = _gradient_from_psi(dictionary, psi, alpha)
-                gap = frank_wolfe_gap(grad, rho_prev, config.radius, config.q)
-                step = rho_prev - mu * grad
-            del psi  # freed before the next solve
-            outside = ~np.isfinite(step).all(axis=-1)
-            if outside.any():
-                message = (f"the step of iteration {i} leaves float range; "
-                           f"consider a smaller mu0 or a larger alpha")
-                if not batch:
-                    raise FloatingPointError(message)
-                for b in np.flatnonzero(live & outside):
-                    traces[b].error = message
-                    traces[b].status = OVERFLOW
-                live = live & ~outside
-                step = np.where(outside[..., None], rho_prev, step)
-            z = project(step, config.radius, config.q)
-            lam = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * lam_prev**2))
-            nu = (lam_prev - 1.0) / lam
-            rho = (1.0 - nu) * z + nu * rho_prev
-            dsq = np.sum((rho - rho_prev) ** 2, axis=-1)
-            norms = _qnorm(rho, config.q)
-            rows = np.flatnonzero(live)
-            for b, v, d, r, g in zip(rows, np.ravel(value)[rows], np.ravel(dsq)[rows],
-                                     np.ravel(norms)[rows], np.ravel(gap)[rows]):
-                traces[b]._append(i, float(v), mu, float(d), float(r), float(g))
-            rho_prev = np.where(live[..., None], rho, rho_prev)
-            lam_prev = lam
-            converged = live & (dsq <= config.epsilon)
-            for b in np.flatnonzero(converged):
-                traces[b].status = CONVERGED
-            live = live & ~converged
-            if not live.any():
-                break
-    except (SingularSystemError, FloatingPointError) as err:  # one problem alone raises
-        err.trace = traces[0]
-        raise
+    for i in range(1, config.i_max + 1):
+        psi, errors = _solve_rotated(dictionary, _checked_weights(dictionary, rho_prev),
+                                     graph, t_rot, alpha, beta, sketch)
+        singular = live & np.reshape([e is not None for e in errors], batch)
+        for b in np.flatnonzero(singular):
+            traces[b].error = errors[b]
+            traces[b].status = SINGULAR
+        # in place, so that one problem's 0-d mask stays an array
+        live &= ~singular
+        mu = config.mu0 / i
+        # a problem whose step leaves float range stops below, its
+        # overflowing values unrecorded
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = _gamma_rotated(graph, t_rot, psi, alpha, beta)
+            grad = _gradient_from_psi(dictionary, psi, alpha)
+            gap = frank_wolfe_gap(grad, rho_prev, config.radius, config.q)
+            step = rho_prev - mu * grad
+        del psi  # freed before the next solve
+        outside = ~np.isfinite(step).all(axis=-1)
+        if outside.any():
+            message = (f"the step of iteration {i} leaves float range; "
+                       f"consider a smaller mu0 or a larger alpha")
+            for b in np.flatnonzero(live & outside):
+                traces[b].error = message
+                traces[b].status = OVERFLOW
+            live &= ~outside
+            step = np.where(outside[..., None], rho_prev, step)
+        z = project(step, config.radius, config.q)
+        lam = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * lam_prev**2))
+        nu = (lam_prev - 1.0) / lam
+        rho = (1.0 - nu) * z + nu * rho_prev
+        dsq = np.sum((rho - rho_prev) ** 2, axis=-1)
+        norms = _qnorm(rho, config.q)
+        rows = np.flatnonzero(live)
+        for b, v, d, r, g in zip(rows, np.ravel(value)[rows], np.ravel(dsq)[rows],
+                                 np.ravel(norms)[rows], np.ravel(gap)[rows]):
+            traces[b]._append(i, float(v), mu, float(d), float(r), float(g))
+        rho_prev = np.where(live[..., None], rho, rho_prev)
+        lam_prev = lam
+        converged = live & (dsq <= config.epsilon)
+        for b in np.flatnonzero(converged):
+            traces[b].status = CONVERGED
+        live &= ~converged
+        if not live.any():
+            break
     rho_final = _checked_weights(dictionary, project(rho_prev, config.radius, config.q))
     psi, errors = _solve_rotated(dictionary, rho_final, graph, t_rot, alpha, beta, sketch)
     # Omega goes before the returned model's arrays are made: held past them,
@@ -329,9 +324,13 @@ def optimize(dictionary, graph, targets, config, alpha, beta):
         final_gamma = np.ravel(_gamma_rotated(graph, t_rot, psi, alpha, beta))
     for trace, value in zip(traces, final_gamma):
         trace.final_gamma = float(value)
-    if batch:
-        errors = tuple(t.error or e for t, e in zip(traces, errors))
-        psi[np.array([e is not None for e in errors]).reshape(batch)] = 0.0  # as if singular
+    errors = tuple(t.error or e for t, e in zip(traces, errors))
+    if not batch and errors[0] is not None:  # one problem alone raises, once
+        error_type = FloatingPointError if traces[0].status == OVERFLOW else SingularSystemError
+        err = error_type(errors[0])
+        err.trace = traces[0]
+        raise err
+    psi[np.reshape([e is not None for e in errors], batch)] = 0.0  # as if singular
     return (KrgModel(psi @ graph.lap_eigvecs.T, float(alpha), float(beta), dictionary,
-                     rho_final, graph, errors),
+                     rho_final, graph, errors if batch else None),
             traces if batch else traces[0])

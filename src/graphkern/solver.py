@@ -93,7 +93,10 @@ it used and backward error at DEBUG level.
 The weights must be nonnegative and finite, so that ``K`` is positive
 semidefinite; others raise ``ValueError``, as they do in
 :func:`~graphkern.kernels.combine`.  A column system with a denominator
-at or below zero counts as singular.
+at or below zero counts as singular.  The solve records a singular
+system's message per training set, one or a stack, and zeroes its
+solution; only :func:`solve_structured` and :func:`~graphkern.mkl.optimize`
+raise, for one training set.
 """
 
 import logging
@@ -146,9 +149,9 @@ class KrgModel:
 
     A model fitted on a stack of B training sets holds (B, N, M) ``psi``
     and (B, S) ``rho``, and ``errors`` holds per set ``None`` or the
-    message of the :class:`SingularSystemError` its system raised, or in a
-    model from :func:`~graphkern.mkl.optimize` of a step that left float
-    range (its ``psi`` is then zero).
+    message of its singular system, or in a model from
+    :func:`~graphkern.mkl.optimize` of its step that left float range (its
+    ``psi`` is then zero).  One training set's fit raises it instead.
     """
 
     psi: np.ndarray
@@ -196,9 +199,10 @@ def solve_structured(dictionary, rho, graph, targets, alpha, beta):
     divisions, after which ``Psi = Psi~ U^T``.  Equivalent to factoring
     the MN x MN system up to round-off, at O(N^3 + M N^2) cost.
 
-    For a stacked dictionary, ``rho`` and ``targets`` carry its batch axis
-    and every system is checked on its own: one that fails the condition
-    check gets its message in the model's ``errors`` instead of raising.
+    A system that fails the condition check raises
+    :class:`SingularSystemError`.  For a stacked dictionary, ``rho`` and
+    ``targets`` carry its batch axis, and a system that fails gets its
+    message in the model's ``errors`` instead.
 
     At ``rho = 0`` (the optimizer's starting point) ``K = 0`` and its
     eigendecomposition is known, zero eigenvalues and the identity as
@@ -209,7 +213,10 @@ def solve_structured(dictionary, rho, graph, targets, alpha, beta):
     rho, t = _check_fit_args(dictionary, rho, graph, targets, alpha, beta)
     u = graph.lap_eigvecs
     psi, errors = _solve_rotated(dictionary, rho, graph, t @ u, alpha, beta, _Sketch())
-    return KrgModel(psi @ u.T, float(alpha), float(beta), dictionary, rho, graph, errors)
+    if not dictionary.batch_shape and errors[0] is not None:
+        raise SingularSystemError(errors[0])
+    return KrgModel(psi @ u.T, float(alpha), float(beta), dictionary, rho, graph,
+                    errors if dictionary.batch_shape else None)
 
 
 class _Sketch:
@@ -251,10 +258,10 @@ def _solve_rotated(dictionary, rho, graph, t_rot, alpha, beta, sketch):
     """``(Psi~, errors)``: the fit in graph-spectral coordinates.
 
     ``t_rot`` is ``T~ = T U`` and the solution ``Psi~ = Psi U``; ``rho``
-    is checked already, and ``sketch`` is the fit's :class:`_Sketch`.  One
-    training set raises :class:`SingularSystemError` for a failing system
-    and has ``errors`` None.  A stack has per set ``None`` or the message,
-    and a failing set's ``Psi~`` is zero.
+    is checked already, and ``sketch`` is the fit's :class:`_Sketch`.
+    A failing system raises nothing here, one set's or a stack's: ``errors``
+    holds per set (one entry for a single set) ``None`` or the message,
+    and a failing set's ``Psi~`` is zero.  The public callers raise.
     """
     # beta lam or a denominator beyond float range, inf or NaN, reads as
     # a singular system below: it fails dmin > 0 or the condition limit
@@ -270,7 +277,7 @@ def _solve_rotated(dictionary, rho, graph, t_rot, alpha, beta, sketch):
                 and not sketch.refused):
             psi = _solve_low_rank(k, t_rot, scale, alpha, sketch)
             if psi is not None:
-                return psi, None
+                return psi, (None,)
         else:
             log.debug("solve at N = %d: dense eigh", n)
         kvals, kvecs = np.linalg.eigh(k)
@@ -291,17 +298,12 @@ def _solve_rotated(dictionary, rho, graph, t_rot, alpha, beta, sketch):
         f"{CONDITION_LIMIT:.0e}; consider increasing alpha" if bad else None
         for c, bad in zip(cond.ravel(), failed.ravel())
     ]
-    if failed.any():
-        if not dictionary.batch_shape:
-            raise SingularSystemError(messages[0])
-        denoms[failed] = 1.0  # their psi is set to zero below
+    denoms[failed] = 1.0  # their psi is set to zero below
     psi = t_rot if kvecs is None else np.swapaxes(kvecs, -1, -2) @ t_rot
     psi = psi / denoms
     del denoms
     if kvecs is not None:
         psi = kvecs @ psi
-    if not dictionary.batch_shape:
-        return psi, None
     psi[failed] = 0.0
     return psi, tuple(messages)
 

@@ -292,6 +292,8 @@ def test_lockstep_optimize_freezes_a_singular_problem():
                  1e-13, 0.0)
     assert str(excinfo.value) == traces[0].error
     assert excinfo.value.trace.iterations == traces[0].iterations
+    assert excinfo.value.trace.status == traces[0].status == SINGULAR
+    assert excinfo.value.trace.error == str(excinfo.value)
     m, trace = optimize(build_dictionary(x[1], KernelGrid(lo=0.3, hi=3.0, count=4)),
                         graph, t[1], config, 1e-13, 0.0)
     assert trace.iterations == traces[1].iterations and trace.status == traces[1].status
@@ -323,6 +325,9 @@ def test_lockstep_optimize_stops_a_problem_whose_step_leaves_float_range():
     with pytest.raises(FloatingPointError) as excinfo:
         fit(x[1], t[1])
     assert str(excinfo.value) == traces[1].error
+    assert excinfo.value.trace.status == traces[1].status == OVERFLOW
+    assert excinfo.value.trace.error == str(excinfo.value)
+    assert excinfo.value.trace.iterations == traces[1].iterations
     for b in (0, 2):
         m, trace = fit(x[b], t[b])
         assert model.errors[b] is None and traces[b].error is None

@@ -345,6 +345,18 @@ class TestValidateConfig:
         assert f"{'.'.join(keys)}: expected an integer" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("count", [1e308, 2**63, 10**30, 100_001])
+    def test_realization_count_beyond_bound_exit_code(self, tmp_path, capsys, count):
+        # validate-config first: it refuses, before any trial runs, a count
+        # that experiment refuses too
+        path = synthetic_config(tmp_path)
+        edit_config(path, ("experiment", "n_realizations"), count)
+        err = assert_input_error(capsys, cli.main(["validate-config", "--config", str(path)]))
+        assert "n_realizations must be between 1 and 100000" in err
+        err = assert_input_error(capsys, run_on_config("experiment", path, tmp_path / "out"))
+        assert "n_realizations must be between 1 and 100000" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "command, flag",
         [("validate-config", False), ("fit", False), ("experiment", False),

@@ -381,6 +381,10 @@ class TestSeedDerivation:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="n_realizations"):
             ExperimentConfig(n_realizations=0)
+        for count in (100_001, 1e308, np.nan):
+            with pytest.raises(ValueError, match="n_realizations must be between 1 and 100000"):
+                ExperimentConfig(n_realizations=count)
+        assert ExperimentConfig(n_realizations=100_000).n_realizations == 100_000
         with pytest.raises(ValueError, match="n_train"):
             ExperimentConfig(n_train=0)
         with pytest.raises(ValueError, match="q"):

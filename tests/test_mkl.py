@@ -386,6 +386,12 @@ class TestOptimize:
             optimize(d, g, t, config, alpha=0.0, beta=0.0)
         assert hasattr(excinfo.value, "trace")
         assert excinfo.value.trace.iterations_used == 0
+        # the trace a stack of one records for the same problem
+        _, (stacked,) = optimize(build_dictionary(d.training_inputs[None], d.grid), g, t[None],
+                                 config, alpha=0.0, beta=0.0)
+        assert excinfo.value.trace.status == stacked.status == "singular"
+        assert excinfo.value.trace.error == str(excinfo.value) == stacked.error
+        assert excinfo.value.trace.iterations == stacked.iterations
 
     @pytest.mark.parametrize("mu0, alpha", [(1e308, 0.4), (0.1, 1e-300)])
     def test_step_outside_float_range_attaches_trace(self, mu0, alpha):
@@ -398,6 +404,12 @@ class TestOptimize:
         with pytest.raises(FloatingPointError, match=message) as excinfo:
             optimize(d, g, t, config, alpha, 0.5)
         assert excinfo.value.trace.iterations_used == 0
+        # the trace a stack of one records for the same problem
+        _, (stacked,) = optimize(build_dictionary(d.training_inputs[None], d.grid), g, t[None],
+                                 config, alpha, 0.5)
+        assert excinfo.value.trace.status == stacked.status == "overflow"
+        assert excinfo.value.trace.error == str(excinfo.value) == stacked.error
+        assert excinfo.value.trace.iterations == stacked.iterations
 
     def test_returns_model_solved_once_at_final_weights(self, monkeypatch):
         rng = np.random.default_rng(21)
