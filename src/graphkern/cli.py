@@ -306,7 +306,7 @@ def load_config(path, seed=None):
             raw = json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot open config file {path}: {err}") from err
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:  # or nested beyond json's depth
         raise ConfigError(f"{path}: invalid JSON: {err}") from err
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
@@ -340,10 +340,18 @@ def _merge_defaults(defaults, overrides):
 
 
 def _integer(value, name):
-    """An integer config value; a bool or a number with a fraction is refused, not truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """An integer config value; a bool, string or fractional number is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{name}: expected an integer, got {value!r}")
     return int(value)
+
+
+def _number(value, name):
+    """A config or model value that must be a JSON number, as a float; a bool or string is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name}: expected a number, got {value!r}")
+    return float(value)
 
 
 def _held(config, name, **values):
@@ -371,18 +379,18 @@ def _read_run(cfg):
             f"optimizer.momentum: only the damped schedule remains, got {opt['momentum']!r}"
         )
     config = exp.ExperimentConfig(
-        snr_db=float(e["snr_db"]),
+        snr_db=_number(e["snr_db"], "experiment.snr_db"),
         n_realizations=_integer(e["n_realizations"], "experiment.n_realizations"),
         grid=_kernel_grid(cfg["kernel_grid"]),
-        linear_alpha=float(e["linear_alpha"]),
-        single_sigma_sq=float(e["single_sigma_sq"]),
-        alpha=float(cfg["alpha"]),
-        beta=float(cfg["beta"]),
+        linear_alpha=_number(e["linear_alpha"], "experiment.linear_alpha"),
+        single_sigma_sq=_number(e["single_sigma_sq"], "experiment.single_sigma_sq"),
+        alpha=_number(cfg["alpha"], "alpha"),
+        beta=_number(cfg["beta"], "beta"),
         solver=SolverConfig(
-            mu0=float(opt["mu0"]),
+            mu0=_number(opt["mu0"], "optimizer.mu0"),
             i_max=_integer(opt["max_iterations"], "optimizer.max_iterations"),
-            epsilon=float(opt["epsilon"]),
-            radius=float(opt["radius"]),
+            epsilon=_number(opt["epsilon"], "optimizer.epsilon"),
+            radius=_number(opt["radius"], "optimizer.radius"),
             q=_integer(opt["q"], "optimizer.q"),
         ),
         master_seed=_integer(cfg["seed"], "seed"),
@@ -396,8 +404,8 @@ def _read_run(cfg):
         name = f"experiment.params_by_n_train[{key}]"
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValueError(f"{name} must be an [alpha, beta] pair")
-        held = _held(config, name, n_train=_integer(key, name), alpha=float(pair[0]),
-                     beta=float(pair[1]))
+        held = _held(config, name, n_train=int(key), alpha=_number(pair[0], name),
+                     beta=_number(pair[1], name))
         params[held.n_train] = (held.alpha, held.beta)
     search = None
     if "grid_search" in e:
@@ -407,7 +415,7 @@ def _read_run(cfg):
             values = e["grid_search"].get(key) if isinstance(e["grid_search"], dict) else None
             if not isinstance(values, list) or not values:
                 raise ValueError(f"{name} must be a nonempty list")
-            search.append([float(v) for v in values])
+            search.append([_number(v, name) for v in values])
             for value in search[-1]:
                 _held(config, name, **{field: value})
     return config, sizes, params, search
@@ -435,7 +443,7 @@ def _dataset_from_config(cfg):
             if key in ("num_nodes", "num_pairs", "num_modes", "seed"):
                 synth[key] = _integer(value, f"synthetic.{key}")
             elif key in ("mean_sq_distance", "mode_decay", "mean_level"):
-                synth[key] = float(value)
+                synth[key] = _number(value, f"synthetic.{key}")
         dataset = exp.make_synthetic_dataset(**synth)
     except KeyError as err:
         raise ConfigError(f"data block is missing {err}") from err
@@ -459,7 +467,8 @@ def _kernel_grid(block):
     ``experiment`` and ``predict`` alike.  The bound ignores a
     container's memory limit.
     """
-    grid = KernelGrid(block["family"], float(block["lo"]), float(block["hi"]),
+    grid = KernelGrid(block["family"], _number(block["lo"], "kernel_grid.lo"),
+                      _number(block["hi"], "kernel_grid.hi"),
                       _integer(block["count"], "kernel_grid.count"))
     try:
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -516,11 +525,8 @@ MODEL_KEYS = ("alpha", "beta", "kernel_grid", "rho", "training_inputs", "psi", "
 # Top-level keys of a model file whose values are arrays of numbers.
 _ARRAY_KEYS = ("rho", "training_inputs", "psi")
 _WHITESPACE = re.compile(rb"[ \t\n\r]*")
-# A JSON string, delimited but not checked, and the bytes that end a number
-# or literal or that open, close or quote inside an object or array.
-_STRING = re.compile(rb'"(?:[^"\\]|\\.)*"', re.DOTALL)
-_SCALAR = re.compile(rb'[^ \t\n\r,:\[\]{}"]*')
-_DELIMITER = re.compile(rb'["\[\]{}]')
+# A JSON string, delimited but not checked, or a bracket.
+_TOKEN = re.compile(rb'"(?:[^"\\]|\\.)*"|[\[\]{}]', re.DOTALL)
 
 
 def _skip(data, i):
@@ -533,91 +539,56 @@ def _decode_error(message, data, i):
     return json.JSONDecodeError(message, text, len(data[:i].decode("utf-8", "replace")))
 
 
-def _value_end(data, i):
-    """Where the JSON value that starts at byte ``i`` ends; the value is not checked.
-
-    A string ends at its closing quote, an object or array at the bracket
-    that closes it (brackets inside strings do not count), and anything
-    else at the next delimiter.  Malformed input is refused afterwards, by
-    :func:`_load_value` or by the walk of :func:`_parse_model`.
-    """
-    if not data.startswith((b'"', b"[", b"{"), i):
-        return _SCALAR.match(data, i).end()
-    depth = 0
-    while match := _DELIMITER.search(data, i):
-        if match.group() == b'"':
-            string = _STRING.match(data, match.start())
-            if string is None:
-                break
-            i = string.end()
-        else:
-            i = match.end()
-            depth += 1 if match.group() in b"[{" else -1
-        if depth == 0:
-            return i
-    return len(data)
-
-
-def _load_value(data, start, end):
-    """The JSON value in bytes ``start:end``, decoded as strict UTF-8 and read by :mod:`json`."""
-    try:
-        text = data[start:end].decode("utf-8")
-    except UnicodeDecodeError as err:  # placed in the file, not in the value
-        raise UnicodeDecodeError(
-            "utf-8", data, start + err.start, start + err.end, err.reason
-        ) from None
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as err:
-        raise _decode_error(err.msg, data, start + len(text[:err.pos].encode())) from None
-
-
 def _parse_model(data):
     """The top-level object of a model file, each ``_ARRAY_KEYS`` value a float64 array.
 
-    ``data`` is the file's bytes (or its text).  Keys and the other values
-    are delimited by :func:`_value_end` and read by the standard library's
-    decoder, one value at a time.  An array value is parsed by orjson a
-    block of rows at a time, so the file's numbers (about 400k at N = 999,
-    M = 200) are never all Python floats at once, as they are in a tree of
-    the whole file.  Arrays of numbers hold no strings, so such a value
-    runs from its ``[`` to the last ``]`` before the next ``"``.  A
-    duplicate key keeps its last value, as in :mod:`json`.  Raises
-    :class:`json.JSONDecodeError` for input that is not one JSON object,
-    or whose array keys hold anything but a 1-D or 2-D array of numbers,
-    and :class:`UnicodeDecodeError` for a key or value that is not UTF-8.
+    ``data`` is the file's bytes (or its text).  Arrays of numbers hold no
+    strings, so a string followed by ``:`` with one more ``[``/``{`` than
+    ``]``/``}`` before it is a top-level key.  An array key's value is parsed
+    by :func:`_parse_number_array` and cut out, a ``0`` in its place; one
+    :func:`_load_json` reads the few kB left, and the arrays are put back,
+    the last of a duplicate key winning as in :mod:`json`.  Input that is
+    not one JSON object, or whose array keys hold anything but a 1-D or 2-D
+    array of numbers, raises :class:`json.JSONDecodeError`.
     """
     if isinstance(data, str):
         data = data.encode()
-    i = _skip(data, 0)
-    if not data.startswith(b"{", i):
-        raise _decode_error("Expecting '{': a model file holds one object", data, i)
-    payload = {}
-    i = _skip(data, i + 1)
-    if not data.startswith(b"}", i):
-        while True:
-            if not data.startswith(b'"', i):
-                raise _decode_error("Expecting property name enclosed in double quotes", data, i)
-            end = _value_end(data, i)
-            key, i = _load_value(data, i, end), _skip(data, end)
-            if not data.startswith(b":", i):
-                raise _decode_error("Expecting ':' delimiter", data, i)
-            i = _skip(data, i + 1)
-            if key in _ARRAY_KEYS:
-                payload[key], i = _parse_number_array(data, i, key)
-            else:
-                end = _value_end(data, i)
-                payload[key], i = _load_value(data, i, end), end
-            i = _skip(data, i)
-            if not data.startswith(b",", i):
-                break
-            i = _skip(data, i + 1)
-        if not data.startswith(b"}", i):
-            raise _decode_error("Expecting ',' delimiter", data, i)
-    i = _skip(data, i + 1)
-    if i != len(data):
-        raise _decode_error("Extra data", data, i)
+    if not data.startswith(b"{", _skip(data, 0)):
+        raise _decode_error("Expecting '{': a model file holds one object", data, _skip(data, 0))
+    spans, arrays = [], {}
+    kept = i = depth = 0
+    while token := _TOKEN.search(data, i):
+        i = token.end()
+        if not data.startswith(b'"', token.start()):
+            depth += 1 if data[token.start()] in b"[{" else -1
+        elif depth == 1 and data.startswith(b":", i := _skip(data, i)):
+            if (key := _load_json(data, [token.span()])) in _ARRAY_KEYS:
+                spans.append((kept, _skip(data, i + 1)))
+                arrays[key], i = _parse_number_array(data, spans[-1][1], key)
+                kept = i
+    payload = _load_json(data, spans + [(kept, len(data))])
+    payload.update(arrays)
     return payload
+
+
+def _load_json(data, spans):
+    """The ``spans`` of ``data`` joined by ``0``s, read by :mod:`json`; errors placed in the file.
+
+    They are decoded as strict UTF-8 first, as :mod:`json` takes a BOM or UTF-16 in bytes.
+    """
+    try:
+        text = b"0".join(data[start:end] for start, end in spans).decode("utf-8")
+        return json.loads(text)
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        i = err.start if isinstance(err, UnicodeDecodeError) else len(text[:err.pos].encode())
+        for start, end in spans:
+            if i <= end - start:
+                break
+            i -= end - start + 1
+        if isinstance(err, UnicodeDecodeError):
+            err.object, err.start, err.end = data, start + i, start + i + err.end - err.start
+            raise
+        raise _decode_error(err.msg, data, start + i) from None
 
 
 def _parse_number_array(data, start, key):
@@ -652,16 +623,14 @@ def _parse_number_array(data, start, key):
 def load_model(path):
     """Rebuild a fitted model from a model file; returns (model, names).
 
-    The file is checked against the schema :func:`save_model` writes: every
-    key in ``MODEL_KEYS``, N x M ``training_inputs`` and finite ``psi`` for
-    N training inputs and M target names, and one finite nonnegative
-    weight per grid kernel.  The model's ``graph`` is None, as a prediction
-    needs none; the ``adjacency`` of older files is decoded as any extra
-    key is, and not used.  The file is held once, as bytes, and
-    :func:`_parse_model` walks them and fills the three arrays without a
-    Python object per number: a decoded copy of the text, or a tree of the
-    whole file from stdlib ``json`` or from orjson, holds more memory at
-    its peak, and ``predict`` is bounded by memory.
+    The file is held once, as bytes, and read by :func:`_parse_model`, never
+    with a Python float per array entry: ``predict`` is bounded by memory.
+    It is checked against the schema :func:`save_model` writes:
+    ``format_version`` the integer 1, every key in ``MODEL_KEYS``, ``alpha``
+    and ``beta`` finite nonnegative numbers, N x M ``training_inputs`` and
+    finite ``psi`` for M target names, and one finite nonnegative weight per
+    grid kernel.  Other keys, such as the ``adjacency`` of older files, are
+    read and not used; ``graph`` is None.
     """
     try:
         with open(path, "rb") as fh:
@@ -672,12 +641,11 @@ def load_model(path):
         payload = _parse_model(data)
     except UnicodeDecodeError as err:
         raise ConfigError(f"{path}: model file is not UTF-8 text: {err}") from err
-    except ValueError as err:  # json.JSONDecodeError, or an integer too long to convert
+    except (ValueError, RecursionError) as err:  # also too long an integer or too deep a nesting
         raise ConfigError(f"{path}: invalid JSON: {err}") from err
-    if payload.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ConfigError(
-            f"{path}: unsupported model format version {payload.get('format_version')!r}"
-        )
+    version = payload.get("format_version")
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:  # not true, not 1.0
+        raise ConfigError(f"{path}: unsupported model format version {version!r}")
     missing = [key for key in MODEL_KEYS if key not in payload]
     if missing:
         raise ConfigError(f"{path}: model file is missing {missing}")
@@ -688,7 +656,9 @@ def load_model(path):
         grid = _kernel_grid(payload["kernel_grid"])
         dictionary = KernelDictionary.from_specs(payload["training_inputs"], grid)
         psi, rho = payload["psi"], _checked_weights(dictionary, payload["rho"])
-        alpha, beta = float(payload["alpha"]), float(payload["beta"])
+        alpha, beta = (_number(payload[key], key) for key in ("alpha", "beta"))
+        if not all(math.isfinite(value) and value >= 0 for value in (alpha, beta)):
+            raise ValueError(f"alpha and beta must be finite and nonnegative, got {alpha}, {beta}")
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"{path}: invalid model: {err}") from err
     n, m = dictionary.num_samples, len(names)

@@ -283,7 +283,10 @@ def _gaussian_tables(sq, divisors):
     entries are those of the Gram matrices themselves.  ``b`` runs over
     the sets and ``c`` over the entries in the slice ``cols``.  One buffer
     of at most ``BLOCK_ENTRIES`` doubles is reused from block to block, so
-    a table is valid only until the next one is drawn.
+    a table is valid only until the next one is drawn.  Its callers run
+    under ``np.errstate(over="ignore")``: a variance near either end of
+    float range can take a divisor or a quotient beyond it, and the -inf
+    there gives the entry its limit, 1 or 0, with no warning.
     """
     size = sq.shape[1]
     width = max(1, BLOCK_ENTRIES // len(divisors))
@@ -464,6 +467,7 @@ def _linear_sums(rho, gram, shape):
     return out
 
 
+@np.errstate(over="ignore")  # see _gaussian_tables
 def combine(dictionary, rho):
     """Weighted kernel matrix ``sum_s rho_s K_s`` (symmetric PSD), per training set.
 
@@ -484,6 +488,7 @@ def combine(dictionary, rho):
     return _square(packed.reshape(batch + (-1,)), np.reshape(totals, batch), n)
 
 
+@np.errstate(over="ignore")  # see _gaussian_tables
 def kernel_inner_products(dictionary, sym):
     """Frobenius products ``<K_s, sym>`` of every basis kernel with a symmetric matrix.
 
@@ -552,6 +557,7 @@ def _cross_sq_distances(inputs, training):
         return np.ldexp(sq, 2 * exponent, out=sq)
 
 
+@np.errstate(over="ignore")  # see _gaussian_tables
 def kernel_cross(dictionary, rho, inputs):
     """Combined-kernel evaluations between new inputs and the training set.
 

@@ -334,6 +334,9 @@ class TestValidateConfig:
             (("seed",), 1.5),
             (("seed",), True),
             (("synthetic", "num_pairs"), 12.5),
+            (("optimizer", "q"), "1"),  # a string of digits is no integer
+            (("seed",), "3"),
+            (("synthetic", "num_pairs"), "14"),
         ],
         ids=lambda v: ".".join(v) if isinstance(v, tuple) else repr(v),
     )
@@ -344,6 +347,41 @@ class TestValidateConfig:
         err = assert_input_error(capsys, run_on_config(command, path, tmp_path / "out"))
         assert f"{'.'.join(keys)}: expected an integer" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate-config", "fit", "experiment"])
+    @pytest.mark.parametrize(
+        "keys, value, message",
+        [
+            (("alpha",), True, "alpha: expected a number, got True"),
+            (("beta",), "1.0", "beta: expected a number, got '1.0'"),
+            (("kernel_grid", "lo"), "0.01", "kernel_grid.lo: expected a number, got '0.01'"),
+            (("optimizer", "mu0"), False, "optimizer.mu0: expected a number, got False"),
+            (("experiment", "snr_db"), "0", "experiment.snr_db: expected a number, got '0'"),
+            (("experiment", "params_by_n_train"), {"4": ["0.02", 5.5]},
+             "experiment.params_by_n_train[4]: expected a number, got '0.02'"),
+            (("experiment", "grid_search"), {"alphas": [True], "betas": [1.0]},
+             "experiment.grid_search.alphas: expected a number, got True"),
+            (("synthetic", "mean_sq_distance"), "2.0",
+             "synthetic.mean_sq_distance: expected a number, got '2.0'"),
+        ],
+        ids=lambda v: ".".join(v) if isinstance(v, tuple) else repr(v),
+    )
+    def test_boolean_or_string_number_exit_code(self, tmp_path, capsys, command, keys, value,
+                                                message):
+        # float() would read true as 1.0 and "0.01" as 0.01
+        path = synthetic_config(tmp_path)
+        edit_config(path, keys, value)
+        err = assert_input_error(capsys, run_on_config(command, path, tmp_path / "out"))
+        assert message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "experiment"])
+    @pytest.mark.parametrize("bound", [{"lo": 1e-320}, {"hi": 1e308}], ids=["lo", "hi"])
+    def test_grid_bound_at_the_ends_of_float_range_runs(self, tmp_path, command, bound):
+        # -2 s2 or a distance over it leaves float range; no RuntimeWarning escapes
+        grid = {"family": "gaussian", "lo": 0.01, "hi": 10.0, "count": 12}
+        path = synthetic_config(tmp_path, kernel_grid={**grid, **bound})
+        assert run_on_config(command, path, tmp_path / "out") == 0
 
     @pytest.mark.parametrize("count", [1e308, 2**63, 10**30, 100_001])
     def test_realization_count_beyond_bound_exit_code(self, tmp_path, capsys, count):
@@ -873,6 +911,9 @@ class TestModelFile:
             ("lo", 0, "invalid parameter span [0.0, 10.0]: need 0 < lo < hi < inf"),
             ("hi", math.inf, "invalid parameter span [0.01, inf]: need 0 < lo < hi < inf"),
             ("family", "Gaussian", "unknown kernel family 'Gaussian'"),
+            ("lo", "0.01", "kernel_grid.lo: expected a number, got '0.01'"),
+            ("hi", True, "kernel_grid.hi: expected a number, got True"),
+            ("count", "12", "kernel_grid.count: expected an integer, got '12'"),
         ],
     )
     def test_grid_refused_alike_in_config_and_model(self, tmp_path, fitted_model, capsys, key,
@@ -1006,6 +1047,82 @@ class TestModelFile:
         rc = predict_with_edited_model(tmp_path, fitted_model, edit)
         assert "invalid JSON" in assert_input_error(capsys, rc)
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("format_version", True, "unsupported model format version True"),
+            ("format_version", 1.0, "unsupported model format version 1.0"),
+            ("alpha", True, "invalid model: alpha: expected a number, got True"),
+            ("beta", "1.0", "invalid model: beta: expected a number, got '1.0'"),
+            ("alpha", -1, "invalid model: alpha and beta must be finite and nonnegative, "
+                          "got -1.0, 2.0"),
+            ("beta", math.inf, "invalid model: alpha and beta must be finite and nonnegative, "
+                               "got 0.1, inf"),
+        ],
+    )
+    def test_number_field_of_the_wrong_kind_exit_code(self, tmp_path, fitted_model, capsys, key,
+                                                      value, message):
+        rc = predict_with_edited_model(tmp_path, fitted_model, lambda p: p.update({key: value}))
+        assert assert_input_error(capsys, rc).endswith(f": {message}\n")
+        assert not (tmp_path / "pred.csv").exists()
+
+    @pytest.mark.parametrize("indent", [None, 2], ids=["compact", "indented"])
+    @pytest.mark.parametrize(
+        "old, new, at, message",
+        [
+            ('"gamma"', '"gamma" x', "x", "Expecting ':' delimiter"),
+            ('"target_names"', '"target_names":@', "@", "Expecting value"),
+            ('"gamma"', '"gam\x01ma"', "\x01", "Invalid control character at"),  # in a key
+            ('"node1"', '"no\tde1"', "\t", "Invalid control character at"),  # in a value
+            ('"iterations"', '"iterations":1,"x":[1 2],"iterations"', "2]",
+             "Expecting ',' delimiter"),
+        ],
+    )
+    def test_error_after_the_arrays_is_placed_in_the_file(self, tmp_path, fitted_model, capsys,
+                                                          indent, old, new, at, message):
+        # the arrays come first and are cut out of the text that json reads;
+        # the message still gives the place in the file
+        text = fitted_model[0].read_text()
+        if indent:
+            text = json.dumps(json.loads(text), indent=indent)
+        text = text.replace(old, new, 1)
+        pos = text.index(new) + new.index(at)
+        line = text.count("\n", 0, pos) + 1
+        column = pos - text.rfind("\n", 0, pos)
+        err = assert_input_error(capsys, predict_with_model_text(tmp_path, fitted_model, text))
+        assert err.endswith(f": invalid JSON: {message}: line {line} column {column} "
+                            f"(char {pos})\n")
+
+    @pytest.mark.parametrize("indent", [None, 2], ids=["compact", "indented"])
+    def test_non_utf8_byte_after_the_arrays_is_placed_in_the_file(self, tmp_path, fitted_model,
+                                                                  capsys, indent):
+        text = fitted_model[0].read_text()
+        if indent:
+            text = json.dumps(json.loads(text), indent=indent)
+        data = text.encode().replace(b'"node1"', b'"node\xff"', 1)
+        pos = data.index(b"\xff")
+        err = assert_input_error(capsys, predict_with_model_text(tmp_path, fitted_model, data))
+        assert err.endswith(f"not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position "
+                            f"{pos}: invalid start byte\n")
+
+    def test_nesting_beyond_json_depth_exit_code(self, tmp_path, fitted_model, capsys):
+        # json.loads raises RecursionError, not a JSONDecodeError, in a model and a config
+        nested = "[" * 100_000 + "]" * 100_000
+        text = fitted_model[0].read_text()
+        rc = predict_with_model_text(tmp_path, fitted_model, f'{text[:-1]},"extra":{nested}}}')
+        assert "invalid JSON: maximum recursion depth exceeded" in assert_input_error(capsys, rc)
+        path = synthetic_config(tmp_path)
+        path.write_text(f'{path.read_text()[:-1]}, "extra": {nested}}}')
+        rc = cli.main(["validate-config", "--config", str(path)])
+        assert "invalid JSON: maximum recursion depth exceeded" in assert_input_error(capsys, rc)
+
+    def test_utf8_bom_exit_code(self, tmp_path, fitted_model, capsys):
+        # json.loads would take a BOM in bytes; a model file is read as strict UTF-8 text
+        data = b"\xef\xbb\xbf" + fitted_model[0].read_bytes()
+        err = assert_input_error(capsys, predict_with_model_text(tmp_path, fitted_model, data))
+        assert "invalid JSON: Expecting '{'" in err
+        assert not (tmp_path / "pred.csv").exists()
+
     def test_load_model_holds_no_float_per_number(self, tmp_path):
         # N = 300 training inputs, M = 100 nodes: 70k numbers, a 1.4 MB file
         rng = np.random.default_rng(3)
@@ -1032,6 +1149,105 @@ class TestModelFile:
         # and json.load peaked at 2.7 times the file, from its tree of
         # Python floats on top of the text.
         assert peak < size + 1024 * 1024, f"peak traced allocation {peak / 1e6:.2f} MB"
+
+
+# The model file sweep sets each top-level key and each kernel_grid field to
+# each of these: numbers at and beyond the ends of float range, a subnormal,
+# a signed zero, and JSON values of every other kind.
+SWEEP_VALUES = [
+    0, -1, 1, 1.0, 0.5, 1e308, 1e-320, -0.0, 2**63, 10**30, 10**400, math.nan, -math.inf,
+    True, False, None, "x", "1.0", "", [], {}, [1], [[1]], [1, "x"], {"a": 1},
+]
+SWEEP_FIELDS = [
+    "format_version", "alpha", "beta", "kernel_grid", "rho", "training_inputs", "psi",
+    "target_names", "iterations", "gamma",
+    *(("kernel_grid", name) for name in ("family", "lo", "hi", "count")),
+]
+
+
+def sweep_accepts(field, value, payload):
+    """Whether ``predict`` takes ``payload`` with ``field`` set to ``value``, by the README.
+
+    None of the sweep's values is a kernel family, an array of the model's
+    shape or a list of its target names, so only number fields and the
+    keys no prediction reads take any.
+    """
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    finite = number and abs(value) <= sys.float_info.max
+    grid = payload["kernel_grid"]
+    return {
+        "format_version": type(value) is int and value == 1,
+        "alpha": finite and value >= 0,
+        "beta": finite and value >= 0,
+        "iterations": True,
+        "gamma": True,
+        ("kernel_grid", "lo"): finite and 0 < value < grid["hi"],
+        ("kernel_grid", "hi"): finite and grid["lo"] < value,
+        ("kernel_grid", "count"): number and value == len(payload["rho"]),
+    }.get(field, False)
+
+
+class TestModelFileSweep:
+    """``predict`` on seeded mutations of a model file: exit 0 or 2, never a traceback."""
+
+    @pytest.fixture(autouse=True)
+    def one_parser(self, monkeypatch):
+        # building the argument parser is most of a refused predict's time
+        parser = cli._build_parser()
+        monkeypatch.setattr(cli, "_build_parser", lambda: parser)
+
+    @staticmethod
+    def outcome(tmp_path, fitted_model, capsys, text):
+        """``predict``'s exit code on a model file holding ``text``; checks what it leaves."""
+        rc = predict_with_model_text(tmp_path, fitted_model, text)
+        err, pred = capsys.readouterr().err, tmp_path / "pred.csv"
+        if rc == 0:
+            assert err == "" and pred.exists()
+            pred.unlink()
+        else:
+            assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1, err
+            assert not pred.exists()
+        return rc
+
+    @pytest.mark.parametrize(
+        "field", SWEEP_FIELDS, ids=lambda f: ".".join(f) if isinstance(f, tuple) else f
+    )
+    def test_each_value_deletion_and_duplicate(self, tmp_path, fitted_model, capsys, field):
+        payload = json.loads(fitted_model[0].read_text())
+        *path, key = field if isinstance(field, tuple) else (field,)
+        for value in [*SWEEP_VALUES, "deleted"]:
+            edited = json.loads(json.dumps(payload))
+            block = edited[path[0]] if path else edited
+            if value == "deleted":
+                del block[key]
+            else:
+                block[key] = value
+            rc = self.outcome(tmp_path, fitted_model, capsys, json.dumps(edited))
+            accepted = key in ("iterations", "gamma") if value == "deleted" else sweep_accepts(
+                field, value, payload)
+            assert rc == (0 if accepted else 2), (field, value)
+        # a first value that the last one replaces, as in json
+        text = json.dumps(payload, separators=(",", ":"))
+        opening = f'"{path[0]}":{{' if path else "{"
+        text = text.replace(opening, f'{opening}"{key}":[1],', 1)
+        assert self.outcome(tmp_path, fitted_model, capsys, text) == 0
+
+    def test_truncated_or_inserted_byte(self, tmp_path, fitted_model, capsys):
+        data = fitted_model[0].read_bytes()
+        rng = np.random.default_rng(27)
+        for offset in rng.integers(len(data), size=16):
+            assert self.outcome(tmp_path, fitted_model, capsys, data[:offset]) == 2, offset
+        inserts = zip(rng.integers(len(data) + 1, size=64),
+                      rng.choice(list(b' \n,:[]{}"0-.eEx\\\xff\x00'), size=64))
+        for offset, byte in inserts:
+            text = data[:offset] + bytes([byte]) + data[offset:]
+            rc = self.outcome(tmp_path, fitted_model, capsys, text)
+            try:
+                unchanged = json.loads(text.decode("utf-8")) == json.loads(data)
+            except ValueError:  # not UTF-8, or not JSON
+                assert rc == 2, (offset, byte)
+            else:
+                assert rc == 0 or not unchanged, (offset, byte)
 
 
 def predict_to(tmp_path, model_path, inputs_csv, name):
