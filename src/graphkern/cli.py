@@ -354,6 +354,13 @@ def _number(value, name):
     return float(value)
 
 
+def _object(value, name):
+    """A config or model block that must be a JSON object; ``name`` names it in the error."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name}: expected an object, got {value!r}")
+    return value
+
+
 def _held(config, name, **values):
     """``config`` with ``values``, checked by the class; errors name ``name``."""
     try:
@@ -372,7 +379,7 @@ def _read_run(cfg):
     config classes': each size, pair and grid-search value is checked by
     the ExperimentConfig that holds it.
     """
-    e, opt = cfg["experiment"], cfg["optimizer"]
+    e, opt = _object(cfg["experiment"], "experiment"), _object(cfg["optimizer"], "optimizer")
     # configs written when a second schedule existed may name the one left
     if opt.get("momentum", "damped") != "damped":
         raise ValueError(
@@ -400,11 +407,15 @@ def _read_run(cfg):
         raise ValueError(f"{name} must be a nonempty list")
     sizes = [_held(config, name, n_train=_integer(n, name)).n_train for n in e["n_train_values"]]
     params = {}
-    for key, pair in e["params_by_n_train"].items():
+    for key, pair in _object(e["params_by_n_train"], "experiment.params_by_n_train").items():
         name = f"experiment.params_by_n_train[{key}]"
+        try:
+            n_train = int(key)
+        except ValueError:
+            raise ValueError(f"{name}: expected an integer training size, got {key!r}") from None
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValueError(f"{name} must be an [alpha, beta] pair")
-        held = _held(config, name, n_train=int(key), alpha=_number(pair[0], name),
+        held = _held(config, name, n_train=n_train, alpha=_number(pair[0], name),
                      beta=_number(pair[1], name))
         params[held.n_train] = (held.alpha, held.beta)
     search = None
@@ -412,7 +423,7 @@ def _read_run(cfg):
         search = []
         for key, field in (("alphas", "alpha"), ("betas", "beta")):
             name = f"experiment.grid_search.{key}"
-            values = e["grid_search"].get(key) if isinstance(e["grid_search"], dict) else None
+            values = _object(e["grid_search"], "experiment.grid_search").get(key)
             if not isinstance(values, list) or not values:
                 raise ValueError(f"{name} must be a nonempty list")
             search.append([_number(v, name) for v in values])
@@ -431,14 +442,15 @@ def _dataset_from_config(cfg):
     """
     try:
         if "data" in cfg:
-            paths = (Path(cfg["data"][key]) for key in ("measurements", "coordinates"))
+            data = _object(cfg["data"], "data")
+            paths = (Path(data[key]) for key in ("measurements", "coordinates"))
             matrix, coords, names = ingest_dataset(*paths)
             graph = build_graph(geodesic_adjacency(coords))
             dataset = exp.ExperimentDataset(
                 inputs=matrix[:-1], targets=matrix[1:], graph=graph, coords=coords
             )
             return dataset, names
-        synth = {"seed": cfg["seed"], **cfg["synthetic"]}
+        synth = {"seed": cfg["seed"], **_object(cfg["synthetic"], "synthetic")}
         for key, value in synth.items():
             if key in ("num_nodes", "num_pairs", "num_modes", "seed"):
                 synth[key] = _integer(value, f"synthetic.{key}")
@@ -467,6 +479,7 @@ def _kernel_grid(block):
     ``experiment`` and ``predict`` alike.  The bound ignores a
     container's memory limit.
     """
+    block = _object(block, "kernel_grid")
     grid = KernelGrid(block["family"], _number(block["lo"], "kernel_grid.lo"),
                       _number(block["hi"], "kernel_grid.hi"),
                       _integer(block["count"], "kernel_grid.count"))

@@ -28,14 +28,11 @@ Each trial is computed as it would be alone, except that the gradient's
 Gaussian skeleton (see :mod:`graphkern.kernels`) is built for the
 batch's largest distance, so outputs depend on the batch composition
 only at round-off, within the skeleton's certified error.  A trial
-whose system is singular, or
-whose optimizer step leaves float range, records that method's error
-without stopping the rest of its batch; so does a trial whose training
-or test block of targets is identically zero, which has no SNR or NMSE
-(one with a zero training block records it for every method and is not
-fitted).  Should the batch's one eigendecomposition
-fail to converge, that method is refitted one trial at a time, so again
-only the trials whose own matrix fails record the error.
+whose system is singular, whose eigendecomposition fails to converge or
+whose optimizer step leaves float range records that method's error
+without stopping the rest of its batch.  A trial whose training or test
+block of targets is identically zero, which has no SNR or NMSE, records
+that for every method and is not fitted.
 
 Everything is deterministic given the master seed: the seed of trial ``i``
 is ``numpy.random.SeedSequence(master_seed, spawn_key=(i,))``, so
@@ -293,9 +290,12 @@ def add_noise_snr(targets, snr_db, seed):
     int, SeedSequence, or Generator).
     """
     t = np.asarray(targets, dtype=float)
-    power = float(np.mean(t**2))
+    with np.errstate(over="ignore"):
+        power = float(np.mean(t**2))
     if power == 0.0:
         raise ValueError("target block is identically zero; SNR is undefined")
+    if power == math.inf:
+        raise ValueError("target block's power is beyond float range; SNR is undefined")
     sigma = np.sqrt(power / 10.0 ** (snr_db / 10.0))
     rng = np.random.default_rng(seed)
     return t + rng.normal(0.0, sigma, size=t.shape)
@@ -307,10 +307,16 @@ def nmse(pred, truth):
     t = np.asarray(truth, dtype=float)
     if p.shape != t.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {t.shape}")
-    denom = float(np.sum(t**2))
+    denom = _reference_energy(t)
+    return float(np.sum((p - t) ** 2)) / denom
+
+
+def _reference_energy(truth):
+    """``sum ||truth||^2``, the NMSE's denominator; ValueError where it is zero."""
+    denom = float(np.sum(truth**2))
     if denom == 0.0:
         raise ValueError("reference block is identically zero; NMSE is undefined")
-    return float(np.sum((p - t) ** 2)) / denom
+    return denom
 
 
 def _fit_method(method, dictionary, t_fit, graph, config):
@@ -360,14 +366,27 @@ def batch_size(dataset, config):
     return -(-config.n_realizations // batches)
 
 
+def _draw(dataset, config, seed):
+    """One realization's ``(perm, t_noisy)``; ``perm[:n_train]`` are its training rows.
+
+    The two children of ``seed`` (a SeedSequence, or what one takes) draw
+    the partition and the noise at the configured SNR.
+    """
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    partition_seed, noise_seed = seed.spawn(2)
+    perm = np.random.default_rng(partition_seed).permutation(dataset.num_pairs)
+    return perm, add_noise_snr(dataset.targets[perm[: config.n_train]], config.snr_db, noise_seed)
+
+
 def _run_batch(dataset, config, seeds):
     """Trials with the given seeds, fitted in lockstep; one TrialResult each.
 
     Each trial partitions the pairs at random (first ``n_train`` of a
     permutation for training, the rest for testing) and corrupts its
     training targets at the configured SNR, exactly as :func:`run_trial`
-    describes.  A trial whose training targets are identically zero
-    records that for every method and is left out of the batch.  Each
+    describes.  A trial whose training or test targets are identically
+    zero records that for every method and is left out of the batch.  Each
     method's batched model predicts the test blocks of the rest in one
     call.
     """
@@ -377,29 +396,22 @@ def _run_batch(dataset, config, seeds):
             f"dataset has {dataset.num_pairs} pairs; need at least {n + 1}"
         )
     results = [TrialResult(nmse={}) for _ in seeds]
-    perms = np.empty((len(seeds), dataset.num_pairs), dtype=np.intp)
-    t_noisy = np.empty((len(seeds), n, dataset.targets.shape[1]))
-    for b, seed in enumerate(seeds):
-        if not isinstance(seed, np.random.SeedSequence):
-            seed = np.random.SeedSequence(seed)
-        partition_seed, noise_seed = seed.spawn(2)
-        perms[b] = np.random.default_rng(partition_seed).permutation(dataset.num_pairs)
+    draws = []  # (perm, t_noisy) of each trial that is fitted
+    for result, seed in zip(results, seeds):
         try:
-            t_noisy[b] = add_noise_snr(
-                dataset.targets[perms[b, :n]], config.snr_db, noise_seed
-            )
-        except ValueError as err:  # an all-zero training block has no SNR
-            results[b].errors = dict.fromkeys(METHODS, str(err))
+            perm, t_noisy = _draw(dataset, config, seed)
+            _reference_energy(dataset.targets[perm[n:]])
+            draws.append((perm, t_noisy))
+        except ValueError as err:  # an all-zero training block has no SNR, a test block no NMSE
+            result.errors = dict.fromkeys(METHODS, str(err))
             log.warning("trial failed: %s", err)
-    live = [b for b, result in enumerate(results) if not result.failed]
-    if not live:
+    if not draws:
         return results
-    if len(live) < len(seeds):
-        perms, t_noisy = perms[live], t_noisy[live]
+    perms, t_noisy = map(np.stack, zip(*draws))
     dictionary = build_dictionary(dataset.inputs[perms[:, :n]], config.grid)
+    live = [result for result in results if not result.failed]
     for method in (METHOD_LINEAR, METHOD_MULTI, METHOD_SINGLE):
-        _score_method(method, [results[b] for b in live], dataset, config, dictionary,
-                      t_noisy, perms[:, n:])
+        _score_method(method, live, dataset, config, dictionary, t_noisy, perms[:, n:])
     return results
 
 
@@ -409,33 +421,15 @@ def _score_method(method, results, dataset, config, dictionary, t_noisy, test):
     ``test`` holds each trial's test rows; their inputs are gathered only
     when the fitted model predicts them.
     """
-    try:
-        model, traces = _fit_method(method, dictionary, t_noisy, dataset.graph, config)
-    except np.linalg.LinAlgError as err:
-        if len(results) == 1:
-            results[0].errors[method] = str(err)
-            log.warning("trial method %s failed: %s", method, err)
-            return
-        # one eigh serves the whole batch; refit each trial alone, so only
-        # the trials whose own matrix fails record the error
-        for b in range(len(results)):
-            one = slice(b, b + 1)
-            alone = build_dictionary(dictionary.training_inputs[one], config.grid)
-            _score_method(method, results[one], dataset, config, alone,
-                          t_noisy[one], test[one])
-        return
+    model, traces = _fit_method(method, dictionary, t_noisy, dataset.graph, config)
     predictions = model.predict(dataset.inputs[test])
     for b, result in enumerate(results):
         if model.errors[b] is not None:
             result.errors[method] = model.errors[b]
-        else:
-            try:
-                result.nmse[method] = nmse(predictions[b], dataset.targets[test[b]])
-            except ValueError as err:  # an all-zero test block has no NMSE
-                result.errors[method] = str(err)
-        if method in result.errors:
-            log.warning("trial method %s failed: %s", method, result.errors[method])
-        elif method == METHOD_MULTI:
+            log.warning("trial method %s failed: %s", method, model.errors[b])
+            continue
+        result.nmse[method] = nmse(predictions[b], dataset.targets[test[b]])
+        if method == METHOD_MULTI:
             result.rho = model.rho[b].copy()
             result.iterations = traces[b].iterations_used
             result.fw_gap = traces[b].fw_gaps[-1]
@@ -513,17 +507,12 @@ def grid_search_hyperparams(dataset, method, alphas, betas, config):
     betas = [0.0] if method == METHOD_LINEAR else sorted(float(b) for b in betas)
     if not alphas or not betas:
         raise ValueError("hyperparameter grids must be nonempty")
-    seed = np.random.SeedSequence(config.master_seed, spawn_key=(2**32,))
-    partition_seed, noise_seed = seed.spawn(2)
-    rng = np.random.default_rng(partition_seed)
-    perm = rng.permutation(dataset.num_pairs)
-    train_idx = perm[: config.n_train]
-    x_train = dataset.inputs[train_idx]
-    t_clean = dataset.targets[train_idx]
     try:
-        t_noisy = add_noise_snr(t_clean, config.snr_db, noise_seed)
+        perm, t_noisy = _draw(dataset, config, trial_seed(config.master_seed, 2**32))
     except ValueError as err:  # an all-zero training block has no SNR
         raise ExperimentError(f"grid search: {err}") from None
+    x_train = dataset.inputs[perm[: config.n_train]]
+    t_clean = dataset.targets[perm[: config.n_train]]
     dictionary = build_dictionary(x_train, config.grid)
 
     best = None

@@ -230,7 +230,7 @@ def project(s, radius, q):
         tau = (np.take_along_axis(css, k, axis=-1) - radius) / (k + 1.0)
         z = np.maximum(clipped - tau, 0.0)
         excess = z.sum(axis=-1, keepdims=True)
-        z = np.where(excess > radius, z * (radius / excess), z)  # shave round-off
+        z *= radius / np.maximum(excess, radius)  # shave round-off past the ball
         return np.where(outside, z, clipped)
     if q == 2:
         norm = np.linalg.norm(clipped, axis=-1, keepdims=True)
@@ -251,13 +251,13 @@ def optimize(dictionary, graph, targets, config, alpha, beta):
     then holds one row per problem and the trace is a tuple of traces.
 
     One problem and a stack take the same loop.  A problem whose system
-    turns singular or whose step leaves float range (a gradient that
-    overflows, say, from a huge ``mu0`` or a tiny ``alpha``; no
-    ``RuntimeWarning`` escapes) stops with the message in its trace's
-    ``error``, its status ``SINGULAR`` or ``OVERFLOW``.  In a stack the
-    message goes into the model's ``errors`` and the problem's ``psi`` is
-    zero.  A run of one problem raises once, after the loop,
-    :class:`~graphkern.solver.SingularSystemError` or
+    turns singular, or whose ``eigh`` does not converge, or whose step
+    leaves float range (a gradient that overflows, say, from a huge ``mu0``
+    or a tiny ``alpha``; no ``RuntimeWarning`` escapes) stops with the
+    message in its trace's ``error``, its status ``SINGULAR`` or
+    ``OVERFLOW``.  In a stack the message goes into the model's ``errors``
+    and the problem's ``psi`` is zero.  A run of one problem raises once,
+    after the loop, :class:`~graphkern.solver.SingularSystemError` or
     ``FloatingPointError``, with its trace as ``err.trace``.
     """
     batch = dictionary.batch_shape

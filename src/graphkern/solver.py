@@ -82,9 +82,10 @@ tries a certified low-rank eigenbasis of ``K``:
   reproducible, and drawn once per fit, as far as its widest sketch
   needs; :func:`solve_structured` alone is a fit of one solve.
 - **Fallback.**  A sketch that reaches 0.4 N columns, a shifted core that
-  still has no factor, a condition estimate beyond the limit or a failed
-  certificate leaves the solve to the dense ``eigh``, unchanged, and so
-  do the later solves of the same fit; so do stacks and smaller sets.
+  still has no factor, an ``eigh`` of ``F F^T`` that fails, a condition
+  estimate beyond the limit or a failed certificate leaves the solve to
+  the dense ``eigh``, unchanged, and so do the later solves of the same
+  fit; so do stacks and smaller sets.
 
 The ``graphkern.solver`` logger reports each solve's route, sketch rank,
 the pivot that stopped its sketch, how many of the rows computed ahead
@@ -93,10 +94,11 @@ it used and backward error at DEBUG level.
 The weights must be nonnegative and finite, so that ``K`` is positive
 semidefinite; others raise ``ValueError``, as they do in
 :func:`~graphkern.kernels.combine`.  A column system with a denominator
-at or below zero counts as singular.  The solve records a singular
-system's message per training set, one or a stack, and zeroes its
-solution; only :func:`solve_structured` and :func:`~graphkern.mkl.optimize`
-raise, for one training set.
+at or below zero counts as singular, and so does a set whose ``eigh``
+fails to converge: a stack's batched ``eigh`` that fails is run again set
+by set.  The solve records a singular system's message per training set,
+one or a stack, and zeroes its solution; only :func:`solve_structured` and
+:func:`~graphkern.mkl.optimize` raise, for one training set.
 """
 
 import logging
@@ -200,9 +202,10 @@ def solve_structured(dictionary, rho, graph, targets, alpha, beta):
     the MN x MN system up to round-off, at O(N^3 + M N^2) cost.
 
     A system that fails the condition check raises
-    :class:`SingularSystemError`.  For a stacked dictionary, ``rho`` and
+    :class:`SingularSystemError`, and a solution beyond float range
+    ``FloatingPointError``.  For a stacked dictionary, ``rho`` and
     ``targets`` carry its batch axis, and a system that fails gets its
-    message in the model's ``errors`` instead.
+    message in the model's ``errors`` instead, its ``Psi`` zero.
 
     At ``rho = 0`` (the optimizer's starting point) ``K = 0`` and its
     eigendecomposition is known, zero eigenvalues and the identity as
@@ -213,8 +216,13 @@ def solve_structured(dictionary, rho, graph, targets, alpha, beta):
     rho, t = _check_fit_args(dictionary, rho, graph, targets, alpha, beta)
     u = graph.lap_eigvecs
     psi, errors = _solve_rotated(dictionary, rho, graph, t @ u, alpha, beta, _Sketch())
+    # a Psi~ beyond float range (from a subnormal alpha, say) fails its set too
+    outside = ~np.isfinite(psi).all(axis=(-2, -1))
+    errors = tuple(e or ("the solution leaves float range; consider a larger alpha" if out else None)
+                   for e, out in zip(errors, np.ravel(outside)))
+    psi[outside] = 0.0
     if not dictionary.batch_shape and errors[0] is not None:
-        raise SingularSystemError(errors[0])
+        raise (FloatingPointError if outside else SingularSystemError)(errors[0])
     return KrgModel(psi @ u.T, float(alpha), float(beta), dictionary, rho, graph,
                     errors if dictionary.batch_shape else None)
 
@@ -259,9 +267,9 @@ def _solve_rotated(dictionary, rho, graph, t_rot, alpha, beta, sketch):
 
     ``t_rot`` is ``T~ = T U`` and the solution ``Psi~ = Psi U``; ``rho``
     is checked already, and ``sketch`` is the fit's :class:`_Sketch`.
-    A failing system raises nothing here, one set's or a stack's: ``errors``
-    holds per set (one entry for a single set) ``None`` or the message,
-    and a failing set's ``Psi~`` is zero.  The public callers raise.
+    A failing system or ``eigh`` raises nothing here, one set's or a stack's:
+    ``errors`` holds per set (one entry for a single set) ``None`` or the
+    message, and a failing set's ``Psi~`` is zero.  The public callers raise.
     """
     # beta lam or a denominator beyond float range, inf or NaN, reads as
     # a singular system below: it fails dmin > 0 or the condition limit
@@ -271,6 +279,7 @@ def _solve_rotated(dictionary, rho, graph, t_rot, alpha, beta, sketch):
     # kvecs None stands for K = 0, for which LAPACK's eigh returns exactly
     # (0, I); a product with I is exact, so it is skipped
     kvecs = None
+    unconverged = {}  # flat set index: the message of its eigh that failed
     if rho.any():
         k = combine(dictionary, rho)
         if (not dictionary.batch_shape and n >= LOW_RANK_MIN_SIZE and alpha > 0
@@ -278,9 +287,18 @@ def _solve_rotated(dictionary, rho, graph, t_rot, alpha, beta, sketch):
             psi = _solve_low_rank(k, t_rot, scale, alpha, sketch)
             if psi is not None:
                 return psi, (None,)
+            sketch.refuse()
         else:
             log.debug("solve at N = %d: dense eigh", n)
-        kvals, kvecs = np.linalg.eigh(k)
+        try:
+            kvals, kvecs = np.linalg.eigh(k)
+        except np.linalg.LinAlgError:  # set by set; one that fails keeps NaN eigenvalues
+            kvals, kvecs = np.full(k.shape[:-1], np.nan), np.zeros_like(k)
+            for i, b in enumerate(np.ndindex(dictionary.batch_shape)):
+                try:
+                    kvals[b], kvecs[b] = np.linalg.eigh(k[b])
+                except np.linalg.LinAlgError as err:
+                    unconverged[i] = str(err)
         del k
     else:
         kvals = np.zeros(dictionary.batch_shape + (n,))
@@ -294,13 +312,14 @@ def _solve_rotated(dictionary, rho, graph, t_rot, alpha, beta, sketch):
     cond = np.divide(dmax, dmin, out=np.full_like(dmax, np.inf), where=dmin > 0.0)
     failed = cond > CONDITION_LIMIT
     messages = [
-        f"column systems have condition estimate {c:.2e} exceeding "
-        f"{CONDITION_LIMIT:.0e}; consider increasing alpha" if bad else None
-        for c, bad in zip(cond.ravel(), failed.ravel())
+        unconverged.get(i, f"column systems have condition estimate {c:.2e} exceeding "
+                           f"{CONDITION_LIMIT:.0e}; consider increasing alpha" if bad else None)
+        for i, (c, bad) in enumerate(zip(cond.ravel(), failed.ravel()))
     ]
     denoms[failed] = 1.0  # their psi is set to zero below
     psi = t_rot if kvecs is None else np.swapaxes(kvecs, -1, -2) @ t_rot
-    psi = psi / denoms
+    with np.errstate(over="ignore"):  # a Psi~ beyond float range fails its set in the callers
+        psi = psi / denoms
     del denoms
     if kvecs is not None:
         psi = kvecs @ psi
@@ -350,7 +369,7 @@ def _nystrom_eigenbasis(k, floor, sketch):
     ``kappa`` holds the eigenvalues of the modes on the sketched range and
     the rows of ``vt`` their eigenvectors (see the module docstring); the
     sketch also stops on a pivot at or below ``floor``.  None when the
-    sketch is refused, which the fit's ``sketch`` records.
+    sketch is refused.
     """
     n = len(k)
     eps = np.finfo(float).eps
@@ -371,7 +390,6 @@ def _nystrom_eigenbasis(k, floor, sketch):
         if rank + block > cap:
             log.debug("solve at N = %d: no sketch of up to %d columns (%d rows computed ahead), "
                       "dense eigh", n, rank, ahead)
-            sketch.refuse()
             return None
         start, rank = rank, rank + block
         omega = sketch.omega(n, rank)
@@ -407,7 +425,6 @@ def _nystrom_eigenbasis(k, floor, sketch):
         except np.linalg.LinAlgError:
             log.debug("solve at N = %d: sketch rank %d has no shifted Cholesky factor, "
                       "dense eigh", n, rank)
-            sketch.refuse()
             return None
     else:
         log.debug("solve at N = %d: sketch stops at rank %d on a pivot of %.1e "
@@ -415,7 +432,11 @@ def _nystrom_eigenbasis(k, floor, sketch):
                   n, rank, least, floor, roundoff, used, ahead)
     # the Nystrom approximation is F^T F with F = L^-1 Y^T, written over Y^T
     f = _forward(factor, inverses, y)
-    squares, w = np.linalg.eigh(f @ f.T)
+    try:
+        squares, w = np.linalg.eigh(f @ f.T)
+    except np.linalg.LinAlgError:
+        log.debug("solve at N = %d: sketch rank %d, no eigh of F F^T, dense eigh", n, rank)
+        return None
     # modes at the round-off of F F^T, or within the shift, are off the range
     keep = squares - shift > rank * eps * squares[-1]
     # the eigenvectors of F^T F, as rows
@@ -427,9 +448,8 @@ def _solve_low_rank(k, t_rot, scale, alpha, sketch):
     """``Psi~`` of the column systems ``scale[m] K psi~_m + alpha psi~_m = t_rot[:, m]``.
 
     Solved through a certified Nystrom eigenbasis of the PSD matrix ``k``
-    (see the module docstring); None when the route refuses, which it
-    records in the fit's ``sketch``, and the caller then takes the dense
-    ``eigh``.
+    (see the module docstring); None when the route refuses, which the
+    caller records in the fit's ``sketch`` before it takes the dense ``eigh``.
     """
     n = len(k)
     basis = _nystrom_eigenbasis(k, _SKETCH_FLOOR * alpha / scale.max(), sketch)
@@ -443,7 +463,6 @@ def _solve_low_rank(k, t_rot, scale, alpha, sketch):
     if not dmin > 0.0 or dmax > CONDITION_LIMIT * dmin:
         log.debug("solve at N = %d: sketch rank %d beyond the condition limit, dense eigh",
                   n, rank)
-        sketch.refuse()
         return None
     gain = 1.0 / denoms - 1.0 / alpha
 
@@ -471,7 +490,6 @@ def _solve_low_rank(k, t_rot, scale, alpha, sketch):
     if not error <= LOW_RANK_TOLERANCE:
         log.debug("solve at N = %d: sketch rank %d, backward error %.1e refused, dense eigh",
                   n, rank, error)
-        sketch.refuse()
         return None
     log.debug("solve at N = %d: sketch rank %d, certified backward error %.1e, "
               "relative residual %.1e", n, rank, error, size / t_size if t_size else 0.0)

@@ -195,10 +195,10 @@ def test_a_failing_eigh_fails_only_its_own_trials(default_scenario, monkeypatch)
     assert report.n_failed == sum(failing)
 
 
-def zero_targets_dataset(nonzero_rows):
-    """12 pairs over 4 nodes whose targets are zero outside ``nonzero_rows``."""
+def zero_targets_dataset(nonzero_rows, floor=0.0):
+    """12 pairs over 4 nodes whose targets are ``floor`` outside ``nonzero_rows``."""
     rng = np.random.default_rng(8)
-    targets = np.zeros((12, 4))
+    targets = np.full((12, 4), floor)
     targets[nonzero_rows] = rng.normal(size=(len(nonzero_rows), 4))
     a = np.abs(rng.normal(size=(4, 4)))
     a = 0.5 * (a + a.T)
@@ -206,12 +206,12 @@ def zero_targets_dataset(nonzero_rows):
     return ExperimentDataset(rng.normal(size=(12, 6)), targets, build_graph(a))
 
 
-@pytest.mark.parametrize("n_train, block", [(3, "training"), (9, "test")])
+@pytest.mark.parametrize("n_train, block", [(3, "training"), (9, "test"), (9, "underflowing test")])
 def test_only_the_trials_with_an_all_zero_block_fail(n_train, block):
-    # a zero training block has no SNR and a zero test block no NMSE; the
-    # trials holding one record it for every method, and the others are
-    # scored as they are alone
-    dataset = zero_targets_dataset([0, 1, 2, 3])
+    # a zero training block has no SNR and a zero test block no NMSE, nor
+    # has one whose squares all underflow to zero; the trials holding one
+    # record it for every method, and the others are scored as they are alone
+    dataset = zero_targets_dataset([0, 1, 2, 3], 1e-170 if block == "underflowing test" else 0.0)
     config = ExperimentConfig(n_train=n_train, n_realizations=16, grid=KernelGrid(count=10),
                               master_seed=5)
     assert batch_size(dataset, config) == 16  # one batch
@@ -220,7 +220,7 @@ def test_only_the_trials_with_an_all_zero_block_fail(n_train, block):
     for i, trial in enumerate(report.trials):
         perm = np.random.default_rng(trial_seed(5, i).spawn(2)[0]).permutation(12)
         rows = perm[:n_train] if block == "training" else perm[n_train:]
-        zero = not np.any(dataset.targets[rows])
+        zero = np.sum(dataset.targets[rows] ** 2) == 0.0
         if zero:
             assert set(trial.errors) == set(METHODS) and not trial.nmse
             assert all(f"{'target' if block == 'training' else 'reference'} block is "

@@ -461,6 +461,39 @@ class TestValidateConfig:
         assert message in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "keys, value, message",
+        [
+            (("kernel_grid",), 0, "kernel_grid: expected an object, got 0"),
+            (("experiment",), 0, "experiment: expected an object, got 0"),
+            (("optimizer",), [], "optimizer: expected an object, got []"),
+            (("synthetic",), 0, "synthetic: expected an object, got 0"),
+            (("data",), 0, "data: expected an object, got 0"),
+            (("experiment", "params_by_n_train"), 5,
+             "experiment.params_by_n_train: expected an object, got 5"),
+            (("experiment", "params_by_n_train"), {"x": [0.02, 5.5]},
+             "experiment.params_by_n_train[x]: expected an integer training size, got 'x'"),
+            (("model", "kernel_grid"), 0, "kernel_grid: expected an object, got 0"),
+            (("model", "kernel_grid"), [], "kernel_grid: expected an object, got []"),
+        ],
+    )
+    def test_block_of_the_wrong_type_names_its_field(self, tmp_path, capsys, fitted_model, keys,
+                                                     value, message):
+        # one reader takes the kernel_grid block of a config and of a model file
+        if keys[0] == "model":
+            rc = predict_with_edited_model(tmp_path, fitted_model,
+                                           lambda p: p.update({keys[1]: value}))
+        else:
+            path = synthetic_config(tmp_path)
+            if keys == ("data",):
+                cfg = json.loads(path.read_text())
+                del cfg["synthetic"]
+                path.write_text(json.dumps({**cfg, "data": value}))
+            else:
+                edit_config(path, keys, value)
+            rc = cli.main(["validate-config", "--config", str(path)])
+        assert assert_input_error(capsys, rc).endswith(f"{message}\n")
+
     @pytest.mark.parametrize("command", ["validate-config", "fit"])
     def test_damped_momentum_still_accepted(self, tmp_path, command):
         plain = synthetic_config(tmp_path)
@@ -602,6 +635,21 @@ class TestFitAndPredict:
         assert "numeric failure: grid search: target block is identically zero" in err
         assert not (tmp_path / "out").exists()
 
+    def test_unconverged_eigh_exit_code(self, tmp_path, capsys, monkeypatch):
+        # every eigh of a kernel matrix fails, the graph's (8 x 8) does not
+        eigh = np.linalg.eigh
+
+        def failing(a):
+            if a.shape[-1] != 8:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        rc = run_on_config("fit", synthetic_config(tmp_path), tmp_path / "out")
+        assert rc == 1
+        assert capsys.readouterr().err == "numeric failure: Eigenvalues did not converge\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["validate-config", "fit", "experiment"])
     @pytest.mark.parametrize("out", ["file", "file/sub"])
     def test_unusable_output_dir_exits_before_fitting(self, tmp_path, capsys, monkeypatch,
@@ -645,21 +693,36 @@ class TestFitAndPredict:
         assert err.startswith(f"numeric failure: {message}") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "command, keys, rc, message",
-        [("fit", ("beta",), 1, "numeric failure: column systems have condition estimate inf"),
-         *[(command, ("synthetic", "mode_decay"), 2,
+        "command, keys, value, rc, message",
+        [("fit", ("beta",), 1e308, 1,
+          "numeric failure: column systems have condition estimate inf"),
+         *[(command, ("synthetic", "mode_decay"), 1e308, 2,
             "error: cannot build the dataset: training data contains NaN or Inf")
-           for command in ("validate-config", "fit", "experiment")]],
-        ids=["fit-beta", "validate-config-mode_decay", "fit-mode_decay", "experiment-mode_decay"],
+           for command in ("validate-config", "fit", "experiment")],
+         # Psi~ = T~ / alpha leaves float range
+         ("fit", ("alpha",), 1e-320, 1, "numeric failure: the step of iteration 1 leaves"),
+         ("fit", ("synthetic", "mean_level"), 1e308, 1,
+          "numeric failure: the step of iteration 1 leaves"),
+         # the training targets' power leaves float range: no SNR
+         ("experiment", ("synthetic", "mean_level"), 1e308, 1,
+          "numeric failure: 2 of 2 trials failed"),
+         ("experiment", ("synthetic", "mean_level"), 1e30, 1,
+          "numeric failure: 2 of 2 trials failed"),
+         # a step so large that its projection onto the ball rounds to 0
+         ("fit", ("synthetic", "mean_sq_distance"), 2**63, 0, None)],
+        ids=["fit-beta", "validate-config-mode_decay", "fit-mode_decay", "experiment-mode_decay",
+             "fit-alpha", "fit-mean_level", "experiment-mean_level",
+             "experiment-mean_level-1e30", "fit-mean_sq_distance"],
     )
     def test_float_overflow_prints_the_error_line_only(self, tmp_path, capsys, command, keys,
-                                                       rc, message):
+                                                       value, rc, message):
         # pytest raises a RuntimeWarning, so a warning on the way fails here
         path = synthetic_config(tmp_path)
-        edit_config(path, keys, 1e308)
+        edit_config(path, keys, value)
         assert run_on_config(command, path, tmp_path / "out") == rc
         err = capsys.readouterr().err
-        assert err.startswith(message) and err.count("\n") == 1
+        assert err == "" if message is None else (
+            err.startswith(message) and err.count("\n") == 1)
 
     @pytest.mark.parametrize("command", ["validate-config", "fit", "experiment"])
     @pytest.mark.parametrize(
@@ -1248,6 +1311,72 @@ class TestModelFileSweep:
                 assert rc == 2, (offset, byte)
             else:
                 assert rc == 0 or not unchanged, (offset, byte)
+
+
+# The config sweep sets each of these fields of a small synthetic config, a
+# block or a value in one, to each of SWEEP_VALUES.  None of those values
+# makes a command allocate more than a few MB: sizes of 2^63 and beyond are
+# refused before numpy allocates them, and grid counts by the memory check.
+CONFIG_SWEEP_FIELDS = [
+    ("alpha",), ("beta",), ("seed",), ("output_dir",), ("kernel_grid",),
+    *(("kernel_grid", key) for key in ("family", "lo", "hi", "count")),
+    ("optimizer",),
+    *(("optimizer", key) for key in ("radius", "mu0", "q", "epsilon", "max_iterations",
+                                     "momentum")),
+    ("experiment",),
+    *(("experiment", key) for key in ("snr_db", "n_train_values", "n_realizations",
+                                      "linear_alpha", "single_sigma_sq", "params_by_n_train",
+                                      "grid_search")),
+    ("synthetic",),
+    *(("synthetic", key) for key in ("num_nodes", "num_pairs", "num_modes", "mean_sq_distance",
+                                     "mode_decay", "mean_level", "mode", "seed")),
+]
+
+
+class TestConfigSweep:
+    """``validate-config``, ``fit`` and ``experiment`` on every config mutation of the table.
+
+    Each exits 0, 1 or 2, never with a traceback or a numpy warning, and
+    leaves nothing on exit 2; ``validate-config`` refuses what either of the
+    others refuses as input, and what it refuses ``experiment`` refuses.
+    """
+
+    BASE = {
+        "synthetic": {"num_nodes": 6, "num_pairs": 12, "num_modes": 3},
+        "kernel_grid": {"family": "gaussian", "lo": 0.01, "hi": 10.0, "count": 8},
+        "optimizer": {"max_iterations": 60},
+        "experiment": {"n_train_values": [4, 8], "n_realizations": 2},
+        "output_dir": "out",
+    }
+
+    def test_exit_codes(self, tmp_path, capsys, monkeypatch):
+        # building the argument parser is most of a refused command's time
+        parser = cli._build_parser()
+        monkeypatch.setattr(cli, "_build_parser", lambda: parser)
+        path = tmp_path / "config.json"
+        table = [(field, value) for field in CONFIG_SWEEP_FIELDS for value in SWEEP_VALUES]
+        for i, (field, value) in enumerate(table):
+            cfg = json.loads(json.dumps(self.BASE))
+            *keys, key = field
+            block = cfg[keys[0]] if keys else cfg
+            block[key] = value
+            path.write_text(json.dumps(cfg))
+            codes = {}
+            for command in ("validate-config", "fit", "experiment"):
+                case = (field, value, command)
+                work = tmp_path / f"{i}-{command}"
+                work.mkdir()
+                monkeypatch.chdir(work)  # output_dir is relative
+                try:
+                    codes[command] = rc = cli.main([command, "--config", str(path)])
+                except Exception as exc:  # a RuntimeWarning too, as pytest is configured
+                    pytest.fail(f"{case}: {exc!r}")
+                err = capsys.readouterr().err
+                assert rc in (0, 1, 2) and "Traceback" not in err, (case, rc, err)
+                if rc == 2:
+                    assert not any(work.iterdir()), case
+            refused = [codes[command] == 2 for command in ("validate-config", "fit", "experiment")]
+            assert refused[0] == refused[2] and refused[0] >= refused[1], (field, value, codes)
 
 
 def predict_to(tmp_path, model_path, inputs_csv, name):

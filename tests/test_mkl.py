@@ -393,6 +393,58 @@ class TestOptimize:
         assert excinfo.value.trace.error == str(excinfo.value) == stacked.error
         assert excinfo.value.trace.iterations == stacked.iterations
 
+    @staticmethod
+    def failing_eigh(monkeypatch, fails):
+        """``np.linalg.eigh`` raising LAPACK's message on the matrices, or stacks, ``fails`` picks."""
+        eigh = np.linalg.eigh
+
+        def patched(a):
+            if fails(a):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", patched)
+
+    def test_unconverged_eigh_attaches_trace(self, monkeypatch):
+        # K = 0 at rho = 0 takes no eigh, so the fit fails from iteration 2
+        rng = np.random.default_rng(19)
+        d, g, t = random_instance(rng, 3, 5, 4)
+        g.lap_eigvecs  # the graph's own eigh, before any fails
+        self.failing_eigh(monkeypatch, lambda a: True)
+        config = SolverConfig(mu0=2.0, i_max=30, epsilon=1e-10, radius=1.5)
+        with pytest.raises(SingularSystemError, match="^Eigenvalues did not converge$") as excinfo:
+            optimize(d, g, t, config, 0.5, 0.5)
+        trace = excinfo.value.trace
+        assert trace.status == "singular" and trace.error == str(excinfo.value)
+        assert trace.iterations == [1]
+        # the trace a stack of one records for the same problem
+        _, (stacked,) = optimize(build_dictionary(d.training_inputs[None], d.grid), g, t[None],
+                                 config, 0.5, 0.5)
+        assert stacked.status == "singular" and stacked.error == trace.error
+        assert stacked.iterations == trace.iterations
+
+    def test_unconverged_eigh_stops_only_its_own_problem(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        x = rng.normal(size=(4, 6, 3))
+        x[2, 1] = x[2, 0]  # only set 2 has two equal inputs, so two equal rows of K
+        d = build_dictionary(x, KernelGrid(lo=0.3, hi=3.0, count=5))
+        _, g, _ = random_instance(rng, 3, 2, 1)
+        t = rng.normal(size=(4, 6, 3))
+        config = SolverConfig(mu0=2.0, i_max=30, epsilon=1e-10, radius=1.5)
+        expected, expected_traces = optimize(d, g, t, config, 0.5, 0.5)
+        self.failing_eigh(monkeypatch, lambda a: np.any(
+            np.all(np.abs(a[..., 0, :] - a[..., 1, :]) < 1e-12, axis=-1)))
+        model, traces = optimize(d, g, t, config, 0.5, 0.5)
+        assert model.errors == (None, None, "Eigenvalues did not converge", None)
+        assert traces[2].status == "singular" and traces[2].error == model.errors[2]
+        assert 1 <= traces[2].iterations_used < expected_traces[2].iterations_used
+        assert not model.psi[2].any()
+        # the other problems go on as they do without the failure, bit for bit
+        for b in (0, 1, 3):
+            assert model.rho[b].tobytes() == expected.rho[b].tobytes()
+            assert model.psi[b].tobytes() == expected.psi[b].tobytes()
+            assert traces[b] == expected_traces[b]
+
     @pytest.mark.parametrize("mu0, alpha", [(1e308, 0.4), (0.1, 1e-300)])
     def test_step_outside_float_range_attaches_trace(self, mu0, alpha):
         # the first step, -mu0 times a gradient that grows as |T|^2 / alpha,

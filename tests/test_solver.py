@@ -219,6 +219,19 @@ class TestZeroWeights:
         assert all(e is not None and "alpha" in e for e in model.errors)
         assert not model.psi.any()
 
+    def test_solution_beyond_float_range_fails_its_set(self):
+        # Psi~ = T~ / alpha overflows, silently: pytest turns a RuntimeWarning
+        # into an error.  A zero target block stays at Psi~ = 0.
+        rng = np.random.default_rng(46)
+        d, g, t = random_instance(rng, 3, 5, 2)
+        with pytest.raises(FloatingPointError, match="float range"):
+            solve_structured(d, np.zeros(2), g, t, alpha=1e-320, beta=1.0)
+        stacked = build_dictionary(rng.normal(size=(2, 5, 3)), KernelGrid(lo=0.3, hi=3.0, count=2))
+        t = np.stack([np.zeros((5, 3)), t])
+        model = solve_structured(stacked, np.zeros((2, 2)), g, t, alpha=1e-320, beta=1.0)
+        assert model.errors[0] is None and "float range" in model.errors[1]
+        assert not model.psi.any()
+
 
 class TestObjective:
     def test_zero_coefficients_leave_constant(self):
@@ -389,6 +402,25 @@ class TestLowRankRoute:
         kept = self.spy(monkeypatch)
         model = solve_structured(d, rho, g, t, alpha=0.1, beta=5.5)
         assert kept == [False]
+        dense = self.dense_route(monkeypatch, d, rho, g, t, 0.1, 5.5)
+        np.testing.assert_array_equal(model.psi.view(np.uint64), dense.psi.view(np.uint64))
+
+    def test_failed_sketch_eigh_falls_back_bit_for_bit(self, monkeypatch, caplog):
+        d, rho, g, t = curve_instance()
+        g.lap_eigvecs  # the graph's own eigh, before any fails
+        eigh = np.linalg.eigh
+
+        def failing_small(a):  # only the r x r eigh of F F^T, r < N
+            if len(a) < d.num_samples:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a)
+
+        kept = self.spy(monkeypatch)
+        monkeypatch.setattr(np.linalg, "eigh", failing_small)
+        with caplog.at_level("DEBUG", logger="graphkern.solver"):
+            model = solve_structured(d, rho, g, t, alpha=0.1, beta=5.5)
+        assert kept == [False]
+        assert "no eigh of F F^T, dense eigh" in caplog.text
         dense = self.dense_route(monkeypatch, d, rho, g, t, 0.1, 5.5)
         np.testing.assert_array_equal(model.psi.view(np.uint64), dense.psi.view(np.uint64))
 
