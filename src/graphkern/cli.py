@@ -14,6 +14,7 @@ variable (DEBUG/INFO/WARNING/...) to control verbosity.
 
 import argparse
 import array
+import contextlib
 import csv
 import itertools
 import json
@@ -122,12 +123,22 @@ def ingest_dataset(measurements_path, coords_path):
     return matrix, NodeCoordinates(positions, mode="geodesic"), names
 
 
-def _read_measurements(path, min_rows=2):
+@contextlib.contextmanager
+def _csv_file(path, kind):
+    """``path`` open for ``csv.reader``; failing to open or to decode it raises ConfigError."""
     try:
         fh = open(path, newline="")
     except OSError as err:
-        raise ConfigError(f"cannot open measurements file {path}: {err}") from err
+        raise ConfigError(f"cannot open {kind} file {path}: {err}") from err
     with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"{path}: cannot decode the {kind} file: {err}") from None
+
+
+def _read_measurements(path, min_rows=2):
+    with _csv_file(path, "measurements") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -227,12 +238,16 @@ def _read_cells(reader, path, names, min_rows):
 
 
 def _read_coordinates(path):
-    try:
-        fh = open(path, newline="")
-    except OSError as err:
-        raise ConfigError(f"cannot open coordinates file {path}: {err}") from err
+    """The ``node,lat,lon`` rows of a coordinates file as ``{node: (lat, lon)}``.
+
+    A first row that does not parse is a header and is skipped.  A later
+    row that is not three cells, a coordinate ``float()`` does not read or
+    reads as non-finite (``nan``, ``inf``, ``1e400``), and a repeated node
+    raise :class:`ConfigError` naming the path and the line, and for a
+    non-finite coordinate its column, as a measurements cell is named.
+    """
     coord_map = {}
-    with fh:
+    with _csv_file(path, "coordinates") as fh:
         for line_no, row in enumerate(csv.reader(fh), start=1):
             if not row or all(not c.strip() for c in row):
                 continue
@@ -249,6 +264,12 @@ def _read_coordinates(path):
                 raise ConfigError(
                     f"{path}: line {line_no}: non-numeric coordinates {row[1:]!r}"
                 ) from None
+            for col, value in ((1, lat), (2, lon)):
+                if not math.isfinite(value):
+                    raise ConfigError(
+                        f"{path}: line {line_no}: non-finite coordinate {row[col].strip()!r} "
+                        f"in column {col + 1} ({('latitude', 'longitude')[col - 1]})"
+                    )
             if name in coord_map:
                 raise ConfigError(f"{path}: line {line_no}: duplicate node {name!r}")
             coord_map[name] = (lat, lon)
@@ -294,22 +315,56 @@ def _default_config():
 
 DEFAULT_CONFIG = _default_config()
 
+# The keys a config may hold, by block: the defaults' plus the data modes,
+# the grid search and the one momentum schedule.  The synthetic block's are
+# the generator's parameters, which refuses any other.
+_CONFIG_KEYS = {
+    (): {*DEFAULT_CONFIG, "data", "synthetic"},
+    ("data",): {"measurements", "coordinates"},
+    ("kernel_grid",): set(DEFAULT_CONFIG["kernel_grid"]),
+    ("optimizer",): {*DEFAULT_CONFIG["optimizer"], "momentum"},
+    ("experiment",): {*DEFAULT_CONFIG["experiment"], "grid_search"},
+    ("experiment", "grid_search"): {"alphas", "betas"},
+}
+
+
+def _unknown_key(raw):
+    """The dotted name of the first key of ``raw`` that no command reads, or None.
+
+    A block that is not an object is left to the reader that names it.
+    """
+    for path, known in _CONFIG_KEYS.items():
+        block = raw
+        for name in path:
+            block = block.get(name) if isinstance(block, dict) else None
+        if isinstance(block, dict):
+            for key in block:
+                if key not in known:
+                    return ".".join((*path, key))
+    return None
+
 
 def load_config(path, seed=None):
     """Parse and validate a JSON run config; returns it merged with the defaults, and its run.
 
     The run is what :func:`_read_run` takes from the config.  A ``seed``
-    other than None replaces the config's, before validation.
+    other than None replaces the config's, before validation.  A key that
+    no command reads, a misspelt ``n_realisations`` say, raises
+    :class:`ConfigError` naming it, rather than leaving its default in force.
     """
     try:
         with open(path) as fh:
             raw = json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot open config file {path}: {err}") from err
-    except (json.JSONDecodeError, RecursionError) as err:  # or nested beyond json's depth
+    # not JSON, not UTF-8, or nested beyond json's depth
+    except (ValueError, RecursionError) as err:
         raise ConfigError(f"{path}: invalid JSON: {err}") from err
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
+    unknown = _unknown_key(raw)
+    if unknown is not None:
+        raise ConfigError(f"{path}: unknown config key {unknown!r}")
     cfg = _merge_defaults(DEFAULT_CONFIG, raw)
     if seed is not None:
         cfg["seed"] = seed

@@ -39,6 +39,9 @@ class NodeCoordinates:
         Euclidean space.
     mode : str
         Either ``"geodesic"`` or ``"euclidean"``.
+
+    Every position must be finite, in either mode: a NaN would pass the
+    geodesic range checks and reach the adjacency unnoticed.
     """
 
     positions: np.ndarray
@@ -48,6 +51,8 @@ class NodeCoordinates:
         pos = np.asarray(self.positions, dtype=float)
         if pos.ndim != 2 or pos.shape[0] < 1:
             raise ValueError("positions must be a 2-D array with one row per node")
+        if not np.isfinite(pos).all():
+            raise ValueError("positions must be finite")
         if self.mode not in ("geodesic", "euclidean"):
             raise ValueError(f"unknown distance mode {self.mode!r}")
         if self.mode == "geodesic":

@@ -100,7 +100,11 @@ class OptimizerTrace:
     optimum (see :func:`frank_wolfe_gap`).  ``final_gamma`` is the
     objective at the returned (projected) weights.  ``error`` is the
     message of the singular system or the out-of-range step that stopped
-    the problem, with ``status`` ``SINGULAR`` or ``OVERFLOW``.
+    the problem, with ``status`` ``SINGULAR`` or ``OVERFLOW``.  A final
+    solve, at the returned weights, that fails stops a problem with no
+    error yet as ``SINGULAR`` too, a converged one included.  The trace is
+    the one record of how its problem ended: the model's ``errors`` and a
+    raised error's message repeat its ``error``.
     """
 
     iterations: list = field(default_factory=list)
@@ -210,25 +214,37 @@ def project(s, radius, q):
     For q=1: negative entries are clipped; if the clipped vector already
     fits in the ball it is returned, otherwise the unique shift ``tau > 0``
     with ``sum max(s_i - tau, 0) = radius`` is found by the sort-and-scan
-    rule (O(S log S)).  For q=2: clip negatives, then rescale onto the
-    sphere if outside.  A stack of vectors is projected row by row.
-    Raises ``ValueError`` for ``radius <= 0`` or q not in {1, 2}.
+    rule (O(S log S); Duchi et al. 2008) in difference form.  With the
+    entries sorted in decreasing order, ``u``, the mass above the j-th,
+    ``sum_{i<j} (u_i - u_j)``, is summed from nonnegative gaps; ``k`` is
+    the last index where it is below the radius, and the projection is
+    ``max(s - u_k + (radius - above_k) / (k + 1), 0)``.  No sum of the
+    entries themselves enters, so the result is exact to round-off of the
+    radius at any magnitude, 1e300 included, where a running sum of the
+    entries lost all of it.  A final rescaling shaves round-off past the
+    ball.  For q=2: clip negatives, then rescale onto the sphere if
+    outside.  A stack of vectors is projected row by row.  Raises
+    ``ValueError`` for ``radius <= 0`` or q not in {1, 2}.
     """
     s = np.asarray(s, dtype=float)
     if not radius > 0:
         raise ValueError("radius must be positive")
     clipped = np.maximum(s, 0.0)
     if q == 1:
-        outside = clipped.sum(axis=-1, keepdims=True) > radius
-        if not outside.any():
-            return clipped
-        u = -np.sort(-clipped, axis=-1)
-        css = np.cumsum(u, axis=-1)
-        counts = np.arange(1, u.shape[-1] + 1)
-        active = u > (css - radius) / counts
-        k = u.shape[-1] - 1 - np.argmax(active[..., ::-1], axis=-1)[..., None]
-        tau = (np.take_along_axis(css, k, axis=-1) - radius) / (k + 1.0)
-        z = np.maximum(clipped - tau, 0.0)
+        # a sum, or a mass above an entry, beyond float range exceeds the radius
+        with np.errstate(over="ignore"):
+            outside = clipped.sum(axis=-1, keepdims=True) > radius
+            if not outside.any():
+                return clipped
+            u = -np.sort(-clipped, axis=-1)
+            # the mass above each sorted entry, sum_{i<j} (u_i - u_j), as a sum of the
+            # terms j (u_{j-1} - u_j) >= 0: nondecreasing, with no cancellation
+            above = np.zeros_like(u)
+            np.cumsum(np.arange(1, u.shape[-1]) * -np.diff(u, axis=-1), axis=-1,
+                      out=above[..., 1:])
+        k = np.sum(above < radius, axis=-1, keepdims=True) - 1
+        shift = (radius - np.take_along_axis(above, k, axis=-1)) / (k + 1.0)
+        z = np.maximum(clipped - np.take_along_axis(u, k, axis=-1) + shift, 0.0)
         excess = z.sum(axis=-1, keepdims=True)
         z *= radius / np.maximum(excess, radius)  # shave round-off past the ball
         return np.where(outside, z, clipped)
@@ -236,6 +252,13 @@ def project(s, radius, q):
         norm = np.linalg.norm(clipped, axis=-1, keepdims=True)
         return clipped * (radius / np.maximum(norm, radius))
     raise ValueError("q must be 1 or 2")
+
+
+def _stop(traces, candidates, stopped, status, errors):
+    """Stop each problem b of ``candidates & stopped`` with ``status`` and ``errors[b]``."""
+    for b in np.flatnonzero(candidates & stopped):
+        traces[b].status, traces[b].error = status, errors[b]
+    candidates &= ~stopped  # in place, so the caller's mask changes, one problem's 0-d one too
 
 
 def optimize(dictionary, graph, targets, config, alpha, beta):
@@ -255,10 +278,14 @@ def optimize(dictionary, graph, targets, config, alpha, beta):
     leaves float range (a gradient that overflows, say, from a huge ``mu0``
     or a tiny ``alpha``; no ``RuntimeWarning`` escapes) stops with the
     message in its trace's ``error``, its status ``SINGULAR`` or
-    ``OVERFLOW``.  In a stack the message goes into the model's ``errors``
-    and the problem's ``psi`` is zero.  A run of one problem raises once,
-    after the loop, :class:`~graphkern.solver.SingularSystemError` or
-    ``FloatingPointError``, with its trace as ``err.trace``.
+    ``OVERFLOW``; so does a problem with no error yet whose final solve
+    fails, as ``SINGULAR``.  Every stop goes through :func:`_stop`, and
+    what is returned or raised reads the traces only.  In a stack each
+    trace's ``error`` goes into the model's ``errors`` and the ``psi`` of
+    a problem with an error is zero.  A run of one problem raises once,
+    after the final solve, :class:`~graphkern.solver.SingularSystemError`
+    or ``FloatingPointError``, with its trace's ``error`` as the message
+    and the trace as ``err.trace``.
     """
     batch = dictionary.batch_shape
     traces = tuple(OptimizerTrace() for _ in range(math.prod(batch)))
@@ -273,12 +300,7 @@ def optimize(dictionary, graph, targets, config, alpha, beta):
     for i in range(1, config.i_max + 1):
         psi, errors = _solve_rotated(dictionary, _checked_weights(dictionary, rho_prev),
                                      graph, t_rot, alpha, beta, sketch)
-        singular = live & np.reshape([e is not None for e in errors], batch)
-        for b in np.flatnonzero(singular):
-            traces[b].error = errors[b]
-            traces[b].status = SINGULAR
-        # in place, so that one problem's 0-d mask stays an array
-        live &= ~singular
+        _stop(traces, live, np.reshape([e is not None for e in errors], batch), SINGULAR, errors)
         mu = config.mu0 / i
         # a problem whose step leaves float range stops below, its
         # overflowing values unrecorded
@@ -292,10 +314,7 @@ def optimize(dictionary, graph, targets, config, alpha, beta):
         if outside.any():
             message = (f"the step of iteration {i} leaves float range; "
                        f"consider a smaller mu0 or a larger alpha")
-            for b in np.flatnonzero(live & outside):
-                traces[b].error = message
-                traces[b].status = OVERFLOW
-            live &= ~outside
+            _stop(traces, live, outside, OVERFLOW, (message,) * len(traces))
             step = np.where(outside[..., None], rho_prev, step)
         z = project(step, config.radius, config.q)
         lam = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * lam_prev**2))
@@ -309,10 +328,7 @@ def optimize(dictionary, graph, targets, config, alpha, beta):
             traces[b]._append(i, float(v), mu, float(d), float(r), float(g))
         rho_prev = np.where(live[..., None], rho, rho_prev)
         lam_prev = lam
-        converged = live & (dsq <= config.epsilon)
-        for b in np.flatnonzero(converged):
-            traces[b].status = CONVERGED
-        live &= ~converged
+        _stop(traces, live, dsq <= config.epsilon, CONVERGED, (None,) * len(traces))
         if not live.any():
             break
     rho_final = _checked_weights(dictionary, project(rho_prev, config.radius, config.q))
@@ -324,7 +340,10 @@ def optimize(dictionary, graph, targets, config, alpha, beta):
         final_gamma = np.ravel(_gamma_rotated(graph, t_rot, psi, alpha, beta))
     for trace, value in zip(traces, final_gamma):
         trace.final_gamma = float(value)
-    errors = tuple(t.error or e for t, e in zip(traces, errors))
+    # the final solve stops, as singular, a problem that has no error yet
+    _stop(traces, np.reshape([t.error is None for t in traces], batch),
+          np.reshape([e is not None for e in errors], batch), SINGULAR, errors)
+    errors = tuple(t.error for t in traces)
     if not batch and errors[0] is not None:  # one problem alone raises, once
         error_type = FloatingPointError if traces[0].status == OVERFLOW else SingularSystemError
         err = error_type(errors[0])

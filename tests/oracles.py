@@ -36,10 +36,14 @@ targets in and the solution out, and the objective
 before realizations ran in lockstep batches: one training set at a time,
 through the single-set fitting calls, so the batched path can be checked
 against it trial by trial.
+
+:func:`project_l1_exact` projects onto the l1 ball in exact rational
+arithmetic, the reference for :func:`graphkern.project` at any magnitude.
 """
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
@@ -304,6 +308,23 @@ def low_rank_solve_refactored(k, t_rot, scale, alpha):
     psi = approximate_inverse(t_rot)
     psi += approximate_inverse(t_rot - scale * (k @ psi) - alpha * psi)
     return rank, kappa, psi
+
+
+def project_l1_exact(s, radius):
+    """Projection of the vector ``s`` onto ``{z >= 0, sum z <= radius}``, exact, then rounded.
+
+    The shift ``tau = (sum_{i<=k} u_i - radius) / (k + 1)`` is that of the
+    last sorted entry ``u_k > tau``; every step is a :class:`Fraction`.
+    """
+    clipped = [Fraction(max(float(v), 0.0)) for v in s]
+    radius = Fraction(radius)
+    tau, total = Fraction(0), Fraction(0)
+    if sum(clipped) > radius:
+        for j, u in enumerate(sorted(clipped, reverse=True)):
+            total += u
+            if u > (total - radius) / (j + 1):
+                tau = (total - radius) / (j + 1)
+    return np.array([float(max(v - tau, 0)) for v in clipped])
 
 
 def sq_distances(a, b):

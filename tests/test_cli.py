@@ -1,6 +1,7 @@
 """CLI: ingestion, config validation, fit/predict/experiment round trips."""
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -238,6 +239,14 @@ class TestValidateConfig:
         rc = cli.main(["validate-config", "--config", str(tmp_path / "nope.json")])
         assert rc == 2
         assert "nope.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate-config", "fit", "experiment"])
+    def test_non_utf8_config_exit_code(self, tmp_path, capsys, command):
+        path = synthetic_config(tmp_path)
+        path.write_bytes(path.read_bytes().replace(b'"seed": 11', b'"seed": "\xff"'))
+        rc = run_on_config(command, path, tmp_path / "out")
+        assert "invalid JSON" in assert_input_error(capsys, rc)
+        assert not (tmp_path / "out").exists()
 
     def test_both_modes_rejected(self, tmp_path, capsys):
         path = synthetic_config(tmp_path)
@@ -508,6 +517,26 @@ class TestValidateConfig:
                 assert (tmp_path / "damped" / name).read_bytes() == (
                     tmp_path / "plain" / name).read_bytes()
 
+    @pytest.mark.parametrize("command", ["validate-config", "fit", "experiment"])
+    @pytest.mark.parametrize(
+        "keys, value, name",
+        [
+            (("experiment", "n_realisations"), 3, "experiment.n_realisations"),
+            (("optimizer", "max_iteration"), 5, "optimizer.max_iteration"),
+            (("n_realizations",), 3, "n_realizations"),  # the experiment block's, at the top
+            # beyond 64 bits, as no model file may hold
+            (("kernel_grid", "note"), 10**30, "kernel_grid.note"),
+            (("experiment", "grid_search"), {"alphas": [0.1], "betas": [5.5], "alpha": [0.2]},
+             "experiment.grid_search.alpha"),
+        ],
+    )
+    def test_unknown_key_exit_code(self, tmp_path, capsys, command, keys, value, name):
+        path = synthetic_config(tmp_path)
+        edit_config(path, keys, value)
+        rc = run_on_config(command, path, tmp_path / "out")
+        assert assert_input_error(capsys, rc).endswith(f"unknown config key {name!r}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_params_by_n_train_replaces_the_defaults(self, tmp_path):
         # sizes the config's map leaves out run at its own alpha and beta
         path = synthetic_config(tmp_path, alpha=0.5, beta=1.0)
@@ -611,6 +640,24 @@ class TestFitAndPredict:
         rc = run_on_config(command, path, tmp_path / "out")
         err = assert_input_error(capsys, rc)
         assert "line 5" in err and "'nan' in column 1" in err
+
+    @pytest.mark.parametrize("command", ["fit", "experiment", "validate-config"])
+    @pytest.mark.parametrize("cell, column", [("nan", 2), ("inf", 3), ("-1e400", 2)])
+    def test_non_finite_coordinate_exit_code(self, tmp_path, capsys, csv_dataset, command, cell,
+                                             column):
+        measurements, coords = csv_dataset
+        lines = coords.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[column - 1] = cell
+        lines[2] = ",".join(cells)
+        coords.write_text("\n".join(lines) + "\n")
+        cfg = {"data": {"measurements": str(measurements), "coordinates": str(coords)}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        rc = run_on_config(command, path, tmp_path / "out")
+        err = assert_input_error(capsys, rc)
+        assert f"{coords}: line 3: non-finite coordinate {cell!r} in column {column}" in err
+        assert not (tmp_path / "out").exists()
 
     def test_all_zero_measurements_fail_the_experiment(self, tmp_path, capsys):
         # a fit needs no SNR, but every trial's training block is zero
@@ -837,20 +884,6 @@ class TestFitAndPredict:
             )
         assert payload["gamma"] == trace.final_gamma
         assert payload["kernel_grid"] == cfg["kernel_grid"]
-
-    def test_extra_grid_key_is_not_written(self, tmp_path):
-        # an integer beyond 64 bits, which the model encoder cannot write
-        grid = {"family": "gaussian", "lo": 0.01, "hi": 10.0, "count": 12}
-        path = synthetic_config(tmp_path, kernel_grid={**grid, "note": 10**30})
-        out = tmp_path / "out"
-        assert cli.main(["fit", "--config", str(path), "--out", str(out)]) == 0
-        assert json.loads((out / "model.json").read_text())["kernel_grid"] == grid
-        model, names = cli.load_model(out / "model.json")
-        inputs_csv = tmp_path / "inputs.csv"
-        write_measurements(inputs_csv, names, model.dictionary.training_inputs[:2].tolist())
-        rc = cli.main(["predict", "--model", str(out / "model.json"), "--inputs",
-                       str(inputs_csv), "--output", str(tmp_path / "pred.csv")])
-        assert rc == 0
 
     def test_predict_missing_model_exit_code(self, tmp_path):
         rc = cli.main(
@@ -1379,6 +1412,119 @@ class TestConfigSweep:
             assert refused[0] == refused[2] and refused[0] >= refused[1], (field, value, codes)
 
 
+# The CSV sweep puts each of these in place of a cell: non-finite and
+# overflowing numbers, an empty cell, a word and a quoted number.
+HOSTILE_CELLS = ["nan", "inf", "1e400", "", "x", '"1.5"']
+
+
+def line_edits(text, data_lines, columns):
+    """Edits of the CSV ``text``: each hostile cell, ragged rows and duplicate nodes.
+
+    ``data_lines`` and ``columns`` are the line and cell indices whose cells
+    are replaced.  The duplicates repeat the first node: in the header of a
+    measurements file, or as a row of its own in a coordinates file.
+    """
+    lines = text.splitlines()
+
+    def edited(j, line):
+        return "\n".join(lines[:j] + [line] + lines[j + 1:]) + "\n"
+
+    for j in data_lines:
+        for col in columns:
+            for value in HOSTILE_CELLS:
+                cells = lines[j].split(",")
+                cells[col] = value
+                yield edited(j, ",".join(cells))
+        yield edited(j, lines[j] + ",1")
+        yield edited(j, lines[j].rsplit(",", 1)[0])
+    header = lines[0].split(",")
+    yield edited(0, ",".join([header[0]] + header[:-1]))
+    yield text + lines[1] + "\n"
+
+
+def byte_edits(data, rng, truncations=6, insertions=20):
+    """``data`` cut at seeded offsets, and with one seeded byte inserted at others."""
+    for offset in rng.integers(1, len(data), size=truncations):
+        yield data[:offset]
+    for offset, byte in zip(rng.integers(len(data) + 1, size=insertions),
+                            rng.choice(list(b' \n\r,"0-.eEx\xff\x00'), size=insertions)):
+        yield data[:offset] + bytes([byte]) + data[offset:]
+
+
+class TestCsvSweep:
+    """``validate-config``, ``fit`` and ``experiment`` on seeded mutations of the CSV inputs.
+
+    The measurements and coordinates files of a data-mode config take each
+    hostile cell, ragged rows, a duplicate node, truncations and inserted
+    bytes.  Each command exits 0 or 2: on 2 with one ``error:`` line and
+    nothing written, never with a traceback or a numpy warning; and
+    ``validate-config`` refuses exactly what ``experiment`` refuses.
+    """
+
+    @pytest.fixture
+    def run(self, tmp_path, monkeypatch, capsys):
+        # building the argument parser is most of a refused command's time
+        parser = cli._build_parser()
+        monkeypatch.setattr(cli, "_build_parser", lambda: parser)
+        rng = np.random.default_rng(31)
+        files = {"measurements": tmp_path / "m.csv", "coordinates": tmp_path / "c.csv"}
+        write_measurements(files["measurements"], ["n0", "n1", "n2", "n3"],
+                           rng.normal(5.0, 2.0, size=(9, 4)).round(3).tolist())
+        write_coords(files["coordinates"], [["n0", 59.3, 18.1], ["n1", 57.7, 12.0],
+                                            ["n2", 55.6, 13.0], ["n3", 60.1, 24.9]])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "data": {key: str(path) for key, path in files.items()},
+            "kernel_grid": {"family": "gaussian", "lo": 0.01, "hi": 10.0, "count": 4},
+            "optimizer": {"max_iterations": 20},
+            "experiment": {"n_train_values": [4], "n_realizations": 1},
+            "output_dir": "out",
+        }))
+        cases = itertools.count()
+
+        def outcome(key, data):
+            """The three commands on the config with file ``key`` holding ``data``; asserts."""
+            files[key].write_bytes(data.encode() if isinstance(data, str) else data)
+            codes = {}
+            for command in ("validate-config", "fit", "experiment"):
+                work = tmp_path / f"{next(cases)}"
+                work.mkdir()
+                monkeypatch.chdir(work)  # output_dir is relative
+                case = (key, data, command)
+                try:
+                    codes[command] = rc = cli.main([command, "--config", str(config)])
+                except Exception as exc:  # a RuntimeWarning too, as pytest is configured
+                    pytest.fail(f"{case}: {exc!r}")
+                err = capsys.readouterr().err
+                assert rc in (0, 2) and "Traceback" not in err, (case, rc, err)
+                if rc == 2:
+                    assert err.startswith("error: ") and err.count("\n") == 1, (case, err)
+                    assert not any(work.iterdir()), case
+            refused = [codes[command] == 2 for command in ("validate-config", "fit", "experiment")]
+            assert refused[0] == refused[2] and refused[0] >= refused[1], (key, data, codes)
+            return codes["experiment"]
+
+        return files, outcome
+
+    def test_measurements(self, run):
+        files, outcome = run
+        data = files["measurements"].read_bytes()
+        assert outcome("measurements", data) == 0
+        for text in line_edits(data.decode(), data_lines=(1, 5), columns=(0, 3)):
+            outcome("measurements", text)
+        for edited in byte_edits(data, np.random.default_rng(32)):
+            outcome("measurements", edited)
+
+    def test_coordinates(self, run):
+        files, outcome = run
+        data = files["coordinates"].read_bytes()
+        assert outcome("coordinates", data) == 0
+        for text in line_edits(data.decode(), data_lines=(2,), columns=(0, 1, 2)):
+            outcome("coordinates", text)
+        for edited in byte_edits(data, np.random.default_rng(33)):
+            outcome("coordinates", edited)
+
+
 def predict_to(tmp_path, model_path, inputs_csv, name):
     """Exit code of ``predict`` writing to ``tmp_path / name``, and that path."""
     out = tmp_path / name
@@ -1449,6 +1595,14 @@ class TestPredictHeader:
         rc, out = predict_to(tmp_path, model_path, edited, "pred.csv")
         err = assert_input_error(capsys, rc)
         assert f"column {column} is " in err and "target names" in err
+        assert not out.exists()
+
+    def test_non_utf8_inputs_exit_code(self, tmp_path, fitted_model, capsys):
+        model_path, inputs_csv = fitted_model
+        edited = tmp_path / "inputs.csv"
+        edited.write_bytes(inputs_csv.read_bytes() + b"0.5\xff\n")
+        rc, out = predict_to(tmp_path, model_path, edited, "pred.csv")
+        assert f"{edited}: cannot decode the measurements file" in assert_input_error(capsys, rc)
         assert not out.exists()
 
 

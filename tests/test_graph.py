@@ -147,6 +147,13 @@ class TestDistances:
         with pytest.raises(ValueError, match="latitude"):
             NodeCoordinates([[91.0, 0.0], [0.0, 0.0]])
 
+    @pytest.mark.parametrize("mode", ["geodesic", "euclidean"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_position(self, mode, value):
+        # a NaN latitude passes the range check of the geodesic mode
+        with pytest.raises(ValueError, match="finite"):
+            NodeCoordinates([[value, 0.0], [0.0, 0.0]], mode=mode)
+
 
 class TestGeodesicAdjacency:
     def test_two_nodes_value(self):

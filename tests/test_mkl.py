@@ -16,10 +16,11 @@ from graphkern import (
     optimize,
     project,
 )
-from graphkern import kernels, mkl, solve_structured, solver
+from graphkern import experiment, kernels, mkl, solve_structured, solver
 
 from .oracles import (
     optimize_unrotated,
+    project_l1_exact,
     reduced_objective_matrix,
     stack,
     weight_objective_features,
@@ -216,6 +217,16 @@ class TestProject:
         s = rng.uniform(1e3, 1e5, size=100)
         z = project(s, 5.0, 1)
         assert z.sum() <= 5.0 + 1e-12
+
+    @pytest.mark.parametrize("scale", [1.0, 1e12, 2.0**63, 1e300])
+    def test_l1_matches_exact_rational_projection(self, scale):
+        # spread rows and rows clustered at the scale, whose gaps are near the radius
+        rng = np.random.default_rng(11)
+        s = np.concatenate([scale * rng.normal(size=(20, 100)),
+                            scale + rng.normal(size=(20, 100))])
+        expected = np.array([project_l1_exact(row, 5.0) for row in s])
+        np.testing.assert_allclose(project(s, 5.0, 1), expected, rtol=0,
+                                   atol=4 * np.finfo(float).eps * 5.0)
 
     def test_q2_nonnegative_then_scaled(self):
         rng = np.random.default_rng(10)
@@ -444,6 +455,29 @@ class TestOptimize:
             assert model.rho[b].tobytes() == expected.rho[b].tobytes()
             assert model.psi[b].tobytes() == expected.psi[b].tobytes()
             assert traces[b] == expected_traces[b]
+
+    def test_singular_final_solve_is_a_singular_stop(self):
+        # two equal inputs and a tiny alpha: the one iterate's solve passes,
+        # the solve at the returned weights does not
+        ds = experiment.make_synthetic_dataset(num_nodes=6, num_pairs=20, seed=1)
+        x, t = ds.inputs[:16].reshape(2, 8, -1).copy(), ds.targets[:16].reshape(2, 8, -1)
+        x[0, 1] = x[0, 0]
+        grid, config, alpha, beta = KernelGrid(count=8), SolverConfig(i_max=1, mu0=1.0), 1e-9, 5.5
+        with pytest.raises(SingularSystemError) as excinfo:
+            optimize(build_dictionary(x[0], grid), ds.graph, t[0], config, alpha, beta)
+        trace = excinfo.value.trace
+        assert trace.status == "singular" and trace.error == str(excinfo.value)
+        _, (alone,) = optimize(build_dictionary(x[:1], grid), ds.graph, t[:1], config, alpha,
+                               beta)
+        assert trace.iterations == alone.iterations == [1]
+        # in a stack the trace holds the model's error; the other set runs as it does alone
+        model, traces = optimize(build_dictionary(x, grid), ds.graph, t, config, alpha, beta)
+        assert traces[0].status == "singular" and traces[0].error == model.errors[0] is not None
+        other, (other_trace,) = optimize(build_dictionary(x[1:], grid), ds.graph, t[1:], config,
+                                         alpha, beta)
+        assert model.rho[1].tobytes() == other.rho[0].tobytes()
+        assert model.psi[1].tobytes() == other.psi[0].tobytes()
+        assert traces[1] == other_trace and model.errors[1] is None
 
     @pytest.mark.parametrize("mu0, alpha", [(1e308, 0.4), (0.1, 1e-300)])
     def test_step_outside_float_range_attaches_trace(self, mu0, alpha):
