@@ -16,6 +16,7 @@ import argparse
 import array
 import contextlib
 import csv
+import inspect
 import itertools
 import json
 import logging
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiment as exp
-from .graph import NodeCoordinates, build_graph, geodesic_adjacency
+from .graph import COORDINATE_LIMITS, NodeCoordinates, build_graph, geodesic_adjacency
 from .kernels import KernelDictionary, KernelGrid, _checked_weights, build_dictionary
 from .mkl import SolverConfig
 # solve_structured is not called here; it stays bound in this module like in
@@ -241,10 +242,9 @@ def _read_coordinates(path):
     """The ``node,lat,lon`` rows of a coordinates file as ``{node: (lat, lon)}``.
 
     A first row that does not parse is a header and is skipped.  A later
-    row that is not three cells, a coordinate ``float()`` does not read or
-    reads as non-finite (``nan``, ``inf``, ``1e400``), and a repeated node
-    raise :class:`ConfigError` naming the path and the line, and for a
-    non-finite coordinate its column, as a measurements cell is named.
+    row that is not three cells, a coordinate ``float()`` does not read,
+    non-finite (``1e400``) or beyond ``COORDINATE_LIMITS``, and a repeated
+    node raise ConfigError naming the path, the line and a coordinate's column.
     """
     coord_map = {}
     with _csv_file(path, "coordinates") as fh:
@@ -264,11 +264,12 @@ def _read_coordinates(path):
                 raise ConfigError(
                     f"{path}: line {line_no}: non-numeric coordinates {row[1:]!r}"
                 ) from None
-            for col, value in ((1, lat), (2, lon)):
-                if not math.isfinite(value):
+            for col, value, (axis, limit) in zip((1, 2), (lat, lon), COORDINATE_LIMITS.items()):
+                if not abs(value) <= limit:  # NaN included
+                    kind = "non-finite" if not math.isfinite(value) else "out-of-range"
                     raise ConfigError(
-                        f"{path}: line {line_no}: non-finite coordinate {row[col].strip()!r} "
-                        f"in column {col + 1} ({('latitude', 'longitude')[col - 1]})"
+                        f"{path}: line {line_no}: {kind} coordinate {row[col].strip()!r} "
+                        f"in column {col + 1} ({axis} in [-{limit:g}, {limit:g}])"
                     )
             if name in coord_map:
                 raise ConfigError(f"{path}: line {line_no}: duplicate node {name!r}")
@@ -315,14 +316,15 @@ def _default_config():
 
 DEFAULT_CONFIG = _default_config()
 
-# The keys a config may hold, by block: the defaults' plus the data modes,
-# the grid search and the one momentum schedule.  The synthetic block's are
-# the generator's parameters, which refuses any other.
+# The keys a config may hold, by block: the defaults' plus the data modes
+# and the grid search, and in the synthetic block the generator's parameters.
+_SYNTHETIC_PARAMETERS = inspect.signature(exp.make_synthetic_dataset).parameters
 _CONFIG_KEYS = {
     (): {*DEFAULT_CONFIG, "data", "synthetic"},
     ("data",): {"measurements", "coordinates"},
+    ("synthetic",): set(_SYNTHETIC_PARAMETERS),
     ("kernel_grid",): set(DEFAULT_CONFIG["kernel_grid"]),
-    ("optimizer",): {*DEFAULT_CONFIG["optimizer"], "momentum"},
+    ("optimizer",): set(DEFAULT_CONFIG["optimizer"]),
     ("experiment",): {*DEFAULT_CONFIG["experiment"], "grid_search"},
     ("experiment", "grid_search"): {"alphas", "betas"},
 }
@@ -435,11 +437,6 @@ def _read_run(cfg):
     the ExperimentConfig that holds it.
     """
     e, opt = _object(cfg["experiment"], "experiment"), _object(cfg["optimizer"], "optimizer")
-    # configs written when a second schedule existed may name the one left
-    if opt.get("momentum", "damped") != "damped":
-        raise ValueError(
-            f"optimizer.momentum: only the damped schedule remains, got {opt['momentum']!r}"
-        )
     config = exp.ExperimentConfig(
         snr_db=_number(e["snr_db"], "experiment.snr_db"),
         n_realizations=_integer(e["n_realizations"], "experiment.n_realizations"),
@@ -492,8 +489,9 @@ def _dataset_from_config(cfg):
 
     The ``synthetic`` block holds keyword arguments of
     :func:`~graphkern.experiment.make_synthetic_dataset`, ``seed`` defaulting
-    to the config's.  Values from which no dataset can be built (say, a
-    single node, an unknown key or a missing file) raise :class:`ConfigError`.
+    to the config's; one whose default is an int or a float is read as
+    such, any other (``mode``) as it is.  Values from which no dataset can
+    be built (say, a single node or a missing file) raise :class:`ConfigError`.
     """
     try:
         if "data" in cfg:
@@ -507,10 +505,9 @@ def _dataset_from_config(cfg):
             return dataset, names
         synth = {"seed": cfg["seed"], **_object(cfg["synthetic"], "synthetic")}
         for key, value in synth.items():
-            if key in ("num_nodes", "num_pairs", "num_modes", "seed"):
-                synth[key] = _integer(value, f"synthetic.{key}")
-            elif key in ("mean_sq_distance", "mode_decay", "mean_level"):
-                synth[key] = _number(value, f"synthetic.{key}")
+            read = {int: _integer, float: _number}.get(type(_SYNTHETIC_PARAMETERS[key].default))
+            if read is not None:
+                synth[key] = read(value, f"synthetic.{key}")
         dataset = exp.make_synthetic_dataset(**synth)
     except KeyError as err:
         raise ConfigError(f"data block is missing {err}") from err

@@ -18,6 +18,9 @@ import numpy as np
 
 EARTH_RADIUS_KM = 6371.0
 
+# The largest magnitude, in degrees, of each column of a geodesic position.
+COORDINATE_LIMITS = {"latitude": 90.0, "longitude": 180.0}
+
 # Adjacency matrices are accepted as symmetric up to this absolute tolerance
 # and then symmetrized exactly so the Laplacian is exactly symmetric.
 SYMMETRY_TOL = 1e-9
@@ -40,8 +43,8 @@ class NodeCoordinates:
     mode : str
         Either ``"geodesic"`` or ``"euclidean"``.
 
-    Every position must be finite, in either mode: a NaN would pass the
-    geodesic range checks and reach the adjacency unnoticed.
+    Every position must be finite, in either mode, and a geodesic one within
+    ``COORDINATE_LIMITS``: a NaN would pass those checks unnoticed.
     """
 
     positions: np.ndarray
@@ -58,11 +61,9 @@ class NodeCoordinates:
         if self.mode == "geodesic":
             if pos.shape[1] != 2:
                 raise ValueError("geodesic mode requires (latitude, longitude) pairs")
-            lat, lon = pos[:, 0], pos[:, 1]
-            if np.any(np.abs(lat) > 90.0):
-                raise ValueError("latitude out of range [-90, 90]")
-            if np.any(np.abs(lon) > 180.0):
-                raise ValueError("longitude out of range [-180, 180]")
+            for column, (axis, limit) in enumerate(COORDINATE_LIMITS.items()):
+                if np.any(np.abs(pos[:, column]) > limit):
+                    raise ValueError(f"{axis} out of range [-{limit:g}, {limit:g}]")
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
 
@@ -115,6 +116,9 @@ def _validated_adjacency(adjacency):
     a = np.array(adjacency, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"adjacency matrix must be square, got shape {a.shape}")
+    # ahead of the symmetry check, which would subtract inf from inf
+    if not np.all(np.isfinite(a)):
+        raise ValueError("adjacency weights must be finite")
     asym = np.max(np.abs(a - a.T)) if a.size else 0.0
     if asym > SYMMETRY_TOL:
         raise ValueError(
@@ -122,8 +126,6 @@ def _validated_adjacency(adjacency):
         )
     if np.any(a < 0):
         raise ValueError("adjacency weights must be nonnegative")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("adjacency weights must be finite")
     a = 0.5 * (a + a.T)
     np.fill_diagonal(a, 0.0)  # self-loops dropped before degrees are computed
     return a
@@ -132,10 +134,10 @@ def _validated_adjacency(adjacency):
 def build_graph(adjacency):
     """Build a :class:`Graph` from an adjacency matrix.
 
-    The matrix must be square, symmetric to within ``SYMMETRY_TOL`` and
-    elementwise nonnegative.  Its diagonal is forced to zero (self-loops
-    contribute nothing to the smoothness functional), after which the
-    Laplacian is formed as ``L = D - A``.
+    The matrix must be square, finite, symmetric to within
+    ``SYMMETRY_TOL`` and elementwise nonnegative.  Its diagonal is forced
+    to zero (self-loops contribute nothing to the smoothness functional),
+    after which the Laplacian is formed as ``L = D - A``.
     """
     return Graph(adjacency)
 

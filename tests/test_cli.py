@@ -174,6 +174,19 @@ class TestIngest:
         with pytest.raises(cli.ConfigError, match="differ"):
             cli.ingest_dataset(m, c)
 
+    def test_empty_measurements_file(self, tmp_path, csv_dataset):
+        m = tmp_path / "empty.csv"
+        m.write_text("")
+        with pytest.raises(cli.ConfigError, match=f"^{m}: empty measurements file$"):
+            cli.ingest_dataset(m, csv_dataset[1])
+
+    @pytest.mark.parametrize("header", [True, False])
+    def test_coordinates_without_rows(self, tmp_path, csv_dataset, header):
+        c = tmp_path / "c.csv"
+        write_coords(c, [], header=header)
+        with pytest.raises(cli.ConfigError, match=f"^{c}: no coordinate rows found$"):
+            cli.ingest_dataset(csv_dataset[0], c)
+
     def test_coords_without_header(self, tmp_path):
         m = tmp_path / "m.csv"
         c = tmp_path / "c.csv"
@@ -431,7 +444,8 @@ class TestValidateConfig:
     @pytest.mark.parametrize(
         "block, value, message",
         [
-            ("synthetic", {"num_nodes": 8, "num_node": 8, "num_pairs": 14}, "'num_node'"),
+            ("synthetic", {"num_nodes": 8, "num_node": 8, "num_pairs": 14},
+             "unknown config key 'synthetic.num_node'"),
             ("synthetic", None, "cannot build the dataset"),
             ("synthetic", {"num_nodes": 8, "num_pairs": 0}, "num_pairs must be at least 1"),
             ("synthetic", {"num_nodes": 8, "num_pairs": -3}, "num_pairs must be at least 1"),
@@ -454,7 +468,7 @@ class TestValidateConfig:
             ("data", {"measurements": "m.csv"}, "data block is missing 'coordinates'"),
             ("data", {"measurements": "none.csv", "coordinates": "none.csv"},
              "cannot open measurements file none.csv"),
-            ("optimizer", {"momentum": "fista"}, "only the damped schedule remains"),
+            ("optimizer", {"momentum": "fista"}, "unknown config key 'optimizer.momentum'"),
         ],
     )
     def test_malformed_block_exit_code(self, tmp_path, capsys, monkeypatch, command, block,
@@ -503,20 +517,6 @@ class TestValidateConfig:
             rc = cli.main(["validate-config", "--config", str(path)])
         assert assert_input_error(capsys, rc).endswith(f"{message}\n")
 
-    @pytest.mark.parametrize("command", ["validate-config", "fit"])
-    def test_damped_momentum_still_accepted(self, tmp_path, command):
-        plain = synthetic_config(tmp_path)
-        assert run_on_config(command, plain, tmp_path / "plain") == 0
-        path = tmp_path / "damped.json"
-        cfg = json.loads(plain.read_text())
-        cfg["optimizer"]["momentum"] = "damped"
-        path.write_text(json.dumps(cfg))
-        assert run_on_config(command, path, tmp_path / "damped") == 0
-        if command == "fit":
-            for name in ("model.json", "trace.csv"):
-                assert (tmp_path / "damped" / name).read_bytes() == (
-                    tmp_path / "plain" / name).read_bytes()
-
     @pytest.mark.parametrize("command", ["validate-config", "fit", "experiment"])
     @pytest.mark.parametrize(
         "keys, value, name",
@@ -535,6 +535,25 @@ class TestValidateConfig:
         edit_config(path, keys, value)
         rc = run_on_config(command, path, tmp_path / "out")
         assert assert_input_error(capsys, rc).endswith(f"unknown config key {name!r}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate-config", "fit", "experiment"])
+    def test_misspelt_synthetic_key_exit_code(self, tmp_path, capsys, command):
+        # the synthetic block's keys are the generator's parameter names
+        path = synthetic_config(
+            tmp_path, synthetic={"num_nodes": 8, "num_pairs": 14, "num_mode": 3}
+        )
+        rc = run_on_config(command, path, tmp_path / "out")
+        assert assert_input_error(capsys, rc) == (
+            f"error: {path}: unknown config key 'synthetic.num_mode'\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate-config", "fit", "experiment"])
+    def test_config_not_an_object_exit_code(self, tmp_path, capsys, command):
+        path = tmp_path / "config.json"
+        path.write_text("[1]")
+        rc = run_on_config(command, path, tmp_path / "out")
+        assert assert_input_error(capsys, rc) == f"error: {path}: config must be a JSON object\n"
         assert not (tmp_path / "out").exists()
 
     def test_params_by_n_train_replaces_the_defaults(self, tmp_path):
@@ -586,6 +605,16 @@ class TestValidateConfig:
         edit_config(path, ("kernel_grid", "count"), 2**50)
         with pytest.raises(MemoryError, match="kernel grid count 1125899906842624: its param"):
             cli.load_config(path)
+
+    @pytest.mark.parametrize("error", [AttributeError, ValueError, OSError])
+    def test_grid_unchecked_without_a_memory_query(self, monkeypatch, error):
+        # where the physical memory cannot be read, numpy's own check stands
+        def sysconf(name):
+            raise error(name)
+
+        monkeypatch.setattr(cli.os, "sysconf", sysconf)
+        block = {"family": "gaussian", "lo": 0.01, "hi": 10.0, "count": 2**50}
+        assert cli._kernel_grid(block) == KernelGrid("gaussian", 0.01, 10.0, 2**50)
 
     def test_data_mode_requires_existing_files(self, tmp_path):
         cfg = {
@@ -657,6 +686,27 @@ class TestFitAndPredict:
         rc = run_on_config(command, path, tmp_path / "out")
         err = assert_input_error(capsys, rc)
         assert f"{coords}: line 3: non-finite coordinate {cell!r} in column {column}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "experiment", "validate-config"])
+    @pytest.mark.parametrize("cell, column, axis", [("95", 2, "latitude in [-90, 90]"),
+                                                    ("200", 3, "longitude in [-180, 180]")],
+                             ids=["latitude", "longitude"])
+    def test_out_of_range_coordinate_exit_code(self, tmp_path, capsys, csv_dataset, command,
+                                               cell, column, axis):
+        measurements, coords = csv_dataset
+        lines = coords.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[column - 1] = cell
+        lines[2] = ",".join(cells)
+        coords.write_text("\n".join(lines) + "\n")
+        cfg = {"data": {"measurements": str(measurements), "coordinates": str(coords)}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        rc = run_on_config(command, path, tmp_path / "out")
+        assert assert_input_error(capsys, rc) == (
+            f"error: {coords}: line 3: out-of-range coordinate {cell!r} "
+            f"in column {column} ({axis})\n")
         assert not (tmp_path / "out").exists()
 
     def test_all_zero_measurements_fail_the_experiment(self, tmp_path, capsys):

@@ -265,6 +265,21 @@ class TestRunTrial:
             assert np.all(result.rho >= 0)
             assert np.sum(result.rho) <= cfg.solver.radius + 1e-9
 
+    def test_integer_seed_is_its_seed_sequence(self, small_dataset):
+        cfg = ExperimentConfig(n_train=8, n_realizations=1, master_seed=3)
+        by_int = run_trial(small_dataset, cfg, 7)
+        by_sequence = run_trial(small_dataset, cfg, np.random.SeedSequence(7))
+        assert by_int.nmse == by_sequence.nmse
+        np.testing.assert_array_equal(by_int.rho, by_sequence.rho)
+
+    def test_unknown_method_rejected(self, small_dataset):
+        from graphkern.experiment import _fit_method
+
+        cfg = ExperimentConfig(n_train=8, n_realizations=1)
+        x, t = small_dataset.inputs[:8], small_dataset.targets[:8]
+        with pytest.raises(ValueError, match="^unknown method 'ridge'$"):
+            _fit_method("ridge", build_dictionary(x, cfg.grid), t, small_dataset.graph, cfg)
+
     def test_too_small_dataset_rejected(self, small_dataset):
         cfg = ExperimentConfig(n_train=24, n_realizations=1)
         with pytest.raises(ValueError, match="pairs"):
@@ -404,6 +419,13 @@ class TestSeedDerivation:
 
 
 class TestDatasetValidation:
+    @pytest.mark.parametrize("inputs, targets", [(np.zeros(3), np.zeros((3, 2))),
+                                                 (np.zeros((3, 2)), np.zeros((1, 3, 2)))])
+    def test_rejects_arrays_not_2d(self, inputs, targets):
+        g = build_graph(np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="inputs and targets must both be 2-D arrays"):
+            ExperimentDataset(inputs, targets, g)
+
     def test_mismatched_rows(self):
         g = build_graph(np.zeros((2, 2)))
         with pytest.raises(ValueError, match="rows"):

@@ -55,6 +55,14 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="nonnegative"):
             build_graph([[0.0, -1.0], [-1.0, 0.0]])
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_rejects_non_finite_weight(self, value):
+        # refused before the symmetry check, whose inf - inf would warn
+        a = np.zeros((3, 3))
+        a[0, 1] = a[1, 0] = value
+        with pytest.raises(ValueError, match="^adjacency weights must be finite$"):
+            build_graph(a)
+
     def test_row_sums_vanish(self):
         rng = np.random.default_rng(0)
         for m in (2, 5, 9):
@@ -146,6 +154,15 @@ class TestDistances:
     def test_rejects_bad_latitude(self):
         with pytest.raises(ValueError, match="latitude"):
             NodeCoordinates([[91.0, 0.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("lon", [180.5, -200.0])
+    def test_rejects_bad_longitude(self, lon):
+        with pytest.raises(ValueError, match=r"^longitude out of range \[-180, 180\]$"):
+            NodeCoordinates([[0.0, lon], [0.0, 0.0]])
+
+    def test_geodesic_mode_needs_two_columns(self):
+        with pytest.raises(ValueError, match="requires \\(latitude, longitude\\) pairs"):
+            NodeCoordinates(np.zeros((2, 3)), mode="geodesic")
 
     @pytest.mark.parametrize("mode", ["geodesic", "euclidean"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

@@ -60,6 +60,13 @@ class TestKernelEval:
 
 
 class TestBuildDictionary:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_inputs(self, value):
+        x = np.zeros((3, 2))
+        x[1, 0] = value
+        with pytest.raises(ValueError, match="^training inputs contain NaN or Inf$"):
+            build_dictionary(x, KernelGrid(count=2))
+
     def test_grid_endpoints_and_step(self):
         x = np.zeros((2, 1))
         d = build_dictionary(x, KernelGrid(lo=0.01, hi=10.0, count=100))

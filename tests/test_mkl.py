@@ -170,6 +170,17 @@ class TestGammaGradient:
 
 
 class TestProject:
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan])
+    def test_rejects_radius_not_positive(self, radius, q):
+        with pytest.raises(ValueError, match="^radius must be positive$"):
+            project(np.array([0.1, 0.2]), radius, q)
+
+    @pytest.mark.parametrize("q", [0, 3, 1.5])
+    def test_rejects_q_not_1_or_2(self, q):
+        with pytest.raises(ValueError, match="^q must be 1 or 2$"):
+            project(np.array([0.1, 0.2]), 5.0, q)
+
     def test_already_feasible_l1(self):
         np.testing.assert_array_equal(
             project(np.array([0.1, 0.2]), 5.0, 1), [0.1, 0.2]

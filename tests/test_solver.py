@@ -125,6 +125,20 @@ class TestSolveStructured:
                 structured = solve_structured(d, rho, g, t, alpha, beta)
                 assert np.max(np.abs(dense.psi - structured.psi)) < 1e-8
 
+    @pytest.mark.parametrize("shape", [(4, 2), (5, 3), (4,)])
+    def test_rejects_targets_of_the_wrong_shape(self, shape):
+        rng = np.random.default_rng(12)
+        d, g, _ = random_instance(rng, 3, 4, 2)
+        with pytest.raises(ValueError, match=r"^targets must have shape \(4, 3\), got "):
+            solve_structured(d, np.ones(2), g, np.zeros(shape), alpha=0.5, beta=0.5)
+
+    @pytest.mark.parametrize("alpha, beta", [(-0.5, 0.5), (0.5, -1e-300)])
+    def test_rejects_negative_alpha_or_beta(self, alpha, beta):
+        rng = np.random.default_rng(13)
+        d, g, t = random_instance(rng, 3, 4, 2)
+        with pytest.raises(ValueError, match="^alpha and beta must be nonnegative$"):
+            solve_structured(d, np.ones(2), g, t, alpha=alpha, beta=beta)
+
     def test_singular_guard(self):
         x = np.array([[1.0], [1.0]])
         d = build_dictionary(x, KernelGrid(lo=1.0, hi=2.0, count=1))
