@@ -16,7 +16,10 @@ training inputs, through the package-private
 once (one batched solve per optimizer iteration), and each method's
 batched model predicts the B test blocks, whose inputs it gathers then,
 with one :meth:`~graphkern.solver.KrgModel.predict` call, the route of a
-single fit, which computes the test blocks' distances itself.  A batch
+single fit, which computes the test blocks' distances itself.  Each
+trial's test-block energy, the NMSE's denominator, is computed once when
+the trial is drawn, and each method's B scores come from its
+predictions in one array pass, bit for bit :func:`nmse` of each.  A batch
 is as large as keeps every row its trials hold, training and test, within
 one block of ``BLOCK_ENTRIES``: B P (L + M + N) doubles for P pairs, each
 an input, a target or prediction and its kernel entries against the N
@@ -54,7 +57,7 @@ from .kernels import (
     build_dictionary,
 )
 from .mkl import SolverConfig, optimize
-from .solver import solve_structured
+from .solver import SingularSystemError, solve_structured
 
 log = logging.getLogger("graphkern.experiment")
 
@@ -386,9 +389,10 @@ def _run_batch(dataset, config, seeds):
     permutation for training, the rest for testing) and corrupts its
     training targets at the configured SNR, exactly as :func:`run_trial`
     describes.  A trial whose training or test targets are identically
-    zero records that for every method and is left out of the batch.  Each
-    method's batched model predicts the test blocks of the rest in one
-    call.
+    zero records that for every method and is left out of the batch; each
+    of the rest keeps its test block's energy, the NMSE's denominator.
+    Each method's batched model predicts the test blocks in one call, and
+    one array pass turns the predictions into the batch's NMSE scores.
     """
     n = config.n_train
     if dataset.num_pairs < n + 1:
@@ -396,43 +400,37 @@ def _run_batch(dataset, config, seeds):
             f"dataset has {dataset.num_pairs} pairs; need at least {n + 1}"
         )
     results = [TrialResult(nmse={}) for _ in seeds]
-    draws = []  # (perm, t_noisy) of each trial that is fitted
+    draws = []  # (perm, t_noisy, test-block energy) of each trial that is fitted
     for result, seed in zip(results, seeds):
         try:
             perm, t_noisy = _draw(dataset, config, seed)
-            _reference_energy(dataset.targets[perm[n:]])
-            draws.append((perm, t_noisy))
+            draws.append((perm, t_noisy, _reference_energy(dataset.targets[perm[n:]])))
         except ValueError as err:  # an all-zero training block has no SNR, a test block no NMSE
             result.errors = dict.fromkeys(METHODS, str(err))
             log.warning("trial failed: %s", err)
     if not draws:
         return results
-    perms, t_noisy = map(np.stack, zip(*draws))
+    perms, t_noisy, energies = map(np.stack, zip(*draws))
+    test = perms[:, n:]  # each trial's test rows, gathered only when a model predicts them
     dictionary = build_dictionary(dataset.inputs[perms[:, :n]], config.grid)
     live = [result for result in results if not result.failed]
     for method in (METHOD_LINEAR, METHOD_MULTI, METHOD_SINGLE):
-        _score_method(method, live, dataset, config, dictionary, t_noisy, perms[:, n:])
+        model, traces = _fit_method(method, dictionary, t_noisy, dataset.graph, config)
+        residual = model.predict(dataset.inputs[test])
+        residual -= dataset.targets[test]
+        scores = np.sum(np.square(residual, out=residual), axis=(-2, -1)) / energies
+        for b, result in enumerate(live):
+            if model.errors[b] is not None:
+                result.errors[method] = model.errors[b]
+                log.warning("trial method %s failed: %s", method, model.errors[b])
+                continue
+            result.nmse[method] = float(scores[b])
+            if method == METHOD_MULTI:
+                result.rho = model.rho[b].copy()
+                result.iterations = traces[b].iterations_used
+                result.fw_gap = traces[b].fw_gaps[-1]
+        del model, traces, residual  # held through the next fit, they would raise the batch's peak
     return results
-
-
-def _score_method(method, results, dataset, config, dictionary, t_noisy, test):
-    """Fit one method on a batch and record each trial's test NMSE or error.
-
-    ``test`` holds each trial's test rows; their inputs are gathered only
-    when the fitted model predicts them.
-    """
-    model, traces = _fit_method(method, dictionary, t_noisy, dataset.graph, config)
-    predictions = model.predict(dataset.inputs[test])
-    for b, result in enumerate(results):
-        if model.errors[b] is not None:
-            result.errors[method] = model.errors[b]
-            log.warning("trial method %s failed: %s", method, model.errors[b])
-            continue
-        result.nmse[method] = nmse(predictions[b], dataset.targets[test[b]])
-        if method == METHOD_MULTI:
-            result.rho = model.rho[b].copy()
-            result.iterations = traces[b].iterations_used
-            result.fw_gap = traces[b].fw_gaps[-1]
 
 
 def run_trial(dataset, config, realization_seed):
@@ -500,8 +498,10 @@ def grid_search_hyperparams(dataset, method, alphas, betas, config):
     pay off under noisy training.  Ties break toward the smallest alpha,
     then the smallest beta.  The linear method searches ``linear_alpha``
     and ignores the beta grid.  Each grid point is a config of its own, so
-    :class:`ExperimentConfig` validates it.  A training block of all-zero
-    targets raises :class:`ExperimentError`.
+    :class:`ExperimentConfig` validates it.  A point whose fit is singular
+    or leaves float range is skipped with a warning.  A training block of
+    all-zero targets, or a grid whose every point fails, raises
+    :class:`ExperimentError`.
     """
     alphas = sorted(float(a) for a in alphas)
     betas = [0.0] if method == METHOD_LINEAR else sorted(float(b) for b in betas)
@@ -515,17 +515,24 @@ def grid_search_hyperparams(dataset, method, alphas, betas, config):
     t_clean = dataset.targets[perm[: config.n_train]]
     dictionary = build_dictionary(x_train, config.grid)
 
-    best = None
+    best = failure = None
     for a in alphas:
         for b in betas:
             if method == METHOD_LINEAR:
                 cfg = replace(config, linear_alpha=a)
             else:
                 cfg = replace(config, alpha=a, beta=b)
-            model, _ = _fit_method(method, dictionary, t_noisy, dataset.graph, cfg)
+            try:
+                model, _ = _fit_method(method, dictionary, t_noisy, dataset.graph, cfg)
+            except (SingularSystemError, FloatingPointError) as err:
+                failure = err
+                log.warning("grid search skips alpha=%g beta=%g: %s", a, b, err)
+                continue
             score = nmse(model.predict(x_train), t_clean)
             if best is None or score < best[0]:
                 best = (score, a, b)
+    if best is None:
+        raise ExperimentError(f"grid search: every point failed, the last with: {failure}")
     return best[1], best[2]
 
 

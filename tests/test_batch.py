@@ -9,13 +9,16 @@ from graphkern import (
     ExperimentConfig,
     ExperimentDataset,
     KernelGrid,
+    KrgModel,
     SingularSystemError,
     SolverConfig,
     build_dictionary,
     build_graph,
+    experiment,
     kernels,
     make_synthetic_dataset,
     monte_carlo,
+    nmse,
     optimize,
 )
 from graphkern.experiment import (
@@ -235,6 +238,52 @@ def test_only_the_trials_with_an_all_zero_block_fail(n_train, block):
     assert 0 < sum(failing) <= 8
     assert report.n_failed == sum(failing)
     assert report.n_ok == dict.fromkeys(METHODS, 16 - sum(failing))
+
+
+@pytest.mark.parametrize("scenario", ["one zero test block", "two batches"])
+def test_each_score_is_the_nmse_of_its_batched_prediction(default_scenario, scenario, monkeypatch):
+    # every score equals, bit for bit, nmse() of that trial's row of its
+    # method's batched prediction against the clean test targets
+    if scenario == "one zero test block":
+        dataset, config = zero_targets_dataset([0, 1, 2, 3]), ExperimentConfig(
+            n_train=9, n_realizations=16, grid=KernelGrid(count=10), master_seed=7)
+        assert batch_size(dataset, config) == 16
+    else:
+        dataset, config = default_scenario, level_config(8)
+        assert batch_size(dataset, config) < 25
+    fitted, predictions = [], dict.fromkeys(METHODS, ())
+    fit, predict = experiment._fit_method, KrgModel.predict
+
+    def spying_fit(method, *args):
+        model, traces = fit(method, *args)
+        fitted.append((method, model))
+        return model, traces
+
+    def spying_predict(model, x):
+        prediction = predict(model, x)
+        method = next(m for m, fitted_model in fitted if fitted_model is model)
+        predictions[method] += tuple(prediction.copy())  # scoring overwrites it in place
+        return prediction
+
+    monkeypatch.setattr(experiment, "_fit_method", spying_fit)
+    monkeypatch.setattr(KrgModel, "predict", spying_predict)
+    report = monte_carlo(dataset, config)
+    live, n = [], config.n_train
+    for i, trial in enumerate(report.trials):
+        perm = np.random.default_rng(trial_seed(config.master_seed, i).spawn(2)[0]).permutation(
+            dataset.num_pairs)
+        truth = dataset.targets[perm[n:]]
+        if not truth.any():
+            assert trial.errors == dict.fromkeys(
+                METHODS, "reference block is identically zero; NMSE is undefined")
+            assert not trial.nmse
+        else:
+            live.append((trial, truth))
+    assert len(live) == len(report.trials) - (scenario == "one zero test block")
+    for method in METHODS:
+        assert len(predictions[method]) == len(live)
+        for (trial, truth), prediction in zip(live, predictions[method]):
+            assert trial.nmse[method] == nmse(prediction, truth)
 
 
 def test_all_zero_targets_fail_every_trial():

@@ -375,6 +375,27 @@ class TestGridSearch:
         with pytest.raises(ValueError, match="nonempty"):
             grid_search_hyperparams(small_dataset, METHOD_SINGLE, [], [1.0], cfg)
 
+    def test_a_singular_point_is_skipped(self, small_dataset, caplog):
+        # a kernel this wide is near constant, so alpha = 0 is singular at
+        # every beta; the search picks among the points that fit
+        cfg = ExperimentConfig(n_train=10, n_realizations=1, master_seed=14, single_sigma_sq=1e6)
+        with caplog.at_level("WARNING", logger="graphkern.experiment"):
+            best = grid_search_hyperparams(small_dataset, METHOD_SINGLE, [0, 0.1], [0, 1], cfg)
+        assert best == grid_search_hyperparams(small_dataset, METHOD_SINGLE, [0.1], [0, 1], cfg)
+        assert best[0] == 0.1
+        skipped = [r.getMessage() for r in caplog.records if "grid search skips" in r.getMessage()]
+        assert len(skipped) == 2 and all("alpha=0 " in m for m in skipped)
+
+    def test_every_point_failing_raises_the_last_error(self, small_dataset):
+        cfg = ExperimentConfig(n_train=10, n_realizations=1, master_seed=14, single_sigma_sq=1e6)
+        with pytest.raises(ExperimentError, match="every point failed") as both:
+            grid_search_hyperparams(small_dataset, METHOD_SINGLE, [0], [0, 1], cfg)
+        with pytest.raises(ExperimentError, match="condition estimate") as last:
+            grid_search_hyperparams(small_dataset, METHOD_SINGLE, [0], [1], cfg)
+        with pytest.raises(ExperimentError) as first:
+            grid_search_hyperparams(small_dataset, METHOD_SINGLE, [0], [0], cfg)
+        assert str(both.value) == str(last.value) != str(first.value)
+
     @pytest.mark.parametrize("method", [METHOD_SINGLE, "linear"])
     def test_non_finite_alpha_refused_by_config(self, small_dataset, method):
         # each grid point is an ExperimentConfig, which validates it
