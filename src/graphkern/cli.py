@@ -32,7 +32,7 @@ import numpy as np
 from . import experiment as exp
 from .graph import COORDINATE_LIMITS, NodeCoordinates, build_graph, geodesic_adjacency
 from .kernels import KernelDictionary, KernelGrid, _checked_weights, build_dictionary
-from .mkl import SolverConfig
+from .mkl import SolverConfig, optimize
 # solve_structured is not called here; it stays bound in this module like in
 # every other that reaches the solver route, for tools that wrap the route
 # at each binding (perfbench/tracer.py).
@@ -158,6 +158,7 @@ def _read_measurements(path, min_rows=2):
             fh.seek(0)
             next(reader)
             matrix = _read_cells(reader, path, names, min_rows)
+    matrix.setflags(write=False)  # a dictionary holds its rows with no copy
     return names, matrix
 
 
@@ -487,6 +488,7 @@ def _read_run(cfg):
 def _dataset_from_config(cfg):
     """Build the ExperimentDataset plus node names from a validated config.
 
+    The node coordinates of either mode enter only the dataset's graph.
     The ``synthetic`` block holds keyword arguments of
     :func:`~graphkern.experiment.make_synthetic_dataset`, ``seed`` defaulting
     to the config's; one whose default is an int or a float is read as
@@ -499,9 +501,7 @@ def _dataset_from_config(cfg):
             paths = (Path(data[key]) for key in ("measurements", "coordinates"))
             matrix, coords, names = ingest_dataset(*paths)
             graph = build_graph(geodesic_adjacency(coords))
-            dataset = exp.ExperimentDataset(
-                inputs=matrix[:-1], targets=matrix[1:], graph=graph, coords=coords
-            )
+            dataset = exp.ExperimentDataset(inputs=matrix[:-1], targets=matrix[1:], graph=graph)
             return dataset, names
         synth = {"seed": cfg["seed"], **_object(cfg["synthetic"], "synthetic")}
         for key, value in synth.items():
@@ -548,24 +548,22 @@ def _kernel_grid(block):
     return grid
 
 
-def save_model(path, model, grid, names, iterations, final_gamma):
+def save_model(path, model, names, iterations, final_gamma):
     """Write a fitted model as one compact JSON object, :func:`_model_payload`.
 
-    ``grid`` is the :class:`~graphkern.kernels.KernelGrid` the model was
-    fitted over.  The arrays go to orjson as float64 buffers, which it
-    formats without making a Python float of each entry; every double is
-    written in its shortest round-trip form, so :func:`load_model` gets
-    back the same bits.
+    The arrays go to orjson as float64 buffers, which it formats without
+    making a Python float of each entry; every double is written in its
+    shortest round-trip form, so :func:`load_model` gets back the same bits.
     """
     import orjson
 
-    payload = _model_payload(model, grid, names, iterations, final_gamma)
+    payload = _model_payload(model, names, iterations, final_gamma)
     with open(path, "wb") as fh:
         fh.write(orjson.dumps(payload, option=orjson.OPT_SERIALIZE_NUMPY))
 
 
-def _model_payload(model, grid, names, iterations, final_gamma):
-    """The JSON object of a model file, key by key in file order."""
+def _model_payload(model, names, iterations, final_gamma):
+    """The JSON object of a model file, key by key in file order; the grid is the model's own."""
 
     def doubles(a):
         return np.ascontiguousarray(a, dtype=np.float64)
@@ -574,7 +572,7 @@ def _model_payload(model, grid, names, iterations, final_gamma):
         "format_version": MODEL_FORMAT_VERSION,
         "alpha": model.alpha,
         "beta": model.beta,
-        "kernel_grid": asdict(grid),
+        "kernel_grid": asdict(model.dictionary.grid),
         "rho": doubles(model.rho),
         "training_inputs": doubles(model.dictionary.training_inputs),
         "psi": doubles(model.psi),
@@ -584,7 +582,7 @@ def _model_payload(model, grid, names, iterations, final_gamma):
     }
 
 
-# Keys of a model file that predictions depend on.
+# Keys that load_model requires of a model file.
 MODEL_KEYS = ("alpha", "beta", "kernel_grid", "rho", "training_inputs", "psi", "target_names")
 
 # Top-level keys of a model file whose values are arrays of numbers.
@@ -605,7 +603,7 @@ def _decode_error(message, data, i):
 
 
 def _parse_model(data):
-    """The top-level object of a model file, each ``_ARRAY_KEYS`` value a float64 array.
+    """The top-level object of a model file, each ``_ARRAY_KEYS`` value a read-only float64 array.
 
     ``data`` is the file's bytes (or its text).  Arrays of numbers hold no
     strings, so a string followed by ``:`` with one more ``[``/``{`` than
@@ -632,6 +630,8 @@ def _parse_model(data):
                 arrays[key], i = _parse_number_array(data, spans[-1][1], key)
                 kept = i
     payload = _load_json(data, spans + [(kept, len(data))])
+    for array in arrays.values():
+        array.setflags(write=False)  # a dictionary holds its training inputs with no copy
     payload.update(arrays)
     return payload
 
@@ -695,7 +695,7 @@ def load_model(path):
     and ``beta`` finite nonnegative numbers, N x M ``training_inputs`` and
     finite ``psi`` for M target names, and one finite nonnegative weight per
     grid kernel.  Other keys, such as the ``adjacency`` of older files, are
-    read and not used; ``graph`` is None.
+    read and not used: a model holds its predictor and no graph.
     """
     try:
         with open(path, "rb") as fh:
@@ -735,7 +735,7 @@ def load_model(path):
             )
     if not np.isfinite(psi).all():
         raise ConfigError(f"{path}: psi holds a non-finite entry")
-    model = KrgModel(psi=psi, alpha=alpha, beta=beta, dictionary=dictionary, rho=rho, graph=None)
+    model = KrgModel(psi=psi, alpha=alpha, beta=beta, dictionary=dictionary, rho=rho)
     return model, names
 
 
@@ -745,13 +745,10 @@ def load_model(path):
 
 def cmd_fit(cfg, config, out_dir):
     dataset, names = _dataset_from_config(cfg)
-    model, trace = exp._fit_method(
-        exp.METHOD_MULTI, build_dictionary(dataset.inputs, config.grid), dataset.targets,
-        dataset.graph, config,
-    )
+    model, trace = optimize(build_dictionary(dataset.inputs, config.grid), dataset.graph,
+                            dataset.targets, config.solver, config.alpha, config.beta)
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_model(out_dir / "model.json", model, config.grid, names, trace.iterations_used,
-               trace.final_gamma)
+    save_model(out_dir / "model.json", model, names, trace.iterations_used, trace.final_gamma)
     trace.write_csv(out_dir / "trace.csv")
     log.info(
         "fitted multi-kernel model on %d pairs in %d iterations (gamma=%.6g)",

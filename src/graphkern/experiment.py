@@ -129,12 +129,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentDataset:
-    """All (input, target) pairs of a scenario plus the target graph."""
+    """All (input, target) pairs of a scenario plus the target graph, built from node positions."""
 
     inputs: np.ndarray
     targets: np.ndarray
     graph: object
-    coords: object = None
 
     def __post_init__(self):
         x = np.asarray(self.inputs, dtype=float)
@@ -256,8 +255,7 @@ def make_synthetic_dataset(
         lat = rng.uniform(55.0, 69.0, size=num_nodes)
         lon = rng.uniform(11.0, 24.0, size=num_nodes)
         positions = np.column_stack([lat, lon])
-    coords = NodeCoordinates(positions, mode=mode)
-    graph = build_graph(geodesic_adjacency(coords))
+    graph = build_graph(geodesic_adjacency(NodeCoordinates(positions, mode=mode)))
 
     num_modes = min(num_modes, num_nodes)
     u = graph.lap_eigvecs[:, :num_modes]
@@ -280,9 +278,7 @@ def make_synthetic_dataset(
         if mean_sq > 0:
             series = scaled * np.sqrt(mean_sq_distance / mean_sq)
 
-    return ExperimentDataset(
-        inputs=series[:-1], targets=series[1:], graph=graph, coords=coords
-    )
+    return ExperimentDataset(inputs=series[:-1], targets=series[1:], graph=graph)
 
 
 def add_noise_snr(targets, snr_db, seed):
@@ -412,7 +408,9 @@ def _run_batch(dataset, config, seeds):
         return results
     perms, t_noisy, energies = map(np.stack, zip(*draws))
     test = perms[:, n:]  # each trial's test rows, gathered only when a model predicts them
-    dictionary = build_dictionary(dataset.inputs[perms[:, :n]], config.grid)
+    x_train = dataset.inputs[perms[:, :n]]
+    x_train.setflags(write=False)  # the dictionary holds it with no copy
+    dictionary = build_dictionary(x_train, config.grid)
     live = [result for result in results if not result.failed]
     for method in (METHOD_LINEAR, METHOD_MULTI, METHOD_SINGLE):
         model, traces = _fit_method(method, dictionary, t_noisy, dataset.graph, config)
@@ -512,6 +510,7 @@ def grid_search_hyperparams(dataset, method, alphas, betas, config):
     except ValueError as err:  # an all-zero training block has no SNR
         raise ExperimentError(f"grid search: {err}") from None
     x_train = dataset.inputs[perm[: config.n_train]]
+    x_train.setflags(write=False)  # the dictionary holds it with no copy
     t_clean = dataset.targets[perm[: config.n_train]]
     dictionary = build_dictionary(x_train, config.grid)
 

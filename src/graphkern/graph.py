@@ -44,14 +44,15 @@ class NodeCoordinates:
         Either ``"geodesic"`` or ``"euclidean"``.
 
     Every position must be finite, in either mode, and a geodesic one within
-    ``COORDINATE_LIMITS``: a NaN would pass those checks unnoticed.
+    ``COORDINATE_LIMITS``: a NaN would pass those checks unnoticed.  The
+    positions are held as a read-only copy.
     """
 
     positions: np.ndarray
     mode: str = "geodesic"
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float)
+        pos = np.array(self.positions, dtype=float)  # a copy: the caller's array stays writeable
         if pos.ndim != 2 or pos.shape[0] < 1:
             raise ValueError("positions must be a 2-D array with one row per node")
         if not np.isfinite(pos).all():

@@ -142,7 +142,8 @@ class KernelDictionary:
     parameters : (S,) array
         ``grid.parameters()``, read-only.
     training_inputs : (N, L) array, or (B, N, L) for a stack of B training sets
-        Row ``n`` (of each set) is the n-th training input.
+        Row ``n`` (of each set) is the n-th training input; read-only, and
+        a copy of inputs that arrive writeable.
 
     :attr:`sq_distances`, :attr:`linear_gram` and the Gaussian skeleton
     are built on first access and read-only afterwards.
@@ -260,6 +261,10 @@ def _validated_inputs(training_inputs):
         raise ValueError("training set is empty")
     if not np.all(np.isfinite(x)):
         raise ValueError("training inputs contain NaN or Inf")
+    # an array its caller may still write is copied, so that no later write
+    # puts the cached distances out of step; a read-only one is held as it is
+    if x.flags.writeable and np.may_share_memory(x, training_inputs):
+        x = x.copy()
     return x
 
 

@@ -23,8 +23,10 @@ stays in the feasible set, where ``gamma`` is convex and its gradient
 formula holds.  It returns the :class:`~graphkern.solver.KrgModel` fitted
 at the learned weights, ``model.rho``, and the iteration trace.  Negative
 or non-finite weights raise ``ValueError`` in :func:`gamma` and
-:func:`gamma_gradient`.  The iterates of :func:`optimize` stay finite: a
-step that leaves float range stops its problem as a singular system does.
+:func:`gamma_gradient`, and so do the rest of a fit's inputs out of
+their domain (see :mod:`graphkern.solver`).  The iterates of
+:func:`optimize` stay finite: a step that leaves float range stops its
+problem as a singular system does.
 
 :func:`optimize` iterates in graph-spectral coordinates.  With
 ``L = U diag(lam) U^T`` it rotates the targets once, ``T~ = T U`` (for a
@@ -224,11 +226,14 @@ def project(s, radius, q):
     entries lost all of it.  A final rescaling shaves round-off past the
     ball.  For q=2: clip negatives, then rescale onto the sphere if
     outside.  A stack of vectors is projected row by row.  Raises
-    ``ValueError`` for ``radius <= 0`` or q not in {1, 2}.
+    ``ValueError`` for ``radius <= 0``, q not in {1, 2} or a point holding
+    NaN or ``+inf``, which has no projection (``-inf`` clips to 0).
     """
     s = np.asarray(s, dtype=float)
     if not radius > 0:
         raise ValueError("radius must be positive")
+    if not np.all(s < np.inf):  # NaN as well
+        raise ValueError("the point to project holds NaN or +inf")
     clipped = np.maximum(s, 0.0)
     if q == 1:
         # a sum, or a mass above an entry, beyond float range exceeds the radius
@@ -351,5 +356,5 @@ def optimize(dictionary, graph, targets, config, alpha, beta):
         raise err
     psi[np.reshape([e is not None for e in errors], batch)] = 0.0  # as if singular
     return (KrgModel(psi @ graph.lap_eigvecs.T, float(alpha), float(beta), dictionary,
-                     rho_final, graph, errors if batch else None),
+                     rho_final, errors if batch else None),
             traces if batch else traces[0])

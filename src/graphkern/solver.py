@@ -92,13 +92,15 @@ the pivot that stopped its sketch, how many of the rows computed ahead
 it used and backward error at DEBUG level.
 
 The weights must be nonnegative and finite, so that ``K`` is positive
-semidefinite; others raise ``ValueError``, as they do in
-:func:`~graphkern.kernels.combine`.  A column system with a denominator
-at or below zero counts as singular, and so does a set whose ``eigh``
-fails to converge: a stack's batched ``eigh`` that fails is run again set
-by set.  The solve records a singular system's message per training set,
-one or a stack, and zeroes its solution; only :func:`solve_structured` and
-:func:`~graphkern.mkl.optimize` raise, for one training set.
+semidefinite, as in :func:`~graphkern.kernels.combine`; so must ``alpha``
+and ``beta``, and the targets must be finite.  A fit's entry check raises
+``ValueError`` for others, before any solve.  A column system with a
+denominator at or below zero counts as singular, and so does a set whose
+``eigh`` fails to converge: a stack's batched ``eigh`` that fails is run
+again set by set.  The solve records a singular system's message per
+training set, one or a stack, and zeroes its solution; only
+:func:`solve_structured` and :func:`~graphkern.mkl.optimize` raise, for
+one training set.
 """
 
 import logging
@@ -145,9 +147,8 @@ class KrgModel:
     """Fitted regression state.
 
     ``psi`` is the N x M coefficient matrix; ``dictionary`` and ``rho``
-    define the combined kernel; ``graph`` supplies the Laplacian that was
-    used during fitting, and is None in a model read from a file, since a
-    prediction needs no graph.  Instances are immutable and shareable.
+    define the combined kernel.  The graph enters only the fit, so a model
+    holds none.  Instances are immutable and shareable.
 
     A model fitted on a stack of B training sets holds (B, N, M) ``psi``
     and (B, S) ``rho``, and ``errors`` holds per set ``None`` or the
@@ -161,7 +162,6 @@ class KrgModel:
     beta: float
     dictionary: object
     rho: np.ndarray
-    graph: object
     errors: tuple = None
 
     def predict(self, x):
@@ -189,6 +189,10 @@ def _check_fit_args(dictionary, rho, graph, targets, alpha, beta):
         raise ValueError(f"targets must have shape {shape}, got {t.shape}")
     if alpha < 0 or beta < 0:
         raise ValueError("alpha and beta must be nonnegative")
+    if not (np.isfinite(alpha) and np.isfinite(beta)):
+        raise ValueError("alpha and beta must be finite")
+    if not np.isfinite(t).all():
+        raise ValueError("targets contain NaN or Inf")
     return rho, t
 
 
@@ -211,7 +215,8 @@ def solve_structured(dictionary, rho, graph, targets, alpha, beta):
     eigendecomposition is known, zero eigenvalues and the identity as
     eigenvectors, so no ``eigh`` runs; the result is bit-identical to the
     ``eigh`` route, and ``alpha = 0`` there still fails as singular.
-    Both routes refuse negative or non-finite weights (``ValueError``).
+    Both routes refuse negative or non-finite weights, ``alpha`` or
+    ``beta``, and NaN or Inf targets (``ValueError``), before any solve.
     """
     rho, t = _check_fit_args(dictionary, rho, graph, targets, alpha, beta)
     u = graph.lap_eigvecs
@@ -223,7 +228,7 @@ def solve_structured(dictionary, rho, graph, targets, alpha, beta):
     psi[outside] = 0.0
     if not dictionary.batch_shape and errors[0] is not None:
         raise (FloatingPointError if outside else SingularSystemError)(errors[0])
-    return KrgModel(psi @ u.T, float(alpha), float(beta), dictionary, rho, graph,
+    return KrgModel(psi @ u.T, float(alpha), float(beta), dictionary, rho,
                     errors if dictionary.batch_shape else None)
 
 

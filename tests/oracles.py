@@ -126,11 +126,11 @@ def solve_dense(dictionary, rho, graph, targets, alpha, beta):
         )
     vec = lu_solve((lu, piv), t.ravel(order="F"))
     psi = vec.reshape((n, m), order="F")
-    return KrgModel(psi, float(alpha), float(beta), dictionary, rho, graph)
+    return KrgModel(psi, float(alpha), float(beta), dictionary, rho)
 
 
-def krg_objective(model, targets, reduced=False):
-    """Regression objective value at the model's coefficients.
+def krg_objective(model, graph, targets, reduced=False):
+    """Regression objective value at the model's coefficients over ``graph``.
 
     The full form is
 
@@ -151,7 +151,7 @@ def krg_objective(model, targets, reduced=False):
         -2.0 * float(np.sum(t * kp))
         + float(np.sum(kp * kp))
         + model.alpha * float(np.sum(model.psi * kp))
-        + model.beta * float(np.sum(kp * (kp @ model.graph.laplacian)))
+        + model.beta * float(np.sum(kp * (kp @ graph.laplacian)))
     )
     if not reduced:
         value += float(np.sum(t * t))

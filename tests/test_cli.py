@@ -15,8 +15,7 @@ import orjson
 import pytest
 
 from graphkern import (
-    KernelGrid, SolverConfig, build_dictionary, build_graph, cli, experiment, mkl, optimize,
-    solver,
+    KernelGrid, SolverConfig, build_dictionary, cli, experiment, mkl, optimize, solver,
 )
 
 
@@ -752,7 +751,9 @@ class TestFitAndPredict:
     def test_unusable_output_dir_exits_before_fitting(self, tmp_path, capsys, monkeypatch,
                                                       command, out):
         fits = []
+        # fit calls optimize itself, experiment through its methods
         monkeypatch.setattr(experiment, "_fit_method", lambda *args: fits.append(args))
+        monkeypatch.setattr(cli, "optimize", lambda *args: fits.append(args))
         (tmp_path / "file").write_text("")
         # validate-config checks output_dir; fit and experiment keep the
         # default there, so the path they refuse can only be --out
@@ -897,8 +898,7 @@ class TestFitAndPredict:
         dataset, names = cli._dataset_from_config(cfg)
         d = build_dictionary(dataset.inputs, KernelGrid(count=12))
         fitted, trace = optimize(d, dataset.graph, dataset.targets, SolverConfig(), 0.1, 2.0)
-        grid = cli._kernel_grid(cfg["kernel_grid"])
-        args = (fitted, grid, names, trace.iterations_used, trace.final_gamma)
+        args = (fitted, names, trace.iterations_used, trace.final_gamma)
         path = tmp_path / "model.json"
         cli.save_model(path, *args)
         whole = orjson.dumps(cli._model_payload(*args), option=orjson.OPT_SERIALIZE_NUMPY)
@@ -910,8 +910,7 @@ class TestFitAndPredict:
         d = build_dictionary(dataset.inputs, KernelGrid(count=12))
         fitted, trace = optimize(d, dataset.graph, dataset.targets, SolverConfig(), 0.1, 2.0)
         path = tmp_path / "model.json"
-        cli.save_model(path, fitted, cli._kernel_grid(cfg["kernel_grid"]), names,
-                       trace.iterations_used, trace.final_gamma)
+        cli.save_model(path, fitted, names, trace.iterations_used, trace.final_gamma)
         model, _ = cli.load_model(path)
         np.testing.assert_array_equal(model.psi, fitted.psi)
         np.testing.assert_array_equal(model.rho, fitted.rho)
@@ -934,6 +933,38 @@ class TestFitAndPredict:
             )
         assert payload["gamma"] == trace.final_gamma
         assert payload["kernel_grid"] == cfg["kernel_grid"]
+
+    def test_model_file_records_the_models_own_grid(self, tmp_path):
+        # a grid other than the config's: the file records the one the model
+        # predicts with, so the loaded model predicts the same bits
+        cfg, _ = cli.load_config(synthetic_config(tmp_path))
+        dataset, names = cli._dataset_from_config(cfg)
+        grid = KernelGrid(lo=0.5, hi=5.0, count=12)
+        fitted, trace = optimize(build_dictionary(dataset.inputs, grid), dataset.graph,
+                                 dataset.targets, SolverConfig(), 0.1, 2.0)
+        path = tmp_path / "model.json"
+        cli.save_model(path, fitted, names, trace.iterations_used, trace.final_gamma)
+        assert json.loads(path.read_text())["kernel_grid"] == {
+            "family": "gaussian", "lo": 0.5, "hi": 5.0, "count": 12}
+        model, _ = cli.load_model(path)
+        assert model.dictionary.grid == grid
+        assert_same_bits(model.predict(dataset.inputs), fitted.predict(dataset.inputs))
+
+    def test_training_inputs_are_held_without_a_copy(self, tmp_path, csv_dataset):
+        # the measurement rows and a model file's training inputs arrive read-only,
+        # so the dictionary holds them as they are
+        measurements, coords = csv_dataset
+        _, matrix = cli._read_measurements(measurements)
+        assert not matrix.flags.writeable
+        cfg = {"data": {"measurements": str(measurements), "coordinates": str(coords)}}
+        dataset, names = cli._dataset_from_config(cfg)
+        d = build_dictionary(dataset.inputs, KernelGrid(count=12))
+        assert np.shares_memory(d.training_inputs, dataset.inputs)
+        fitted, trace = optimize(d, dataset.graph, dataset.targets, SolverConfig(), 0.1, 2.0)
+        path = tmp_path / "model.json"
+        cli.save_model(path, fitted, names, trace.iterations_used, trace.final_gamma)
+        payload = cli._parse_model(path.read_bytes())
+        assert not payload["training_inputs"].flags.writeable
 
     def test_predict_missing_model_exit_code(self, tmp_path):
         rc = cli.main(
@@ -1273,15 +1304,13 @@ class TestModelFile:
         # N = 300 training inputs, M = 100 nodes: 70k numbers, a 1.4 MB file
         rng = np.random.default_rng(3)
         n, m = 300, 100
-        grid = KernelGrid(count=12)
-        weights = np.triu(rng.uniform(size=(m, m)), 1)
         model = solver.KrgModel(
             psi=rng.normal(size=(n, m)), alpha=0.1, beta=2.0,
             dictionary=build_dictionary(rng.normal(size=(n, m)), KernelGrid(count=12)),
-            rho=rng.uniform(size=12), graph=build_graph(weights + weights.T),
+            rho=rng.uniform(size=12),
         )
         path = tmp_path / "model.json"
-        cli.save_model(path, model, grid, [f"n{i}" for i in range(m)], 3, 1.0)
+        cli.save_model(path, model, [f"n{i}" for i in range(m)], 3, 1.0)
         size = path.stat().st_size
         tracemalloc.start()
         try:
@@ -1619,7 +1648,7 @@ class TestModelWithoutGraph:
         assert rc == 0
         assert got.read_bytes() == expected.read_bytes()
         model, _ = cli.load_model(with_graph)
-        assert model.graph is None
+        assert not hasattr(model, "graph")
 
 
 class TestPredictHeader:

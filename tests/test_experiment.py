@@ -21,6 +21,7 @@ from graphkern import (
     monte_carlo,
     nmse,
     run_trial,
+    experiment,
     solve_structured,
 )
 from graphkern.experiment import (
@@ -139,8 +140,12 @@ class TestSyntheticDataset:
 
     def test_geodesic_mode(self):
         ds = make_synthetic_dataset(num_nodes=6, num_pairs=10, seed=5, mode="geodesic")
-        assert ds.coords.mode == "geodesic"
-        assert ds.graph.num_nodes == 6
+        # the graph is that of the generator's positions under the great-circle distance
+        rng = np.random.default_rng(5)
+        lat = rng.uniform(55.0, 69.0, size=6)
+        positions = np.column_stack([lat, rng.uniform(11.0, 24.0, size=6)])
+        graph = build_graph(geodesic_adjacency(NodeCoordinates(positions, "geodesic")))
+        np.testing.assert_array_equal(ds.graph.adjacency, graph.adjacency)
 
     def test_deterministic(self):
         a = make_synthetic_dataset(num_nodes=8, num_pairs=12, seed=6)
@@ -330,6 +335,24 @@ class TestMonteCarlo:
         report = excinfo.value.partial_report
         assert report.n_failed == 3
         assert report.n_ok["linear"] == 3  # the other methods still scored
+
+    def test_training_sets_are_held_without_a_copy(self, small_dataset, monkeypatch):
+        # the batches and the grid search hand their gathered training rows
+        # over read-only, so that the dictionary need not copy them
+        held = []
+
+        def spying_build(x, grid):
+            read_only = not x.flags.writeable
+            dictionary = build_dictionary(x, grid)
+            held.append(read_only and dictionary.training_inputs is x)
+            return dictionary
+
+        monkeypatch.setattr(experiment, "build_dictionary", spying_build)
+        cfg = ExperimentConfig(n_train=8, n_realizations=3, grid=KernelGrid(count=8),
+                               master_seed=7)
+        monte_carlo(small_dataset, cfg)
+        grid_search_hyperparams(small_dataset, METHOD_SINGLE, [0.1], [1.0], cfg)
+        assert held == [True, True]
 
     def test_sweep_reapplies_size_defaults(self, small_dataset):
         cfg = ExperimentConfig(n_train=4, n_realizations=2, master_seed=9)

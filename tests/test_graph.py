@@ -130,6 +130,16 @@ class TestSmoothness:
             smoothness(g, np.ones(4))
 
 
+class TestNodeCoordinates:
+    @pytest.mark.parametrize("mode", ["geodesic", "euclidean"])
+    def test_holds_a_copy_of_the_callers_positions(self, mode):
+        p = np.array([[59.33, 18.07], [57.71, 11.97]])
+        coords = NodeCoordinates(p, mode=mode)
+        p[0, 0] = 60.0  # the caller's array stays writeable
+        np.testing.assert_array_equal(coords.positions, [[59.33, 18.07], [57.71, 11.97]])
+        assert not coords.positions.flags.writeable
+
+
 class TestDistances:
     def test_haversine_against_hand_formula(self):
         import math

@@ -67,6 +67,21 @@ class TestBuildDictionary:
         with pytest.raises(ValueError, match="^training inputs contain NaN or Inf$"):
             build_dictionary(x, KernelGrid(count=2))
 
+    @pytest.mark.parametrize("shape", [(10, 3), (2, 10, 3)])
+    def test_copies_writeable_inputs(self, shape):
+        x = np.random.default_rng(0).random(shape)
+        d = build_dictionary(x, KernelGrid(count=4))
+        distances = d.sq_distances.copy()
+        x[..., 0, 0] = 1.0  # the caller's array stays writeable
+        assert not np.shares_memory(d.training_inputs, x)
+        assert not d.training_inputs.flags.writeable
+        np.testing.assert_array_equal(d.sq_distances, distances)
+
+    def test_holds_read_only_inputs_as_they_are(self):
+        x = np.random.default_rng(0).random((10, 3))
+        x.setflags(write=False)
+        assert build_dictionary(x, KernelGrid(count=4)).training_inputs is x
+
     def test_grid_endpoints_and_step(self):
         x = np.zeros((2, 1))
         d = build_dictionary(x, KernelGrid(lo=0.01, hi=10.0, count=100))
@@ -283,7 +298,7 @@ class TestKernelVector:
         rho = np.array([bad, 1.0])
         with pytest.raises(ValueError, match="finite"):
             kernel_cross(d, rho, rng.normal(size=(2, 2)))
-        model = KrgModel(np.ones((3, 4)), 1.0, 0.0, d, rho, None)
+        model = KrgModel(np.ones((3, 4)), 1.0, 0.0, d, rho)
         with pytest.raises(ValueError, match="finite"):
             model.predict(rng.normal(size=2))
 
@@ -298,7 +313,7 @@ class TestKernelVector:
         rho = np.ones(batch + (2,))
         with pytest.raises(ValueError, match="NaN or Inf"):
             kernel_cross(d, rho, x)
-        model = KrgModel(np.ones(batch + (3, 5)), 1.0, 0.0, d, rho, None)
+        model = KrgModel(np.ones(batch + (3, 5)), 1.0, 0.0, d, rho)
         with pytest.raises(ValueError, match="NaN or Inf"):
             model.predict(x)
 
@@ -321,7 +336,7 @@ class TestKernelVector:
         with pytest.raises(ValueError, match="inputs must have shape"):
             kernel_cross(d, rho, rng.normal(size=shape))
         if batch:
-            model = KrgModel(np.ones(batch + (3, 5)), 1.0, 0.0, d, rho, None)
+            model = KrgModel(np.ones(batch + (3, 5)), 1.0, 0.0, d, rho)
             with pytest.raises(ValueError, match="inputs must have shape"):
                 model.predict(rng.normal(size=shape))
 
@@ -352,13 +367,13 @@ class TestKernelVector:
         # each set evaluates its own Gaussian kernels of nonzero weight only
         own = [np.count_nonzero(r) * 5 * 6 if family == GAUSSIAN else 0 for r in rho]
         assert tables == [size for size in own if size]
-        predictions = KrgModel(psi, 0.1, 0.0, d, rho, None).predict(x_new)
+        predictions = KrgModel(psi, 0.1, 0.0, d, rho).predict(x_new)
         assert got.shape == (4, 5, 6) and predictions.shape == (4, 5, 2)
         np.testing.assert_array_equal(got[2], 0.0)
         for b in range(4):
             alone = build_dictionary(x[b], grid)
             np.testing.assert_array_equal(got[b], kernel_cross(alone, rho[b], x_new[b]))
-            model = KrgModel(psi[b], 0.1, 0.0, alone, rho[b], None)
+            model = KrgModel(psi[b], 0.1, 0.0, alone, rho[b])
             np.testing.assert_array_equal(predictions[b], model.predict(x_new[b]))
             expected = [[sum(w * kernel_eval(family, s2, row, new)
                              for w, s2 in zip(rho[b], d.parameters))

@@ -181,6 +181,18 @@ class TestProject:
         with pytest.raises(ValueError, match="^q must be 1 or 2$"):
             project(np.array([0.1, 0.2]), 5.0, q)
 
+    @pytest.mark.parametrize("q", [1, 2])
+    @pytest.mark.parametrize("s", [[np.nan, 1.0, 2.0], [np.inf, 1.0], [[0.5, 0.5], [1.0, np.nan]]])
+    def test_rejects_nan_and_plus_inf(self, s, q):
+        # no point of the ball is nearest to them: the l1 rule returned
+        # [nan, 1, 2], summing to 3 against a radius of 1, and [inf, 1] as NaN
+        with pytest.raises(ValueError, match=r"^the point to project holds NaN or \+inf$"):
+            project(np.array(s), 1.0, q)
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_minus_inf_clips_to_zero(self, q):
+        np.testing.assert_array_equal(project(np.array([-np.inf, 0.5]), 1.0, q), [0.0, 0.5])
+
     def test_already_feasible_l1(self):
         np.testing.assert_array_equal(
             project(np.array([0.1, 0.2]), 5.0, 1), [0.1, 0.2]

@@ -14,6 +14,7 @@ from graphkern import (
     build_dictionary,
     build_graph,
     combine,
+    make_synthetic_dataset,
     optimize,
     smoothness,
     solve_structured,
@@ -71,13 +72,13 @@ class TestSolveDense:
         d, g, t = random_instance(rng, 3, 4, 2)
         rho = rng.uniform(0.2, 1.0, size=2)
         model = solve_dense(d, rho, g, t, alpha=0.5, beta=0.8)
-        base = krg_objective(model, t)
+        base = krg_objective(model, g, t)
         h = 1e-6
         for _ in range(10):
             direction = rng.normal(size=model.psi.shape)
             direction /= np.linalg.norm(direction)
-            plus = krg_objective(_with_psi(model, model.psi + h * direction), t)
-            minus = krg_objective(_with_psi(model, model.psi - h * direction), t)
+            plus = krg_objective(_with_psi(model, model.psi + h * direction), g, t)
+            minus = krg_objective(_with_psi(model, model.psi - h * direction), g, t)
             derivative = (plus - minus) / (2 * h)
             assert abs(derivative) < 1e-5 * max(1.0, abs(base))
 
@@ -132,7 +133,8 @@ class TestSolveStructured:
         with pytest.raises(ValueError, match=r"^targets must have shape \(4, 3\), got "):
             solve_structured(d, np.ones(2), g, np.zeros(shape), alpha=0.5, beta=0.5)
 
-    @pytest.mark.parametrize("alpha, beta", [(-0.5, 0.5), (0.5, -1e-300)])
+    @pytest.mark.parametrize("alpha, beta", [(-0.5, 0.5), (0.5, -1e-300), (-np.inf, 0.5),
+                                             (0.5, -np.inf)])
     def test_rejects_negative_alpha_or_beta(self, alpha, beta):
         rng = np.random.default_rng(13)
         d, g, t = random_instance(rng, 3, 4, 2)
@@ -156,6 +158,47 @@ class TestSolveStructured:
         d, g, t = random_instance(rng, 3, n, 2, input_dim=1)
         with pytest.raises(SingularSystemError, match="condition estimate inf"):
             solve_structured(d, np.ones(2), g, t, alpha=0.5, beta=1e308)
+
+
+class TestFitEntryCheck:
+    """A fit refuses a non-finite alpha or beta and NaN or Inf targets before any solve.
+
+    Past the check, an infinite alpha or beta gave a zero model or an
+    out-of-range step, a NaN alpha a singular system, and a NaN target
+    a solution beyond float range, each with the wrong cause.
+    """
+
+    @staticmethod
+    def instance(stacked):
+        ds = make_synthetic_dataset(num_nodes=6, num_pairs=20, seed=1)
+        rows = np.arange(16).reshape(2, 8) if stacked else np.arange(8)
+        d = build_dictionary(ds.inputs[rows], KernelGrid(count=8))
+        return d, ds.graph, ds.targets[rows].copy()
+
+    @staticmethod
+    def fit(fitter, d, g, t, alpha, beta):
+        if fitter == "solve_structured":
+            rho = np.ones(d.batch_shape + (d.num_kernels,))
+            return solve_structured(d, rho, g, t, alpha, beta)
+        return optimize(d, g, t, SolverConfig(i_max=5), alpha, beta)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("fitter", ["solve_structured", "optimize"])
+    @pytest.mark.parametrize("alpha, beta", [(np.inf, 5.5), (np.nan, 5.5), (0.1, np.inf),
+                                             (0.1, np.nan)])
+    def test_refuses_non_finite_alpha_or_beta(self, fitter, stacked, alpha, beta):
+        d, g, t = self.instance(stacked)
+        with pytest.raises(ValueError, match="^alpha and beta must be finite$"):
+            self.fit(fitter, d, g, t, alpha, beta)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("fitter", ["solve_structured", "optimize"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_refuses_non_finite_targets(self, fitter, stacked, value):
+        d, g, t = self.instance(stacked)
+        t[..., -1, 2] = value
+        with pytest.raises(ValueError, match="^targets contain NaN or Inf$"):
+            self.fit(fitter, d, g, t, 0.1, 5.5)
 
 
 class TestNonpositiveDenominator:
@@ -253,15 +296,15 @@ class TestObjective:
         d, g, t = random_instance(rng, 3, 4, 2)
         model = solve_dense(d, np.zeros(2), g, t, alpha=1.0, beta=0.0)
         zeroed = _with_psi(model, np.zeros_like(model.psi))
-        assert krg_objective(zeroed, t) == pytest.approx(np.sum(t * t))
-        assert krg_objective(zeroed, t, reduced=True) == pytest.approx(0.0)
+        assert krg_objective(zeroed, g, t) == pytest.approx(np.sum(t * t))
+        assert krg_objective(zeroed, g, t, reduced=True) == pytest.approx(0.0)
 
     def test_reduced_differs_by_target_energy(self):
         rng = np.random.default_rng(9)
         d, g, t = random_instance(rng, 4, 3, 2)
         model = solve_dense(d, rng.uniform(0.1, 1, 2), g, t, 0.5, 0.5)
-        full = krg_objective(model, t)
-        reduced = krg_objective(model, t, reduced=True)
+        full = krg_objective(model, g, t)
+        reduced = krg_objective(model, g, t, reduced=True)
         assert full - reduced == pytest.approx(np.sum(t * t), rel=1e-12)
 
     def test_primal_identity_with_linear_kernel(self):
@@ -287,17 +330,17 @@ class TestObjective:
                 + alpha * np.sum(w * w)
                 + beta * sum(smoothness(g, y[i]) for i in range(n))
             )
-            value = krg_objective(_with_psi(model, psi), t)
+            value = krg_objective(_with_psi(model, psi), g, t)
             assert value == pytest.approx(primal, rel=1e-9)
 
     def test_fitted_point_is_minimum(self):
         rng = np.random.default_rng(11)
         d, g, t = random_instance(rng, 3, 4, 2)
         model = solve_dense(d, rng.uniform(0.1, 1, 2), g, t, 0.6, 0.9)
-        base = krg_objective(model, t)
+        base = krg_objective(model, g, t)
         for _ in range(25):
             perturbed = _with_psi(model, model.psi + rng.normal(size=model.psi.shape))
-            assert krg_objective(perturbed, t) > base
+            assert krg_objective(perturbed, g, t) > base
 
     def test_more_beta_means_smoother_training_predictions(self):
         rng = np.random.default_rng(12)
