@@ -51,23 +51,31 @@ class ConfigError(Exception):
 # Number text: the one codec of the CSV and model files
 # ---------------------------------------------------------------------------
 
-# Rows of numbers that orjson parses at a time, and the characters the
-# text of an array of numbers may hold.  orjson is imported where it is
-# used, so that importing this module does not load it.
+# Rows of numbers that orjson parses at a time, and the first characters of
+# the JSON values other than numbers and arrays: a string, an object, true,
+# false and null.  orjson is imported where it is used, so that importing
+# this module does not load it.
 _ROWS_PER_BLOCK = 64
-_NUMBER_CHARS = b"0123456789+-.eE[], \t\n\r"
+_OTHER_KINDS = {str: tuple('"{tfn'), bytes: tuple(b'"{tfn')}
 
 
-def _parse_number_block(items, ndim):
-    """``items``, the bytes of an array's items, as an ndim-D float64 array."""
+def _parse_number_block(block, ndim):
+    """``block``, the text (str or bytes) of a JSON array of numbers, as an ndim-D float64 array.
+
+    ValueError if it is anything else.  A text holding none of the five
+    characters that begin a JSON string, object, ``true``, ``false`` or
+    ``null`` is, if orjson reads it, made of numbers, brackets, commas and
+    JSON whitespace alone; so these five ``in`` tests plus orjson's grammar
+    refuse what a check of every character against that set would.
+    """
     import orjson
 
-    if items.translate(None, _NUMBER_CHARS):
+    if any(kind in block for kind in _OTHER_KINDS[type(block)]):
         raise ValueError
-    block = np.array(orjson.loads(b"[" + items + b"]"), dtype=np.float64)
-    if block.ndim != ndim:
+    values = np.array(orjson.loads(block), dtype=np.float64)
+    if values.ndim != ndim:
         raise ValueError
-    return block
+    return values
 
 
 def _write_number_rows(fh, matrix):
@@ -128,7 +136,7 @@ def ingest_dataset(measurements_path, coords_path):
 def _csv_file(path, kind):
     """``path`` open for ``csv.reader``; failing to open or to decode it raises ConfigError."""
     try:
-        fh = open(path, newline="")
+        fh = open(path, encoding="utf-8", newline="")
     except OSError as err:
         raise ConfigError(f"cannot open {kind} file {path}: {err}") from err
     with fh:
@@ -163,8 +171,8 @@ def _read_measurements(path, min_rows=2):
 
 
 # The end of a bare -0, which orjson reads as the integer 0 and so without
-# its sign.  It also matches an exponent of -0 ("1e-0,"), which is then sent
-# to the cell reader as well.
+# its sign.  It also matches an exponent of -0 ("1e-0,"), which reads as
+# float() reads it either way.
 _NEGATIVE_ZERO = re.compile(r"-0[,\] \t\r\n]")
 
 
@@ -172,22 +180,24 @@ def _parse_rows(lines, width, min_rows):
     """The non-blank ``lines`` as a (rows, width) float64 array; ValueError if they are not that.
 
     Each line must hold ``width`` comma-separated JSON numbers.  The lines
-    go to :func:`_parse_number_block` ``_ROWS_PER_BLOCK`` at a time, each
-    wrapped as ``[...]``, and every block is appended to one buffer of
-    doubles, so no Python float per cell outlives its block.  A JSON
-    number is read as ``float()`` reads its text, and one that overflows
-    is refused by orjson.
+    go to :func:`_parse_number_block` ``_ROWS_PER_BLOCK`` at a time, joined
+    into one ``[[...],[...]]`` text with no other copy of them, and every
+    block is appended to one buffer of doubles, so no Python float per cell
+    outlives its block.  A block must come back with one row per line: a
+    bracket inside a line either nests deeper, which the block's shape
+    refuses, or ends a row, which adds one.  A JSON number is read as
+    ``float()`` reads its text, and one that overflows is refused by
+    orjson.  Only a block holding a zero is searched for a bare ``-0``.
     """
     data = array.array("d")
     rows = (line for line in lines if line.strip())
     while block := list(itertools.islice(rows, _ROWS_PER_BLOCK)):
-        items = "[" + "],[".join(block) + "]"
-        # The brackets must be the wrapping ones: a line holding "],[" would
-        # read as two rows.
-        if items.count("[") + items.count("]") != 2 * len(block) or _NEGATIVE_ZERO.search(items):
-            raise ValueError
-        values = _parse_number_block(items.encode(), ndim=2)
-        if values.shape[1] != width:
+        parts = ["],["] * (2 * len(block) + 1)
+        parts[0], parts[1::2], parts[-1] = "[[", block, "]]"
+        text = "".join(parts)
+        values = _parse_number_block(text, ndim=2)
+        if values.shape != (len(block), width) or (
+                not values.all() and _NEGATIVE_ZERO.search(text)):
             raise ValueError
         data.frombytes(values.tobytes())
     if len(data) < min_rows * width:
@@ -356,7 +366,7 @@ def load_config(path, seed=None):
     :class:`ConfigError` naming it, rather than leaving its default in force.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot open config file {path}: {err}") from err
@@ -585,8 +595,10 @@ def _model_payload(model, names, iterations, final_gamma):
 # Keys that load_model requires of a model file.
 MODEL_KEYS = ("alpha", "beta", "kernel_grid", "rho", "training_inputs", "psi", "target_names")
 
-# Top-level keys of a model file whose values are arrays of numbers.
+# Top-level keys of a model file whose values are arrays of numbers, and
+# the graph that earlier versions of fit wrote, which no command reads.
 _ARRAY_KEYS = ("rho", "training_inputs", "psi")
+_LEGACY_KEY = "adjacency"
 _WHITESPACE = re.compile(rb"[ \t\n\r]*")
 # A JSON string, delimited but not checked, or a bracket.
 _TOKEN = re.compile(rb'"(?:[^"\\]|\\.)*"|[\[\]{}]', re.DOTALL)
@@ -610,9 +622,11 @@ def _parse_model(data):
     ``]``/``}`` before it is a top-level key.  An array key's value is parsed
     by :func:`_parse_number_array` and cut out, a ``0`` in its place; one
     :func:`_load_json` reads the few kB left, and the arrays are put back,
-    the last of a duplicate key winning as in :mod:`json`.  Input that is
-    not one JSON object, or whose array keys hold anything but a 1-D or 2-D
-    array of numbers, raises :class:`json.JSONDecodeError`.
+    the last of a duplicate key winning as in :mod:`json`.  A legacy
+    ``adjacency`` is parsed and cut out the same way, or, if it is no array
+    of numbers, left to :mod:`json`; either way it is dropped.  Input that
+    is not one JSON object, or whose array keys hold anything but a 1-D or
+    2-D array of numbers, raises :class:`json.JSONDecodeError`.
     """
     if isinstance(data, str):
         data = data.encode()
@@ -625,11 +639,24 @@ def _parse_model(data):
         if not data.startswith(b'"', token.start()):
             depth += 1 if data[token.start()] in b"[{" else -1
         elif depth == 1 and data.startswith(b":", i := _skip(data, i)):
-            if (key := _load_json(data, [token.span()])) in _ARRAY_KEYS:
-                spans.append((kept, _skip(data, i + 1)))
-                arrays[key], i = _parse_number_array(data, spans[-1][1], key)
-                kept = i
+            key = _load_json(data, [token.span()])
+            legacy = key == _LEGACY_KEY
+            if key not in _ARRAY_KEYS and not legacy:
+                continue
+            start = _skip(data, i + 1)
+            try:
+                value, end = _parse_number_array(data, start, keep=not legacy)
+            except ValueError:
+                if legacy:
+                    continue
+                message = f"{key} must be a 1-D or 2-D array of numbers"
+                raise _decode_error(message, data, start) from None
+            spans.append((kept, start))
+            kept = i = end
+            if not legacy:
+                arrays[key] = value
     payload = _load_json(data, spans + [(kept, len(data))])
+    payload.pop(_LEGACY_KEY, None)
     for array in arrays.values():
         array.setflags(write=False)  # a dictionary holds its training inputs with no copy
     payload.update(arrays)
@@ -656,46 +683,53 @@ def _load_json(data, spans):
         raise _decode_error(err.msg, data, start + i) from None
 
 
-def _parse_number_array(data, start, key):
-    """The array of numbers, or of rows of numbers, at byte ``start``; returns (array, end)."""
+def _parse_number_array(data, start, keep=True):
+    """The array of numbers, or of rows of numbers, at byte ``start``: (array, end).
+
+    ValueError if there is none.  The array ends at the last ``]`` before
+    the next ``"``, as it holds no strings.  A 1-D array is parsed as it
+    stands, a 2-D one ``_ROWS_PER_BLOCK`` rows at a time, each block
+    copied once, wrapped as ``[...]``.  Unless ``keep``, the blocks are
+    let go as they are parsed and a 2-D array is returned as None.
+    """
     quote = data.find(b'"', start)
     end = data.rfind(b"]", start, len(data) if quote < 0 else quote) + 1
-    try:
-        if not (data.startswith(b"[", start) and end):
+    if not (data.startswith(b"[", start) and end):
+        raise ValueError
+    first = _skip(data, start + 1)
+    if not data.startswith(b"[", first):
+        return _parse_number_block(data[start:end], ndim=1), end
+    view, blocks = memoryview(data), []
+    while True:
+        stop = first
+        for _ in range(_ROWS_PER_BLOCK):
+            row_end = data.find(b"]", stop, end - 1)
+            if row_end < 0:
+                break
+            stop = row_end + 1
+        block = _parse_number_block(b"".join((b"[", view[first:stop], b"]")), ndim=2)
+        if keep:
+            blocks.append(block)
+        first = _skip(data, stop)
+        if first == end - 1:
+            return (np.concatenate(blocks) if keep else None), end
+        if not data.startswith(b",", first):
             raise ValueError
-        first = _skip(data, start + 1)
-        if not data.startswith(b"[", first):
-            return _parse_number_block(data[start + 1:end - 1], ndim=1), end
-        blocks = []
-        while True:
-            stop = first
-            for _ in range(_ROWS_PER_BLOCK):
-                row_end = data.find(b"]", stop, end - 1)
-                if row_end < 0:
-                    break
-                stop = row_end + 1
-            blocks.append(_parse_number_block(data[first:stop], ndim=2))
-            first = _skip(data, stop)
-            if first == end - 1:
-                return np.concatenate(blocks), end
-            if not data.startswith(b",", first):
-                raise ValueError
-            first = _skip(data, first + 1)
-    except ValueError:
-        raise _decode_error(f"{key} must be a 1-D or 2-D array of numbers", data, start) from None
+        first = _skip(data, first + 1)
 
 
 def load_model(path):
     """Rebuild a fitted model from a model file; returns (model, names).
 
     The file is held once, as bytes, and read by :func:`_parse_model`, never
-    with a Python float per array entry: ``predict`` is bounded by memory.
-    It is checked against the schema :func:`save_model` writes:
-    ``format_version`` the integer 1, every key in ``MODEL_KEYS``, ``alpha``
-    and ``beta`` finite nonnegative numbers, N x M ``training_inputs`` and
-    finite ``psi`` for M target names, and one finite nonnegative weight per
-    grid kernel.  Other keys, such as the ``adjacency`` of older files, are
-    read and not used: a model holds its predictor and no graph.
+    with a Python float per array entry, the ``adjacency`` of older files
+    included: ``predict`` is bounded by memory.  It is checked against the
+    schema :func:`save_model` writes: ``format_version`` the integer 1, every
+    key in ``MODEL_KEYS``, ``alpha`` and ``beta`` finite nonnegative numbers,
+    N x M ``training_inputs`` and finite ``psi`` for M target names, and one
+    finite nonnegative weight per grid kernel.  Other keys are read and not
+    used, and an ``adjacency`` is dropped: a model holds its predictor and
+    no graph.
     """
     try:
         with open(path, "rb") as fh:
@@ -770,7 +804,7 @@ def cmd_predict(model_path, inputs_path, output_path):
             f"column {col} is {got!r}, expected {want!r}"
         )
     predictions = model.predict(matrix)
-    with open(output_path, "w", newline="") as fh:
+    with open(output_path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(names)
         _write_number_rows(fh, predictions)
     print(f"predictions written to {output_path}")
@@ -811,7 +845,7 @@ def cmd_experiment(cfg, run, out_dir):
 
     out_dir.mkdir(parents=True, exist_ok=True)
     nmse_path = out_dir / "nmse_vs_ntrain.csv"
-    with open(nmse_path, "w", newline="") as fh:
+    with open(nmse_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["method", "n_train", "nmse_mean", "nmse_std", "n_ok", "mean_iterations"]
@@ -831,7 +865,7 @@ def cmd_experiment(cfg, run, out_dir):
 
     rho_path = out_dir / "rho_instance.csv"
     rho_report = reports[-1]
-    with open(rho_path, "w", newline="") as fh:
+    with open(rho_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["kernel_index", "parameter", "rho"])
         rho = rho_report.representative_rho
@@ -840,7 +874,7 @@ def cmd_experiment(cfg, run, out_dir):
             writer.writerow([i + 1, repr(float(parameter)), repr(value)])
 
     report_path = out_dir / "report.json"
-    with open(report_path, "w") as fh:
+    with open(report_path, "w", encoding="utf-8") as fh:
         json.dump(
             {"config": cfg, "results": [r.to_dict() for r in reports]},
             fh,

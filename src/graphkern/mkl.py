@@ -136,7 +136,7 @@ class OptimizerTrace:
 
     def write_csv(self, path):
         """Write the trace as a CSV file with a header row."""
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["iteration", "gamma", "step", "delta_sq", "rho_norm", "fw_gap"])
             for row in zip(

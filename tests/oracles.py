@@ -39,6 +39,10 @@ against it trial by trial.
 
 :func:`project_l1_exact` projects onto the l1 ball in exact rational
 arithmetic, the reference for :func:`graphkern.project` at any magnitude.
+
+:func:`refused_as_number_text` is the character rule the number-text
+codec of :mod:`graphkern.cli` applied before its kind check: every byte
+checked against the characters an array of JSON numbers may hold.
 """
 
 import math
@@ -427,3 +431,12 @@ def run_trial_sequential(dataset, config, realization_seed):
         except (SingularSystemError, np.linalg.LinAlgError) as err:
             result.errors[method] = str(err)
     return result
+
+
+# The characters the text of an array of JSON numbers may hold.
+NUMBER_CHARS = b"0123456789+-.eE[], \t\n\r"
+
+
+def refused_as_number_text(text):
+    """Whether ``text`` (bytes) holds a byte outside :data:`NUMBER_CHARS`."""
+    return bool(text.translate(None, NUMBER_CHARS))

@@ -1,5 +1,6 @@
 """CLI: ingestion, config validation, fit/predict/experiment round trips."""
 
+import codecs
 import csv
 import itertools
 import json
@@ -17,6 +18,8 @@ import pytest
 from graphkern import (
     KernelGrid, SolverConfig, build_dictionary, cli, experiment, mkl, optimize, solver,
 )
+
+from . import oracles
 
 
 def write_measurements(path, names, rows):
@@ -139,6 +142,20 @@ class TestIngest:
             cli._write_number_rows(fh, matrix)
         with open(expected, "w", newline="") as fh:
             csv.writer(fh).writerows([[repr(v) for v in row] for row in matrix.tolist()])
+        assert got.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("shape", [(150, 9), (1, 200), (256, 200)])
+    def test_matrix_orjson_writes_as_repr_written_as_csv_writer_writes_it(self, tmp_path,
+                                                                          shape):
+        # magnitudes in [1e-4, 1e16), where orjson writes every value as repr does
+        rng = np.random.default_rng(shape[0])
+        matrix = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-4, 16, size=shape)
+        matrix[0, 0] = 0.0
+        got, expected = tmp_path / "got.csv", tmp_path / "expected.csv"
+        with open(got, "w", newline="") as fh:
+            cli._write_number_rows(fh, matrix)
+        with open(expected, "w", newline="") as fh:
+            csv.writer(fh).writerows(matrix.tolist())
         assert got.read_bytes() == expected.read_bytes()
 
     def test_two_rows_one_pair(self, tmp_path):
@@ -1033,6 +1050,22 @@ def reserialize(payload, rng):
     return ' \n\t{"psi": [[0.5]], "rho": [],' + text[1:] + "\n \r\n"
 
 
+def number_block_by_rule(block, ndim):
+    """``block`` as ``json`` reads it, or None where the codec must refuse it.
+
+    The codec refuses a byte outside the characters of number text, what
+    orjson refuses, and anything but an ndim-D array of numbers.
+    """
+    if oracles.refused_as_number_text(block):
+        return None
+    try:
+        orjson.loads(block)
+        values = np.array(json.loads(block), dtype=np.float64)
+    except (orjson.JSONDecodeError, ValueError):
+        return None
+    return values if values.ndim == ndim else None
+
+
 def assert_same_bits(got, expected):
     expected = np.array(expected, dtype=float)
     assert got.dtype == np.float64 and got.shape == expected.shape
@@ -1171,6 +1204,34 @@ class TestModelFile:
     def test_malformed_array_is_refused(self, text):
         with pytest.raises(json.JSONDecodeError):
             cli._parse_model(text)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_kind_check_refuses_what_the_character_rule_or_orjson_refuses(self, seed):
+        rng = np.random.default_rng(seed)
+        tokens = ['"', '"x"', '"1"', "{", "{}", "t", "true", "false", "null", "NaN", "Infinity",
+                  "x", "_", "+1", "\x00", "\x0c", "\xa0", "\ufeff", "[", "]", ",", "-0", "1e400"]
+        outcomes = set()
+        for ndim in (1, 2):
+            shape = tuple(rng.integers(1, 5, size=ndim))
+            a = rng.normal(size=shape) * 10.0 ** rng.integers(-30, 30, size=shape)
+            for text in (json.dumps(a.tolist()).encode(),
+                         orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)):
+                # anywhere, and as an item of its own after a "[" or ","
+                items = [i + 1 for i, byte in enumerate(text) if byte in b"[,"]
+                for token in tokens:
+                    token = token.encode()
+                    for i, inserted in [*((i, token) for i in rng.integers(len(text) + 1, size=3)),
+                                        *((i, token + b",") for i in rng.choice(items, size=2))]:
+                        block = text[:i] + inserted + text[i:]
+                        expected = number_block_by_rule(block, ndim)
+                        outcomes.add(expected is None)
+                        for typed in (block, block.decode()):  # model file, CSV file
+                            if expected is None:
+                                with pytest.raises(ValueError):
+                                    cli._parse_number_block(typed, ndim)
+                            else:
+                                assert_same_bits(cli._parse_number_block(typed, ndim), expected)
+        assert outcomes == {False, True}
 
     @pytest.mark.parametrize(
         "edit",
@@ -1324,6 +1385,32 @@ class TestModelFile:
         # and json.load peaked at 2.7 times the file, from its tree of
         # Python floats on top of the text.
         assert peak < size + 1024 * 1024, f"peak traced allocation {peak / 1e6:.2f} MB"
+
+    def test_legacy_adjacency_loads_without_a_float_per_number(self, tmp_path):
+        # M = 200 nodes, as earlier versions of fit wrote them: the M x M
+        # adjacency last, 40k numbers, 0.7 of the 0.85 MB file
+        rng = np.random.default_rng(4)
+        n, m = 10, 200
+        model = solver.KrgModel(
+            psi=rng.normal(size=(n, m)), alpha=0.1, beta=2.0,
+            dictionary=build_dictionary(rng.normal(size=(n, m)), KernelGrid(count=12)),
+            rho=rng.uniform(size=12),
+        )
+        path = tmp_path / "model.json"
+        cli.save_model(path, model, [f"n{i}" for i in range(m)], 3, 1.0)
+        adjacency = orjson.dumps(rng.uniform(size=(m, m)), option=orjson.OPT_SERIALIZE_NUMPY)
+        path.write_bytes(path.read_bytes()[:-1] + b',"adjacency":' + adjacency + b"}")
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            loaded, _ = cli.load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert_same_bits(loaded.psi, model.psi)
+        # json held a Python float per number of the adjacency: 2.1 MB over the file
+        assert peak < size + 1024 * 1024, f"peak traced allocation {peak / 1e6:.2f} MB"
+        assert "adjacency" not in cli._parse_model(path.read_bytes())
 
 
 # The model file sweep sets each top-level key and each kernel_grid field to
@@ -1629,6 +1716,7 @@ class TestModelWithoutGraph:
             '"none"',
             "null",
             '[[1,["]"]],{"psi":[]}]',
+            '[[1, "x"], {"a": null}]',
         ],
     )
     def test_model_with_a_graph_predicts_the_same(self, tmp_path, fitted_model, adjacency):
@@ -1683,6 +1771,46 @@ class TestPredictHeader:
         rc, out = predict_to(tmp_path, model_path, edited, "pred.csv")
         assert f"{edited}: cannot decode the measurements file" in assert_input_error(capsys, rc)
         assert not out.exists()
+
+
+class TestTextEncoding:
+    def test_fit_and_predict_write_the_same_bytes_under_an_ascii_locale(self, tmp_path,
+                                                                        csv_dataset):
+        # a node named with a non-ASCII letter, in the files fit reads and in pred.csv's header
+        measurements, coords = csv_dataset
+        for path in (measurements, coords):
+            path.write_text(path.read_text(encoding="utf-8").replace("beta_town", "Tromsø"),
+                            encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "data": {"measurements": str(measurements), "coordinates": str(coords)},
+            "kernel_grid": {"family": "gaussian", "lo": 0.01, "hi": 10.0, "count": 8},
+        }))
+        package_root = str(Path(cli.__file__).resolve().parents[1])
+        outputs = []
+        for locale_env in ({}, {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}):
+            out = tmp_path / f"out{len(outputs)}"
+            script = f"""
+import locale, sys
+import graphkern.cli as cli
+print(locale.getpreferredencoding(False))
+sys.exit(cli.main(["fit", "--config", {str(config)!r}, "--out", {str(out)!r}])
+         or cli.main(["predict", "--model", {str(out / "model.json")!r}, "--inputs",
+                      {str(measurements)!r}, "--output", {str(out / "pred.csv")!r}]))
+"""
+            env = {**os.environ, **locale_env}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root,
+                                                              env.get("PYTHONPATH")]))
+            proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((proc.stdout.split()[0],
+                            *((out / name).read_bytes()
+                              for name in ("model.json", "trace.csv", "pred.csv"))))
+        (_, *expected), (encoding, *got) = outputs
+        assert codecs.lookup(encoding).name == "ascii"
+        assert got == expected
+        assert "Tromsø".encode() in expected[2].splitlines()[0]
 
 
 class TestCommandImports:
